@@ -8,7 +8,8 @@ Four commands share one flat INI configuration:
 * sweep: randomized direction/amplitude product sweeps per case.
 
 Exit codes: 0 success, 1 at least one row failed its inequality,
-2 configuration error (the offending key is named), 3 numerical failure.
+2 configuration error (the offending key is named), 3 numerical failure
+(for sweep: at least one row raised; the other rows are still reported).
 Heavy numerical imports happen inside main() so that --help and config
 errors stay fast and thread settings can take effect first.
 """
@@ -465,6 +466,8 @@ def cmd_sweep(sections, cases_cfg, args):
     text = lab.csv_text(reports) if args.format == "csv" \
         else lab.json_text(reports)
     emit(text, resolve_out_path(args.out))
+    if any(sw.failures for _, sw in results):
+        return 3
     return 1 if any(r.status == "fail" for r in reports) else 0
 
 

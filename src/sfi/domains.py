@@ -145,6 +145,34 @@ def _bulk_mass_points(graph, grid, radial_points):
     return pts.reshape(-1, pts.shape[-1]), mass.reshape(-1)
 
 
+def _mass_log_sum(sf, p, pts, mass):
+    """sum_i mass_i log_p(pts_i), without forming the tangent vectors.
+
+    log_p(y) = s (y - c p), with c = cosh d, cos d or 1 and
+    s = d / sinh d, d / sin d or 1 for K = -1, +1, 0. Both come from the
+    squared chord q = <y - p, y - p> = 2K - 2<y, p> (Lorentz product for
+    K = -1) through the half-angle forms cosh d = 1 + q/2,
+    sinh d = sqrt(q) sqrt(1 + q/4), d = 2 asinh(sqrt(q)/2) (signs flipped
+    for K = +1), so the sum is two matrix-vector products over the points.
+    """
+    if sf.K == 0:
+        return mass @ pts - np.sum(mass) * p
+    dual = p.copy()
+    if sf.K == -1:
+        dual[0] = -dual[0]
+    q = np.maximum(2.0 * sf.K - 2.0 * (pts @ dual), 0.0)
+    half = 0.5 * np.sqrt(q)
+    if sf.K == -1:
+        d = 2.0 * np.arcsinh(half)
+    else:
+        d = 2.0 * np.arcsin(np.minimum(half, 1.0))
+    c = 1.0 - 0.5 * sf.K * q
+    den = np.sqrt(q) * np.sqrt(np.maximum(1.0 - 0.25 * sf.K * q, 0.0))
+    s = np.where(d > 1e-12, d / np.where(den > 0, den, 1.0), 1.0)
+    ms = mass * s
+    return ms @ pts - (ms @ c) * p
+
+
 def barycenter(graph, grid, radial_points=16, tol=1e-10, max_iter=100):
     """Karcher mean of the enclosed domain in ambient coordinates.
 
@@ -157,7 +185,7 @@ def barycenter(graph, grid, radial_points=16, tol=1e-10, max_iter=100):
     total = float(np.sum(mass))
     p = model.origin(sf)
     for _ in range(max_iter):
-        v = mass @ model.log_map(sf, p, pts) / total
+        v = _mass_log_sum(sf, p, pts, mass) / total
         if 2.0 * total * np.linalg.norm(v) < tol * max(1.0, total):
             return p
         p = model.exp_map(sf, p, v)
@@ -168,23 +196,26 @@ def barycenter(graph, grid, radial_points=16, tol=1e-10, max_iter=100):
     raise RuntimeError("barycenter iteration did not converge")
 
 
-def symmetric_difference_to_ball(graph, grid, center_vec, rho_bar, radii=None):
+def symmetric_difference_to_ball(graph, grid, center_vec, rho_bar,
+                                 primitive=None):
     """Vol(Omega symmetric-difference ball(center, rho_bar)).
 
     center_vec is a model vector at the origin; the ball boundary is
     re-expressed as a radial graph about the origin, so the volume between
     the two profiles is an angular quadrature of |P_n(R) - P_n(R_ball)|.
-    Returns +inf when the origin is not interior to the ball.
+    primitive, if given, is P_n(R) of the graph at the grid nodes, which
+    does not depend on the ball. Returns +inf when the origin is not
+    interior to the ball.
     """
     sf = graph.sf
     if np.linalg.norm(center_vec) >= 0.995 * rho_bar:
         return np.inf
-    if radii is None:
-        radii = _graph_radii(graph, grid)
+    if primitive is None:
+        primitive = sf.volume_primitive(_graph_radii(graph, grid))
     Rb = model.ball_radial_profile(sf, center_vec, rho_bar, grid.nodes)
     if not np.all(np.isfinite(Rb)):
         return np.inf
-    gap = np.abs(sf.volume_primitive(radii) - sf.volume_primitive(Rb))
+    gap = np.abs(primitive - sf.volume_primitive(Rb))
     return grid.integrate(gap)
 
 
@@ -197,13 +228,13 @@ def fraenkel_asymmetry(graph, grid, seed_center=None, options=None):
     a looser xatol when the seed is known to be nearly optimal.
     """
     sf = graph.sf
-    radii = _graph_radii(graph, grid)
-    rho_bar = radius_for_volume(sf, volume(graph, grid))
+    primitive = sf.volume_primitive(_graph_radii(graph, grid))
+    rho_bar = radius_for_volume(sf, grid.integrate(primitive))
     if seed_center is None:
         seed_center = model.model_vector(sf, barycenter(graph, grid))
     def objective(c):
         return symmetric_difference_to_ball(graph, grid, c, rho_bar,
-                                            radii=radii)
+                                            primitive=primitive)
     opts = {"xatol": 1e-9, "fatol": 1e-12, "maxiter": 4000, "maxfev": 6000}
     if options:
         opts.update(options)

@@ -583,9 +583,11 @@ def verify(case, graph_raw, grid, *, direction_id="", epsilon=None,
     else:
         err_quad = REL_TOL_FLOOR * max(1.0, abs(lhs))
 
-    # After recentering the optimal ball center is within O(1e-8) of the
-    # origin, so the center search only polishes; a looser simplex
-    # tolerance changes alpha by far less than the slack it feeds.
+    # The barycenter is not the optimal ball center: after recentering
+    # the optimum sits about 0.01-0.04 eps from the origin (K = -1), and
+    # alpha there is 0.02-0.3% below its value at the origin. Seeded at
+    # the origin, the center search is a short polish, and a looser
+    # simplex tolerance changes alpha by far less than the slack it feeds.
     alpha, _center = dm.fraenkel_asymmetry(
         graph, grid, seed_center=np.zeros(sf.n + 1),
         options={"xatol": 1e-8, "fatol": 1e-11})

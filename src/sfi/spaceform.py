@@ -89,9 +89,10 @@ class SpaceForm:
         The geodesic ball of radius r has volume sphere_area * primitive.
         Reduction formulas handle every n >= 0 for K = +-1.
         """
-        if n is None:
-            n = self.n
-        r = self._check_domain(r)
+        return self._volume_primitive(self._check_domain(r),
+                                      self.n if n is None else n)
+
+    def _volume_primitive(self, r, n):
         if self.K == 0:
             return r ** (n + 1) / (n + 1)
         if n == 0:
@@ -101,7 +102,7 @@ class SpaceForm:
         if n == 1:
             # K=-1: cosh r - 1; K=+1: 1 - cos r
             return self.K * (1.0 - dph)
-        lower = self.volume_primitive(r, n - 2)
+        lower = self._volume_primitive(r, n - 2)
         # from d/dr (phi^{n-1} phi') = (n-1) phi^{n-2} - K n phi^n
         return ((n - 1) * lower - ph ** (n - 1) * dph) / (self.K * n)
 

@@ -16,10 +16,12 @@ stated polynomial exactness degree holds by construction.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -59,6 +61,13 @@ class MonomialTable:
         self.size = len(rows)
         self._diff = [self._diff_matrix(j) for j in range(nvars)]
         self._second = {}
+        # monomial i = x_lead^a * x_trail^b sits at (a, b) of the Kronecker
+        # power tables of the leading and trailing variables (evaluate)
+        self._split = nvars // 2
+        flat = np.ravel_multi_index(self.exponents.T,
+                                    (max_degree + 1,) * nvars)
+        self._split_at = np.divmod(
+            flat, (max_degree + 1) ** (nvars - self._split))
 
     def _diff_matrix(self, j):
         rows, cols, vals = [], [], []
@@ -82,16 +91,37 @@ class MonomialTable:
             self._second[key] = (self._diff[key[0]] @ self._diff[key[1]]).tocsr()
         return self._second[key]
 
-    def vandermonde(self, points):
-        """Monomial values at points, shape (N, size)."""
+    def _powers(self, points):
+        """Per-variable powers x_j^p at points, shape (N, nvars, degree+1)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         powers = np.ones((pts.shape[0], self.nvars, self.max_degree + 1))
         for p in range(1, self.max_degree + 1):
             powers[:, :, p] = powers[:, :, p - 1] * pts
-        out = np.ones((pts.shape[0], self.size))
+        return powers
+
+    def vandermonde(self, points):
+        """Monomial values at points, shape (N, size)."""
+        powers = self._powers(points)
+        out = np.ones((powers.shape[0], self.size))
         for j in range(self.nvars):
             out *= powers[:, j, self.exponents[:, j]]
         return out
+
+    def evaluate(self, points, coeffs):
+        """Values of the polynomial with these coefficients at points.
+
+        Equals vandermonde(points) @ coeffs up to summation order, but
+        instead of the (N, size) Vandermonde matrix it forms the row-wise
+        Kronecker power tables of the leading and trailing halves of the
+        variables, (N, (degree+1)^(nvars/2)) each, and contracts them
+        with the coefficients scattered into one small dense matrix.
+        """
+        powers = self._powers(points)
+        lead = _kronecker_rows(powers[:, :self._split])
+        trail = _kronecker_rows(powers[:, self._split:])
+        dense = np.zeros((lead.shape[1], trail.shape[1]))
+        dense[self._split_at] = coeffs
+        return np.einsum("ij,ij->i", lead @ dense, trail)
 
     def sphere_integrals(self):
         """Exact integrals of each monomial over the unit sphere S^{nvars-1}."""
@@ -105,6 +135,15 @@ class MonomialTable:
                 num *= gamma((a + 1) / 2.0)
             vals[i] = num / gamma((e.sum() + self.nvars) / 2.0)
         return vals
+
+
+def _kronecker_rows(powers):
+    """Row-wise Kronecker product of per-variable power tables:
+    (N, k, degree+1) -> (N, (degree+1)^k), last variable fastest."""
+    out = powers[:, 0]
+    for j in range(1, powers.shape[1]):
+        out = (out[:, :, None] * powers[:, j, None, :]).reshape(len(out), -1)
+    return out
 
 
 def _compositions(total, parts):
@@ -143,9 +182,16 @@ class SphereGrid:
     def node_count(self):
         return len(self.weights)
 
-    @property
+    @cached_property
     def key(self):
-        return (self.n, self.d_exact, self.node_count)
+        """Identity of the node set, for caches of node-derived matrices.
+
+        It hashes the nodes themselves, so a grid with the same shape but
+        moved nodes (a rotated grid, say) never shares a cache entry,
+        while an identical rebuilt grid does. Grids are values: their
+        arrays are not modified after construction.
+        """
+        return (self.n, self.d_exact, _digest(self.nodes))
 
     def integrate(self, values):
         """Quadrature sum with fixed (pairwise) summation order."""
@@ -212,6 +258,10 @@ def build_grid(n, resolution):
                       frames=_build_frames(nodes))
 
 
+def _digest(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
 _VANDERMONDE_CACHE = {}
 
 
@@ -229,7 +279,7 @@ def grid_basis_values(grid, basis):
     """Basis element values at grid nodes, shape (nodes, size); cached
     since the product of the Vandermonde matrix with the basis
     coefficients is static per (grid, basis) pair."""
-    key = (grid.key, basis.n, basis.d_max)
+    key = (grid.key, basis.key)
     if key not in _BASIS_VALUES_CACHE:
         V = grid_vandermonde(grid, basis.table)
         _BASIS_VALUES_CACHE[key] = V @ basis.coeffs.T
@@ -260,6 +310,11 @@ class HarmonicBasis:
     @property
     def table(self):
         return monomial_table(self.n + 1, self.d_max)
+
+    @cached_property
+    def key(self):
+        """Identity of the coefficient matrix, for caches (see SphereGrid.key)."""
+        return (self.n, self.d_max, _digest(self.coeffs))
 
     @property
     def eigenvalues(self):
@@ -394,8 +449,7 @@ def from_coeffs(basis, coeffs):
 
 def evaluate(u, points):
     """Values of u at arbitrary unit vectors (N, n+1) -> (N,)."""
-    table = u.basis.table
-    return table.vandermonde(points) @ u.polynomial_coeffs()
+    return u.basis.table.evaluate(points, u.polynomial_coeffs())
 
 
 def values_on_grid(u, grid):
@@ -409,18 +463,19 @@ def eval_jet_all(u, grid):
     Hessian (N, n, n) in frame components).
     """
     table = u.basis.table
-    V = grid_vandermonde(grid, u.basis.table)
     c = u.polynomial_coeffs()
     m = table.nvars
-    vals = V @ c
-    dc = np.array([table.diff(j) @ c for j in range(m)])
-    amb_grad = V @ dc.T
-    amb_hess = np.empty((len(V), m, m))
-    for j in range(m):
-        for k in range(j, m):
-            col = V @ (table.second_diff(j, k) @ c)
-            amb_hess[:, j, k] = col
-            amb_hess[:, k, j] = col
+    pairs = [(j, k) for j in range(m) for k in range(j, m)]
+    # value, gradient and Hessian coefficients as the columns of one GEMM
+    # against the grid Vandermonde, which is read once
+    cols = ([c] + [table.diff(j) @ c for j in range(m)]
+            + [table.second_diff(j, k) @ c for j, k in pairs])
+    jet = grid_vandermonde(grid, table) @ np.column_stack(cols)
+    vals = jet[:, 0]
+    amb_grad = jet[:, 1:m + 1]
+    amb_hess = np.empty((len(jet), m, m))
+    for col, (j, k) in enumerate(pairs, start=m + 1):
+        amb_hess[:, j, k] = amb_hess[:, k, j] = jet[:, col]
     E = grid.frames
     grad = np.einsum("iam,im->ia", E, amb_grad)
     radial = np.einsum("im,im->i", grid.nodes, amb_grad)

@@ -334,6 +334,26 @@ epsilon = 0.004, 0.008
         assert "case:main" in err
         assert "min_deficit_over_alpha_sq" in err
 
+    def test_raising_row_is_exit_three_and_rest_reported(
+            self, tmp_path, monkeypatch, capsys):
+        path = write_config(tmp_path, BASE + PERTURB_RANDOM + CASE_STAB)
+        real_verify = lab.verify
+
+        def breaks_on_d001(case, graph, grid, **kw):
+            if kw["direction_id"] == "d001":
+                raise RuntimeError("forced row failure")
+            return real_verify(case, graph, grid, **kw)
+
+        monkeypatch.setattr(lab, "verify", breaks_on_d001)
+        out = tmp_path / "s.csv"
+        code = cli.main(["sweep", "--config", path, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "d001 eps=0.004 error: forced row failure" in err
+        lines = out.read_text().strip().split("\n")
+        assert len(lines) == 2  # header + the d000 row
+        assert ",d000," in lines[1]
+
 
 class TestNumericalFailureExit:
     def test_surface_breakdown_is_exit_three(self, tmp_path, capsys):

@@ -165,6 +165,15 @@ class TestBarycenter:
         g = ball_graph(K, 1.1, basis3)
         b = dm.barycenter(g, grid3)
         assert np.linalg.norm(model.model_vector(g.sf, b)) < 1e-10
+        # the closed-form mass-weighted log sum against per-point log maps
+        g = perturbed(K, basis3, 0.05, seed=K + 3)
+        pts, mass = dm._bulk_mass_points(g, grid3, 16)
+        for c in ([0.0, 0.0, 0.0, 0.0], [0.2, -0.1, 0.05, 0.3]):
+            p = model.exp_map(g.sf, model.origin(g.sf),
+                              model.origin_tangent(g.sf, np.array(c)))
+            want = mass @ model.log_map(g.sf, p, pts)
+            got = dm._mass_log_sum(g.sf, p, pts, mass)
+            assert np.allclose(got, want, rtol=0, atol=1e-13)
 
     def test_even_perturbation(self, grid3, basis3):
         a = np.zeros(basis3.size)

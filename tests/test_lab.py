@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from sfi import domains as dm
 from sfi import graphgeom as gg
 from sfi import lab
 from sfi import normalize as nz
@@ -509,6 +510,27 @@ class TestVerify:
             cap = lab.asymmetry_upper_bound(sf, ng.rho,
                                             ng.norms.grad_l2 ** 2)
             assert rep.alpha ** 2 <= cap * 1.1
+
+    def test_asymmetry_center_improves_on_origin(self, basis3, grid3):
+        # recentering moves the barycenter, not the optimal ball center,
+        # to the origin: the center search must find a strictly better
+        # ball a small but nonzero distance away
+        sf = SpaceForm(K=-1, n=3)
+        case = lab.TheoremCase("sigmak-quermass-hyperbolic", sf,
+                               WeightFunction.affine(), k=1, j=0, rho=0.9)
+        eps = 0.01
+        g0 = gg.RadialGraph(sf=sf, rho=0.9,
+                            u=lab.sample_direction(basis3, 5, 0).scaled(eps))
+        rep = lab.verify(case, g0, grid3)
+        graph = nz.normalize(g0, grid3, case.constraint()).graph
+        rho_bar = dm.radius_for_volume(sf, dm.volume(graph, grid3))
+        at_origin = dm.symmetric_difference_to_ball(graph, grid3,
+                                                    np.zeros(4), rho_bar)
+        alpha, center = dm.fraenkel_asymmetry(graph, grid3,
+                                              seed_center=np.zeros(4))
+        assert rep.alpha <= at_origin
+        assert alpha < at_origin
+        assert 1e-3 * eps < np.linalg.norm(center) < 0.1 * eps
 
 
 class TestSweep:

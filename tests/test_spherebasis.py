@@ -1,9 +1,11 @@
 """Tests for sphere quadrature grids and the harmonic basis."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sfi import spherebasis as sb
 from sfi.spaceform import unit_sphere_area
@@ -67,6 +69,27 @@ class TestGrid:
         a = sb.grid_vandermonde(grid3, t)
         b = sb.grid_vandermonde(grid3, t)
         assert a is b
+        # an identical rebuilt grid shares the entry
+        assert sb.grid_vandermonde(sb.build_grid(3, 20), t) is a
+
+    @given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_rotated_grid_is_not_served_stale_matrices(self, n, seed):
+        grid = sb.build_grid(n, 8)
+        basis = sb.build_basis(n, 4)
+        rng = np.random.default_rng(seed)
+        q, r = np.linalg.qr(rng.standard_normal((n + 1, n + 1)))
+        q *= np.sign(np.diag(r))
+        rotated = dataclasses.replace(grid, nodes=grid.nodes @ q.T,
+                                      frames=grid.frames @ q.T)
+        u = sb.from_coeffs(basis, rng.standard_normal(basis.size))
+        # fill the caches for the unrotated grid first
+        sb.values_on_grid(u, grid)
+        sb.project(np.zeros(grid.node_count), grid, basis)
+        vals = sb.values_on_grid(u, rotated)
+        assert np.allclose(vals, sb.evaluate(u, rotated.nodes), atol=1e-12)
+        back = sb.project(sb.evaluate(u, rotated.nodes), rotated, basis)
+        assert np.allclose(back.coeffs, u.coeffs, atol=1e-10)
 
 
 class TestBasis:
@@ -96,6 +119,16 @@ class TestBasis:
             e = sb.from_coeffs(basis3, np.eye(basis3.size)[idx])
             assert np.allclose(sb.evaluate(e, pts), scale * pts[:, pos],
                                atol=1e-12)
+        # general functions in every supported dimension against the
+        # monomial Vandermonde oracle
+        for n in (2, 3, 4):
+            basis = sb.build_basis(n, 6)
+            c = sb.from_coeffs(basis, rng.standard_normal(basis.size))
+            x = rng.standard_normal((200, n + 1))
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+            want = basis.table.vandermonde(x) @ c.polynomial_coeffs()
+            assert np.allclose(sb.evaluate(c, x), want, rtol=0,
+                               atol=1e-13 * np.max(np.abs(want)))
 
     def test_eigenfunction_property(self, grid3, basis3):
         rng = np.random.default_rng(1)
@@ -163,6 +196,23 @@ class TestJets:
         assert v == vals[17]
         assert np.array_equal(g, grad[17])
         assert np.array_equal(h, hess[17])
+        # one matrix-vector product per jet column as the reference
+        t = basis3.table
+        V = t.vandermonde(grid3.nodes)
+        c = u.polynomial_coeffs()
+        amb_grad = np.column_stack([V @ (t.diff(j) @ c) for j in range(4)])
+        amb_hess = np.array([[V @ (t.second_diff(j, k) @ c)
+                              for k in range(4)] for j in range(4)])
+        E = grid3.frames
+        ref_hess = (np.einsum("iam,mki,ibk->iab", E, amb_hess, E)
+                    - np.einsum("im,im->i", grid3.nodes, amb_grad)[:, None,
+                                                                   None]
+                    * np.eye(3))
+        scale = np.max(np.abs(V @ c))
+        assert np.allclose(vals, V @ c, rtol=0, atol=1e-13 * scale)
+        assert np.allclose(grad, np.einsum("iam,im->ia", E, amb_grad),
+                           rtol=0, atol=1e-12 * scale)
+        assert np.allclose(hess, ref_hess, rtol=0, atol=1e-11 * scale)
 
 
 class TestProjection:
