@@ -10,7 +10,9 @@ equal-volume geodesic balls over the center.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -38,9 +40,13 @@ def weighted_volume(graph, grid, geo=None):
     return grid.integrate(sf.phi(r) ** (sf.n + 1)) / (sf.n + 1)
 
 
+@cache
 def _radial_rule(points):
+    """Gauss-Legendre rule on [0, 1], as shared read-only arrays."""
     t, w = np.polynomial.legendre.leggauss(points)
-    return 0.5 * (t + 1.0), 0.5 * w
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 def bulk_integral_bruteforce(graph, grid, integrand, radial_points=32):
@@ -134,33 +140,37 @@ def radius_for_weighted_volume(sf, Wv):
 
 
 def _bulk_mass_points(graph, grid, radial_points):
+    """Radial x angular quadrature points of Omega, never embedded.
+
+    Returns (mass, ch, sh), each (nodes, radial_points): the point at
+    radius r over node x embeds as y = (phi'(r), phi(r) x) for K = +-1 and
+    as y = phi(r) x for K = 0, so ch = phi'(r) and sh = phi(r) carry it.
+    """
     sf = graph.sf
     R = _graph_radii(graph, grid)
     t, wt = _radial_rule(radial_points)
-    r = R[:, None] * t[None, :]
-    mass = (grid.weights[:, None] * R[:, None] * wt[None, :]
-            * sf.phi(r) ** sf.n)
-    pts = model.embed(sf, r, np.repeat(grid.nodes[:, None, :],
-                                       radial_points, axis=1))
-    return pts.reshape(-1, pts.shape[-1]), mass.reshape(-1)
+    r = R[:, None] * t
+    sh = sf.phi(r)
+    mass = grid.weights[:, None] * R[:, None] * wt * sh ** sf.n
+    return mass, sf.dphi(r), sh
 
 
-def _mass_log_sum(sf, p, pts, mass):
-    """sum_i mass_i log_p(pts_i), without forming the tangent vectors.
+def _mass_log_sum(sf, p, nodes, mass, ch, sh):
+    """sum_i mass_i log_p(y_i) over the points of _bulk_mass_points.
 
     log_p(y) = s (y - c p), with c = cosh d, cos d or 1 and
     s = d / sinh d, d / sin d or 1 for K = -1, +1, 0. Both come from the
     squared chord q = <y - p, y - p> = 2K - 2<y, p> (Lorentz product for
     K = -1) through the half-angle forms cosh d = 1 + q/2,
     sinh d = sqrt(q) sqrt(1 + q/4), d = 2 asinh(sqrt(q)/2) (signs flipped
-    for K = +1), so the sum is two matrix-vector products over the points.
+    for K = +1). With y = (ch, sh x),
+    sum m s y = (sum m s ch, sum_x (sum_r m s sh) x).
     """
     if sf.K == 0:
-        return mass @ pts - np.sum(mass) * p
-    dual = p.copy()
-    if sf.K == -1:
-        dual[0] = -dual[0]
-    q = np.maximum(2.0 * sf.K - 2.0 * (pts @ dual), 0.0)
+        return np.sum(mass * sh, axis=1) @ nodes - np.sum(mass) * p
+    q = np.maximum(2.0 * sf.K - 2.0 * (sf.K * p[0] * ch
+                                       + sh * (nodes @ p[1:])[:, None]),
+                   0.0)
     half = 0.5 * np.sqrt(q)
     if sf.K == -1:
         d = 2.0 * np.arcsinh(half)
@@ -168,9 +178,9 @@ def _mass_log_sum(sf, p, pts, mass):
         d = 2.0 * np.arcsin(np.minimum(half, 1.0))
     c = 1.0 - 0.5 * sf.K * q
     den = np.sqrt(q) * np.sqrt(np.maximum(1.0 - 0.25 * sf.K * q, 0.0))
-    s = np.where(d > 1e-12, d / np.where(den > 0, den, 1.0), 1.0)
-    ms = mass * s
-    return ms @ pts - (ms @ c) * p
+    ms = mass * np.where(d > 1e-12, d / np.where(den > 0, den, 1.0), 1.0)
+    msy = np.concatenate([[np.sum(ms * ch)], np.sum(ms * sh, axis=1) @ nodes])
+    return msy - np.sum(ms * c) * p
 
 
 def barycenter(graph, grid, radial_points=16, tol=1e-10, max_iter=100):
@@ -179,13 +189,20 @@ def barycenter(graph, grid, radial_points=16, tol=1e-10, max_iter=100):
     Minimizes p -> int_Omega d(y, p)^2 dv by Riemannian fixed-point
     iteration; the energy gradient is -2 int log_p(y) dv, and convergence
     is declared when its norm drops below tol.
+
+    The radial x angular points are never embedded: a point at radius r
+    over node x is y = (phi'(r), phi(r) x) (K = +-1), so
+    <y, p> = K phi'(r) p0 + phi(r) (x . pbar) needs one node vector
+    x . pbar per pass. Each pass sums mass * log_p(y) in closed form from
+    the squared chord q = 2K - 2<y, p> (see _mass_log_sum), with two mass
+    sums for the point part.
     """
     sf = graph.sf
-    pts, mass = _bulk_mass_points(graph, grid, radial_points)
+    mass, ch, sh = _bulk_mass_points(graph, grid, radial_points)
     total = float(np.sum(mass))
     p = model.origin(sf)
     for _ in range(max_iter):
-        v = _mass_log_sum(sf, p, pts, mass) / total
+        v = _mass_log_sum(sf, p, grid.nodes, mass, ch, sh) / total
         if 2.0 * total * np.linalg.norm(v) < tol * max(1.0, total):
             return p
         p = model.exp_map(sf, p, v)
@@ -194,6 +211,39 @@ def barycenter(graph, grid, radial_points=16, tol=1e-10, max_iter=100):
         elif sf.K == -1:
             p = p / np.sqrt(p[0] ** 2 - np.sum(p[1:] ** 2))
     raise RuntimeError("barycenter iteration did not converge")
+
+
+def _ball_primitive(sf, center_vec, rho_bar, x):
+    """P_n(R) of the radial profile R(x) of ball(exp_O(c), rho_bar), from
+    the closed forms in symmetric_difference_to_ball; NaN where the
+    profile is undefined. A finite K = +1 profile reaching R >= pi raises
+    ValueError, like volume_primitive.
+    """
+    if sf.K == 0:
+        return sf.volume_primitive(model.ball_radial_profile(
+            sf, center_vec, rho_bar, x))
+    t = float(np.linalg.norm(center_vec))
+    if sf.K == -1:
+        a, sin_t, C = math.cosh(t), math.sinh(t), math.cosh(rho_bar)
+    else:
+        a, sin_t, C = math.cos(t), math.sin(t), math.cos(rho_bar)
+    b = x @ (sin_t / t * center_vec) if t > 0 else np.zeros(len(x))
+    bb = b * b
+    # A = a^2 + K b^2 and K (A - C^2) = b^2 + K (a^2 - C^2), as K^2 = 1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        inv_A = 1.0 / (sf.K * bb + a * a)
+        s = np.sqrt(bb + sf.K * (a * a - C * C))
+        ph = (C * b + a * s) * inv_A
+        dph = (a * C - sf.K * b * s) * inv_A
+    if sf.K == 1 and np.isfinite(ph).all() and (ph <= 0.0).any():
+        raise ValueError(f"radius out of range [0, {sf.r_max})")
+    if sf.n % 2:
+        R = None
+    elif sf.K == -1:
+        R = np.arcsinh(ph)
+    else:
+        R = np.arctan2(ph, dph)
+    return sf.primitive_from_warp(ph, dph, R)
 
 
 def symmetric_difference_to_ball(graph, grid, center_vec, rho_bar,
@@ -205,18 +255,30 @@ def symmetric_difference_to_ball(graph, grid, center_vec, rho_bar,
     the two profiles is an angular quadrature of |P_n(R) - P_n(R_ball)|.
     primitive, if given, is P_n(R) of the graph at the grid nodes, which
     does not depend on the ball. Returns +inf when the origin is not
-    interior to the ball.
+    interior to the ball or the ball profile is not finite.
+
+    For K = +-1 the ball profile solves a phi'(R) + K b phi(R) = C with
+    a = phi'(t), b = x . (phi(t)/t) c, t = |c| and C = phi'(rho_bar).
+    With A = a^2 + K b^2 and s = sqrt(K (A - C^2)), its larger root is
+
+        K = -1:  cosh R = (a C + b s) / A,   sinh R = (b C + a s) / A,
+        K = +1:  cos R  = (a C - b s) / A,   sin R  = (b C + a s) / A,
+
+    and these feed SpaceForm.primitive_from_warp directly: unlike
+    model.ball_radial_profile (which stays as the reference), no inverse
+    hyperbolic or trigonometric function and no phi, phi' of R is
+    evaluated. R itself is needed only for even n, as asinh(sinh R) or
+    atan2(sin R, cos R).
     """
     sf = graph.sf
     if np.linalg.norm(center_vec) >= 0.995 * rho_bar:
         return np.inf
     if primitive is None:
         primitive = sf.volume_primitive(_graph_radii(graph, grid))
-    Rb = model.ball_radial_profile(sf, center_vec, rho_bar, grid.nodes)
-    if not np.all(np.isfinite(Rb)):
+    ball = _ball_primitive(sf, center_vec, rho_bar, grid.nodes)
+    if not np.isfinite(ball).all():
         return np.inf
-    gap = np.abs(primitive - sf.volume_primitive(Rb))
-    return grid.integrate(gap)
+    return grid.integrate(np.abs(primitive - ball))
 
 
 def fraenkel_asymmetry(graph, grid, seed_center=None, options=None):

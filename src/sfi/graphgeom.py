@@ -16,7 +16,8 @@ self-adjoint with respect to g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +47,14 @@ class RadialGraph:
 
 @dataclass(frozen=True)
 class SurfaceGeometry:
-    """Batched per-node geometry of a radial graph on a grid."""
+    """Batched per-node geometry of a radial graph on a grid.
+
+    surface_geometry computes eagerly what the integrals read: the 2-jet
+    of u (u_vals, du, d2u), r, phi, dphi, Phi, D, area_factor,
+    second_form, kappa, sigma and H. metric, metric_inv, weingarten,
+    H_plus and H_minus are derived on first access and then cached; only
+    the H^+ integral, node(i), the node dump and the tests read them.
+    """
 
     graph: RadialGraph
     grid: object
@@ -59,15 +67,60 @@ class SurfaceGeometry:
     Phi: np.ndarray = field(repr=False)
     D: np.ndarray = field(repr=False)
     area_factor: np.ndarray = field(repr=False)
-    metric: np.ndarray = field(repr=False)
-    metric_inv: np.ndarray = field(repr=False)
     second_form: np.ndarray = field(repr=False)
-    weingarten: np.ndarray = field(repr=False)
     kappa: np.ndarray = field(repr=False)
     sigma: np.ndarray = field(repr=False)
     H: np.ndarray = field(repr=False)
-    H_plus: np.ndarray = field(repr=False)
-    H_minus: np.ndarray = field(repr=False)
+
+    @property
+    def _w(self):
+        return self.graph.rho * self.du
+
+    @cached_property
+    def metric(self):
+        w = self._w
+        return (w[:, :, None] * w[:, None, :]
+                + (self.phi ** 2)[:, None, None] * np.eye(self.grid.n))
+
+    @cached_property
+    def metric_inv(self):
+        w = self._w
+        outer = w[:, :, None] * w[:, None, :]
+        return ((np.eye(self.grid.n) - outer / (self.D ** 2)[:, None, None])
+                / (self.phi ** 2)[:, None, None])
+
+    @cached_property
+    def weingarten(self):
+        w, ph, dph, D = self._w, self.phi, self.dphi, self.D
+        hess_r = self.graph.rho * self.d2u
+        outer = w[:, :, None] * w[:, None, :]
+        return ((dph / D)[:, None, None] * np.eye(self.grid.n)
+                - hess_r / (D * ph)[:, None, None]
+                + dph[:, None, None] * outer / (D ** 3)[:, None, None]
+                + w[:, :, None] * (hess_r @ w[:, :, None])[:, None, :, 0]
+                / (D ** 3 * ph)[:, None, None])
+
+    @cached_property
+    def H_plus(self):
+        return np.maximum(self.H, 0.0)
+
+    @cached_property
+    def H_minus(self):
+        return -np.minimum(self.H, 0.0)
+
+    def relabeled(self, graph):
+        """This surface's geometry as a graph over a new splitting.
+
+        graph must re-label self.graph's surface, rho*(1 + u*) =
+        rho(1 + u), as normalize.match_radius does. With lam = rho/rho*
+        the jet becomes u* = lam u + lam - 1, grad u* = lam grad u and
+        Hess u* = lam Hess u, while w = rho grad u and rho Hess u, and so
+        every geometric field, are unchanged.
+        """
+        lam = self.graph.rho / graph.rho
+        return replace(self, graph=graph,
+                       u_vals=lam * self.u_vals + (lam - 1.0),
+                       du=lam * self.du, d2u=lam * self.d2u)
 
     def node(self, i):
         return NodeGeometry(
@@ -104,7 +157,7 @@ class NodeGeometry:
 
 
 def surface_geometry(graph, grid):
-    """Evaluate the full pointwise geometry of the graph at every node."""
+    """Evaluate the pointwise geometry of the graph at every node."""
     sf = graph.sf
     n = grid.n
     vals, du, d2u = sb.eval_jet_all(graph.u, grid)
@@ -122,34 +175,23 @@ def surface_geometry(graph, grid):
     area = ph ** (n - 1) * D
     eye = np.eye(n)
     outer = w[:, :, None] * w[:, None, :]
-    metric = outer + (ph * ph)[:, None, None] * eye
-    metric_inv = (eye - outer / (D * D)[:, None, None]) / (ph * ph)[:, None, None]
-    hess_r = graph.rho * d2u
     second = (2.0 * dph[:, None, None] * outer
               + (ph * ph * dph)[:, None, None] * eye
-              - ph[:, None, None] * hess_r) / D[:, None, None]
-    Sw = (dph / D)[:, None, None] * eye \
-        - hess_r / (D * ph)[:, None, None] \
-        + dph[:, None, None] * outer / (D ** 3)[:, None, None] \
-        + w[:, :, None] * (hess_r @ w[:, :, None])[:, None, :, 0] \
-        / (D ** 3 * ph)[:, None, None]
+              - ph[:, None, None] * (graph.rho * d2u)) / D[:, None, None]
     gn = np.sqrt(gradsq)
     safe = np.where(gn > 0, gn, 1.0)
     what = w / safe[:, None]
     coeff = (1.0 / D - 1.0 / ph)
     ghalf_inv = eye / ph[:, None, None] \
         + coeff[:, None, None] * what[:, :, None] * what[:, None, :]
-    sym = np.einsum("iab,ibc,icd->iad", ghalf_inv, second, ghalf_inv)
+    sym = ghalf_inv @ second @ ghalf_inv
     sym = 0.5 * (sym + np.swapaxes(sym, 1, 2))
     kappa = np.linalg.eigvalsh(sym)
     sigma = elementary_from_eigenvalues(kappa)
-    H = sigma[:, 1]
     return SurfaceGeometry(
         graph=graph, grid=grid, u_vals=vals, du=du, d2u=d2u, r=r, phi=ph,
-        dphi=dph, Phi=Ph, D=D, area_factor=area, metric=metric,
-        metric_inv=metric_inv, second_form=second, weingarten=Sw,
-        kappa=kappa, sigma=sigma, H=H, H_plus=np.maximum(H, 0.0),
-        H_minus=-np.minimum(H, 0.0))
+        dphi=dph, Phi=Ph, D=D, area_factor=area, second_form=second,
+        kappa=kappa, sigma=sigma, H=sigma[:, 1])
 
 
 def node_geometry(graph, grid, i):

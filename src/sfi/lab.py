@@ -562,7 +562,7 @@ def verify(case, graph_raw, grid, *, direction_id="", epsilon=None,
         budget_notes.append(f"{name} norm {norm_val:.3e} exceeds budget "
                             f"{budget:g}")
 
-    geo = gg.surface_geometry(graph, grid)
+    geo = normalized.geometry
     s_lo = float(np.min(geo.Phi))
     s_hi = float(np.max(geo.Phi))
     flags = check_weight(w, np.linspace(s_lo, s_hi, 65))

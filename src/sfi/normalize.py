@@ -9,6 +9,12 @@ rho*. Matching is a pure re-parametrization, so it never moves the
 barycenter, and the constraints are isometry-invariant except for the
 weighted volume, whose anchor at the origin makes one extra outer pass
 necessary at most.
+
+Because matching only re-labels the surface, normalize computes the
+fine-grid 2-jet and geometry once per pass, after recentering, and
+carries them across matching (SurfaceGeometry.relabeled rescales the
+jet); the barycenter displacement it reports is the one recentering
+measured on that same surface.
 """
 
 from __future__ import annotations
@@ -192,7 +198,7 @@ def recenter(graph, grid, tol=BAR_TOL, max_passes=30):
 @dataclass(frozen=True)
 class NormalizedGraph:
     """A graph satisfying bar = O and one matched constraint, with
-    residual bookkeeping."""
+    residual bookkeeping, its geometry on the grid and its norms."""
 
     graph: gg.RadialGraph
     constraint: Constraint
@@ -200,6 +206,7 @@ class NormalizedGraph:
     bar_displacement: float
     out_of_band: float
     norms: sb.SobolevNorms
+    geometry: gg.SurfaceGeometry = field(repr=False)
 
     @property
     def rho(self):
@@ -211,23 +218,27 @@ def normalize(graph, grid, constraint, max_outer=5):
 
     One outer pass suffices for isometry-invariant constraints; the
     weighted volume needs a second because recentering moves its value.
+    Each pass builds the recentered graph's geometry once; it gives the
+    constraint value and, relabeled, the returned geometry and norms.
     """
     band = 0.0
     current = graph
     for _ in range(max_outer):
-        current, disp, b = recenter(current, grid, max_passes=30)
+        current, bar_after, b = recenter(current, grid, max_passes=30)
         band = max(band, b)
-        value_before = constraint.of_graph(current, grid)
+        geo = gg.surface_geometry(current, grid)
+        value_before = constraint.of_graph(current, grid, geo=geo)
         rho_star, current = match_radius(current, grid, constraint,
                                          value=value_before)
+        geo = geo.relabeled(current)
         target = constraint.of_ball(current.sf, rho_star)
         resid = abs(value_before - target) / max(abs(target), 1e-300)
-        bar_after = float(np.linalg.norm(model.model_vector(
-            current.sf, dm.barycenter(current, grid))))
         if resid < 1e-10 and bar_after < 1e-8:
             return NormalizedGraph(
                 graph=current, constraint=constraint,
                 constraint_residual=resid, bar_displacement=bar_after,
                 out_of_band=band,
-                norms=sb.sobolev_norms(current.u, grid))
+                norms=sb.sobolev_norms(current.u, grid,
+                                       jet=(geo.u_vals, geo.du, geo.d2u)),
+                geometry=geo)
     raise RuntimeError("normalization did not reach joint tolerance")

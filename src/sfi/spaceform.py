@@ -89,22 +89,32 @@ class SpaceForm:
         The geodesic ball of radius r has volume sphere_area * primitive.
         Reduction formulas handle every n >= 0 for K = +-1.
         """
-        return self._volume_primitive(self._check_domain(r),
-                                      self.n if n is None else n)
-
-    def _volume_primitive(self, r, n):
+        r = self._check_domain(r)
+        n = self.n if n is None else n
         if self.K == 0:
             return r ** (n + 1) / (n + 1)
-        if n == 0:
-            return r + 0.0
-        ph = np.sinh(r) if self.K == -1 else np.sin(r)
-        dph = np.cosh(r) if self.K == -1 else np.cos(r)
-        if n == 1:
+        if self.K == -1:
+            return self.primitive_from_warp(np.sinh(r), np.cosh(r), r, n)
+        return self.primitive_from_warp(np.sin(r), np.cos(r), r, n)
+
+    def primitive_from_warp(self, ph, dph, r=None, n=None):
+        """volume_primitive for K = +-1 from phi(r) and phi'(r).
+
+        The reduction P_m = ((m-1) P_{m-2} - phi^{m-1} phi') / (K m),
+        from d/dr (phi^{m-1} phi') = (m-1) phi^{m-2} - K m phi^m, starts
+        at P_1 = K (1 - phi') for odd n and at P_0 = r for even n, so r
+        itself is read only for even n and no transcendental function is
+        evaluated here.
+        """
+        n = self.n if n is None else n
+        if n % 2:
             # K=-1: cosh r - 1; K=+1: 1 - cos r
-            return self.K * (1.0 - dph)
-        lower = self._volume_primitive(r, n - 2)
-        # from d/dr (phi^{n-1} phi') = (n-1) phi^{n-2} - K n phi^n
-        return ((n - 1) * lower - ph ** (n - 1) * dph) / (self.K * n)
+            out, start = self.K * (1.0 - dph), 1
+        else:
+            out, start = r + 0.0, 0
+        for m in range(start + 2, n + 1, 2):
+            out = ((m - 1) * out - ph ** (m - 1) * dph) / (self.K * m)
+        return out
 
 
 def phi_triple(sf, r):

@@ -20,6 +20,8 @@ import hashlib
 import io
 import json
 import struct
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -262,28 +264,60 @@ def _digest(array):
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
-_VANDERMONDE_CACHE = {}
+# Entries kept by each grid-matrix cache. A sweep row reads two grids (the
+# working grid and its coarse error-estimate grid); an entry is 16.7 MB of
+# Vandermonde or 9.6 MB of basis values at resolution 24.
+GRID_CACHE_ENTRIES = 4
+
+
+class _RecentCache:
+    """Content-keyed cache that keeps the most recently used entries.
+
+    Lookups and insertions hold a lock, because sweeps read the caches
+    from several threads; a missing entry is built outside the lock.
+    """
+
+    def __init__(self, limit):
+        self.limit = limit
+        self._entries = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self):
+        return len(self._entries)
+
+    def get(self, key, build):
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                return self._entries[key]
+        value = build()
+        with self._lock:
+            value = self._entries.setdefault(key, value)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.limit:
+                self._entries.popitem(last=False)
+        return value
+
+
+_VANDERMONDE_CACHE = _RecentCache(GRID_CACHE_ENTRIES)
 
 
 def grid_vandermonde(grid, table):
-    key = (grid.key, table.nvars, table.max_degree)
-    if key not in _VANDERMONDE_CACHE:
-        _VANDERMONDE_CACHE[key] = table.vandermonde(grid.nodes)
-    return _VANDERMONDE_CACHE[key]
+    return _VANDERMONDE_CACHE.get(
+        (grid.key, table.nvars, table.max_degree),
+        lambda: table.vandermonde(grid.nodes))
 
 
-_BASIS_VALUES_CACHE = {}
+_BASIS_VALUES_CACHE = _RecentCache(GRID_CACHE_ENTRIES)
 
 
 def grid_basis_values(grid, basis):
     """Basis element values at grid nodes, shape (nodes, size); cached
     since the product of the Vandermonde matrix with the basis
     coefficients is static per (grid, basis) pair."""
-    key = (grid.key, basis.key)
-    if key not in _BASIS_VALUES_CACHE:
-        V = grid_vandermonde(grid, basis.table)
-        _BASIS_VALUES_CACHE[key] = V @ basis.coeffs.T
-    return _BASIS_VALUES_CACHE[key]
+    return _BASIS_VALUES_CACHE.get(
+        (grid.key, basis.key),
+        lambda: grid_vandermonde(grid, basis.table) @ basis.coeffs.T)
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +511,9 @@ def eval_jet_all(u, grid):
     for col, (j, k) in enumerate(pairs, start=m + 1):
         amb_hess[:, j, k] = amb_hess[:, k, j] = jet[:, col]
     E = grid.frames
-    grad = np.einsum("iam,im->ia", E, amb_grad)
+    grad = (E @ amb_grad[:, :, None])[:, :, 0]
     radial = np.einsum("im,im->i", grid.nodes, amb_grad)
-    hess = np.einsum("iam,imk,ibk->iab", E, amb_hess, E)
+    hess = E @ amb_hess @ E.transpose(0, 2, 1)
     hess -= radial[:, None, None] * np.eye(grid.n)
     return vals, grad, hess
 
@@ -512,13 +546,14 @@ class SobolevNorms(NamedTuple):
     w2inf: float
 
 
-def sobolev_norms(u, grid):
+def sobolev_norms(u, grid, jet=None):
     """L^2, gradient L^2, C^1 and W^{2,inf} norms of u on a grid.
 
     Sup norms are maxima over grid nodes; the Hessian enters through its
-    operator norm in the frame.
+    operator norm in the frame. jet, if given, is the precomputed
+    eval_jet_all(u, grid).
     """
-    vals, grad, hess = eval_jet_all(u, grid)
+    vals, grad, hess = eval_jet_all(u, grid) if jet is None else jet
     l2 = np.sqrt(max(grid.integrate(vals**2), 0.0))
     gn2 = np.sum(grad**2, axis=1)
     grad_l2 = np.sqrt(max(grid.integrate(gn2), 0.0))

@@ -37,6 +37,51 @@ def perturbed(K, basis, eps, seed=0, rho=1.0):
                           u=sb.from_coeffs(basis, eps * a))
 
 
+def embedded_mass_points(graph, grid, radial_points):
+    """Radial x angular quadrature points embedded in the model, with
+    their masses, flattened (reference for the barycenter)."""
+    sf = graph.sf
+    R = graph.radii(sb.values_on_grid(graph.u, grid))
+    t, wt = np.polynomial.legendre.leggauss(radial_points)
+    r = R[:, None] * (0.5 * (t + 1.0))
+    mass = grid.weights[:, None] * R[:, None] * (0.5 * wt) * sf.phi(r) ** 3
+    x = np.repeat(grid.nodes[:, None, :], radial_points, axis=1)
+    pts = model.embed(sf, r, x)
+    return pts.reshape(-1, pts.shape[-1]), mass.ravel()
+
+
+def materialized_barycenter(graph, grid, radial_points=16, tol=1e-10):
+    """Karcher fixed-point iteration summing model.log_map over the
+    embedded points: the barycenter's reference computation."""
+    sf = graph.sf
+    pts, mass = embedded_mass_points(graph, grid, radial_points)
+    total = np.sum(mass)
+    p = model.origin(sf)
+    for _ in range(100):
+        v = mass @ model.log_map(sf, p, pts) / total
+        if 2.0 * total * np.linalg.norm(v) < tol * max(1.0, total):
+            return p
+        p = model.exp_map(sf, p, v)
+        if sf.K == 1:
+            p = p / np.linalg.norm(p)
+        elif sf.K == -1:
+            p = p / np.sqrt(p[0] ** 2 - np.sum(p[1:] ** 2))
+    raise AssertionError("reference barycenter did not converge")
+
+
+def symmetric_difference_oracle(graph, grid, c, rho_bar):
+    """Symmetric-difference volume from the ball's radial profile
+    (model.ball_radial_profile) and SpaceForm.volume_primitive."""
+    sf = graph.sf
+    if np.linalg.norm(c) >= 0.995 * rho_bar:
+        return np.inf
+    Rb = model.ball_radial_profile(sf, c, rho_bar, grid.nodes)
+    if not np.all(np.isfinite(Rb)):
+        return np.inf
+    P = sf.volume_primitive(graph.radii(sb.values_on_grid(graph.u, grid)))
+    return grid.integrate(np.abs(P - sf.volume_primitive(Rb)))
+
+
 class TestVolume:
     def test_flat_ball(self, grid3, basis3):
         g = ball_graph(0, 1.4, basis3)
@@ -166,14 +211,21 @@ class TestBarycenter:
         b = dm.barycenter(g, grid3)
         assert np.linalg.norm(model.model_vector(g.sf, b)) < 1e-10
         # the closed-form mass-weighted log sum against per-point log maps
+        # of the embedded points
         g = perturbed(K, basis3, 0.05, seed=K + 3)
-        pts, mass = dm._bulk_mass_points(g, grid3, 16)
+        mass, ch, sh = dm._bulk_mass_points(g, grid3, 16)
+        pts, ref_mass = embedded_mass_points(g, grid3, 16)
+        assert np.allclose(mass.ravel(), ref_mass, rtol=1e-14, atol=0)
         for c in ([0.0, 0.0, 0.0, 0.0], [0.2, -0.1, 0.05, 0.3]):
             p = model.exp_map(g.sf, model.origin(g.sf),
                               model.origin_tangent(g.sf, np.array(c)))
-            want = mass @ model.log_map(g.sf, p, pts)
-            got = dm._mass_log_sum(g.sf, p, pts, mass)
+            want = ref_mass @ model.log_map(g.sf, p, pts)
+            got = dm._mass_log_sum(g.sf, p, grid3.nodes, mass, ch, sh)
             assert np.allclose(got, want, rtol=0, atol=1e-13)
+        # the whole fixed-point iteration against the materialized one
+        want = materialized_barycenter(g, grid3)
+        assert np.linalg.norm(model.model_vector(g.sf, want)) > 1e-4
+        assert np.allclose(dm.barycenter(g, grid3), want, rtol=0, atol=1e-13)
 
     def test_even_perturbation(self, grid3, basis3):
         a = np.zeros(basis3.size)
@@ -233,6 +285,45 @@ class TestFraenkel:
         alpha, center = dm.fraenkel_asymmetry(g, grid)
         assert alpha < 1e-6
         assert np.allclose(center, c, atol=1e-4)
+
+    @pytest.mark.parametrize("K", ALL_K)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_symmetric_difference_matches_profile_oracle(self, K, n):
+        # odd n uses phi, phi' of the ball profile only; even n also R
+        grid = sb.build_grid(n, 12)
+        basis = sb.build_basis(n, 4)
+        rng = np.random.default_rng(17 + n)
+        a = rng.standard_normal(basis.size)
+        g = gg.RadialGraph(sf=SpaceForm(K=K, n=n), rho=0.9,
+                           u=sb.from_coeffs(basis, 0.03 * a / np.linalg.norm(a)))
+        rho_bar = 0.9
+        unit = rng.standard_normal(n + 1)
+        unit /= np.linalg.norm(unit)
+        for scale in (0.0, 1e-3, 0.02, 0.5, 0.99):
+            c = scale * rho_bar * unit
+            got = dm.symmetric_difference_to_ball(g, grid, c, rho_bar)
+            want = symmetric_difference_oracle(g, grid, c, rho_bar)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+        # beyond the 0.995 rho_bar guard and beyond the ball itself
+        for scale in (0.996, 1.5):
+            c = scale * rho_bar * unit
+            assert dm.symmetric_difference_to_ball(g, grid, c, rho_bar) \
+                == np.inf
+            assert symmetric_difference_oracle(g, grid, c, rho_bar) == np.inf
+
+    def test_ball_profile_past_pi_raises(self):
+        # a K = +1 direction whose ball profile is finite but reaches past
+        # the antipode leaves the radial domain, for the oracle's
+        # volume_primitive and the closed form alike
+        sf = SpaceForm(K=1, n=3)
+        c = np.array([1.8, 0.0, 0.0, 0.0])
+        x = np.array([[0.5, math.sqrt(0.75), 0.0, 0.0]])
+        Rb = model.ball_radial_profile(sf, c, 1.82, x)
+        assert np.pi < Rb[0] < 2 * np.pi
+        with pytest.raises(ValueError):
+            sf.volume_primitive(Rb)
+        with pytest.raises(ValueError):
+            dm._ball_primitive(sf, c, 1.82, x)
 
     def test_flat_mode_upper_bound(self, grid3, basis3):
         sf = SpaceForm(K=0, n=3)

@@ -125,6 +125,26 @@ class TestPerturbedGeometry:
                   + rho**3 * cubic / (geo.D**3 * geo.phi))
         assert np.allclose(geo.H, direct, atol=1e-11)
 
+    @pytest.mark.parametrize("K", ALL_K)
+    def test_relabeled_matches_fresh_geometry(self, K, grid3, basis3):
+        # rho(1 + u) = rho*(1 + u*) with u* = lam u + lam - 1, lam = rho/rho*
+        g = perturbed_graph(K, grid3, basis3, 0.03, seed=K + 12)
+        rho_star = 0.93
+        lam = g.rho / rho_star
+        coeffs = lam * g.u.coeffs
+        coeffs[0] += (lam - 1.0) * math.sqrt(g.sf.sphere_area)
+        new = gg.RadialGraph(sf=g.sf, rho=rho_star,
+                             u=sb.from_coeffs(basis3, coeffs))
+        geo = gg.surface_geometry(g, grid3)
+        moved = geo.relabeled(new)
+        fresh = gg.surface_geometry(new, grid3)
+        assert moved.graph is new
+        for name in ("u_vals", "du", "d2u", "r", "phi", "dphi", "Phi", "D",
+                     "area_factor", "second_form", "kappa", "sigma", "H",
+                     "metric", "metric_inv", "weingarten", "H_plus"):
+            assert np.allclose(getattr(moved, name), getattr(fresh, name),
+                               rtol=1e-12, atol=1e-14), name
+
     def test_convex_flags(self, grid3, basis3):
         g = perturbed_graph(0, grid3, basis3, 0.01, seed=5)
         geo = gg.surface_geometry(g, grid3)

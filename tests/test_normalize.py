@@ -217,6 +217,23 @@ class TestRecenter:
         assert 12 < ratio < 200
 
 
+def assert_carried_state(res, grid):
+    """The geometry, norms and barycenter displacement a NormalizedGraph
+    carries agree with fresh computations on its graph."""
+    fresh = gg.surface_geometry(res.graph, grid)
+    carried = res.geometry
+    assert carried.graph is res.graph
+    for name in ("u_vals", "du", "d2u", "r", "phi", "dphi", "Phi", "D",
+                 "area_factor", "second_form", "kappa", "sigma", "H"):
+        assert np.allclose(getattr(carried, name), getattr(fresh, name),
+                           rtol=1e-12, atol=1e-14), name
+    norms = sb.sobolev_norms(res.graph.u, grid)
+    assert np.allclose(res.norms, norms, rtol=1e-12, atol=1e-15)
+    bar = dm.barycenter(res.graph, grid)
+    assert abs(res.bar_displacement - np.linalg.norm(
+        model.model_vector(res.graph.sf, bar))) < 1e-12
+
+
 class TestNormalize:
     @pytest.mark.parametrize("K", ALL_K)
     def test_volume_pipeline_invariants(self, K, grid3, basis3):
@@ -230,6 +247,7 @@ class TestNormalize:
         assert res.out_of_band < 1e-8
         assert res.norms.c1 < 0.2
         assert abs(res.rho - 1.0) < 0.1
+        assert_carried_state(res, grid3)
 
     @pytest.mark.parametrize("con", [
         nz.weighted_volume_constraint(), nz.quermass_constraint(1),
@@ -244,6 +262,7 @@ class TestNormalize:
         assert res.bar_displacement < 1e-8
         assert con.of_graph(res.graph, grid3) == pytest.approx(
             con.of_ball(res.graph.sf, res.rho), rel=1e-10)
+        assert_carried_state(res, grid3)
 
     def test_area_preserved_by_recenter_and_relabel(self, grid3, basis3):
         rng = np.random.default_rng(9)

@@ -71,6 +71,22 @@ class TestGrid:
         assert a is b
         # an identical rebuilt grid shares the entry
         assert sb.grid_vandermonde(sb.build_grid(3, 20), t) is a
+        # rotated grids are new entries, and the caches keep only the
+        # most recently used ones
+        basis = sb.build_basis(3, 2)
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            q, _r = np.linalg.qr(rng.standard_normal((4, 4)))
+            rotated = dataclasses.replace(grid3, nodes=grid3.nodes @ q.T,
+                                          frames=grid3.frames @ q.T)
+            assert sb.grid_vandermonde(rotated, t) is not a
+            sb.grid_basis_values(rotated, basis)
+            assert len(sb._VANDERMONDE_CACHE) <= sb.GRID_CACHE_ENTRIES
+            assert len(sb._BASIS_VALUES_CACHE) <= sb.GRID_CACHE_ENTRIES
+        a = sb.grid_vandermonde(grid3, t)
+        assert sb.grid_vandermonde(sb.build_grid(3, 20), t) is a
+        B = sb.grid_basis_values(grid3, basis)
+        assert sb.grid_basis_values(sb.build_grid(3, 20), basis) is B
 
     @given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
