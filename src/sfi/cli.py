@@ -8,8 +8,10 @@ Four commands share one flat INI configuration:
 * sweep: randomized direction/amplitude product sweeps per case.
 
 Exit codes: 0 success, 1 at least one row failed its inequality,
-2 configuration error (the offending key is named), 3 numerical failure
-(for sweep: at least one row raised; the other rows are still reported).
+2 configuration error (the offending key is named), 3 numerical failure.
+For verify and sweep, 3 means at least one row raised: each such row is
+listed on stderr as a numerical failure with its direction id, amplitude
+and error, and the report still holds every other row.
 Heavy numerical imports happen inside main() so that --help and config
 errors stay fast and thread settings can take effect first.
 """
@@ -393,16 +395,16 @@ def _verify_tasks(sections, cases_cfg, args):
     eps_list = epsilon_schedule(pcfg)
 
     tasks = []
-    for _, case in cases:
+    for name, case in cases:
         for did, u0 in directions:
             if did == "zero":
                 graph = gg.RadialGraph(sf=sf, rho=case.rho, u=u0)
-                tasks.append((case, graph, grid, did, None))
+                tasks.append((name, case, graph, grid, did, None))
             else:
                 for eps in eps_list:
                     graph = gg.RadialGraph(sf=sf, rho=case.rho,
                                            u=u0.scaled(eps))
-                    tasks.append((case, graph, grid, did, eps))
+                    tasks.append((name, case, graph, grid, did, eps))
     return tasks, lab
 
 
@@ -415,18 +417,38 @@ def _run_tasks(tasks, runner, threads):
     return [runner(t) for t in tasks]
 
 
+def _finish_rows(reports, failures, args):
+    """List the rows that raised, write the report of the others and
+    return the exit code: 3 if any row raised, else 1 if any failed."""
+    from sfi import lab
+
+    for name, did, eps, msg in failures:
+        eps_text = "n/a" if eps is None else format(eps, "g")
+        print(f"numerical failure: {name}: {did} eps={eps_text} "
+              f"error: {msg}", file=sys.stderr)
+    text = lab.csv_text(reports) if args.format == "csv" \
+        else lab.json_text(reports)
+    emit(text, resolve_out_path(args.out))
+    if failures:
+        return 3
+    return 1 if any(r.status == "fail" for r in reports) else 0
+
+
 def cmd_verify(sections, cases_cfg, args):
     tasks, lab = _verify_tasks(sections, cases_cfg, args)
 
     def run(task):
-        case, graph, grid, did, eps = task
-        return lab.verify(case, graph, grid, direction_id=did, epsilon=eps)
+        name, case, graph, grid, did, eps = task
+        try:
+            return lab.verify(case, graph, grid, direction_id=did,
+                              epsilon=eps)
+        except lab.NUMERICAL_ERRORS as exc:
+            return name, did, eps, str(exc)
 
-    reports = _run_tasks(tasks, run, args.threads)
-    text = lab.csv_text(reports) if args.format == "csv" \
-        else lab.json_text(reports)
-    emit(text, resolve_out_path(args.out))
-    return 1 if any(r.status == "fail" for r in reports) else 0
+    results = _run_tasks(tasks, run, args.threads)
+    reports = [r for r in results if isinstance(r, lab.DeficitReport)]
+    failures = [r for r in results if not isinstance(r, lab.DeficitReport)]
+    return _finish_rows(reports, failures, args)
 
 
 def cmd_sweep(sections, cases_cfg, args):
@@ -453,22 +475,15 @@ def cmd_sweep(sections, cases_cfg, args):
                                degrees=degrees)
 
     results = _run_tasks(cases, run, args.threads)
-    reports = []
+    reports, failures = [], []
     for name, sw in results:
         reports.extend(sw.reports)
+        failures.extend((name,) + f for f in sw.failures)
         emp = "n/a" if sw.empirical_constant is None \
             else format(sw.empirical_constant, ".6g")
         print(f"{name}: rows={len(sw.reports)} failures={len(sw.failures)} "
               f"min_deficit_over_alpha_sq={emp}", file=sys.stderr)
-        for did, eps, msg in sw.failures:
-            print(f"{name}: {did} eps={eps:g} error: {msg}",
-                  file=sys.stderr)
-    text = lab.csv_text(reports) if args.format == "csv" \
-        else lab.json_text(reports)
-    emit(text, resolve_out_path(args.out))
-    if any(sw.failures for _, sw in results):
-        return 3
-    return 1 if any(r.status == "fail" for r in reports) else 0
+    return _finish_rows(reports, failures, args)
 
 
 EXPAND_COLUMNS = ("target", "weight_kind", "K", "n", "rho", "constraint",

@@ -110,33 +110,42 @@ def ball_quermassintegrals(sf, rho):
     return W
 
 
-def _monotone_radius_solve(fn, target, upper_cap):
-    lo, hi = 1e-12, 0.5
-    while fn(hi) < target:
-        hi *= 1.8
-        if hi > upper_cap:
-            hi = upper_cap
+def ball_radius(ball_value, value, cap, start=1.0):
+    """Radius rho in (0, cap] with ball_value(rho) = value, for a
+    ball_value increasing on (0, cap].
+
+    The bracket grows from start by factors 0.7 and 1.3; raises
+    ValueError when value lies below or above what radii up to cap
+    attain.
+    """
+    def f(r):
+        return ball_value(r) - value
+
+    lo = hi = min(start, cap)
+    flo = f(lo)
+    for _ in range(200):
+        if flo <= 0:
             break
-    hi = min(hi, upper_cap)
-    if fn(hi) < target:
-        raise ValueError("target exceeds the attainable range")
-    return brentq(lambda r: fn(r) - target, lo, hi, xtol=1e-14, rtol=1e-15)
+        lo *= 0.7
+        flo = f(lo)
+    if flo > 0:
+        raise ValueError(f"value {value!r} below the attainable range")
+    fhi = f(hi)
+    for _ in range(200):
+        if fhi >= 0 or hi >= cap:
+            break
+        hi = min(hi * 1.3, cap)
+        fhi = f(hi)
+    if fhi < 0:
+        raise ValueError(f"value {value!r} above the attainable range")
+    if flo == 0:
+        return lo
+    return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
 
 
 def radius_for_volume(sf, V):
     """Radius of the geodesic ball with Vol = V."""
-    cap = sf.r_max - 1e-9 if np.isfinite(sf.r_max) else np.inf
-    return _monotone_radius_solve(lambda r: ball_volume(sf, r), V, cap)
-
-
-def radius_for_weighted_volume(sf, Wv):
-    """Radius of the geodesic ball with weighted volume Wv.
-
-    For K = +1 the weighted volume is only monotone up to rho = pi/2, so
-    the solve is restricted to that range.
-    """
-    cap = np.pi / 2 if sf.K == 1 else np.inf
-    return _monotone_radius_solve(lambda r: ball_weighted_volume(sf, r), Wv, cap)
+    return ball_radius(lambda r: ball_volume(sf, r), V, sf.r_max - 1e-9)
 
 
 def _bulk_mass_points(graph, grid, radial_points):
@@ -281,16 +290,19 @@ def symmetric_difference_to_ball(graph, grid, center_vec, rho_bar,
     return grid.integrate(np.abs(primitive - ball))
 
 
-def fraenkel_asymmetry(graph, grid, seed_center=None, options=None):
+def fraenkel_asymmetry(graph, grid, seed_center=None, options=None,
+                       geo=None):
     """(alpha, center): minimal symmetric-difference volume to a ball.
 
     The comparison ball has the same volume as Omega; the center ranges
     over model vectors and is found by Nelder-Mead seeded at the
     barycenter. options overrides individual Nelder-Mead settings, e.g.
-    a looser xatol when the seed is known to be nearly optimal.
+    a looser xatol when the seed is known to be nearly optimal. geo, if
+    given, is the graph's geometry on grid and supplies its radii.
     """
     sf = graph.sf
-    primitive = sf.volume_primitive(_graph_radii(graph, grid))
+    r = geo.r if geo is not None else _graph_radii(graph, grid)
+    primitive = sf.volume_primitive(r)
     rho_bar = radius_for_volume(sf, grid.integrate(primitive))
     if seed_center is None:
         seed_center = model.model_vector(sf, barycenter(graph, grid))

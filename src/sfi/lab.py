@@ -28,7 +28,6 @@ from math import comb, inf, isfinite
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from sfi import domains as dm
 from sfi import graphgeom as gg
@@ -393,46 +392,11 @@ def quermass_gradient_bound(sf, w, k, j, rho):
 # ---------------------------------------------------------------------------
 # equality functions
 
-def ball_radius_for(sf, constraint, value):
-    """Radius of the geodesic ball whose constraint functional equals
-    value (relative accuracy 1e-12); raises ValueError when the value is
-    not attained by any ball."""
-    cap = constraint.ball_radius_cap(sf)
-    if np.isfinite(sf.r_max):
-        cap = min(cap, sf.r_max - 1e-9)
-
-    def f(r):
-        return constraint.of_ball(sf, r) - value
-
-    lo = hi = min(1.0, cap / 2) if np.isfinite(cap) else 1.0
-    flo = f(lo)
-    for _ in range(600):
-        if flo <= 0:
-            break
-        lo *= 0.6
-        flo = f(lo)
-    else:
-        raise ValueError(f"constraint value {value!r} below the attainable "
-                         f"range of {constraint.label}")
-    fhi = f(hi)
-    for _ in range(600):
-        if fhi >= 0 or hi >= cap:
-            break
-        hi = min(hi * 1.6, cap)
-        fhi = f(hi)
-    if fhi < 0:
-        raise ValueError(f"constraint value {value!r} above the attainable "
-                         f"range of {constraint.label}")
-    if flo == 0:
-        return lo
-    return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
-
-
 def equality_function(sf, w, k, constraint, value):
     """Value of int g(Phi) sigma_k dmu on the geodesic ball whose
     constraint functional equals value; the sharp comparison profile of
     the validity theorems."""
-    rho = ball_radius_for(sf, constraint, value)
+    rho = constraint.ball_radius(sf, value)
     return gg.sphere_curvature_integral(sf, rho, w, k)
 
 
@@ -589,7 +553,7 @@ def verify(case, graph_raw, grid, *, direction_id="", epsilon=None,
     # the origin, the center search is a short polish, and a looser
     # simplex tolerance changes alpha by far less than the slack it feeds.
     alpha, _center = dm.fraenkel_asymmetry(
-        graph, grid, seed_center=np.zeros(sf.n + 1),
+        graph, grid, geo=geo, seed_center=np.zeros(sf.n + 1),
         options={"xatol": 1e-8, "fatol": 1e-11})
     cval = constraint.of_graph(graph, grid, geo=geo)
 
@@ -825,6 +789,12 @@ class SweepResult:
         return tuple(r.status for r in self.reports)
 
 
+# Errors that mark a single row as a numerical failure in a sweep or a
+# verify run; the other rows are still computed and reported.
+NUMERICAL_ERRORS = (RuntimeError, ValueError, FloatingPointError,
+                    ZeroDivisionError)
+
+
 def sweep(case, grid, basis, *, directions=30, eps_schedule=(0.003, 0.01),
           seed=2025, degrees=(2, 3, 4), refine_err=True):
     """Run verify over a deterministic grid of sampled directions and
@@ -844,7 +814,7 @@ def sweep(case, grid, basis, *, directions=30, eps_schedule=(0.003, 0.01),
             try:
                 rows.append(verify(case, graph, grid, direction_id=did,
                                    epsilon=eps, refine_err=refine_err))
-            except (RuntimeError, ValueError) as exc:
+            except NUMERICAL_ERRORS as exc:
                 failures.append((did, float(eps), str(exc)))
     ratios = [r.deficit / r.alpha ** 2 for r in rows
               if r.status != "hypothesis_unmet" and r.alpha ** 2 > 1e-30]

@@ -147,12 +147,6 @@ class Isometry:
             return Isometry(matrix=np.linalg.inv(self.matrix))
         return Isometry(offset=-self.offset)
 
-    def compose(self, other):
-        """self after other: (self.compose(other))(y) = self(other(y))."""
-        if self.matrix is not None:
-            return Isometry(matrix=self.matrix @ other.matrix)
-        return Isometry(offset=self.offset + other.offset)
-
 
 def identity_isometry(sf):
     if sf.K == 0:

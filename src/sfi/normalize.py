@@ -6,15 +6,15 @@ radial profile by per-node ray shooting; radius matching then re-labels
 the same surface as rho*(1 + u*) so the chosen constraint functional of
 the enclosed domain equals its value on the comparison ball of radius
 rho*. Matching is a pure re-parametrization, so it never moves the
-barycenter, and the constraints are isometry-invariant except for the
-weighted volume, whose anchor at the origin makes one extra outer pass
-necessary at most.
+barycenter, and it runs after recentering, so the weighted volume (the
+one constraint not invariant under isometries) is matched on the final
+surface. normalize is therefore a single pass.
 
 Because matching only re-labels the surface, normalize computes the
-fine-grid 2-jet and geometry once per pass, after recentering, and
-carries them across matching (SurfaceGeometry.relabeled rescales the
-jet); the barycenter displacement it reports is the one recentering
-measured on that same surface.
+fine-grid 2-jet and geometry once, after recentering, and carries them
+across matching (SurfaceGeometry.relabeled rescales the jet); the
+barycenter displacement it reports is the one recentering measured on
+that same surface.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from sfi import domains as dm
 from sfi import graphgeom as gg
@@ -71,6 +70,12 @@ class Constraint:
         return np.pi - 1e-9 if (self.kind == "quermass" and self.j == -1) \
             else np.pi / 2
 
+    def ball_radius(self, sf, value, start=1.0):
+        """Radius of the geodesic ball whose constraint functional equals
+        value; raises ValueError when no ball attains it."""
+        return dm.ball_radius(lambda r: self.of_ball(sf, r), value,
+                              self.ball_radius_cap(sf), start=start)
+
 
 def volume_constraint():
     return Constraint(kind="quermass", j=-1)
@@ -99,7 +104,7 @@ def parse_constraint(text):
     raise ValueError(f"unrecognized constraint {text!r}")
 
 
-def match_radius(graph, grid, constraint, geo=None, value=None):
+def match_radius(graph, grid, constraint, value=None):
     """Re-label the surface as rho*(1+u*) with the constraint matched.
 
     Returns (rho_star, new_graph). The underlying surface is unchanged:
@@ -108,26 +113,8 @@ def match_radius(graph, grid, constraint, geo=None, value=None):
     """
     sf = graph.sf
     if value is None:
-        value = constraint.of_graph(graph, grid, geo=geo)
-    cap = constraint.ball_radius_cap(sf)
-    lo = graph.rho
-    hi = graph.rho
-    f = lambda r: constraint.of_ball(sf, r) - value
-    flo = f(lo)
-    for _ in range(200):
-        if flo <= 0:
-            break
-        lo *= 0.7
-        flo = f(lo)
-    fhi = f(hi)
-    for _ in range(200):
-        if fhi >= 0 or hi >= cap:
-            break
-        hi = min(hi * 1.3, cap)
-        fhi = f(hi)
-    if flo > 0 or fhi < 0:
-        raise ValueError("constraint value not bracketed by ball radii")
-    rho_star = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        value = constraint.of_graph(graph, grid)
+    rho_star = constraint.ball_radius(sf, value, start=graph.rho)
     ratio = graph.rho / rho_star
     coeffs = graph.u.coeffs * ratio
     coeffs[0] += (ratio - 1.0) * np.sqrt(sf.sphere_area)
@@ -213,32 +200,27 @@ class NormalizedGraph:
         return self.graph.rho
 
 
-def normalize(graph, grid, constraint, max_outer=5):
+def normalize(graph, grid, constraint):
     """Recenter and match the constraint; returns a NormalizedGraph.
 
-    One outer pass suffices for isometry-invariant constraints; the
-    weighted volume needs a second because recentering moves its value.
-    Each pass builds the recentered graph's geometry once; it gives the
-    constraint value and, relabeled, the returned geometry and norms.
+    One pass suffices: recenter returns only once the barycenter
+    displacement is below BAR_TOL, and matching only relabels that
+    surface, so neither the barycenter nor the matched value can move
+    afterwards. The recentered graph's geometry is built once; it gives
+    the constraint value and, relabeled, the returned geometry and norms.
     """
-    band = 0.0
-    current = graph
-    for _ in range(max_outer):
-        current, bar_after, b = recenter(current, grid, max_passes=30)
-        band = max(band, b)
-        geo = gg.surface_geometry(current, grid)
-        value_before = constraint.of_graph(current, grid, geo=geo)
-        rho_star, current = match_radius(current, grid, constraint,
-                                         value=value_before)
-        geo = geo.relabeled(current)
-        target = constraint.of_ball(current.sf, rho_star)
-        resid = abs(value_before - target) / max(abs(target), 1e-300)
-        if resid < 1e-10 and bar_after < 1e-8:
-            return NormalizedGraph(
-                graph=current, constraint=constraint,
-                constraint_residual=resid, bar_displacement=bar_after,
-                out_of_band=band,
-                norms=sb.sobolev_norms(current.u, grid,
-                                       jet=(geo.u_vals, geo.du, geo.d2u)),
-                geometry=geo)
-    raise RuntimeError("normalization did not reach joint tolerance")
+    graph, bar_after, band = recenter(graph, grid)
+    geo = gg.surface_geometry(graph, grid)
+    value = constraint.of_graph(graph, grid, geo=geo)
+    rho_star, graph = match_radius(graph, grid, constraint, value=value)
+    geo = geo.relabeled(graph)
+    target = constraint.of_ball(graph.sf, rho_star)
+    resid = abs(value - target) / max(abs(target), 1e-300)
+    if not (resid < 1e-10 and bar_after < 1e-8):
+        raise RuntimeError("normalization did not reach joint tolerance")
+    return NormalizedGraph(
+        graph=graph, constraint=constraint, constraint_residual=resid,
+        bar_displacement=bar_after, out_of_band=band,
+        norms=sb.sobolev_norms(graph.u, grid,
+                               jet=(geo.u_vals, geo.du, geo.d2u)),
+        geometry=geo)

@@ -233,6 +233,29 @@ k = 2
         assert cli.main(["verify", "--config", path,
                          "--out", str(tmp_path / "f.csv")]) == 1
 
+    def test_raising_row_is_exit_three_and_rest_reported(
+            self, tmp_path, monkeypatch, capsys):
+        path = write_config(tmp_path, BASE + PERTURB_RANDOM + CASE_STAB)
+        real_verify = lab.verify
+
+        def breaks_on_d001(case, graph, grid, **kw):
+            if kw["direction_id"] == "d001":
+                raise RuntimeError("forced row failure")
+            return real_verify(case, graph, grid, **kw)
+
+        monkeypatch.setattr(lab, "verify", breaks_on_d001)
+        for threads in ("1", "2"):
+            out = tmp_path / f"v{threads}.csv"
+            code = cli.main(["verify", "--config", path, "--out", str(out),
+                             "--threads", threads])
+            err = capsys.readouterr().err
+            assert code == 3
+            assert ("numerical failure: case:main: d001 eps=0.004 error: "
+                    "forced row failure") in err
+            lines = out.read_text().strip().split("\n")
+            assert len(lines) == 2  # header + the d000 row
+            assert ",d000," in lines[1]
+
     def test_determinism_byte_identical(self, tmp_path):
         path = write_config(tmp_path, BASE + PERTURB_RANDOM + CASE_STAB)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

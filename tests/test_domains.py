@@ -8,6 +8,7 @@ import pytest
 from sfi import domains as dm
 from sfi import graphgeom as gg
 from sfi import model
+from sfi import normalize as nz
 from sfi import spherebasis as sb
 from sfi.spaceform import SpaceForm, unit_sphere_area
 
@@ -194,13 +195,13 @@ class TestRadiusSolvers:
     def test_weighted_roundtrip(self):
         sf = SpaceForm(K=-1, n=3)
         Wv = dm.ball_weighted_volume(sf, 1.3)
-        assert dm.radius_for_weighted_volume(sf, Wv) == pytest.approx(
-            1.3, abs=1e-10)
+        con = nz.weighted_volume_constraint()
+        assert con.ball_radius(sf, Wv) == pytest.approx(1.3, abs=1e-10)
 
     def test_unattainable_target(self):
         sf = SpaceForm(K=1, n=3)
         total = dm.ball_volume(sf, math.pi - 1e-9)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="above the attainable"):
             dm.radius_for_volume(sf, 2 * total)
 
 

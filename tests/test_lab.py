@@ -241,21 +241,32 @@ class TestEqualityFunction:
                 assert got == pytest.approx(want, rel=1e-12)
 
     def test_ball_radius_round_trip(self):
+        # W_n is excluded: it takes the same value on every ball, so it
+        # fixes no radius.
+        constraints = [nz.volume_constraint(), nz.weighted_volume_constraint()]
+        constraints += [nz.quermass_constraint(j) for j in range(3)]
         for K in ALL_K:
             sf = SpaceForm(K=K, n=3)
-            for con in (nz.volume_constraint(), nz.quermass_constraint(1)):
+            for con in constraints:
                 val = con.of_ball(sf, 0.85)
-                r = lab.ball_radius_for(sf, con, val)
-                assert r == pytest.approx(0.85, rel=1e-12)
+                for start in (0.05, 1.0, 3.0):
+                    r = con.ball_radius(sf, val, start=start)
+                    assert r == pytest.approx(0.85, rel=1e-12)
 
-    def test_value_out_of_range(self):
+    def test_value_out_of_range(self, basis3, grid3):
         sf = SpaceForm(K=1, n=3)
         con = nz.volume_constraint()
+        too_big = con.of_ball(sf, 3.14159) * 10
         with pytest.raises(ValueError, match="above the attainable"):
             lab.equality_function(sf, WeightFunction.affine(), 1, con,
-                                  con.of_ball(sf, 3.14159) * 10)
+                                  too_big)
         with pytest.raises(ValueError, match="below the attainable"):
             lab.equality_function(sf, WeightFunction.affine(), 1, con, -1.0)
+        graph = gg.RadialGraph(sf=sf, rho=0.8, u=sb.zero_function(basis3))
+        with pytest.raises(ValueError, match="above the attainable"):
+            nz.match_radius(graph, grid3, con, value=too_big)
+        with pytest.raises(ValueError, match="below the attainable"):
+            nz.match_radius(graph, grid3, con, value=-1.0)
 
     def test_closed_form_guards(self):
         sf0 = SpaceForm(K=0, n=3)

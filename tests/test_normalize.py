@@ -264,6 +264,24 @@ class TestNormalize:
             con.of_ball(res.graph.sf, res.rho), rel=1e-10)
         assert_carried_state(res, grid3)
 
+    @pytest.mark.parametrize("K,con", [
+        (-1, nz.volume_constraint()), (0, nz.volume_constraint()),
+        (1, nz.volume_constraint()), (-1, nz.weighted_volume_constraint())])
+    def test_normalize_is_idempotent(self, K, con, grid3, basis3,
+                                     monkeypatch):
+        rng = np.random.default_rng(21)
+        a = random_mid_band(basis3, rng, 0.03)
+        g = gg.RadialGraph(sf=SpaceForm(K=K, n=3), rho=1.0,
+                           u=sb.from_coeffs(basis3, a))
+        once = nz.normalize(g, grid3, con)
+
+        def no_reprojection(*args):
+            raise AssertionError("a normalized graph was reprojected")
+
+        monkeypatch.setattr(nz, "reproject_after_isometry", no_reprojection)
+        twice = nz.normalize(once.graph, grid3, con)
+        assert twice.rho == pytest.approx(once.rho, abs=1e-14)
+
     def test_area_preserved_by_recenter_and_relabel(self, grid3, basis3):
         rng = np.random.default_rng(9)
         a = random_mid_band(basis3, rng, 0.02)
