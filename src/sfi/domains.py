@@ -148,15 +148,16 @@ def radius_for_volume(sf, V):
     return ball_radius(lambda r: ball_volume(sf, r), V, sf.r_max - 1e-9)
 
 
-def _bulk_mass_points(graph, grid, radial_points):
+def _bulk_mass_points(graph, grid, radial_points, radii=None):
     """Radial x angular quadrature points of Omega, never embedded.
 
     Returns (mass, ch, sh), each (nodes, radial_points): the point at
     radius r over node x embeds as y = (phi'(r), phi(r) x) for K = +-1 and
     as y = phi(r) x for K = 0, so ch = phi'(r) and sh = phi(r) carry it.
+    radii, if given, are the graph's radii at the grid nodes.
     """
     sf = graph.sf
-    R = _graph_radii(graph, grid)
+    R = _graph_radii(graph, grid) if radii is None else radii
     t, wt = _radial_rule(radial_points)
     r = R[:, None] * t
     sh = sf.phi(r)
@@ -192,7 +193,8 @@ def _mass_log_sum(sf, p, nodes, mass, ch, sh):
     return msy - np.sum(ms * c) * p
 
 
-def barycenter(graph, grid, radial_points=16, tol=1e-10, max_iter=100):
+def barycenter(graph, grid, radial_points=16, tol=1e-10, max_iter=100,
+               radii=None):
     """Karcher mean of the enclosed domain in ambient coordinates.
 
     Minimizes p -> int_Omega d(y, p)^2 dv by Riemannian fixed-point
@@ -204,10 +206,11 @@ def barycenter(graph, grid, radial_points=16, tol=1e-10, max_iter=100):
     <y, p> = K phi'(r) p0 + phi(r) (x . pbar) needs one node vector
     x . pbar per pass. Each pass sums mass * log_p(y) in closed form from
     the squared chord q = 2K - 2<y, p> (see _mass_log_sum), with two mass
-    sums for the point part.
+    sums for the point part. radii, if given, are the graph's radii at
+    the grid nodes.
     """
     sf = graph.sf
-    mass, ch, sh = _bulk_mass_points(graph, grid, radial_points)
+    mass, ch, sh = _bulk_mass_points(graph, grid, radial_points, radii)
     total = float(np.sum(mass))
     p = model.origin(sf)
     for _ in range(max_iter):

@@ -9,9 +9,12 @@ With w = rho * grad u and D = sqrt(phi^2 + |w|^2):
     S^a_b  = phi'/D delta - rho u^a_b/(D phi) + phi' w^a w_b / D^3
              + rho w^a (u_bc w^c) / (D^3 phi)
 
-Principal curvatures come from the symmetric similarity
-g^{-1/2} h g^{-1/2} of the Weingarten map, which is exact because S is
-self-adjoint with respect to g.
+The symmetric similarity g^{-1/2} h g^{-1/2} of the Weingarten map has
+the same characteristic polynomial as S, because S is self-adjoint with
+respect to g. The integrals read only sigma_k, which symfunc takes from
+that polynomial without an eigensolve; the principal curvatures kappa are
+derived on demand, by eigvalsh of the similarity, for the few readers
+that need them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from sfi import spherebasis as sb
-from sfi.symfunc import elementary_from_eigenvalues
+from sfi import symfunc as sy
 
 DEGENERACY_TOL = 1e-13
 
@@ -51,9 +54,10 @@ class SurfaceGeometry:
 
     surface_geometry computes eagerly what the integrals read: the 2-jet
     of u (u_vals, du, d2u), r, phi, dphi, Phi, D, area_factor,
-    second_form, kappa, sigma and H. metric, metric_inv, weingarten,
+    second_form, sigma and H. metric, metric_inv, weingarten, kappa,
     H_plus and H_minus are derived on first access and then cached; only
-    the H^+ integral, node(i), the node dump and the tests read them.
+    the H^+ integral, convex_flags, node(i), the node dump and the tests
+    read them.
     """
 
     graph: RadialGraph
@@ -68,7 +72,6 @@ class SurfaceGeometry:
     D: np.ndarray = field(repr=False)
     area_factor: np.ndarray = field(repr=False)
     second_form: np.ndarray = field(repr=False)
-    kappa: np.ndarray = field(repr=False)
     sigma: np.ndarray = field(repr=False)
     H: np.ndarray = field(repr=False)
 
@@ -99,6 +102,12 @@ class SurfaceGeometry:
                 + dph[:, None, None] * outer / (D ** 3)[:, None, None]
                 + w[:, :, None] * (hess_r @ w[:, :, None])[:, None, :, 0]
                 / (D ** 3 * ph)[:, None, None])
+
+    @cached_property
+    def kappa(self):
+        """Principal curvatures, ascending, per node."""
+        return np.linalg.eigvalsh(
+            _similarity(self._w, self.phi, self.D, self.second_form))
 
     @cached_property
     def H_plus(self):
@@ -156,11 +165,30 @@ class NodeGeometry:
     H_minus: float = 0.0
 
 
-def surface_geometry(graph, grid):
-    """Evaluate the pointwise geometry of the graph at every node."""
+def _similarity(w, ph, D, second):
+    """g^{-1/2} h g^{-1/2} per node, symmetrized.
+
+    g = w w^T + phi^2 I, so g^{-1/2} = I/phi + (1/D - 1/phi) w^ w^^T with
+    w^ = w/|w|.
+    """
+    gn = np.sqrt(np.sum(w * w, axis=1))
+    safe = np.where(gn > 0, gn, 1.0)
+    what = w / safe[:, None]
+    coeff = (1.0 / D - 1.0 / ph)
+    ghalf_inv = np.eye(w.shape[1]) / ph[:, None, None] \
+        + coeff[:, None, None] * what[:, :, None] * what[:, None, :]
+    sym = ghalf_inv @ second @ ghalf_inv
+    return 0.5 * (sym + np.swapaxes(sym, 1, 2))
+
+
+def surface_geometry(graph, grid, jet=None):
+    """Evaluate the pointwise geometry of the graph at every node.
+
+    jet, if given, is the precomputed eval_jet_all(graph.u, grid).
+    """
     sf = graph.sf
     n = grid.n
-    vals, du, d2u = sb.eval_jet_all(graph.u, grid)
+    vals, du, d2u = sb.eval_jet_all(graph.u, grid) if jet is None else jet
     r = graph.radii(vals)
     if np.any(r <= 0.0) or np.any(r >= sf.r_max):
         raise ValueError("graph radii leave the admissible band (0, r_max)")
@@ -173,25 +201,15 @@ def surface_geometry(graph, grid):
     if np.min(D) < DEGENERACY_TOL or np.min(ph) < DEGENERACY_TOL:
         raise ValueError("degenerate metric: D or phi below tolerance")
     area = ph ** (n - 1) * D
-    eye = np.eye(n)
     outer = w[:, :, None] * w[:, None, :]
     second = (2.0 * dph[:, None, None] * outer
-              + (ph * ph * dph)[:, None, None] * eye
+              + (ph * ph * dph)[:, None, None] * np.eye(n)
               - ph[:, None, None] * (graph.rho * d2u)) / D[:, None, None]
-    gn = np.sqrt(gradsq)
-    safe = np.where(gn > 0, gn, 1.0)
-    what = w / safe[:, None]
-    coeff = (1.0 / D - 1.0 / ph)
-    ghalf_inv = eye / ph[:, None, None] \
-        + coeff[:, None, None] * what[:, :, None] * what[:, None, :]
-    sym = ghalf_inv @ second @ ghalf_inv
-    sym = 0.5 * (sym + np.swapaxes(sym, 1, 2))
-    kappa = np.linalg.eigvalsh(sym)
-    sigma = elementary_from_eigenvalues(kappa)
+    sigma = sy.sigma_all_batch(_similarity(w, ph, D, second))
     return SurfaceGeometry(
         graph=graph, grid=grid, u_vals=vals, du=du, d2u=d2u, r=r, phi=ph,
         dphi=dph, Phi=Ph, D=D, area_factor=area, second_form=second,
-        kappa=kappa, sigma=sigma, H=sigma[:, 1])
+        sigma=sigma, H=sigma[:, 1])
 
 
 def node_geometry(graph, grid, i):
@@ -200,13 +218,13 @@ def node_geometry(graph, grid, i):
 
 
 def mean_curvature_two_ways(graph, grid, geo=None):
-    """Max discrepancy between the eigenvalue-sum H and the divergence form.
+    """Max discrepancy between the curvature-tensor H and the divergence form.
 
-    The first route is sigma_1 of the principal curvatures from the
-    symmetrized Weingarten eigensolve. The second evaluates the divergence
-    form, expanding div((phi/D) grad u) by the chain rule through the jet
-    of u (the gradient of D needs only second derivatives), and never
-    builds the curvature tensors.
+    The first route is sigma_1, the trace of the symmetrized Weingarten
+    map built from the second fundamental form. The second evaluates the
+    divergence form, expanding div((phi/D) grad u) by the chain rule
+    through the jet of u (the gradient of D needs only second
+    derivatives), and never builds the curvature tensors.
     """
     if geo is None:
         geo = surface_geometry(graph, grid)

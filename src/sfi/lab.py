@@ -191,10 +191,11 @@ class ExpansionBlocks:
     cuu: float
     cgrad: float
 
-    def integrated(self, u0, grid, rho, area):
+    def integrated(self, jet, grid, rho, area):
         """(C0, C1, C2): closed-form Taylor coefficients of eps for the
-        one-parameter family u = eps * u0."""
-        vals, grad, _ = sb.eval_jet_all(u0, grid)
+        one-parameter family u = eps * u0, given jet = eval_jet_all(u0,
+        grid)."""
+        vals, grad, _ = jet
         i1 = grid.integrate(vals)
         i2 = grid.integrate(vals * vals)
         ig = grid.integrate(np.sum(grad * grad, axis=1))
@@ -642,13 +643,17 @@ def expansion_oracle(sf, w, k, constraint_tag, u0, eps_list, grid, *,
         raise ValueError("amplitudes must lie in [1e-4, 1e-1]")
     if use_H_blocks and k != 1:
         raise ValueError("the mean-curvature blocks require k = 1")
-    l2 = np.sqrt(max(grid.integrate(sb.values_on_grid(u0, grid) ** 2), 0.0))
+    # one 2-jet of u0 serves every amplitude: the jet of e u0 is e times it
+    jet = sb.eval_jet_all(u0, grid)
+    l2 = np.sqrt(max(grid.integrate(jet[0] ** 2), 0.0))
     if abs(l2 - 1.0) > 1e-6:
         raise ValueError(f"direction must have unit L2 norm, got {l2:.3e}")
 
     def F(e):
         graph = gg.RadialGraph(sf=sf, rho=rho, u=u0.scaled(e))
-        return gg.weighted_curvature_integral(graph, grid, w, k)
+        geo = gg.surface_geometry(graph, grid,
+                                  jet=tuple(e * part for part in jet))
+        return gg.weighted_curvature_integral(graph, grid, w, k, geo=geo)
 
     F0 = F(0.0)
     xs = np.concatenate([eps, -eps])
@@ -666,7 +671,7 @@ def expansion_oracle(sf, w, k, constraint_tag, u0, eps_list, grid, *,
 
     blocks = H_expansion_blocks(sf, w, rho) if use_H_blocks \
         else sigma_expansion_blocks(sf, w, k, rho)
-    closed = blocks.integrated(u0, grid, rho, sf.sphere_area)
+    closed = blocks.integrated(jet, grid, rho, sf.sphere_area)
 
     mag = max(1.0, *(abs(c) for c in closed))
     rel = tuple(abs(f - c) / max(abs(c), 1e-9 * mag)

@@ -29,6 +29,7 @@ from sfi import model
 from sfi import spherebasis as sb
 
 BAR_TOL = 1e-9
+RECENTER_PASSES = 30
 OUT_OF_BAND_LIMIT = 1e-8
 
 
@@ -122,11 +123,13 @@ def match_radius(graph, grid, constraint, value=None):
     return rho_star, gg.RadialGraph(sf=sf, rho=rho_star, u=new_u)
 
 
-def reproject_after_isometry(graph, grid, iso):
+def reproject_after_isometry(graph, grid, iso, radii=None):
     """Radial graph of iso(surface), by per-node secant ray shooting.
 
-    Returns (new_graph, out_energy): the absolute L2 energy of the part
-    of the re-derived profile that the harmonic basis cannot represent.
+    radii, if given, are the graph's radii at the grid nodes. Returns
+    (new_graph, out_energy, values): out_energy is the absolute L2 energy
+    of the part of the re-derived profile that the harmonic basis cannot
+    represent, and values are the new u at the grid nodes.
     """
     sf = graph.sf
     inv = iso.inverse()
@@ -135,7 +138,8 @@ def reproject_after_isometry(graph, grid, iso):
         s, y = model.polar(sf, inv(model.embed(sf, r, grid.nodes)))
         return s - graph.radii(sb.evaluate(graph.u, y))
 
-    r0 = graph.radii(sb.values_on_grid(graph.u, grid))
+    r0 = graph.radii(sb.values_on_grid(graph.u, grid)) if radii is None \
+        else radii
     f0 = shoot_residual(r0)
     r1 = r0 - f0  # residual has unit slope in r to leading order
     f1 = shoot_residual(r1)
@@ -150,30 +154,34 @@ def reproject_after_isometry(graph, grid, iso):
         f1 = shoot_residual(r1)
     samples = r1 / graph.rho - 1.0
     u_new = sb.project(samples, grid, graph.u.basis)
-    resid = samples - sb.values_on_grid(u_new, grid)
-    out_energy = grid.integrate(resid ** 2)
-    return gg.RadialGraph(sf=sf, rho=graph.rho, u=u_new), out_energy
+    values = sb.values_on_grid(u_new, grid)
+    out_energy = grid.integrate((samples - values) ** 2)
+    return gg.RadialGraph(sf=sf, rho=graph.rho, u=u_new), out_energy, values
 
 
-def recenter(graph, grid, tol=BAR_TOL, max_passes=30):
+def recenter(graph, grid):
     """Translate the domain so its barycenter is the origin.
 
     Fixed-point iteration: translate by the current barycenter and
     re-derive the graph, until the model-coordinate displacement falls
-    below tol. Returns (new_graph, displacement, out_of_band), the last
-    being the worst per-pass out-of-band energy relative to the energy
-    of the profile handed in (floored to absorb root-solve noise).
+    below BAR_TOL. Returns (new_graph, displacement, out_of_band), the
+    last being the worst per-pass out-of-band energy relative to the
+    energy of the profile handed in (floored to absorb root-solve noise).
+    Each pass reuses the node values the previous reprojection computed.
     """
     sf = graph.sf
-    ref = max(grid.integrate(sb.values_on_grid(graph.u, grid) ** 2), 1e-16)
+    values = sb.values_on_grid(graph.u, grid)
+    ref = max(grid.integrate(values ** 2), 1e-16)
     worst_band = 0.0
-    for _ in range(max_passes):
-        bar = dm.barycenter(graph, grid)
+    for _ in range(RECENTER_PASSES):
+        radii = graph.radii(values)
+        bar = dm.barycenter(graph, grid, radii=radii)
         disp = float(np.linalg.norm(model.model_vector(sf, bar)))
-        if disp < tol:
+        if disp < BAR_TOL:
             return graph, disp, worst_band
         iso = model.translation_to_origin(sf, bar)
-        graph, out_energy = reproject_after_isometry(graph, grid, iso)
+        graph, out_energy, values = reproject_after_isometry(
+            graph, grid, iso, radii=radii)
         worst_band = max(worst_band, out_energy / ref)
         if worst_band > OUT_OF_BAND_LIMIT:
             raise RuntimeError(

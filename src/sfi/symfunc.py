@@ -1,11 +1,13 @@
 """Elementary symmetric functions and Newton transformations.
 
-Two independent evaluation paths are kept for sigma_k: the production path
-goes through a symmetric eigendecomposition and builds the elementary
-symmetric polynomials from the eigenvalues; the oracle path sums principal
-minors directly. Newton tensors use the recursion T_k = sigma_k I - A T_{k-1}
-with the derivative definition d sigma_{k+1} = tr(T_k dA) kept as a test
-oracle.
+The production path, sigma_all_batch, never computes eigenvalues: sigma_k
+is a coefficient of the characteristic polynomial, and Newton's identities
+give it from the recursion T_0 = I, sigma_k = tr(A T_{k-1}) / k,
+T_k = sigma_k I - A T_{k-1}. Two independent oracles are kept: sigma_all
+builds the elementary symmetric polynomials from the eigenvalues of one
+matrix, and sigma_minor_sum sums principal minors. Newton tensors use the
+same recursion, with the derivative definition d sigma_{k+1} = tr(T_k dA)
+kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -57,13 +59,29 @@ def elementary_from_eigenvalues(lams):
 
 
 def sigma_all(A):
-    """(sigma_0, ..., sigma_n) of a symmetric matrix via eigenvalues."""
+    """(sigma_0, ..., sigma_n) of a symmetric matrix via eigenvalues
+    (oracle for sigma_all_batch)."""
     return elementary_from_eigenvalues(np.linalg.eigvalsh(_as_matrix(A)))
 
 
 def sigma_all_batch(mats):
-    """Batched sigma_all over matrices of shape (..., n, n)."""
-    return elementary_from_eigenvalues(np.linalg.eigvalsh(np.asarray(mats)))
+    """(sigma_0, ..., sigma_n) of symmetric matrices of shape (..., n, n).
+
+    Newton's identities: T_0 = I, sigma_k = tr(A T_{k-1}) / k and
+    T_k = sigma_k I - A T_{k-1}, where tr(A T) is the entrywise sum of
+    A * T because A and T are symmetric. No eigenvalue is computed.
+    """
+    a = np.asarray(mats, dtype=float)
+    n = a.shape[-1]
+    sig = np.empty(a.shape[:-2] + (n + 1,))
+    sig[..., 0] = 1.0
+    eye = np.eye(n)
+    T = eye
+    for k in range(1, n + 1):
+        sig[..., k] = np.einsum("...ij,...ij->...", a, T) / k
+        if k < n:
+            T = sig[..., k, None, None] * eye - a @ T
+    return sig
 
 
 def sigma_minor_sum(A, k):

@@ -145,6 +145,27 @@ class TestPerturbedGeometry:
             assert np.allclose(getattr(moved, name), getattr(fresh, name),
                                rtol=1e-12, atol=1e-14), name
 
+    @pytest.mark.parametrize("K", ALL_K)
+    def test_scaled_jet_matches_fresh_geometry(self, K, grid3, basis3):
+        # expansion fits build the geometry of eps u0 from eps times the
+        # jet of u0
+        u0 = perturbed_graph(K, grid3, basis3, 1.0, seed=K + 20).u
+        jet0 = sb.eval_jet_all(u0, grid3)
+        for eps in (0.03, -0.004, 0.0):
+            g = gg.RadialGraph(sf=SpaceForm(K=K, n=3), rho=0.9,
+                               u=u0.scaled(eps))
+            geo = gg.surface_geometry(g, grid3,
+                                      jet=tuple(eps * p for p in jet0))
+            fresh = gg.surface_geometry(g, grid3)
+            for name in ("u_vals", "du", "d2u", "r", "phi", "dphi", "Phi",
+                         "D", "area_factor", "second_form", "kappa",
+                         "sigma", "H", "metric", "metric_inv",
+                         "weingarten", "H_plus", "H_minus"):
+                want = getattr(fresh, name)
+                assert np.allclose(getattr(geo, name), want, rtol=1e-13,
+                                   atol=1e-15 * max(1.0, np.max(np.abs(
+                                       want)))), (eps, name)
+
     def test_convex_flags(self, grid3, basis3):
         g = perturbed_graph(0, grid3, basis3, 0.01, seed=5)
         geo = gg.surface_geometry(g, grid3)

@@ -544,6 +544,43 @@ class TestVerify:
         assert 1e-3 * eps < np.linalg.norm(center) < 0.1 * eps
 
 
+class TestNoBatchedEigensolves:
+    # sigma_k comes from Newton's identities and the Hessian norm solves
+    # only the nodes its Frobenius screen keeps, so no batch of
+    # eigensolves over every node is left on the hot path
+    def test_expansion_fit_solves_nothing(self, basis3, grid3, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called in an expansion fit")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        sf = SpaceForm(K=-1, n=3)
+        u0 = lab.sample_direction(basis3, 42, 0, degrees=(0, 1, 2, 3, 4))
+        rep = lab.expansion_oracle(sf, WeightFunction.affine(), 2, "volume",
+                                   u0, np.geomspace(2e-3, 2e-2, 6), grid3,
+                                   rho=RHO[-1])
+        assert rep.max_rel_error < 1e-4
+
+    def test_verify_row_solves_fewer_matrices_than_nodes(self, basis3, grid3,
+                                                         monkeypatch):
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            a = np.asarray(a)
+            solved.append(a.size // a.shape[-1] ** 2)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        sf = SpaceForm(K=-1, n=3)
+        case = lab.TheoremCase("sigmak-quermass-hyperbolic", sf,
+                               WeightFunction.affine(), k=1, j=0, rho=0.9)
+        g0 = gg.RadialGraph(sf=sf, rho=0.9,
+                            u=lab.sample_direction(basis3, 5, 0).scaled(0.01))
+        rep = lab.verify(case, g0, grid3)
+        assert rep.status == "pass"
+        assert 0 < sum(solved) < grid3.node_count
+
+
 class TestSweep:
     def test_empirical_constant_and_statuses(self, basis3, grid3):
         sf = SpaceForm(K=-1, n=3)

@@ -143,7 +143,7 @@ class TestReproject:
         a *= 0.03 / np.linalg.norm(a)
         g = gg.RadialGraph(sf=SpaceForm(K=-1, n=3), rho=1.0,
                            u=sb.from_coeffs(basis3, a))
-        new, out_energy = nz.reproject_after_isometry(
+        new, out_energy, _ = nz.reproject_after_isometry(
             g, grid3, model.identity_isometry(g.sf))
         assert np.max(np.abs(new.u.coeffs - g.u.coeffs)) < 1e-12
         assert out_energy < 1e-20
@@ -156,7 +156,7 @@ class TestReproject:
                           model.origin_tangent(sf, c))
         iso = model.translation_to_origin(sf, p).inverse()
         g = ball_graph(K, 1.0, basis3)
-        new, out_energy = nz.reproject_after_isometry(g, grid3, iso)
+        new, out_energy, _ = nz.reproject_after_isometry(g, grid3, iso)
         want = model.ball_radial_profile(sf, c, 1.0, grid3.nodes)
         got = new.radii(sb.values_on_grid(new.u, grid3))
         assert np.max(np.abs(got - want)) < 1e-9
@@ -169,8 +169,8 @@ class TestReproject:
         p = model.exp_map(sf, model.origin(sf),
                           model.origin_tangent(sf, [0.01, 0.0, 0.0, 0.0]))
         iso = model.translation_to_origin(sf, p)
-        moved, _ = nz.reproject_after_isometry(g, grid3, iso)
-        back, _ = nz.reproject_after_isometry(moved, grid3, iso.inverse())
+        moved, _, _ = nz.reproject_after_isometry(g, grid3, iso)
+        back, _, _ = nz.reproject_after_isometry(moved, grid3, iso.inverse())
         # fidelity is limited by band truncation at the intermediate step
         assert np.max(np.abs(back.u.coeffs - g.u.coeffs)) < 1e-7
 
@@ -202,6 +202,39 @@ class TestRecenter:
         assert np.max(np.abs(vals)) < 1e-8
         bar = dm.barycenter(new, grid3)
         assert np.linalg.norm(model.model_vector(new.sf, bar)) < 1e-8
+
+    def test_node_values_evaluated_once_per_function(self, grid3, basis3,
+                                                     monkeypatch):
+        # the raw u once, then each reprojected u once: its values come
+        # back from reproject_after_isometry and feed the next barycenter
+        calls = []
+        values_on_grid = sb.values_on_grid
+
+        def counting(u, grid):
+            calls.append(u)
+            return values_on_grid(u, grid)
+
+        monkeypatch.setattr(sb, "values_on_grid", counting)
+        passes = []
+        reproject = nz.reproject_after_isometry
+
+        def counting_reproject(*args, **kwargs):
+            out = reproject(*args, **kwargs)
+            passes.append(out)
+            return out
+
+        monkeypatch.setattr(nz, "reproject_after_isometry",
+                            counting_reproject)
+        c = np.array([0.03, -0.02, 0.0, 0.01])
+        g = translated_ball_graph(-1, c, 1.0, grid3, basis3)
+        new, disp, _ = nz.recenter(g, grid3)
+        assert disp < 1e-9
+        assert len(passes) >= 1
+        assert len(calls) == 1 + len(passes)
+        assert len({id(u) for u in calls}) == len(calls)
+        new_graph, _, values = passes[-1]
+        assert new_graph is new
+        assert np.array_equal(values, values_on_grid(new.u, grid3))
 
     def test_residual_odd_content_is_second_order(self, grid3, basis3):
         amps = []

@@ -79,6 +79,27 @@ class TestSigma:
         for i in range(6):
             assert np.allclose(batch[i], sy.sigma_all(mats[i]), atol=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_batch_matches_oracles(self, n):
+        # the eigenvalue-free recursion against the eigenvalue route and the
+        # minor sums: near-scalar matrices kappa0 I + delta B, whose
+        # eigenvalues nearly coincide, at rel 1e-13, and random matrices,
+        # whose sigma_k can cancel to near zero, at 1e-13 |A|^k absolute
+        rng = np.random.default_rng(31 + n)
+        near = [kappa0 * np.eye(n) + delta * random_symmetric(rng, n)
+                for kappa0 in (1.3, -0.7)
+                for delta in 10.0 ** -np.arange(2, 13)]
+        rand = [random_symmetric(rng, n) for _ in range(8)]
+        batch = sy.sigma_all_batch(np.array(near + rand))
+        for i, (a, sig) in enumerate(zip(near + rand, batch)):
+            scale = float(np.max(np.abs(a)))
+            for k in range(n + 1):
+                tol = {"rel": 1e-13} if i < len(near) \
+                    else {"rel": 0.0, "abs": 1e-13 * max(1.0, scale) ** k}
+                assert sig[k] == pytest.approx(sy.sigma_all(a)[k], **tol)
+                assert sig[k] == pytest.approx(sy.sigma_minor_sum(a, k),
+                                               **tol)
+
 
 class TestNewton:
     def test_T0_identity(self):
