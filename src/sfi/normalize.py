@@ -123,10 +123,10 @@ def match_radius(graph, grid, constraint, value=None):
     return rho_star, gg.RadialGraph(sf=sf, rho=rho_star, u=new_u)
 
 
-def reproject_after_isometry(graph, grid, iso, radii=None):
+def reproject_after_isometry(graph, grid, iso, radii):
     """Radial graph of iso(surface), by per-node secant ray shooting.
 
-    radii, if given, are the graph's radii at the grid nodes. Returns
+    radii are the graph's radii at the grid nodes. Returns
     (new_graph, out_energy, values): out_energy is the absolute L2 energy
     of the part of the re-derived profile that the harmonic basis cannot
     represent, and values are the new u at the grid nodes.
@@ -138,8 +138,7 @@ def reproject_after_isometry(graph, grid, iso, radii=None):
         s, y = model.polar(sf, inv(model.embed(sf, r, grid.nodes)))
         return s - graph.radii(sb.evaluate(graph.u, y))
 
-    r0 = graph.radii(sb.values_on_grid(graph.u, grid)) if radii is None \
-        else radii
+    r0 = radii
     f0 = shoot_residual(r0)
     r1 = r0 - f0  # residual has unit slope in r to leading order
     f1 = shoot_residual(r1)
@@ -181,7 +180,7 @@ def recenter(graph, grid):
             return graph, disp, worst_band
         iso = model.translation_to_origin(sf, bar)
         graph, out_energy, values = reproject_after_isometry(
-            graph, grid, iso, radii=radii)
+            graph, grid, iso, radii)
         worst_band = max(worst_band, out_energy / ref)
         if worst_band > OUT_OF_BAND_LIMIT:
             raise RuntimeError(

@@ -546,30 +546,6 @@ class SobolevNorms(NamedTuple):
     w2inf: float
 
 
-HESS_SCREEN = 8
-
-
-def _hessian_operator_norm(hess):
-    """max over nodes of the largest |eigenvalue| of hess (N, n, n).
-
-    The operator norm of a symmetric matrix is at most its Frobenius norm.
-    Solving the HESS_SCREEN nodes of largest Frobenius norm gives a lower
-    bound on the maximum, and only nodes whose Frobenius norm reaches it
-    (less a margin far above rounding) can attain the maximum, so only
-    they are solved again. eigvalsh solves each matrix on its own, so the
-    result equals the full batch's bit for bit. Non-finite input takes
-    the full batch, whose LAPACK outcome (NaN, a finite value or
-    LinAlgError, depending on where the NaN sits) is kept as it is.
-    """
-    fro = np.sqrt(np.einsum("iab,iab->i", hess, hess))
-    if len(fro) <= HESS_SCREEN or not np.isfinite(fro).all():
-        return float(np.max(np.abs(np.linalg.eigvalsh(hess))))
-    top = np.argpartition(fro, -HESS_SCREEN)[-HESS_SCREEN:]
-    lower = np.max(np.abs(np.linalg.eigvalsh(hess[top])))
-    keep = fro >= lower * (1.0 - 1e-12)
-    return float(np.max(np.abs(np.linalg.eigvalsh(hess[keep]))))
-
-
 def sobolev_norms(u, grid, jet=None):
     """L^2, gradient L^2, C^1 and W^{2,inf} norms of u on a grid.
 
@@ -584,7 +560,7 @@ def sobolev_norms(u, grid, jet=None):
     sup_u = float(np.max(np.abs(vals))) if len(vals) else 0.0
     sup_grad = float(np.sqrt(np.max(gn2)))
     c1 = max(sup_u, sup_grad)
-    hess_op = _hessian_operator_norm(hess)
+    hess_op = float(np.max(np.abs(np.linalg.eigvalsh(hess))))
     return SobolevNorms(l2=float(l2), grad_l2=float(grad_l2), c1=c1,
                         w2inf=max(c1, hess_op))
 

@@ -64,24 +64,31 @@ def sigma_all(A):
     return elementary_from_eigenvalues(np.linalg.eigvalsh(_as_matrix(A)))
 
 
-def sigma_all_batch(mats):
-    """(sigma_0, ..., sigma_n) of symmetric matrices of shape (..., n, n).
+def _newton_recursion(a, k):
+    """sigma_0..sigma_k and T_k of symmetric matrices a (..., n, n).
 
-    Newton's identities: T_0 = I, sigma_k = tr(A T_{k-1}) / k and
-    T_k = sigma_k I - A T_{k-1}, where tr(A T) is the entrywise sum of
+    Newton's identities: T_0 = I, sigma_m = tr(A T_{m-1}) / m and
+    T_m = sigma_m I - A T_{m-1}, where tr(A T) is the entrywise sum of
     A * T because A and T are symmetric. No eigenvalue is computed.
     """
+    sig = np.empty(a.shape[:-2] + (k + 1,))
+    sig[..., 0] = 1.0
+    eye = np.eye(a.shape[-1])
+    T = eye
+    for m in range(1, k + 1):
+        sig[..., m] = np.einsum("...ij,...ij->...", a, T) / m
+        T = sig[..., m, None, None] * eye - a @ T
+    return sig, T
+
+
+def sigma_all_batch(mats):
+    """(sigma_0, ..., sigma_n) of symmetric matrices of shape (..., n, n),
+    by Newton's identities; T_n (zero by Cayley-Hamilton) is not formed."""
     a = np.asarray(mats, dtype=float)
     n = a.shape[-1]
-    sig = np.empty(a.shape[:-2] + (n + 1,))
-    sig[..., 0] = 1.0
-    eye = np.eye(n)
-    T = eye
-    for k in range(1, n + 1):
-        sig[..., k] = np.einsum("...ij,...ij->...", a, T) / k
-        if k < n:
-            T = sig[..., k, None, None] * eye - a @ T
-    return sig
+    sig, T = _newton_recursion(a, n - 1)
+    last = np.einsum("...ij,...ij->...", a, T) / n
+    return np.concatenate([sig, last[..., None]], axis=-1)
 
 
 def sigma_minor_sum(A, k):
@@ -120,11 +127,8 @@ def newton_tensor_batch(mats, k):
     n = a.shape[-1]
     if not 0 <= k <= n - 1:
         raise ValueError(f"Newton tensor order k={k} outside [0, {n - 1}]")
-    sig = sigma_all_batch(a)
-    eye = np.broadcast_to(np.eye(n), a.shape).copy()
-    T = eye.copy()
-    for m in range(1, k + 1):
-        T = sig[..., m, None, None] * eye - a @ T
+    _, T = _newton_recursion(a, k)
+    T = np.broadcast_to(T, a.shape)
     return 0.5 * (T + np.swapaxes(T, -1, -2))
 
 

@@ -545,9 +545,8 @@ class TestVerify:
 
 
 class TestNoBatchedEigensolves:
-    # sigma_k comes from Newton's identities and the Hessian norm solves
-    # only the nodes its Frobenius screen keeps, so no batch of
-    # eigensolves over every node is left on the hot path
+    # sigma_k comes from Newton's identities, so the only batch of
+    # eigensolves left on the hot path is the Hessian norm's
     def test_expansion_fit_solves_nothing(self, basis3, grid3, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("eigvalsh called in an expansion fit")
@@ -560,8 +559,8 @@ class TestNoBatchedEigensolves:
                                    rho=RHO[-1])
         assert rep.max_rel_error < 1e-4
 
-    def test_verify_row_solves_fewer_matrices_than_nodes(self, basis3, grid3,
-                                                         monkeypatch):
+    def test_verify_row_solves_only_the_hessian_norm(self, basis3, grid3,
+                                                     monkeypatch):
         solved = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -578,7 +577,7 @@ class TestNoBatchedEigensolves:
                             u=lab.sample_direction(basis3, 5, 0).scaled(0.01))
         rep = lab.verify(case, g0, grid3)
         assert rep.status == "pass"
-        assert 0 < sum(solved) < grid3.node_count
+        assert solved == [grid3.node_count]
 
 
 class TestSweep:

@@ -144,7 +144,8 @@ class TestReproject:
         g = gg.RadialGraph(sf=SpaceForm(K=-1, n=3), rho=1.0,
                            u=sb.from_coeffs(basis3, a))
         new, out_energy, _ = nz.reproject_after_isometry(
-            g, grid3, model.identity_isometry(g.sf))
+            g, grid3, model.identity_isometry(g.sf),
+            g.radii(sb.values_on_grid(g.u, grid3)))
         assert np.max(np.abs(new.u.coeffs - g.u.coeffs)) < 1e-12
         assert out_energy < 1e-20
 
@@ -156,7 +157,8 @@ class TestReproject:
                           model.origin_tangent(sf, c))
         iso = model.translation_to_origin(sf, p).inverse()
         g = ball_graph(K, 1.0, basis3)
-        new, out_energy, _ = nz.reproject_after_isometry(g, grid3, iso)
+        new, out_energy, _ = nz.reproject_after_isometry(
+            g, grid3, iso, g.radii(sb.values_on_grid(g.u, grid3)))
         want = model.ball_radial_profile(sf, c, 1.0, grid3.nodes)
         got = new.radii(sb.values_on_grid(new.u, grid3))
         assert np.max(np.abs(got - want)) < 1e-9
@@ -169,8 +171,11 @@ class TestReproject:
         p = model.exp_map(sf, model.origin(sf),
                           model.origin_tangent(sf, [0.01, 0.0, 0.0, 0.0]))
         iso = model.translation_to_origin(sf, p)
-        moved, _, _ = nz.reproject_after_isometry(g, grid3, iso)
-        back, _, _ = nz.reproject_after_isometry(moved, grid3, iso.inverse())
+        moved, _, _ = nz.reproject_after_isometry(
+            g, grid3, iso, g.radii(sb.values_on_grid(g.u, grid3)))
+        back, _, _ = nz.reproject_after_isometry(
+            moved, grid3, iso.inverse(),
+            moved.radii(sb.values_on_grid(moved.u, grid3)))
         # fidelity is limited by band truncation at the intermediate step
         assert np.max(np.abs(back.u.coeffs - g.u.coeffs)) < 1e-7
 

@@ -282,48 +282,6 @@ class TestNormsAndSpectra:
         norms = sb.sobolev_norms(sb.zero_function(basis3), grid3)
         assert norms == (0.0, 0.0, 0.0, 0.0)
 
-    @given(kind=st.sampled_from(["random", "tied", "zero", "nan"]),
-           n=st.sampled_from([2, 3, 4]), count=st.integers(1, 80),
-           log_scale=st.floats(-8.0, 3.0), seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_screened_hessian_norm_is_full_batch(self, kind, n, count,
-                                                 log_scale, seed):
-        # the Frobenius screen must return max |eigvalsh| of the full
-        # batch bit for bit, or fail the same way on non-finite input
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((count, n, n)) * 10.0 ** log_scale
-        hess = a + a.transpose(0, 2, 1)
-        if kind == "tied":
-            # exact copies and rotations of one matrix: equal Frobenius
-            # norms, up to rounding for the rotations
-            q, _ = np.linalg.qr(rng.standard_normal((count, n, n)))
-            hess = np.where(rng.random(count)[:, None, None] < 0.5,
-                            hess[0], q @ hess[0] @ q.transpose(0, 2, 1))
-        elif kind == "zero":
-            hess = np.zeros_like(hess)
-        elif kind == "nan":
-            i, j, k = rng.integers(count), rng.integers(n), rng.integers(n)
-            hess[i, j, k] = hess[i, k, j] = np.nan
-
-        def outcome(norm):
-            try:
-                return np.float64(norm(hess)).tobytes()
-            except np.linalg.LinAlgError:
-                return "LinAlgError"
-
-        full = outcome(lambda h: np.max(np.abs(np.linalg.eigvalsh(h))))
-        assert outcome(sb._hessian_operator_norm) == full
-
-    def test_screened_hessian_norm_grid_and_nan_node(self, grid3, basis3):
-        rng = np.random.default_rng(29)
-        u = sb.from_coeffs(basis3, rng.standard_normal(basis3.size))
-        _, _, hess = sb.eval_jet_all(u, grid3)
-        assert sb._hessian_operator_norm(hess) == np.max(
-            np.abs(np.linalg.eigvalsh(hess)))
-        _, _, zero = sb.eval_jet_all(sb.zero_function(basis3), grid3)
-        zero[7, 0, 1] = zero[7, 1, 0] = np.nan
-        assert np.isnan(sb._hessian_operator_norm(zero))
-
     def test_laplacian_coefficients(self, grid3, basis3):
         rng = np.random.default_rng(13)
         u = sb.from_coeffs(basis3, rng.standard_normal(basis3.size))
