@@ -16,11 +16,26 @@ from functools import cache
 from math import comb
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq
 
 from sfi import graphgeom as gg
 from sfi import model
 from sfi import spherebasis as sb
+
+# Ball centers at least this fraction of the ball radius from the origin
+# leave the origin too close to the sphere for a radial profile.
+CENTER_LIMIT = 0.995
+# Asymmetry center search (fraenkel_asymmetry). The Newton phase's hat
+# kernel is as wide as this quantile of |P_n(R) - P_n(R_ball)| over the
+# nodes; a step is halved at most SEARCH_HALVINGS times; the Newton phase
+# ends when a step gains at most SEARCH_REL_GAIN of alpha and the polish
+# when one gains at most POLISH_REL_GAIN, both below alpha's own
+# quadrature error of 3.6e-5..1.3e-4 relative; SEARCH_STEPS caps the steps.
+SEARCH_KERNEL_QUANTILE = 0.1
+SEARCH_HALVINGS = 20
+SEARCH_REL_GAIN = 1e-5
+POLISH_REL_GAIN = 1e-6
+SEARCH_STEPS = 50
 
 
 def _graph_radii(graph, grid):
@@ -225,21 +240,42 @@ def barycenter(graph, grid, radial_points=16, tol=1e-10, max_iter=100,
     raise RuntimeError("barycenter iteration did not converge")
 
 
-def _ball_primitive(sf, center_vec, rho_bar, x):
-    """P_n(R) of the radial profile R(x) of ball(exp_O(c), rho_bar), from
-    the closed forms in symmetric_difference_to_ball; NaN where the
-    profile is undefined. A finite K = +1 profile reaching R >= pi raises
-    ValueError, like volume_primitive.
-    """
+def _center_params(sf, center_vec):
+    """(q, a) of model vector c: the center embeds as (a, q) for K = +-1
+    and as q for K = 0, with q = (phi(t)/t) c, a = phi'(t) and t = |c|."""
     if sf.K == 0:
-        return sf.volume_primitive(model.ball_radial_profile(
-            sf, center_vec, rho_bar, x))
+        return center_vec, 1.0
     t = float(np.linalg.norm(center_vec))
     if sf.K == -1:
-        a, sin_t, C = math.cosh(t), math.sinh(t), math.cosh(rho_bar)
+        a, sin_t = math.cosh(t), math.sinh(t)
     else:
-        a, sin_t, C = math.cos(t), math.sin(t), math.cos(rho_bar)
-    b = x @ (sin_t / t * center_vec) if t > 0 else np.zeros(len(x))
+        a, sin_t = math.cos(t), math.sin(t)
+    return (sin_t / t * center_vec if t > 0 else center_vec), a
+
+
+def _center_from_params(sf, q):
+    """Model vector c with (phi(t)/t) c = q, t = |c|; NaN when no such c
+    exists (|q| > 1 at K = +1). K = +1 centers come out closer than pi/2."""
+    s = float(np.linalg.norm(q))
+    if sf.K == 0 or s == 0.0:
+        return q
+    with np.errstate(invalid="ignore"):
+        t = np.arcsinh(s) if sf.K == -1 else np.arcsin(s)
+    return t / s * q
+
+
+def _ball_warp(sf, q, a, rho_bar, x):
+    """(b, phi(R), phi'(R)) of the radial profile R(x) of the ball of
+    radius rho_bar whose center has parameters (q, a), with b = x . q;
+    NaN where the profile is undefined. The closed forms are in
+    symmetric_difference_to_ball.
+    """
+    b = x @ q
+    if sf.K == 0:
+        with np.errstate(invalid="ignore"):
+            R = b + np.sqrt(b * b - q @ q + rho_bar * rho_bar)
+        return b, R, np.ones_like(R)
+    C = math.cosh(rho_bar) if sf.K == -1 else math.cos(rho_bar)
     bb = b * b
     # A = a^2 + K b^2 and K (A - C^2) = b^2 + K (a^2 - C^2), as K^2 = 1
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -247,6 +283,14 @@ def _ball_primitive(sf, center_vec, rho_bar, x):
         s = np.sqrt(bb + sf.K * (a * a - C * C))
         ph = (C * b + a * s) * inv_A
         dph = (a * C - sf.K * b * s) * inv_A
+    return b, ph, dph
+
+
+def _warp_primitive(sf, ph, dph):
+    """P_n(R) from phi(R) and phi'(R) of a ball profile. A finite K = +1
+    profile reaching R >= pi raises ValueError, like volume_primitive."""
+    if sf.K == 0:
+        return sf.volume_primitive(ph)
     if sf.K == 1 and np.isfinite(ph).all() and (ph <= 0.0).any():
         raise ValueError(f"radius out of range [0, {sf.r_max})")
     if sf.n % 2:
@@ -258,6 +302,29 @@ def _ball_primitive(sf, center_vec, rho_bar, x):
     return sf.primitive_from_warp(ph, dph, R)
 
 
+def _ball_primitive(sf, center_vec, rho_bar, x):
+    """P_n(R) of the radial profile R(x) of ball(exp_O(c), rho_bar), from
+    the closed forms in symmetric_difference_to_ball; NaN where the
+    profile is undefined. A finite K = +1 profile reaching R >= pi raises
+    ValueError, like volume_primitive.
+    """
+    q, a = _center_params(sf, center_vec)
+    _b, ph, dph = _ball_warp(sf, q, a, rho_bar, x)
+    return _warp_primitive(sf, ph, dph)
+
+
+def _ball_primitive_gradient(sf, q, a, b, ph, dph, x):
+    """dP_n(R)/dq at the nodes x, shape (nodes, n+1).
+
+    Differentiating a phi'(R) + K b phi(R) = C, where a^2 = 1 - K|q|^2,
+    gives dR/dq = (phi' q / a - phi x) / (b phi' - a phi); K = 0 is the
+    same formula with a = 1, phi' = 1 and phi = R. Then
+    dP_n(R)/dq = phi^n(R) dR/dq.
+    """
+    num = (dph / a)[:, None] * q - ph[:, None] * x
+    return (ph ** sf.n / (b * dph - a * ph))[:, None] * num
+
+
 def symmetric_difference_to_ball(graph, grid, center_vec, rho_bar,
                                  primitive=None):
     """Vol(Omega symmetric-difference ball(center, rho_bar)).
@@ -266,12 +333,14 @@ def symmetric_difference_to_ball(graph, grid, center_vec, rho_bar,
     re-expressed as a radial graph about the origin, so the volume between
     the two profiles is an angular quadrature of |P_n(R) - P_n(R_ball)|.
     primitive, if given, is P_n(R) of the graph at the grid nodes, which
-    does not depend on the ball. Returns +inf when the origin is not
-    interior to the ball or the ball profile is not finite.
+    does not depend on the ball. Returns +inf when the center is not
+    closer than CENTER_LIMIT rho_bar to the origin or the ball profile is
+    not finite.
 
     For K = +-1 the ball profile solves a phi'(R) + K b phi(R) = C with
-    a = phi'(t), b = x . (phi(t)/t) c, t = |c| and C = phi'(rho_bar).
-    With A = a^2 + K b^2 and s = sqrt(K (A - C^2)), its larger root is
+    a = phi'(t), b = x . q, q = (phi(t)/t) c, t = |c| and
+    C = phi'(rho_bar). With A = a^2 + K b^2 and s = sqrt(K (A - C^2)), its
+    larger root is
 
         K = -1:  cosh R = (a C + b s) / A,   sinh R = (b C + a s) / A,
         K = +1:  cos R  = (a C - b s) / A,   sin R  = (b C + a s) / A,
@@ -280,10 +349,11 @@ def symmetric_difference_to_ball(graph, grid, center_vec, rho_bar,
     model.ball_radial_profile (which stays as the reference), no inverse
     hyperbolic or trigonometric function and no phi, phi' of R is
     evaluated. R itself is needed only for even n, as asinh(sinh R) or
-    atan2(sin R, cos R).
+    atan2(sin R, cos R). For K = 0, |R x - c| = rho_bar gives
+    R = b + sqrt(b^2 - |c|^2 + rho_bar^2).
     """
     sf = graph.sf
-    if np.linalg.norm(center_vec) >= 0.995 * rho_bar:
+    if not np.linalg.norm(center_vec) < CENTER_LIMIT * rho_bar:
         return np.inf
     if primitive is None:
         primitive = sf.volume_primitive(_graph_radii(graph, grid))
@@ -293,15 +363,107 @@ def symmetric_difference_to_ball(graph, grid, center_vec, rho_bar,
     return grid.integrate(np.abs(primitive - ball))
 
 
-def fraenkel_asymmetry(graph, grid, seed_center=None, options=None,
-                       geo=None):
+def _search_step(r, dB, w, polish):
+    """Step in q of the center search from residuals r, their q-gradients
+    -dB and node weights w; None when the step's model is singular.
+
+    Newton phase: the gradient -sum w sign(r) dB and the crossing-curve
+    Hessian 2 sum w delta(r) dB dB^T, delta a hat kernel of width tau.
+    Polish: iteratively reweighted least squares, which minimizes the
+    majorant sum w (r^2/|r0| + |r0|)/2 of sum w |r| at the current r0.
+    """
+    size = np.abs(r)
+    if polish:
+        curv = w / np.maximum(size, np.finfo(float).eps * np.max(size))
+    else:
+        tau = float(np.quantile(size, SEARCH_KERNEL_QUANTILE))
+        if not tau > 0.0:
+            return None
+        curv = 2.0 * w * np.maximum(tau - size, 0.0) / (tau * tau)
+    try:
+        step = np.linalg.solve((dB.T * curv) @ dB, (w * np.sign(r)) @ dB)
+    except np.linalg.LinAlgError:
+        return None
+    return step if np.isfinite(step).all() else None
+
+
+def _center_search(sf, grid, primitive, rho_bar, center):
+    """(alpha, center) of the damped Newton search with IRLS polish from
+    center, for the graph whose P_n(R) at the nodes is primitive; see
+    fraenkel_asymmetry.
+    """
+    x, w = grid.nodes, grid.weights
+
+    def trial(c):
+        # alpha at c, computed as symmetric_difference_to_ball computes
+        # it, and the terms of the next step; (+inf, None) where that
+        # returns +inf or raises (ph <= 0: the profile is NaN or past pi)
+        if not np.linalg.norm(c) < CENTER_LIMIT * rho_bar:
+            return np.inf, None
+        q, a = _center_params(sf, c)
+        b, ph, dph = _ball_warp(sf, q, a, rho_bar, x)
+        if not np.all(ph > 0.0):
+            return np.inf, None
+        r = primitive - _warp_primitive(sf, ph, dph)
+        return grid.integrate(np.abs(r)), (r, q, a, b, ph, dph)
+
+    alpha, terms = trial(center)
+    if terms is None:
+        raise RuntimeError("asymmetry center search seeded outside the "
+                           "comparison ball")
+    polish = False
+    for _ in range(SEARCH_STEPS):
+        if not alpha > 0.0:
+            break
+        r, q, a, b, ph, dph = terms
+        step = _search_step(
+            r, _ball_primitive_gradient(sf, q, a, b, ph, dph, x), w, polish)
+        gain = 0.0
+        for _ in range(SEARCH_HALVINGS if step is not None else 0):
+            c_new = _center_from_params(sf, q + step)
+            alpha_new, terms_new = trial(c_new)
+            if alpha_new < alpha:
+                gain = alpha - alpha_new
+                alpha, center, terms = alpha_new, c_new, terms_new
+                break
+            step = 0.5 * step
+        if gain <= (POLISH_REL_GAIN if polish else SEARCH_REL_GAIN) * alpha:
+            if polish:
+                break
+            polish = True
+    return alpha, center
+
+
+def fraenkel_asymmetry(graph, grid, seed_center=None, geo=None):
     """(alpha, center): minimal symmetric-difference volume to a ball.
 
-    The comparison ball has the same volume as Omega; the center ranges
-    over model vectors and is found by Nelder-Mead seeded at the
-    barycenter. options overrides individual Nelder-Mead settings, e.g.
-    a looser xatol when the seed is known to be nearly optimal. geo, if
-    given, is the graph's geometry on grid and supplies its radii.
+    The comparison ball has the same volume as Omega (radius rho_bar).
+    Its center ranges over model vectors c and is searched from
+    seed_center (default: the barycenter) in q = (phi(t)/t) c, t = |c|.
+    With r_i = P_n(R_i) - P_n(R_ball,i)(q) at the nodes,
+    alpha = sum_i w_i |r_i| has the gradient -sum_i w_i sign(r_i) dB_i,
+    where dB_i = dP_n(R_ball,i)/dq is in closed form
+    (_ball_primitive_gradient). Its curvature sits on the crossing curve
+    r = 0:
+
+    - Newton phase: the Hessian model 2 sum_i w_i delta(r_i) dB_i dB_i^T,
+      delta a hat kernel whose width is the SEARCH_KERNEL_QUANTILE
+      quantile of |r_i|, steers from far away, where alpha is a cone;
+    - polish: on the node scale alpha is piecewise smooth, and
+      iteratively reweighted least squares (weights w_i / |r_i|) descends
+      to the discrete minimum the Newton model cannot resolve.
+
+    Each step is halved, up to SEARCH_HALVINGS times, until alpha drops.
+    A phase ends when an accepted step lowers alpha by at most
+    SEARCH_REL_GAIN (Newton) or POLISH_REL_GAIN (polish) relative, or
+    when no halving lowers it; SEARCH_STEPS caps the steps of both.
+
+    The error of a search that stops early is one-sided: alpha is
+    computed exactly as symmetric_difference_to_ball computes it at the
+    returned center, a real center, so it is never below the minimum over
+    centers. An early stop can only raise a (C - eta) alpha^2 bound,
+    never turn a fail into a pass. geo, if given, is the graph's geometry
+    on grid and supplies its radii.
     """
     sf = graph.sf
     r = geo.r if geo is not None else _graph_radii(graph, grid)
@@ -309,17 +471,8 @@ def fraenkel_asymmetry(graph, grid, seed_center=None, options=None,
     rho_bar = radius_for_volume(sf, grid.integrate(primitive))
     if seed_center is None:
         seed_center = model.model_vector(sf, barycenter(graph, grid))
-    def objective(c):
-        return symmetric_difference_to_ball(graph, grid, c, rho_bar,
-                                            primitive=primitive)
-    opts = {"xatol": 1e-9, "fatol": 1e-12, "maxiter": 4000, "maxfev": 6000}
-    if options:
-        opts.update(options)
-    res = minimize(objective, np.asarray(seed_center, dtype=float),
-                   method="Nelder-Mead", options=opts)
-    if not (res.success or res.fun < np.inf):
-        raise RuntimeError("asymmetry center search did not converge")
-    return float(res.fun), res.x
+    return _center_search(sf, grid, primitive, rho_bar,
+                          np.asarray(seed_center, dtype=float))
 
 
 @dataclass(frozen=True)

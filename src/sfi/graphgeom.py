@@ -45,7 +45,12 @@ class RadialGraph:
             raise ValueError("rho must lie below the radial domain bound")
 
     def radii(self, vals):
-        return self.rho * (1.0 + np.asarray(vals))
+        """Radii rho (1 + u) from node values of u; a non-finite value
+        raises ValueError, as the band checks let NaN through."""
+        vals = np.asarray(vals)
+        if not np.isfinite(vals).all():
+            raise ValueError("non-finite values of u")
+        return self.rho * (1.0 + vals)
 
 
 @dataclass(frozen=True)
@@ -189,6 +194,8 @@ def surface_geometry(graph, grid, jet=None):
     sf = graph.sf
     n = grid.n
     vals, du, d2u = sb.eval_jet_all(graph.u, grid) if jet is None else jet
+    if not (np.isfinite(du).all() and np.isfinite(d2u).all()):
+        raise ValueError("non-finite 2-jet")
     r = graph.radii(vals)
     if np.any(r <= 0.0) or np.any(r >= sf.r_max):
         raise ValueError("graph radii leave the admissible band (0, r_max)")

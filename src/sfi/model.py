@@ -190,7 +190,9 @@ def ball_radial_profile(sf, c, rho_bar, x):
     c is a model vector with |c| < rho_bar so the origin lies inside the
     ball and the boundary is star-shaped about O. Returns the radii R(x)
     at the unit directions x (shape (N, n+1)); entries are NaN where the
-    profile is undefined (center too far out).
+    profile is undefined (center too far out). No hot path calls it: it
+    is the reference that tests hold the closed-form profiles of
+    domains.symmetric_difference_to_ball against.
     """
     c = np.asarray(c, dtype=float)
     x = np.asarray(x, dtype=float)

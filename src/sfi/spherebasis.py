@@ -551,9 +551,11 @@ def sobolev_norms(u, grid, jet=None):
 
     Sup norms are maxima over grid nodes; the Hessian enters through its
     operator norm in the frame. jet, if given, is the precomputed
-    eval_jet_all(u, grid).
+    eval_jet_all(u, grid). A non-finite jet raises ValueError.
     """
     vals, grad, hess = eval_jet_all(u, grid) if jet is None else jet
+    if not all(np.isfinite(a).all() for a in (vals, grad, hess)):
+        raise ValueError("non-finite 2-jet")
     l2 = np.sqrt(max(grid.integrate(vals**2), 0.0))
     gn2 = np.sum(grad**2, axis=1)
     grad_l2 = np.sqrt(max(grid.integrate(gn2), 0.0))

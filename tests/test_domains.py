@@ -1,12 +1,16 @@
 """Tests for bulk domain functionals."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize
 
 from sfi import domains as dm
 from sfi import graphgeom as gg
+from sfi import lab
 from sfi import model
 from sfi import normalize as nz
 from sfi import spherebasis as sb
@@ -81,6 +85,30 @@ def symmetric_difference_oracle(graph, grid, c, rho_bar):
         return np.inf
     P = sf.volume_primitive(graph.radii(sb.values_on_grid(graph.u, grid)))
     return grid.integrate(np.abs(P - sf.volume_primitive(Rb)))
+
+
+def nelder_mead_asymmetry(graph, grid, geo):
+    """Asymmetry by Nelder-Mead over model vectors from the origin, with
+    xatol 1e-8 and fatol 1e-11 (the search lab.verify ran before the
+    Newton search): the reference for fraenkel_asymmetry."""
+    sf = graph.sf
+    primitive = sf.volume_primitive(geo.r)
+    rho_bar = dm.radius_for_volume(sf, grid.integrate(primitive))
+    res = minimize(
+        lambda c: dm.symmetric_difference_to_ball(graph, grid, c, rho_bar,
+                                                  primitive=primitive),
+        np.zeros(sf.n + 1), method="Nelder-Mead",
+        options={"xatol": 1e-8, "fatol": 1e-11, "maxiter": 4000,
+                 "maxfev": 6000})
+    assert res.success
+    return res.fun, rho_bar
+
+
+def ball_primitive_of_q(sf, q, rho_bar, x):
+    """P_n of the ball profile as a function of the search parameter q."""
+    a = math.sqrt(1.0 - sf.K * (q @ q))
+    _b, ph, dph = dm._ball_warp(sf, q, a, rho_bar, x)
+    return dm._warp_primitive(sf, ph, dph)
 
 
 class TestVolume:
@@ -325,6 +353,80 @@ class TestFraenkel:
             sf.volume_primitive(Rb)
         with pytest.raises(ValueError):
             dm._ball_primitive(sf, c, 1.82, x)
+
+    # basis degree and grid resolution per n: the sweep's degree-8 setup
+    # for n = 2, 3, and degree 4 on a 12393-node grid for n = 4
+    ORACLE_SETUP = {2: (8, 24), 3: (8, 24), 4: (4, 16)}
+
+    @pytest.mark.parametrize("K", ALL_K)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_search_matches_nelder_mead_oracle(self, K, n):
+        # on normalized rows, as lab.verify sees them: never more than
+        # 2e-5 above Nelder-Mead, and alpha is the symmetric difference
+        # at the returned center, bit for bit
+        degree, res = self.ORACLE_SETUP[n]
+        basis, grid = sb.build_basis(n, degree), sb.build_grid(n, res)
+        sf = SpaceForm(K=K, n=n)
+        u0 = lab.sample_direction(basis, 31, 0)
+        for eps in (0.003, 0.01, 0.03):
+            g0 = gg.RadialGraph(sf=sf, rho=0.9, u=u0.scaled(eps))
+            ng = nz.normalize(g0, grid, nz.volume_constraint())
+            alpha, center = dm.fraenkel_asymmetry(
+                ng.graph, grid, geo=ng.geometry, seed_center=np.zeros(n + 1))
+            want, rho_bar = nelder_mead_asymmetry(ng.graph, grid, ng.geometry)
+            assert alpha <= want * (1 + 2e-5)
+            assert alpha == dm.symmetric_difference_to_ball(
+                ng.graph, grid, center, rho_bar,
+                primitive=sf.volume_primitive(ng.geometry.r))
+
+    @pytest.mark.parametrize("K", ALL_K)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ball_primitive_gradient_matches_central_differences(self, K, n):
+        sf = SpaceForm(K=K, n=n)
+        x = sb.build_grid(n, 8).nodes
+        rho_bar, h = 0.9, 1e-5
+        rng = np.random.default_rng(41 + n)
+        unit = rng.standard_normal(n + 1)
+        unit /= np.linalg.norm(unit)
+        for scale in (0.0, 0.01, 0.3):
+            q, a = dm._center_params(sf, scale * rho_bar * unit)
+            b, ph, dph = dm._ball_warp(sf, q, a, rho_bar, x)
+            got = dm._ball_primitive_gradient(sf, q, a, b, ph, dph, x)
+            want = np.column_stack([
+                (ball_primitive_of_q(sf, q + h * e, rho_bar, x)
+                 - ball_primitive_of_q(sf, q - h * e, rho_bar, x)) / (2 * h)
+                for e in np.eye(n + 1)])
+            assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
+
+    @given(K=st.sampled_from(ALL_K), n=st.sampled_from([2, 3]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=12, deadline=None)
+    def test_search_is_rotation_equivariant(self, K, n, seed):
+        # the surface rotated by Q has its optimal ball rotated by Q; the
+        # Newton search sees only rotation-invariant quantities, so it
+        # must return the same alpha and the rotated center. (On the
+        # 91-node n = 2 grid of resolution 12, rounding steered by the
+        # discontinuous sign(r) reaches 1.4e-12 in about 1 of 600 draws.)
+        grid = sb.build_grid(n, 16)
+        basis = sb.build_basis(n, 4)
+        rng = np.random.default_rng(seed)
+        Q, r = np.linalg.qr(rng.standard_normal((n + 1, n + 1)))
+        Q *= np.sign(np.diag(r))
+        rot = dataclasses.replace(grid, nodes=grid.nodes @ Q.T,
+                                  frames=grid.frames @ Q.T)
+        a = rng.standard_normal(basis.size)
+        u = sb.from_coeffs(basis, 0.02 * a / np.linalg.norm(a))
+        sf = SpaceForm(K=K, n=n)
+        g = gg.RadialGraph(sf=sf, rho=0.9, u=u)
+        g_rot = gg.RadialGraph(
+            sf=sf, rho=0.9,
+            u=sb.project(sb.evaluate(u, rot.nodes @ Q), rot, basis))
+        alpha, center = dm.fraenkel_asymmetry(g, grid,
+                                              seed_center=np.zeros(n + 1))
+        alpha_r, center_r = dm.fraenkel_asymmetry(
+            g_rot, rot, seed_center=np.zeros(n + 1))
+        assert alpha_r == pytest.approx(alpha, rel=1e-12)
+        assert np.allclose(center_r, Q @ center, rtol=0, atol=1e-10)
 
     def test_flat_mode_upper_bound(self, grid3, basis3):
         sf = SpaceForm(K=0, n=3)

@@ -48,6 +48,19 @@ class TestRadialGraph:
         with pytest.raises(ValueError):
             gg.surface_geometry(g, grid3)
 
+    def test_non_finite_jet_rejected(self, grid3, basis3):
+        # NaN compares false, so it passes the band and degeneracy checks
+        # unless rejected explicitly
+        g = perturbed_graph(-1, grid3, basis3, 0.01)
+        vals, du, d2u = sb.eval_jet_all(g.u, grid3)
+        for which in range(3):
+            jet = [vals.copy(), du.copy(), d2u.copy()]
+            jet[which].flat[0] = np.nan
+            with pytest.raises(ValueError, match="non-finite"):
+                gg.surface_geometry(g, grid3, jet=tuple(jet))
+        with pytest.raises(ValueError, match="non-finite"):
+            g.radii(np.full(3, np.inf))
+
 
 class TestGeodesicSphere:
     @pytest.mark.parametrize("K", ALL_K)

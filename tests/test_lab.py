@@ -543,6 +543,29 @@ class TestVerify:
         assert alpha < at_origin
         assert 1e-3 * eps < np.linalg.norm(center) < 0.1 * eps
 
+    def test_nan_coefficient_is_a_numerical_failure(self, basis3, grid3,
+                                                    monkeypatch):
+        # a NaN row raises ValueError before any iteration runs on it, and
+        # a sweep records it as a failed row
+        sf = SpaceForm(K=-1, n=3)
+        case = lab.TheoremCase("sigmak-quermass-hyperbolic", sf,
+                               WeightFunction.affine(), k=1, j=0, rho=0.9)
+        coeffs = lab.sample_direction(basis3, 5, 0).coeffs.copy()
+        coeffs[7] = np.nan
+        u = sb.from_coeffs(basis3, coeffs)
+        g0 = gg.RadialGraph(sf=sf, rho=0.9, u=u.scaled(0.01))
+        with pytest.raises(ValueError, match="non-finite"):
+            lab.verify(case, g0, grid3)
+        with pytest.raises(ValueError, match="non-finite"):
+            dm.fraenkel_asymmetry(g0, grid3, seed_center=np.zeros(4))
+        monkeypatch.setattr(lab, "sample_direction",
+                            lambda basis, seed, i, degrees: u)
+        sw = lab.sweep(case, grid3, basis3, directions=1,
+                       eps_schedule=(0.01,))
+        assert sw.reports == ()
+        assert [(d, e) for d, e, _ in sw.failures] == [("d000", 0.01)]
+        assert "non-finite" in sw.failures[0][2]
+
 
 class TestNoBatchedEigensolves:
     # sigma_k comes from Newton's identities, so the only batch of

@@ -282,6 +282,17 @@ class TestNormsAndSpectra:
         norms = sb.sobolev_norms(sb.zero_function(basis3), grid3)
         assert norms == (0.0, 0.0, 0.0, 0.0)
 
+    def test_non_finite_jet_rejected(self, grid3):
+        # eigvalsh of a zero matrix with NaN at [0, 0] returns 0, so a NaN
+        # Hessian could report a finite norm
+        N = grid3.node_count
+        jet = (np.zeros(N), np.zeros((N, 3)), np.zeros((N, 3, 3)))
+        for arr in jet:
+            arr.flat[0] = np.nan
+            with pytest.raises(ValueError, match="non-finite"):
+                sb.sobolev_norms(None, grid3, jet=jet)
+            arr.flat[0] = 0.0
+
     def test_laplacian_coefficients(self, grid3, basis3):
         rng = np.random.default_rng(13)
         u = sb.from_coeffs(basis3, rng.standard_normal(basis3.size))
