@@ -31,11 +31,15 @@ CENTER_LIMIT = 0.995
 # ends when a step gains at most SEARCH_REL_GAIN of alpha and the polish
 # when one gains at most POLISH_REL_GAIN, both below alpha's own
 # quadrature error of 3.6e-5..1.3e-4 relative; SEARCH_STEPS caps the steps.
+# The search stops once alpha is at most SEARCH_ALPHA_FLOOR of the ball
+# volume: on an exact ball alpha falls geometrically towards rounding, so
+# no relative-gain test would fire.
 SEARCH_KERNEL_QUANTILE = 0.1
 SEARCH_HALVINGS = 20
 SEARCH_REL_GAIN = 1e-5
 POLISH_REL_GAIN = 1e-6
 SEARCH_STEPS = 50
+SEARCH_ALPHA_FLOOR = 1e-12
 
 
 def _graph_radii(graph, grid):
@@ -411,9 +415,10 @@ def _center_search(sf, grid, primitive, rho_bar, center):
     if terms is None:
         raise RuntimeError("asymmetry center search seeded outside the "
                            "comparison ball")
+    floor = SEARCH_ALPHA_FLOOR * grid.integrate(primitive)
     polish = False
     for _ in range(SEARCH_STEPS):
-        if not alpha > 0.0:
+        if not alpha > floor:
             break
         r, q, a, b, ph, dph = terms
         step = _search_step(
@@ -456,7 +461,9 @@ def fraenkel_asymmetry(graph, grid, seed_center=None, geo=None):
     Each step is halved, up to SEARCH_HALVINGS times, until alpha drops.
     A phase ends when an accepted step lowers alpha by at most
     SEARCH_REL_GAIN (Newton) or POLISH_REL_GAIN (polish) relative, or
-    when no halving lowers it; SEARCH_STEPS caps the steps of both.
+    when no halving lowers it; SEARCH_STEPS caps the steps of both. The
+    search also stops once alpha is at most SEARCH_ALPHA_FLOOR of the
+    comparison ball's volume.
 
     The error of a search that stops early is one-sided: alpha is
     computed exactly as symmetric_difference_to_ball computes it at the

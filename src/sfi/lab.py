@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from math import comb, inf, isfinite
 from pathlib import Path
 
@@ -489,15 +490,9 @@ class DeficitReport:
         return self.status == "pass"
 
 
-_COARSE_GRIDS = {}
-
-
+@cache
 def _coarse_grid(n, d_exact):
-    res = max(8, d_exact // 2)
-    key = (n, res)
-    if key not in _COARSE_GRIDS:
-        _COARSE_GRIDS[key] = sb.build_grid(n, res)
-    return _COARSE_GRIDS[key]
+    return sb.build_grid(n, max(8, d_exact // 2))
 
 
 def verify(case, graph_raw, grid, *, direction_id="", epsilon=None,

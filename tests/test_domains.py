@@ -17,6 +17,7 @@ from sfi import spherebasis as sb
 from sfi.spaceform import SpaceForm, unit_sphere_area
 
 ALL_K = [-1, 0, 1]
+TRANSLATION = np.array([0.05, -0.02, 0.04, 0.01])
 
 
 @pytest.fixture(scope="module")
@@ -301,19 +302,41 @@ class TestFraenkel:
         assert alpha < 1e-10
         assert np.linalg.norm(center) < 1e-4
 
-    @pytest.mark.parametrize("K", ALL_K)
-    def test_translated_ball(self, K, grid3):
-        basis = sb.build_basis(3, 8)
-        grid = sb.build_grid(3, 24)
+    @staticmethod
+    def translated_ball(K, grid):
+        """The graph of the ball of radius 1 about c = TRANSLATION."""
         sf = SpaceForm(K=K, n=3)
-        c = np.array([0.05, -0.02, 0.04, 0.01])
-        R = model.ball_radial_profile(sf, c, 1.0, grid.nodes)
+        R = model.ball_radial_profile(sf, TRANSLATION, 1.0, grid.nodes)
         rho = grid.integrate(R) / sf.sphere_area
-        u = sb.project(R / rho - 1.0, grid, basis)
-        g = gg.RadialGraph(sf=sf, rho=rho, u=u)
-        alpha, center = dm.fraenkel_asymmetry(g, grid)
+        u = sb.project(R / rho - 1.0, grid, sb.build_basis(3, 8))
+        return gg.RadialGraph(sf=sf, rho=rho, u=u)
+
+    @pytest.mark.parametrize("K", ALL_K)
+    def test_translated_ball(self, K):
+        grid = sb.build_grid(3, 24)
+        alpha, center = dm.fraenkel_asymmetry(self.translated_ball(K, grid),
+                                              grid)
         assert alpha < 1e-6
-        assert np.allclose(center, c, atol=1e-4)
+        assert np.allclose(center, TRANSLATION, atol=1e-4)
+
+    def test_exact_ball_stops_at_the_alpha_floor(self, monkeypatch):
+        # alpha falls geometrically towards rounding on an exact ball, so
+        # only the absolute floor stops the search well before SEARCH_STEPS
+        grid = sb.build_grid(3, 24)
+        calls = []
+        warp = dm._ball_warp
+
+        def counted(*args):
+            calls.append(1)
+            return warp(*args)
+
+        monkeypatch.setattr(dm, "_ball_warp", counted)
+        for K in ALL_K:
+            g = self.translated_ball(K, grid)
+            calls.clear()
+            alpha, _ = dm.fraenkel_asymmetry(g, grid)
+            assert len(calls) <= 30, K
+            assert alpha <= 1e-12 * dm.volume(g, grid)
 
     @pytest.mark.parametrize("K", ALL_K)
     @pytest.mark.parametrize("n", [2, 3, 4])

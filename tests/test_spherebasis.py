@@ -1,14 +1,137 @@
 """Tests for sphere quadrature grids and the harmonic basis."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
+from scipy.linalg import cholesky, null_space, solve_triangular
 
 from sfi import spherebasis as sb
 from sfi.spaceform import unit_sphere_area
+
+
+# Per-monomial and per-node loops that spherebasis once ran; the
+# vectorized set-up must reproduce them bit for bit.
+
+def compositions_oracle(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total, -1, -1):
+        for rest in compositions_oracle(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def exponents_oracle(nvars, max_degree):
+    rows, slices = [], []
+    for d in range(max_degree + 1):
+        block = sorted(compositions_oracle(d, nvars), reverse=True)
+        slices.append(slice(len(rows), len(rows) + len(block)))
+        rows.extend(block)
+    return np.array(rows, dtype=np.int64), slices
+
+
+def moment_oracle(e, nvars):
+    if np.any(e % 2):
+        return 0.0
+    num = 2.0
+    for a in e:
+        num *= math.gamma((a + 1) / 2.0)
+    return num / math.gamma((e.sum() + nvars) / 2.0)
+
+
+def sphere_integrals_oracle(table):
+    return np.array([moment_oracle(e, table.nvars) for e in table.exponents])
+
+
+@functools.cache
+def pair_integrals_oracle(nvars, d):
+    exps, slices = exponents_oracle(nvars, d)
+    exps = exps[slices[d]]
+    td = len(exps)
+    out = np.zeros((td, td))
+    for i in range(td):
+        for j in range(i, td):
+            out[i, j] = out[j, i] = moment_oracle(exps[i] + exps[j], nvars)
+    return out
+
+
+def diff_matrix_oracle(table, j):
+    index = {tuple(e): i for i, e in enumerate(table.exponents.tolist())}
+    rows, cols, vals = [], [], []
+    for i, e in enumerate(table.exponents):
+        if e[j] == 0:
+            continue
+        tgt = list(e)
+        tgt[j] -= 1
+        rows.append(index[tuple(tgt)])
+        cols.append(i)
+        vals.append(float(e[j]))
+    return sparse.csr_matrix((vals, (rows, cols)),
+                             shape=(table.size, table.size))
+
+
+def laplacian_matrix_oracle(table, d):
+    index = {tuple(e): i for i, e in enumerate(table.exponents.tolist())}
+    src, dst = table.degree_slices[d], table.degree_slices[d - 2]
+    out = np.zeros((dst.stop - dst.start, src.stop - src.start))
+    for i, e in enumerate(table.exponents[src]):
+        for j in range(table.nvars):
+            if e[j] >= 2:
+                tgt = list(e)
+                tgt[j] -= 2
+                out[index[tuple(tgt)] - dst.start, i] = e[j] * (e[j] - 1)
+    return out
+
+
+def basis_oracle(n, d_max):
+    table = sb.monomial_table(n + 1, d_max)
+    omega = unit_sphere_area(n)
+    rows, degrees = [], []
+    for d in range(d_max + 1):
+        if d == 0:
+            col = np.array([[omega ** -0.5]])
+        elif d == 1:
+            col = np.eye(n + 1) * np.sqrt((n + 1) / omega)
+        else:
+            null = null_space(laplacian_matrix_oracle(table, d))
+            gram = null.T @ pair_integrals_oracle(n + 1, d) @ null
+            chol = cholesky(gram, lower=False)
+            col = solve_triangular(chol, null.T, trans="T", lower=False).T
+            for i in range(col.shape[1]):
+                j = np.argmax(np.abs(col[:, i]))
+                if col[j, i] < 0:
+                    col[:, i] = -col[:, i]
+        for i in range(col.shape[1]):
+            row = np.zeros(table.size)
+            row[table.degree_slices[d]] = col[:, i]
+            rows.append(row)
+            degrees.append(d)
+    return np.array(rows), np.array(degrees, dtype=np.int64)
+
+
+def frames_oracle(nodes):
+    npts, m = nodes.shape
+    pivot = np.argmax(np.abs(nodes), axis=1)
+    frames = np.empty((npts, m - 1, m))
+    for i in range(npts):
+        x = nodes[i]
+        basis = []
+        for j in range(m):
+            if j == pivot[i]:
+                continue
+            v = -x[j] * x
+            v[j] += 1.0
+            for b in basis:
+                v -= (v @ b) * b
+            v /= np.linalg.norm(v)
+            basis.append(v)
+        frames[i] = np.array(basis)
+    return frames
 
 
 @pytest.fixture(scope="module")
@@ -338,27 +461,53 @@ class TestNormsAndSpectra:
         assert np.sum(e) == pytest.approx(u.coeff_norm**2)
 
 
-class TestCache:
-    def test_roundtrip(self, tmp_path, grid3, basis3):
-        path = tmp_path / "basis.bin"
-        sb.save_cache(path, grid3, basis3)
-        g2, b2 = sb.load_cache(path)
-        assert g2.key == grid3.key
-        assert np.array_equal(g2.nodes, grid3.nodes)
-        assert np.array_equal(g2.weights, grid3.weights)
-        assert np.array_equal(b2.coeffs, basis3.coeffs)
-        assert np.array_equal(b2.degrees, basis3.degrees)
+class TestSetUpMatchesLoops:
+    """Vectorized set-up against the per-monomial and per-node loops."""
 
-    def test_resave_identical(self, tmp_path, grid3, basis3):
-        p1 = tmp_path / "a.bin"
-        p2 = tmp_path / "b.bin"
-        sb.save_cache(p1, grid3, basis3)
-        g2, b2 = sb.load_cache(p1)
-        sb.save_cache(p2, g2, b2)
-        assert p1.read_bytes() == p2.read_bytes()
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_tables_and_basis(self, n):
+        for d_max in range(2, 9):
+            table = sb.monomial_table(n + 1, d_max)
+            exps, slices = exponents_oracle(n + 1, d_max)
+            assert np.array_equal(table.exponents, exps)
+            assert table.degree_slices == slices
+            assert np.array_equal(table.sphere_integrals(),
+                                  sphere_integrals_oracle(table))
+            for j in range(n + 1):
+                want = diff_matrix_oracle(table, j)
+                got = table.diff(j)
+                for part in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(got, part),
+                                          getattr(want, part))
+            for d in range(2, d_max + 1):
+                assert np.array_equal(sb._laplacian_matrix(table, d),
+                                      laplacian_matrix_oracle(table, d))
+                assert np.array_equal(sb._pair_integrals(table, d),
+                                      pair_integrals_oracle(n + 1, d))
+            basis = sb.build_basis(n, d_max)
+            coeffs, degrees = basis_oracle(n, d_max)
+            assert np.array_equal(basis.coeffs, coeffs)
+            assert np.array_equal(basis.degrees, degrees)
+            assert basis.degrees.dtype == degrees.dtype
 
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "junk.bin"
-        p.write_bytes(b"NOTACACHE" + b"\x00" * 16)
-        with pytest.raises(ValueError):
-            sb.load_cache(p)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_grids(self, n):
+        # resolutions 2d..2d+8 for basis degrees d = 2..8
+        for res in range(4, 25):
+            grid = sb.build_grid(n, res)
+            assert np.array_equal(grid.frames, frames_oracle(grid.nodes))
+
+    @given(m=st.sampled_from([3, 4, 5]), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_frames_with_pivot_ties(self, m, data):
+        # small integer vectors tie |x_i| = |x_j| often, including at the
+        # maximum that picks the skipped axis
+        rows = data.draw(st.lists(
+            st.lists(st.integers(-2, 2), min_size=m, max_size=m).filter(any),
+            min_size=1, max_size=40))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        nodes = np.vstack([np.array(rows, dtype=float),
+                           rng.standard_normal((8, m))])
+        nodes /= np.linalg.norm(nodes, axis=1, keepdims=True)
+        assert np.array_equal(sb._build_frames(nodes), frames_oracle(nodes))
