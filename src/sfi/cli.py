@@ -22,6 +22,7 @@ import argparse
 import configparser
 import os
 import sys
+from dataclasses import dataclass
 
 
 class ConfigError(Exception):
@@ -51,6 +52,7 @@ REQUIRED = {"space": ("K", "n", "rho"), "weight": ("kind",),
 
 WEIGHT_KINDS = ("constant", "power", "affine", "shifted_power")
 MODES = ("zero", "random", "coefficients")
+FORMATS = ("csv", "json")
 
 
 def _convert(section, key, raw, typ):
@@ -292,23 +294,70 @@ def kv_lines(pairs):
     return "\n".join(lines) + "\n"
 
 
-def node_dump_csv(rows):
+def rows_csv(rows):
+    """CSV text of dict rows with the first row's keys as header: text
+    cells as given, integers in decimal, other numbers as %.17g."""
     header = list(rows[0])
     lines = [",".join(header)]
     for row in rows:
         cells = []
         for key in header:
             v = row[key]
-            cells.append(str(v) if isinstance(v, int)
-                         else format(v, ".17g"))
+            cells.append(v if isinstance(v, str) else str(v)
+                         if isinstance(v, int) else format(float(v), ".17g"))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
+# run context
+
+@dataclass(frozen=True)
+class RunContext:
+    """Set-up that every command shares, built once per invocation.
+    The flags take precedence: --seed over perturbation.seed, --out and
+    --format over output.path and output.format."""
+
+    sections: dict
+    sf: object
+    w: object
+    rho: float
+    basis: object
+    grid: object
+    seed: int
+    cases: list
+    out: object
+    format: str
+
+    @property
+    def perturbation(self):
+        return self.sections.get("perturbation", {})
+
+
+def build_run_context(sections, cases_cfg, args):
+    ocfg = sections.get("output", {})
+    fmt = args.format or ocfg.get("format", "csv")
+    if fmt not in FORMATS:
+        raise ConfigError(f"output.format: unknown format {fmt!r}; "
+                          f"expected one of {FORMATS}")
+    out = args.out if args.out is not None else ocfg.get("path")
+    sf = build_space(sections["space"])
+    w = build_weight(sections["weight"])
+    rho = sections["space"]["rho"]
+    basis, grid = build_basis_grid(sections.get("grid", {}), sf.n,
+                                   args.resolution)
+    seed = args.seed if args.seed is not None \
+        else sections.get("perturbation", {}).get("seed", 2025)
+    return RunContext(sections=sections, sf=sf, w=w, rho=rho, basis=basis,
+                      grid=grid, seed=seed,
+                      cases=build_cases(cases_cfg, sf, w, rho),
+                      out=resolve_out_path(out), format=fmt)
+
+
+# ---------------------------------------------------------------------------
 # commands
 
-def cmd_eval(sections, cases, args):
+def cmd_eval(ctx, args):
     import json
 
     import numpy as np
@@ -317,19 +366,13 @@ def cmd_eval(sections, cases, args):
     from sfi import graphgeom as gg
     from sfi import model
 
-    sf = build_space(sections["space"])
-    w = build_weight(sections["weight"])
-    rho = sections["space"]["rho"]
-    basis, grid = build_basis_grid(sections.get("grid", {}), sf.n,
-                                   args.resolution)
-    seed = args.seed if args.seed is not None \
-        else sections.get("perturbation", {}).get("seed", 2025)
-    pcfg = sections.get("perturbation", {})
-    directions = build_directions(pcfg, basis, seed)
+    sf, w, rho, grid = ctx.sf, ctx.w, ctx.rho, ctx.grid
+    pcfg = ctx.perturbation
+    directions = build_directions(pcfg, ctx.basis, ctx.seed)
     eps = epsilon_schedule(pcfg)[0] if directions[0][0] != "zero" else 0.0
     graph = gg.RadialGraph(sf=sf, rho=rho, u=directions[0][1].scaled(eps))
 
-    ecfg = sections.get("eval", {})
+    ecfg = ctx.sections.get("eval", {})
     refine = ecfg.get("refine", True)
     tol = ecfg.get("tol", 1e-8)
     geo = gg.surface_geometry(graph, grid)
@@ -360,14 +403,14 @@ def cmd_eval(sections, cases, args):
               ("vol_err", fun.vol_err), ("area_err", fun.area_err),
               ("quad_tol", tol)]
 
-    if args.format == "json":
+    if ctx.format == "json":
         text = json.dumps(dict(pairs), indent=2) + "\n"
     else:
         text = kv_lines(pairs)
-    emit(text, resolve_out_path(args.out))
+    emit(text, ctx.out)
 
     if args.dump_nodes:
-        emit(node_dump_csv(gg.node_dump_rows(geo)),
+        emit(rows_csv(gg.node_dump_rows(geo)),
              resolve_out_path(args.dump_nodes))
     if refine and max(fun.vol_err, fun.area_err) > tol:
         print(f"numerical failure: quadrature error "
@@ -375,37 +418,6 @@ def cmd_eval(sections, cases, args):
               f"{tol:g}", file=sys.stderr)
         return 3
     return 0
-
-
-def _verify_tasks(sections, cases_cfg, args):
-    from sfi import graphgeom as gg
-    from sfi import lab
-
-    sf = build_space(sections["space"])
-    w = build_weight(sections["weight"])
-    rho = sections["space"]["rho"]
-    basis, grid = build_basis_grid(sections.get("grid", {}), sf.n,
-                                   args.resolution)
-    pcfg = sections.get("perturbation", {})
-    seed = args.seed if args.seed is not None else pcfg.get("seed", 2025)
-    cases = build_cases(cases_cfg, sf, w, rho)
-    if not cases:
-        raise ConfigError("missing required config section [case:<name>]")
-    directions = build_directions(pcfg, basis, seed)
-    eps_list = epsilon_schedule(pcfg)
-
-    tasks = []
-    for name, case in cases:
-        for did, u0 in directions:
-            if did == "zero":
-                graph = gg.RadialGraph(sf=sf, rho=case.rho, u=u0)
-                tasks.append((name, case, graph, grid, did, None))
-            else:
-                for eps in eps_list:
-                    graph = gg.RadialGraph(sf=sf, rho=case.rho,
-                                           u=u0.scaled(eps))
-                    tasks.append((name, case, graph, grid, did, eps))
-    return tasks, lab
 
 
 def _run_tasks(tasks, runner, threads):
@@ -417,7 +429,7 @@ def _run_tasks(tasks, runner, threads):
     return [runner(t) for t in tasks]
 
 
-def _finish_rows(reports, failures, args):
+def _finish_rows(reports, failures, ctx):
     """List the rows that raised, write the report of the others and
     return the exit code: 3 if any row raised, else 1 if any failed."""
     from sfi import lab
@@ -426,21 +438,36 @@ def _finish_rows(reports, failures, args):
         eps_text = "n/a" if eps is None else format(eps, "g")
         print(f"numerical failure: {name}: {did} eps={eps_text} "
               f"error: {msg}", file=sys.stderr)
-    text = lab.csv_text(reports) if args.format == "csv" \
+    text = lab.csv_text(reports) if ctx.format == "csv" \
         else lab.json_text(reports)
-    emit(text, resolve_out_path(args.out))
+    emit(text, ctx.out)
     if failures:
         return 3
     return 1 if any(r.status == "fail" for r in reports) else 0
 
 
-def cmd_verify(sections, cases_cfg, args):
-    tasks, lab = _verify_tasks(sections, cases_cfg, args)
+def cmd_verify(ctx, args):
+    from sfi import graphgeom as gg
+    from sfi import lab
+
+    if not ctx.cases:
+        raise ConfigError("missing required config section [case:<name>]")
+    directions = build_directions(ctx.perturbation, ctx.basis, ctx.seed)
+    eps_list = epsilon_schedule(ctx.perturbation)
+
+    tasks = []
+    for name, case in ctx.cases:
+        for did, u0 in directions:
+            # the zero direction is one row with no amplitude
+            for eps in [None] if did == "zero" else eps_list:
+                u = u0 if eps is None else u0.scaled(eps)
+                graph = gg.RadialGraph(sf=ctx.sf, rho=case.rho, u=u)
+                tasks.append((name, case, graph, did, eps))
 
     def run(task):
-        name, case, graph, grid, did, eps = task
+        name, case, graph, did, eps = task
         try:
-            return lab.verify(case, graph, grid, direction_id=did,
+            return lab.verify(case, graph, ctx.grid, direction_id=did,
                               epsilon=eps)
         except lab.NUMERICAL_ERRORS as exc:
             return name, did, eps, str(exc)
@@ -448,33 +475,26 @@ def cmd_verify(sections, cases_cfg, args):
     results = _run_tasks(tasks, run, args.threads)
     reports = [r for r in results if isinstance(r, lab.DeficitReport)]
     failures = [r for r in results if not isinstance(r, lab.DeficitReport)]
-    return _finish_rows(reports, failures, args)
+    return _finish_rows(reports, failures, ctx)
 
 
-def cmd_sweep(sections, cases_cfg, args):
+def cmd_sweep(ctx, args):
     from sfi import lab
 
-    sf = build_space(sections["space"])
-    w = build_weight(sections["weight"])
-    rho = sections["space"]["rho"]
-    basis, grid = build_basis_grid(sections.get("grid", {}), sf.n,
-                                   args.resolution)
-    pcfg = sections.get("perturbation", {})
-    seed = args.seed if args.seed is not None else pcfg.get("seed", 2025)
+    pcfg = ctx.perturbation
     degrees = pcfg.get("degrees", (2, 3, 4))
     count = pcfg.get("directions", 10)
     eps_list = epsilon_schedule(pcfg, default=(0.003, 0.01))
-    cases = build_cases(cases_cfg, sf, w, rho)
-    if not cases:
+    if not ctx.cases:
         raise ConfigError("missing required config section [case:<name>]")
 
     def run(named_case):
         name, case = named_case
-        return name, lab.sweep(case, grid, basis, directions=count,
-                               eps_schedule=eps_list, seed=seed,
+        return name, lab.sweep(case, ctx.grid, ctx.basis, directions=count,
+                               eps_schedule=eps_list, seed=ctx.seed,
                                degrees=degrees)
 
-    results = _run_tasks(cases, run, args.threads)
+    results = _run_tasks(ctx.cases, run, args.threads)
     reports, failures = [], []
     for name, sw in results:
         reports.extend(sw.reports)
@@ -483,7 +503,7 @@ def cmd_sweep(sections, cases_cfg, args):
             else format(sw.empirical_constant, ".6g")
         print(f"{name}: rows={len(sw.reports)} failures={len(sw.failures)} "
               f"min_deficit_over_alpha_sq={emp}", file=sys.stderr)
-    return _finish_rows(reports, failures, args)
+    return _finish_rows(reports, failures, ctx)
 
 
 EXPAND_COLUMNS = ("target", "weight_kind", "K", "n", "rho", "constraint",
@@ -492,34 +512,27 @@ EXPAND_COLUMNS = ("target", "weight_kind", "K", "n", "rho", "constraint",
                   "residual_slope", "condition_number")
 
 
-def cmd_expand(sections, cases_cfg, args):
+def cmd_expand(ctx, args):
     import json
 
     from sfi import lab
 
-    sf = build_space(sections["space"])
-    w = build_weight(sections["weight"])
-    rho = sections["space"]["rho"]
-    basis, grid = build_basis_grid(sections.get("grid", {}), sf.n,
-                                   args.resolution)
-    pcfg = sections.get("perturbation", {})
-    seed = args.seed if args.seed is not None else pcfg.get("seed", 2025)
+    pcfg = ctx.perturbation
     eps_list = pcfg.get("epsilon")
     if eps_list is None or len(eps_list) < 6:
         raise ConfigError("perturbation.epsilon: expansion fits need at "
                           "least 6 amplitudes")
-    cases = build_cases(cases_cfg, sf, w, rho)
-    if not cases:
+    if not ctx.cases:
         raise ConfigError("missing required config section [case:<name>]")
-    directions = build_directions(pcfg, basis, seed, unit=True)
+    directions = build_directions(pcfg, ctx.basis, ctx.seed, unit=True)
 
     rows = []
-    for _, case in cases:
+    for _, case in ctx.cases:
         tag = case.constraint().label
         use_H = case.family.target == "H"
         for did, u0 in directions:
-            rep = lab.expansion_oracle(sf, w, case.k, tag, u0, eps_list,
-                                       grid, rho=case.rho,
+            rep = lab.expansion_oracle(ctx.sf, ctx.w, case.k, tag, u0,
+                                       eps_list, ctx.grid, rho=case.rho,
                                        use_H_blocks=use_H)
             cells = [rep.target_id, rep.weight_kind, rep.K, rep.n, rep.rho,
                      rep.constraint, did, *rep.fitted, *rep.closed,
@@ -527,23 +540,11 @@ def cmd_expand(sections, cases_cfg, args):
                      rep.condition_number]
             rows.append(dict(zip(EXPAND_COLUMNS, cells)))
 
-    if args.format == "json":
+    if ctx.format == "json":
         text = json.dumps(rows, indent=2, default=float) + "\n"
     else:
-        lines = [",".join(EXPAND_COLUMNS)]
-        for row in rows:
-            cells = []
-            for col in EXPAND_COLUMNS:
-                v = row[col]
-                if isinstance(v, str):
-                    cells.append(v)
-                elif isinstance(v, int):
-                    cells.append(str(v))
-                else:
-                    cells.append(format(float(v), ".17g"))
-            lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
-    emit(text, resolve_out_path(args.out))
+        text = rows_csv(rows)
+    emit(text, ctx.out)
     return 0
 
 
@@ -562,8 +563,9 @@ def parse_args(argv):
                       ("sweep", "randomized verification sweeps")):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", required=True, help="INI config path")
-        p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", help="output file (default: output.path, "
+                                     "else stdout)")
+        p.add_argument("--format", choices=FORMATS)
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--seed", type=int, default=None,
                        help="override perturbation.seed")
@@ -593,7 +595,8 @@ def main(argv=None):
         return 2
     try:
         sections, cases = load_config(args.config)
-        return COMMANDS[args.command](sections, cases, args)
+        ctx = build_run_context(sections, cases, args)
+        return COMMANDS[args.command](ctx, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

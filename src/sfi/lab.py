@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
 from math import comb, inf, isfinite
 from pathlib import Path
 
@@ -490,13 +489,7 @@ class DeficitReport:
         return self.status == "pass"
 
 
-@cache
-def _coarse_grid(n, d_exact):
-    return sb.build_grid(n, max(8, d_exact // 2))
-
-
-def verify(case, graph_raw, grid, *, direction_id="", epsilon=None,
-           coarse_grid=None, refine_err=True):
+def verify(case, graph_raw, grid, *, direction_id="", epsilon=None):
     """Normalize graph_raw under the case's constraint and compare the
     weighted curvature integral against the theorem's right-hand side.
 
@@ -535,13 +528,10 @@ def verify(case, graph_raw, grid, *, direction_id="", epsilon=None,
     lhs = gg.weighted_curvature_integral(graph, grid, w, k,
                                          positive_part=positive_part,
                                          geo=geo)
-    if refine_err:
-        coarse = coarse_grid or _coarse_grid(grid.n, grid.d_exact)
-        lhs_coarse = gg.weighted_curvature_integral(
-            graph, coarse, w, k, positive_part=positive_part)
-        err_quad = abs(lhs - lhs_coarse)
-    else:
-        err_quad = REL_TOL_FLOOR * max(1.0, abs(lhs))
+    coarse = sb.build_grid(grid.n, max(8, grid.d_exact // 2))
+    lhs_coarse = gg.weighted_curvature_integral(
+        graph, coarse, w, k, positive_part=positive_part)
+    err_quad = abs(lhs - lhs_coarse)
 
     # The barycenter is not the optimal ball center: after recentering
     # the optimum sits about 0.01-0.04 eps from the origin (K = -1), and
@@ -798,7 +788,7 @@ NUMERICAL_ERRORS = (RuntimeError, ValueError, FloatingPointError,
 
 
 def sweep(case, grid, basis, *, directions=30, eps_schedule=(0.003, 0.01),
-          seed=2025, degrees=(2, 3, 4), refine_err=True):
+          seed=2025, degrees=(2, 3, 4)):
     """Run verify over a deterministic grid of sampled directions and
     amplitudes; row failures are recorded and the sweep continues.
 
@@ -815,7 +805,7 @@ def sweep(case, grid, basis, *, directions=30, eps_schedule=(0.003, 0.01),
                                    u=u0.scaled(eps))
             try:
                 rows.append(verify(case, graph, grid, direction_id=did,
-                                   epsilon=eps, refine_err=refine_err))
+                                   epsilon=eps))
             except NUMERICAL_ERRORS as exc:
                 failures.append((did, float(eps), str(exc)))
     ratios = [r.deficit / r.alpha ** 2 for r in rows

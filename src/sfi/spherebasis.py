@@ -15,16 +15,14 @@ stated polynomial exactness degree holds by construction.
 
 Set-up has no loop over monomials or nodes: build_basis(3, 8) takes about
 20 ms and build_grid(3, 24) about 8 ms (2-vCPU x86-64 host, BLAS pinned to
-one thread), so callers build them afresh instead of caching them on disk.
+one thread), so nothing is cached on disk. A process builds each grid once
+per (n, resolution), and the grid owns the matrices derived from its nodes.
 """
 
 from __future__ import annotations
 
-import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import lru_cache
 from math import gamma
 from typing import NamedTuple
 
@@ -162,38 +160,38 @@ def _sphere_moments(exponents, top):
     return np.where(odd, 0.0, num / full[total])
 
 
-@cache
-def monomial_table(nvars, max_degree):
-    return MonomialTable(nvars, max_degree)
-
-
 # ---------------------------------------------------------------------------
 # quadrature grids
 
 @dataclass(frozen=True)
 class SphereGrid:
-    """Tensor-product quadrature rule on S^n with per-node tangent frames."""
+    """Tensor-product quadrature rule on S^n with per-node tangent frames.
+
+    A copy with moved nodes (dataclasses.replace) starts without the
+    original's matrices, so it is never served another grid's."""
 
     n: int
     d_exact: int
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     frames: np.ndarray = field(repr=False)
+    _vandermondes: dict = field(default_factory=dict, init=False,
+                                compare=False, repr=False)
 
     @property
     def node_count(self):
         return len(self.weights)
 
-    @cached_property
-    def key(self):
-        """Identity of the node set, for caches of node-derived matrices.
-
-        It hashes the nodes themselves, so a grid with the same shape but
-        moved nodes (a rotated grid, say) never shares a cache entry,
-        while an identical rebuilt grid does. Grids are values: their
-        arrays are not modified after construction.
-        """
-        return (self.n, self.d_exact, _digest(self.nodes))
+    def vandermonde(self, table):
+        """Monomial values at the nodes, shape (nodes, table.size), read
+        only; built once per (table.nvars, table.max_degree)."""
+        key = (table.nvars, table.max_degree)
+        V = self._vandermondes.get(key)
+        if V is None:
+            V = table.vandermonde(self.nodes)
+            V.flags.writeable = False
+            V = self._vandermondes.setdefault(key, V)
+        return V
 
     def integrate(self, values):
         """Quadrature sum with fixed (pairwise) summation order."""
@@ -248,77 +246,28 @@ def _build_frames(nodes):
 
 
 def build_grid(n, resolution):
-    """Quadrature grid on S^n exact for polynomials of degree <= resolution."""
+    """Quadrature grid on S^n exact for polynomials of degree <= resolution;
+    calls with the same (n, resolution) share one read-only grid."""
     if n not in SUPPORTED_DIMENSIONS:
         raise ValueError(f"unsupported dimension n={n}; expected one of "
                          f"{SUPPORTED_DIMENSIONS}")
     if resolution < 4:
         raise ValueError("resolution must be at least 4")
+    return _shared_grid(n, resolution)
+
+
+# A sweep row reads two grids, the working grid and its coarse
+# error-estimate grid; at resolution 24 and basis degree 8 a grid's
+# Vandermonde matrix takes 16.7 MB.
+@lru_cache(maxsize=4)
+def _shared_grid(n, resolution):
     nodes, weights = _sphere_rule(n, resolution)
-    norms = np.linalg.norm(nodes, axis=1, keepdims=True)
-    nodes = nodes / norms
+    nodes = nodes / np.linalg.norm(nodes, axis=1, keepdims=True)
+    frames = _build_frames(nodes)
+    nodes.flags.writeable = weights.flags.writeable = False
+    frames.flags.writeable = False
     return SphereGrid(n=n, d_exact=resolution, nodes=nodes, weights=weights,
-                      frames=_build_frames(nodes))
-
-
-def _digest(array):
-    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
-
-
-# Entries kept by each grid-matrix cache. A sweep row reads two grids (the
-# working grid and its coarse error-estimate grid); an entry is 16.7 MB of
-# Vandermonde or 9.6 MB of basis values at resolution 24.
-GRID_CACHE_ENTRIES = 4
-
-
-class _RecentCache:
-    """Content-keyed cache that keeps the most recently used entries.
-
-    Lookups and insertions hold a lock, because sweeps read the caches
-    from several threads; a missing entry is built outside the lock.
-    """
-
-    def __init__(self, limit):
-        self.limit = limit
-        self._entries = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self):
-        return len(self._entries)
-
-    def get(self, key, build):
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                return self._entries[key]
-        value = build()
-        with self._lock:
-            value = self._entries.setdefault(key, value)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.limit:
-                self._entries.popitem(last=False)
-        return value
-
-
-_VANDERMONDE_CACHE = _RecentCache(GRID_CACHE_ENTRIES)
-
-
-def grid_vandermonde(grid, table):
-    return _VANDERMONDE_CACHE.get(
-        (grid.key, table.nvars, table.max_degree),
-        lambda: table.vandermonde(grid.nodes))
-
-
-_BASIS_VALUES_CACHE = _RecentCache(GRID_CACHE_ENTRIES)
-
-
-def grid_basis_values(grid, basis):
-    """Basis element values at grid nodes, shape (nodes, size); cached
-    since the product of the Vandermonde matrix with the basis
-    coefficients is static per (grid, basis) pair."""
-    return _BASIS_VALUES_CACHE.get(
-        (grid.key, basis.key),
-        lambda: grid_vandermonde(grid, basis.table) @ basis.coeffs.T)
+                      frames=frames)
 
 
 # ---------------------------------------------------------------------------
@@ -328,28 +277,20 @@ def grid_basis_values(grid, basis):
 class HarmonicBasis:
     """L^2(S^n)-orthonormal homogeneous harmonic polynomials, degree <= d_max.
 
-    coeffs rows are coefficient vectors over the graded monomial table of
-    the same (n+1, d_max); degrees holds the homogeneity degree of each
-    element.
+    coeffs rows are coefficient vectors over the basis's own graded
+    monomial table of (n+1, d_max); degrees holds the homogeneity degree
+    of each element.
     """
 
     n: int
     d_max: int
     coeffs: np.ndarray = field(repr=False)
     degrees: np.ndarray = field(repr=False)
+    table: MonomialTable = field(repr=False, compare=False)
 
     @property
     def size(self):
         return len(self.degrees)
-
-    @property
-    def table(self):
-        return monomial_table(self.n + 1, self.d_max)
-
-    @cached_property
-    def key(self):
-        """Identity of the coefficient matrix, for caches (see SphereGrid.key)."""
-        return (self.n, self.d_max, _digest(self.coeffs))
 
     @property
     def eigenvalues(self):
@@ -380,7 +321,7 @@ def build_basis(n, d_max):
     if n not in SUPPORTED_DIMENSIONS:
         raise ValueError(f"unsupported dimension n={n}; expected one of "
                          f"{SUPPORTED_DIMENSIONS}")
-    table = monomial_table(n + 1, d_max)
+    table = MonomialTable(n + 1, d_max)
     omega = unit_sphere_area(n)
     blocks = []
     for d in range(d_max + 1):
@@ -400,7 +341,8 @@ def build_basis(n, d_max):
         blocks.append(rows)
     return HarmonicBasis(
         n=n, d_max=d_max, coeffs=np.vstack(blocks),
-        degrees=np.repeat(np.arange(d_max + 1), [len(b) for b in blocks]))
+        degrees=np.repeat(np.arange(d_max + 1), [len(b) for b in blocks]),
+        table=table)
 
 
 def _pair_integrals(table, d):
@@ -462,7 +404,7 @@ def evaluate(u, points):
 
 
 def values_on_grid(u, grid):
-    return grid_vandermonde(grid, u.basis.table) @ u.polynomial_coeffs()
+    return grid.vandermonde(u.basis.table) @ u.polynomial_coeffs()
 
 
 def eval_jet_all(u, grid):
@@ -479,7 +421,7 @@ def eval_jet_all(u, grid):
     # against the grid Vandermonde, which is read once
     cols = ([c] + [table.diff(j) @ c for j in range(m)]
             + [table.second_diff(j, k) @ c for j, k in pairs])
-    jet = grid_vandermonde(grid, table) @ np.column_stack(cols)
+    jet = grid.vandermonde(table) @ np.column_stack(cols)
     vals = jet[:, 0]
     amb_grad = jet[:, 1:m + 1]
     amb_hess = np.empty((len(jet), m, m))
@@ -493,20 +435,14 @@ def eval_jet_all(u, grid):
     return vals, grad, hess
 
 
-def eval_jet(u, grid, i):
-    """Covariant 2-jet of u at node i: (value, gradient, Hessian in frame)."""
-    vals, grad, hess = eval_jet_all(u, grid)
-    return vals[i], grad[i], hess[i]
-
-
 def project(samples, grid, basis):
     """Quadrature projection of node samples onto the basis."""
     if grid.d_exact < 2 * basis.d_max:
         raise ValueError("grid exactness must be at least twice the basis "
                          "degree for projection")
-    B = grid_basis_values(grid, basis)
+    V = grid.vandermonde(basis.table)
     weighted = grid.weights * np.asarray(samples, dtype=float)
-    return SphericalFunction(basis, B.T @ weighted)
+    return SphericalFunction(basis, basis.coeffs @ (V.T @ weighted))
 
 
 def laplacian(u):

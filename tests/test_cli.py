@@ -174,6 +174,32 @@ class TestEvalCommand:
     def test_missing_file_is_config_error(self, capsys):
         assert cli.main(["eval", "--config", "/no/such/file.ini"]) == 2
 
+    def test_invalid_case_section_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, BASE + "\n[case:bad]\n"
+                                             "theorem = no-such\n")
+        assert cli.main(["eval", "--config", path]) == 2
+        assert "case:bad" in capsys.readouterr().err
+
+
+class TestOutputSection:
+    def test_output_format_json_is_the_default(self, tmp_path):
+        out = tmp_path / "r.json"
+        path = write_config(tmp_path, BASE + PERTURB_RANDOM + CASE_STAB
+                            + f"\n[output]\nformat = json\npath = {out}\n")
+        assert cli.main(["verify", "--config", path]) == 0
+        doc = json.loads(out.read_text())
+        assert len(doc["rows"]) == 2
+        # the flags take precedence over the section
+        flagged = tmp_path / "r.csv"
+        assert cli.main(["verify", "--config", path, "--format", "csv",
+                         "--out", str(flagged)]) == 0
+        assert flagged.read_text().startswith(",".join(lab.CSV_COLUMNS))
+
+    def test_invalid_output_format_names_the_key(self, tmp_path, capsys):
+        path = write_config(tmp_path, BASE + "\n[output]\nformat = xml\n")
+        assert cli.main(["eval", "--config", path]) == 2
+        assert "output.format" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_zero_perturbation_single_row(self, tmp_path, capsys):

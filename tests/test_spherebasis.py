@@ -89,7 +89,7 @@ def laplacian_matrix_oracle(table, d):
 
 
 def basis_oracle(n, d_max):
-    table = sb.monomial_table(n + 1, d_max)
+    table = sb.MonomialTable(n + 1, d_max)
     omega = unit_sphere_area(n)
     rows, degrees = [], []
     for d in range(d_max + 1):
@@ -174,7 +174,7 @@ class TestGrid:
     def test_monomial_exactness(self, n):
         res = 9
         g = sb.build_grid(n, res)
-        table = sb.monomial_table(n + 1, res)
+        table = sb.MonomialTable(n + 1, res)
         vander = table.vandermonde(g.nodes)
         exact = table.sphere_integrals()
         quad = vander.T @ (g.weights)
@@ -187,29 +187,35 @@ class TestGrid:
         with pytest.raises(ValueError):
             sb.build_grid(3, 3)
 
-    def test_vandermonde_cache(self, grid3):
-        t = sb.monomial_table(4, 5)
-        a = sb.grid_vandermonde(grid3, t)
-        b = sb.grid_vandermonde(grid3, t)
-        assert a is b
-        # an identical rebuilt grid shares the entry
-        assert sb.grid_vandermonde(sb.build_grid(3, 20), t) is a
-        # rotated grids are new entries, and the caches keep only the
-        # most recently used ones
-        basis = sb.build_basis(3, 2)
+    def test_vandermonde_cache(self):
+        grid = sb.build_grid(3, 20)
+        t = sb.MonomialTable(4, 5)
+        a = grid.vandermonde(t)
+        assert grid.vandermonde(t) is a
+        assert np.array_equal(a, t.vandermonde(grid.nodes))
+        # the same (n, resolution) is the same grid, with its matrices
+        assert sb.build_grid(3, 20) is grid
+        assert sb.build_grid(3, 20).vandermonde(t) is a
+        # shared arrays cannot be written through
+        for arr in (grid.nodes, grid.weights, grid.frames, a):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            grid.nodes[0, 0] = 0.0
+        # a rotated copy builds its own matrix
         rng = np.random.default_rng(8)
-        for _ in range(10):
-            q, _r = np.linalg.qr(rng.standard_normal((4, 4)))
-            rotated = dataclasses.replace(grid3, nodes=grid3.nodes @ q.T,
-                                          frames=grid3.frames @ q.T)
-            assert sb.grid_vandermonde(rotated, t) is not a
-            sb.grid_basis_values(rotated, basis)
-            assert len(sb._VANDERMONDE_CACHE) <= sb.GRID_CACHE_ENTRIES
-            assert len(sb._BASIS_VALUES_CACHE) <= sb.GRID_CACHE_ENTRIES
-        a = sb.grid_vandermonde(grid3, t)
-        assert sb.grid_vandermonde(sb.build_grid(3, 20), t) is a
-        B = sb.grid_basis_values(grid3, basis)
-        assert sb.grid_basis_values(sb.build_grid(3, 20), basis) is B
+        q, _r = np.linalg.qr(rng.standard_normal((4, 4)))
+        rotated = dataclasses.replace(grid, nodes=grid.nodes @ q.T,
+                                      frames=grid.frames @ q.T)
+        assert rotated.vandermonde(t) is not a
+        assert np.array_equal(rotated.vandermonde(t),
+                              t.vandermonde(rotated.nodes))
+        # the process keeps at most four grids, the most recently used
+        for res in range(8, 14):
+            assert sb.build_grid(2, res) is sb.build_grid(2, res)
+            assert sb._shared_grid.cache_info().currsize <= 4
+        rebuilt = sb.build_grid(3, 20)
+        assert rebuilt is not grid
+        assert np.array_equal(rebuilt.nodes, grid.nodes)
 
     @given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -233,7 +239,7 @@ class TestGrid:
 
 class TestBasis:
     def test_orthonormal(self, grid3, basis3):
-        V = sb.grid_vandermonde(grid3, basis3.table)
+        V = grid3.vandermonde(basis3.table)
         Y = V @ basis3.coeffs.T
         gram = Y.T @ (grid3.weights[:, None] * Y)
         assert np.allclose(gram, np.eye(basis3.size), atol=1e-9)
@@ -303,7 +309,8 @@ class TestJets:
         i = 101
         x = grid3.nodes[i]
         E = grid3.frames[i]
-        val, grad, hess = sb.eval_jet(u, grid3, i)
+        vals, grads, hessians = sb.eval_jet_all(u, grid3)
+        val, grad, hess = vals[i], grads[i], hessians[i]
 
         def along(w, t):
             pts = np.cos(t)[:, None] * x + np.sin(t)[:, None] * w
@@ -331,10 +338,15 @@ class TestJets:
         rng = np.random.default_rng(3)
         u = sb.from_coeffs(basis3, rng.standard_normal(basis3.size))
         vals, grad, hess = sb.eval_jet_all(u, grid3)
-        v, g, h = sb.eval_jet(u, grid3, 17)
-        assert v == vals[17]
-        assert np.array_equal(g, grad[17])
-        assert np.array_equal(h, hess[17])
+        node = dataclasses.replace(grid3, nodes=grid3.nodes[17:18],
+                                   weights=grid3.weights[17:18],
+                                   frames=grid3.frames[17:18])
+        v, g, h = (a[0] for a in sb.eval_jet_all(u, node))
+        # one GEMM row against the full GEMM: equal up to summation order
+        tol = 1e-13 * np.max(np.abs(vals))
+        assert v == pytest.approx(vals[17], rel=0, abs=tol)
+        assert np.allclose(g, grad[17], rtol=0, atol=tol)
+        assert np.allclose(h, hess[17], rtol=0, atol=10 * tol)
         # one matrix-vector product per jet column as the reference
         t = basis3.table
         V = t.vandermonde(grid3.nodes)
@@ -467,7 +479,7 @@ class TestSetUpMatchesLoops:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_tables_and_basis(self, n):
         for d_max in range(2, 9):
-            table = sb.monomial_table(n + 1, d_max)
+            table = sb.MonomialTable(n + 1, d_max)
             exps, slices = exponents_oracle(n + 1, d_max)
             assert np.array_equal(table.exponents, exps)
             assert table.degree_slices == slices
