@@ -44,7 +44,6 @@ SCHEMA = {
                      "coefficients": str},
     "case": {"theorem": str, "k": int, "j": int, "eta_frac": float},
     "output": {"path": str, "format": str},
-    "eval": {"refine": bool, "tol": float},
 }
 
 REQUIRED = {"space": ("K", "n", "rho"), "weight": ("kind",),
@@ -54,6 +53,9 @@ WEIGHT_KINDS = ("constant", "power", "affine", "shifted_power")
 MODES = ("zero", "random", "coefficients")
 FORMATS = ("csv", "json")
 
+# eval exits 3 when its finer-grid volume or area check differs by more.
+EVAL_QUAD_TOL = 1e-8
+
 
 def _convert(section, key, raw, typ):
     raw = raw.strip()
@@ -62,13 +64,6 @@ def _convert(section, key, raw, typ):
             return int(raw)
         if typ is float:
             return float(raw)
-        if typ is bool:
-            low = raw.lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
         if typ is str:
             return raw
         if typ == _LIST_INT:
@@ -278,31 +273,18 @@ def emit(text, out_path):
             fh.write(text)
 
 
-def kv_lines(pairs):
-    """Deterministic key = value text block."""
-    lines = []
-    for key, val in pairs:
-        if isinstance(val, bool):
-            sval = "true" if val else "false"
-        elif isinstance(val, int):
-            sval = str(val)
-        elif isinstance(val, float):
-            sval = format(val, ".17g")
-        else:
-            sval = str(val)
-        lines.append(f"{key} = {sval}")
-    return "\n".join(lines) + "\n"
-
-
 def rows_csv(rows):
     """CSV text of dict rows with the first row's keys as header: text
-    cells as given, integers in decimal, other numbers as %.17g."""
+    cells as given, booleans as true/false, integers in decimal, other
+    numbers as %.17g."""
     header = list(rows[0])
     lines = [",".join(header)]
     for row in rows:
         cells = []
         for key in header:
             v = row[key]
+            if isinstance(v, bool):
+                v = "true" if v else "false"
             cells.append(v if isinstance(v, str) else str(v)
                          if isinstance(v, int) else format(float(v), ".17g"))
         lines.append(",".join(cells))
@@ -372,11 +354,8 @@ def cmd_eval(ctx, args):
     eps = epsilon_schedule(pcfg)[0] if directions[0][0] != "zero" else 0.0
     graph = gg.RadialGraph(sf=sf, rho=rho, u=directions[0][1].scaled(eps))
 
-    ecfg = ctx.sections.get("eval", {})
-    refine = ecfg.get("refine", True)
-    tol = ecfg.get("tol", 1e-8)
     geo = gg.surface_geometry(graph, grid)
-    fun = dm.domain_functionals(graph, grid, refine_check=refine)
+    fun = dm.domain_functionals(graph, grid)
     convex = geo.convex_flags()
 
     pairs = [("K", sf.K), ("n", sf.n), ("rho", rho),
@@ -401,21 +380,21 @@ def cmd_eval(ctx, args):
                float(np.linalg.norm(model.model_vector(
                    sf, fun.barycenter_point)))),
               ("vol_err", fun.vol_err), ("area_err", fun.area_err),
-              ("quad_tol", tol)]
+              ("quad_tol", EVAL_QUAD_TOL)]
 
     if ctx.format == "json":
         text = json.dumps(dict(pairs), indent=2) + "\n"
     else:
-        text = kv_lines(pairs)
+        text = rows_csv([dict(pairs)])
     emit(text, ctx.out)
 
     if args.dump_nodes:
         emit(rows_csv(gg.node_dump_rows(geo)),
              resolve_out_path(args.dump_nodes))
-    if refine and max(fun.vol_err, fun.area_err) > tol:
+    if max(fun.vol_err, fun.area_err) > EVAL_QUAD_TOL:
         print(f"numerical failure: quadrature error "
               f"{max(fun.vol_err, fun.area_err):.3e} exceeds tolerance "
-              f"{tol:g}", file=sys.stderr)
+              f"{EVAL_QUAD_TOL:g}", file=sys.stderr)
         return 3
     return 0
 

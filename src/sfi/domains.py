@@ -2,10 +2,11 @@
 
 Volume integrals reduce to the radial primitive P_n(r) = int_0^r phi^n,
 known in closed form for every K, so bulk quantities are single angular
-quadratures. Brute-force radial Gauss-Legendre versions are kept as
-independent oracles. The barycenter is the Karcher mean of the enclosed
-mass; Fraenkel asymmetry minimizes the symmetric-difference volume against
-equal-volume geodesic balls over the center.
+quadratures. The brute-force radial Gauss-Legendre volumes that check
+them, and the reference ball profile, live in tests/oracles.py. The
+barycenter is the Karcher mean of the enclosed mass; Fraenkel asymmetry
+minimizes the symmetric-difference volume against equal-volume geodesic
+balls over the center.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ SEARCH_REL_GAIN = 1e-5
 POLISH_REL_GAIN = 1e-6
 SEARCH_STEPS = 50
 SEARCH_ALPHA_FLOOR = 1e-12
+# Barycenter: Gauss-Legendre points per ray, gradient-norm tolerance and
+# iteration cap of the Karcher-mean fixed point.
+BARYCENTER_RADIAL_POINTS = 16
+BARYCENTER_TOL = 1e-10
+BARYCENTER_MAX_ITER = 100
 
 
 def _graph_radii(graph, grid):
@@ -66,29 +72,6 @@ def _radial_rule(points):
     t, w = 0.5 * (t + 1.0), 0.5 * w
     t.flags.writeable = w.flags.writeable = False
     return t, w
-
-
-def bulk_integral_bruteforce(graph, grid, integrand, radial_points=32):
-    """Radial x angular quadrature of int_Omega f(r) dv (test oracle).
-
-    integrand maps radii to values of f; the bulk measure is
-    phi^n(r) dr dA.
-    """
-    sf = graph.sf
-    R = _graph_radii(graph, grid)
-    t, wt = _radial_rule(radial_points)
-    r = R[:, None] * t[None, :]
-    vals = integrand(r) * sf.phi(r) ** sf.n
-    radial = R * (vals @ wt)
-    return grid.integrate(radial)
-
-
-def volume_bruteforce(graph, grid, radial_points=32):
-    return bulk_integral_bruteforce(graph, grid, np.ones_like, radial_points)
-
-
-def weighted_volume_bruteforce(graph, grid, radial_points=32):
-    return bulk_integral_bruteforce(graph, grid, graph.sf.dphi, radial_points)
 
 
 def quermassintegrals(graph, grid, geo=None):
@@ -212,13 +195,12 @@ def _mass_log_sum(sf, p, nodes, mass, ch, sh):
     return msy - np.sum(ms * c) * p
 
 
-def barycenter(graph, grid, radial_points=16, tol=1e-10, max_iter=100,
-               radii=None):
+def barycenter(graph, grid, radii=None):
     """Karcher mean of the enclosed domain in ambient coordinates.
 
     Minimizes p -> int_Omega d(y, p)^2 dv by Riemannian fixed-point
     iteration; the energy gradient is -2 int log_p(y) dv, and convergence
-    is declared when its norm drops below tol.
+    is declared when its norm drops below BARYCENTER_TOL.
 
     The radial x angular points are never embedded: a point at radius r
     over node x is y = (phi'(r), phi(r) x) (K = +-1), so
@@ -229,12 +211,14 @@ def barycenter(graph, grid, radial_points=16, tol=1e-10, max_iter=100,
     the grid nodes.
     """
     sf = graph.sf
-    mass, ch, sh = _bulk_mass_points(graph, grid, radial_points, radii)
+    mass, ch, sh = _bulk_mass_points(graph, grid, BARYCENTER_RADIAL_POINTS,
+                                     radii)
     total = float(np.sum(mass))
     p = model.origin(sf)
-    for _ in range(max_iter):
+    for _ in range(BARYCENTER_MAX_ITER):
         v = _mass_log_sum(sf, p, grid.nodes, mass, ch, sh) / total
-        if 2.0 * total * np.linalg.norm(v) < tol * max(1.0, total):
+        if 2.0 * total * np.linalg.norm(v) \
+                < BARYCENTER_TOL * max(1.0, total):
             return p
         p = model.exp_map(sf, p, v)
         if sf.K == 1:
@@ -349,8 +333,8 @@ def symmetric_difference_to_ball(graph, grid, center_vec, rho_bar,
         K = -1:  cosh R = (a C + b s) / A,   sinh R = (b C + a s) / A,
         K = +1:  cos R  = (a C - b s) / A,   sin R  = (b C + a s) / A,
 
-    and these feed SpaceForm.primitive_from_warp directly: unlike
-    model.ball_radial_profile (which stays as the reference), no inverse
+    and these feed SpaceForm.primitive_from_warp directly: unlike the
+    reference ball_radial_profile in tests/oracles.py, no inverse
     hyperbolic or trigonometric function and no phi, phi' of R is
     evaluated. R itself is needed only for even n, as asinh(sinh R) or
     atan2(sin R, cos R). For K = 0, |R x - c| = rho_bar gives
@@ -494,17 +478,15 @@ class DomainFunctionals:
     area_err: float = 0.0
 
 
-def domain_functionals(graph, grid, refine_check=True):
-    """Evaluate all domain functionals; error fields compare against a
-    finer grid when refine_check is set."""
+def domain_functionals(graph, grid):
+    """Evaluate all domain functionals; the error fields compare against
+    a finer grid."""
     geo = gg.surface_geometry(graph, grid)
     W = quermassintegrals(graph, grid, geo=geo)
-    vol_err = area_err = 0.0
-    if refine_check:
-        fine = sb.build_grid(grid.n, grid.d_exact + 6)
-        geo_f = gg.surface_geometry(graph, fine)
-        vol_err = abs(volume(graph, fine, geo=geo_f) - W[-1])
-        area_err = abs(fine.integrate(geo_f.area_factor) - W[0])
+    fine = sb.build_grid(grid.n, grid.d_exact + 6)
+    geo_f = gg.surface_geometry(graph, fine)
+    vol_err = abs(volume(graph, fine, geo=geo_f) - W[-1])
+    area_err = abs(fine.integrate(geo_f.area_factor) - W[0])
     return DomainFunctionals(
         vol=W[-1], weighted_vol=weighted_volume(graph, grid, geo=geo),
         quermass=W, barycenter_point=barycenter(graph, grid),

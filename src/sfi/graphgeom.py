@@ -59,10 +59,11 @@ class SurfaceGeometry:
 
     surface_geometry computes eagerly what the integrals read: the 2-jet
     of u (u_vals, du, d2u), r, phi, dphi, Phi, D, area_factor,
-    second_form, sigma and H. metric, metric_inv, weingarten, kappa,
-    H_plus and H_minus are derived on first access and then cached; only
-    the H^+ integral, convex_flags, node(i), the node dump and the tests
-    read them.
+    second_form, sigma and H. kappa and H_plus are derived on first
+    access and then cached; only the H^+ integral, convex_flags, the node
+    dump and the tests read them. The Weingarten map and the
+    divergence-form H, the oracles for sigma and H, live in
+    tests/oracles.py.
     """
 
     graph: RadialGraph
@@ -85,30 +86,6 @@ class SurfaceGeometry:
         return self.graph.rho * self.du
 
     @cached_property
-    def metric(self):
-        w = self._w
-        return (w[:, :, None] * w[:, None, :]
-                + (self.phi ** 2)[:, None, None] * np.eye(self.grid.n))
-
-    @cached_property
-    def metric_inv(self):
-        w = self._w
-        outer = w[:, :, None] * w[:, None, :]
-        return ((np.eye(self.grid.n) - outer / (self.D ** 2)[:, None, None])
-                / (self.phi ** 2)[:, None, None])
-
-    @cached_property
-    def weingarten(self):
-        w, ph, dph, D = self._w, self.phi, self.dphi, self.D
-        hess_r = self.graph.rho * self.d2u
-        outer = w[:, :, None] * w[:, None, :]
-        return ((dph / D)[:, None, None] * np.eye(self.grid.n)
-                - hess_r / (D * ph)[:, None, None]
-                + dph[:, None, None] * outer / (D ** 3)[:, None, None]
-                + w[:, :, None] * (hess_r @ w[:, :, None])[:, None, :, 0]
-                / (D ** 3 * ph)[:, None, None])
-
-    @cached_property
     def kappa(self):
         """Principal curvatures, ascending, per node."""
         return np.linalg.eigvalsh(
@@ -117,10 +94,6 @@ class SurfaceGeometry:
     @cached_property
     def H_plus(self):
         return np.maximum(self.H, 0.0)
-
-    @cached_property
-    def H_minus(self):
-        return -np.minimum(self.H, 0.0)
 
     def relabeled(self, graph):
         """This surface's geometry as a graph over a new splitting.
@@ -136,38 +109,9 @@ class SurfaceGeometry:
                        u_vals=lam * self.u_vals + (lam - 1.0),
                        du=lam * self.du, d2u=lam * self.d2u)
 
-    def node(self, i):
-        return NodeGeometry(
-            r=float(self.r[i]), phi=float(self.phi[i]),
-            dphi=float(self.dphi[i]), Phi=float(self.Phi[i]),
-            D=float(self.D[i]), area_factor=float(self.area_factor[i]),
-            metric=self.metric[i], metric_inv=self.metric_inv[i],
-            second_form=self.second_form[i], weingarten=self.weingarten[i],
-            kappa=self.kappa[i], sigma=self.sigma[i], H=float(self.H[i]),
-            H_plus=float(self.H_plus[i]), H_minus=float(self.H_minus[i]))
-
     def convex_flags(self):
         """Per-node flag: all principal curvatures strictly positive."""
         return np.min(self.kappa, axis=1) > 0
-
-
-@dataclass(frozen=True)
-class NodeGeometry:
-    r: float
-    phi: float
-    dphi: float
-    Phi: float
-    D: float
-    area_factor: float
-    metric: np.ndarray = field(repr=False)
-    metric_inv: np.ndarray = field(repr=False)
-    second_form: np.ndarray = field(repr=False)
-    weingarten: np.ndarray = field(repr=False)
-    kappa: np.ndarray = field(repr=False)
-    sigma: np.ndarray = field(repr=False)
-    H: float = 0.0
-    H_plus: float = 0.0
-    H_minus: float = 0.0
 
 
 def _similarity(w, ph, D, second):
@@ -217,37 +161,6 @@ def surface_geometry(graph, grid, jet=None):
         graph=graph, grid=grid, u_vals=vals, du=du, d2u=d2u, r=r, phi=ph,
         dphi=dph, Phi=Ph, D=D, area_factor=area, second_form=second,
         sigma=sigma, H=sigma[:, 1])
-
-
-def node_geometry(graph, grid, i):
-    """Geometry at a single node (computed via the batched path)."""
-    return surface_geometry(graph, grid).node(i)
-
-
-def mean_curvature_two_ways(graph, grid, geo=None):
-    """Max discrepancy between the curvature-tensor H and the divergence form.
-
-    The first route is sigma_1, the trace of the symmetrized Weingarten
-    map built from the second fundamental form. The second evaluates the
-    divergence form, expanding div((phi/D) grad u) by the chain rule
-    through the jet of u (the gradient of D needs only second
-    derivatives), and never builds the curvature tensors.
-    """
-    if geo is None:
-        geo = surface_geometry(graph, grid)
-    rho, n = graph.rho, grid.n
-    ph, dph, D = geo.phi, geo.dphi, geo.D
-    lap_u = np.trace(geo.d2u, axis1=1, axis2=2)
-    gradsq = np.sum(geo.du * geo.du, axis=1)
-    hess_grad = np.einsum("iab,ib->ia", geo.d2u, geo.du)
-    gradD = (ph * dph * rho)[:, None] * geo.du + rho ** 2 * hess_grad
-    gradD /= D[:, None]
-    grad_psi = (dph * rho)[:, None] * geo.du / D[:, None] \
-        - ph[:, None] * gradD / (D * D)[:, None]
-    div_term = (ph / D) * lap_u + np.sum(grad_psi * geo.du, axis=1)
-    H_div = (n * dph * ph ** 2 + dph * rho ** 2 * gradsq) / (ph ** 2 * D) \
-        - (rho / ph ** 2) * div_term
-    return float(np.max(np.abs(geo.H - H_div)))
 
 
 def weighted_curvature_integral(graph, grid, w, k, positive_part=False,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import comb, inf, isfinite
+from math import comb, inf
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +44,9 @@ W2INF_BUDGET = 0.05
 # Relative floor used when turning quadrature-error estimates into
 # pass/fail tolerances.
 REL_TOL_FLOOR = 1e-11
+
+# Largest condition number of the column-scaled expansion-fit design.
+FIT_COND_LIMIT = 1e8
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +148,6 @@ class TheoremCase:
     @property
     def family(self):
         return THEOREMS[self.theorem]
-
-    @property
-    def is_stability(self):
-        return self.family.kind == "stability"
 
     @property
     def norm_budget(self):
@@ -610,7 +609,7 @@ class ExpansionReport:
 
 
 def expansion_oracle(sf, w, k, constraint_tag, u0, eps_list, grid, *,
-                     rho=1.0, use_H_blocks=False, cond_limit=1e8):
+                     rho=1.0, use_H_blocks=False):
     """Fit the small-amplitude expansion of the weighted curvature
     integral along direction u0 and compare with the closed-form blocks.
 
@@ -648,7 +647,7 @@ def expansion_oracle(sf, w, k, constraint_tag, u0, eps_list, grid, *,
     design = np.column_stack([xs ** p for p in range(1, 6)])
     scale = np.linalg.norm(design, axis=0)
     cond = float(np.linalg.cond(design / scale))
-    if cond > cond_limit:
+    if cond > FIT_COND_LIMIT:
         raise ValueError(f"ill-conditioned expansion fit: condition number "
                          f"{cond:.3e}")
     coef, *_ = np.linalg.lstsq(design / scale, ys, rcond=None)
@@ -775,10 +774,6 @@ class SweepResult:
     reports: tuple
     failures: tuple
     empirical_constant: object
-
-    @property
-    def statuses(self):
-        return tuple(r.status for r in self.reports)
 
 
 # Errors that mark a single row as a numerical failure in a sweep or a

@@ -13,7 +13,9 @@ solves beyond a single 1D root-find.
 
 Throughout, "model vector" c in R^{n+1} means the tangent vector at the
 origin whose exponential is the point in question; |c| is the geodesic
-distance from the origin.
+distance from the origin. Lifting c to the ambient tangent space at O and
+the reference radial profile of a geodesic ball are test oracles; they
+live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -113,18 +115,8 @@ def exp_map(sf, p, v):
     return co[..., None] * p + si[..., None] * vhat
 
 
-def origin_tangent(sf, c):
-    """Lift a model vector c in R^{n+1} to the ambient tangent space at O."""
-    c = np.asarray(c, dtype=float)
-    if sf.K == 0:
-        return c
-    out = np.zeros(c.shape[:-1] + (sf.n + 2,))
-    out[..., 1:] = c
-    return out
-
-
 def model_vector(sf, p):
-    """Inverse of exp_O composed with origin_tangent: p -> c in R^{n+1}."""
+    """Inverse of c -> exp_O(c): p -> model vector c in R^{n+1}."""
     v = log_map(sf, origin(sf), p)
     return v if sf.K == 0 else v[..., 1:]
 
@@ -146,12 +138,6 @@ class Isometry:
         if self.matrix is not None:
             return Isometry(matrix=np.linalg.inv(self.matrix))
         return Isometry(offset=-self.offset)
-
-
-def identity_isometry(sf):
-    if sf.K == 0:
-        return Isometry(offset=np.zeros(sf.n + 1))
-    return Isometry(matrix=np.eye(sf.n + 2))
 
 
 def translation_to_origin(sf, p):
@@ -183,34 +169,3 @@ def translation_to_origin(sf, p):
                + si * (np.outer(e0, v) - np.outer(v, e0)))
     return Isometry(matrix=mat)
 
-
-def ball_radial_profile(sf, c, rho_bar, x):
-    """Radial graph over S^n of the geodesic ball B(exp_O(c), rho_bar).
-
-    c is a model vector with |c| < rho_bar so the origin lies inside the
-    ball and the boundary is star-shaped about O. Returns the radii R(x)
-    at the unit directions x (shape (N, n+1)); entries are NaN where the
-    profile is undefined (center too far out). No hot path calls it: it
-    is the reference that tests hold the closed-form profiles of
-    domains.symmetric_difference_to_ball against.
-    """
-    c = np.asarray(c, dtype=float)
-    x = np.asarray(x, dtype=float)
-    t = np.linalg.norm(c)
-    if sf.K == 0:
-        b = x @ c
-        disc = b * b - t * t + rho_bar * rho_bar
-        with np.errstate(invalid="ignore"):
-            return b + np.sqrt(disc)
-    if sf.K == -1:
-        # center embeds as (cosh t, sinh t * chat); a cosh R - b sinh R = cosh rho_bar
-        a = np.cosh(t)
-        b = x @ (np.sinh(t) / t * c) if t > 0 else np.zeros(len(x))
-        amp = np.sqrt(a * a - b * b)
-        with np.errstate(invalid="ignore"):
-            return np.arctanh(b / a) + np.arccosh(np.cosh(rho_bar) / amp)
-    a = np.cos(t)
-    b = x @ (np.sin(t) / t * c) if t > 0 else np.zeros(len(x))
-    amp = np.sqrt(a * a + b * b)
-    with np.errstate(invalid="ignore"):
-        return np.arctan2(b, a) + np.arccos(np.cos(rho_bar) / amp)

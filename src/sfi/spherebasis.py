@@ -377,9 +377,6 @@ class SphericalFunction:
     def scaled(self, c):
         return SphericalFunction(self.basis, self.coeffs * c)
 
-    def plus(self, other):
-        return SphericalFunction(self.basis, self.coeffs + other.coeffs)
-
     def polynomial_coeffs(self):
         return self.coeffs @ self.basis.coeffs
 
@@ -443,11 +440,6 @@ def project(samples, grid, basis):
     V = grid.vandermonde(basis.table)
     weighted = grid.weights * np.asarray(samples, dtype=float)
     return SphericalFunction(basis, basis.coeffs @ (V.T @ weighted))
-
-
-def laplacian(u):
-    """Laplace-Beltrami of u, exact in the harmonic basis."""
-    return SphericalFunction(u.basis, -u.basis.eigenvalues * u.coeffs)
 
 
 class SobolevNorms(NamedTuple):

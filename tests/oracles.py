@@ -1,0 +1,173 @@
+"""Independent reference computations that tests hold sfi against:
+sigma_k by eigenvalues and by principal minors, the single-matrix Newton
+tensor, the Weingarten map, the divergence-form H, brute-force volumes,
+translated-ball profiles and the Laplace-Beltrami operator. No row, fit
+or CLI command runs them; tests import this module as ``import oracles``.
+"""
+
+from itertools import combinations
+
+import numpy as np
+
+from sfi import domains as dm
+from sfi import graphgeom as gg
+from sfi import spherebasis as sb
+
+
+def elementary_from_eigenvalues(lams):
+    """Elementary symmetric polynomials e_0..e_n of the last-axis values."""
+    lams = np.asarray(lams, dtype=float)
+    n = lams.shape[-1]
+    e = np.zeros(lams.shape[:-1] + (n + 1,))
+    e[..., 0] = 1.0
+    for i in range(n):
+        lam = lams[..., i]
+        for k in range(i + 1, 0, -1):
+            e[..., k] += lam * e[..., k - 1]
+    return e
+
+
+def sigma_all(A):
+    """(sigma_0, ..., sigma_n) of a symmetric matrix via eigenvalues
+    (oracle for sigma_all_batch)."""
+    return elementary_from_eigenvalues(
+        np.linalg.eigvalsh(np.asarray(A, dtype=float)))
+
+
+def sigma_minor_sum(A, k):
+    """Independent oracle: sigma_k as a sum of principal k x k minors.
+
+    Valid for any square matrix (char-poly coefficient); cost grows as
+    C(n, k), intended for small n.
+    """
+    a = np.asarray(A, dtype=float)
+    n = a.shape[0]
+    if k == 0:
+        return 1.0
+    total = 0.0
+    for rows in combinations(range(n), k):
+        idx = np.ix_(rows, rows)
+        total += float(np.linalg.det(a[idx]))
+    return total
+
+
+def newton_tensor(A, k):
+    """Newton transformation T_k via the recursion T_k = sigma_k I - A T_{k-1}."""
+    a = np.asarray(A, dtype=float)
+    n = a.shape[0]
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"Newton tensor order k={k} outside [0, {n - 1}]")
+    sig = sigma_all(a)
+    T = np.eye(n)
+    for m in range(1, k + 1):
+        T = sig[m] * np.eye(n) - a @ T
+    return T
+
+
+def weingarten(geo):
+    """Weingarten map S^a_b per node of a SurfaceGeometry (the formula in
+    the graphgeom module docstring); its sigma_k are geo.sigma."""
+    w, ph, dph, D = geo.graph.rho * geo.du, geo.phi, geo.dphi, geo.D
+    hess_r = geo.graph.rho * geo.d2u
+    outer = w[:, :, None] * w[:, None, :]
+    return ((dph / D)[:, None, None] * np.eye(geo.grid.n)
+            - hess_r / (D * ph)[:, None, None]
+            + dph[:, None, None] * outer / (D ** 3)[:, None, None]
+            + w[:, :, None] * (hess_r @ w[:, :, None])[:, None, :, 0]
+            / (D ** 3 * ph)[:, None, None])
+
+
+def mean_curvature_two_ways(graph, grid, geo=None):
+    """Max discrepancy between the curvature-tensor H and the divergence form.
+
+    The first route is sigma_1, the trace of the symmetrized Weingarten
+    map built from the second fundamental form. The second evaluates the
+    divergence form, expanding div((phi/D) grad u) by the chain rule
+    through the jet of u (the gradient of D needs only second
+    derivatives), and never builds the curvature tensors.
+    """
+    if geo is None:
+        geo = gg.surface_geometry(graph, grid)
+    rho, n = graph.rho, grid.n
+    ph, dph, D = geo.phi, geo.dphi, geo.D
+    lap_u = np.trace(geo.d2u, axis1=1, axis2=2)
+    gradsq = np.sum(geo.du * geo.du, axis=1)
+    hess_grad = np.einsum("iab,ib->ia", geo.d2u, geo.du)
+    gradD = (ph * dph * rho)[:, None] * geo.du + rho ** 2 * hess_grad
+    gradD /= D[:, None]
+    grad_psi = (dph * rho)[:, None] * geo.du / D[:, None] \
+        - ph[:, None] * gradD / (D * D)[:, None]
+    div_term = (ph / D) * lap_u + np.sum(grad_psi * geo.du, axis=1)
+    H_div = (n * dph * ph ** 2 + dph * rho ** 2 * gradsq) / (ph ** 2 * D) \
+        - (rho / ph ** 2) * div_term
+    return float(np.max(np.abs(geo.H - H_div)))
+
+
+def bulk_integral_bruteforce(graph, grid, integrand, radial_points=32):
+    """Radial x angular quadrature of int_Omega f(r) dv (test oracle).
+
+    integrand maps radii to values of f; the bulk measure is
+    phi^n(r) dr dA.
+    """
+    sf = graph.sf
+    R = dm._graph_radii(graph, grid)
+    t, wt = dm._radial_rule(radial_points)
+    r = R[:, None] * t[None, :]
+    vals = integrand(r) * sf.phi(r) ** sf.n
+    radial = R * (vals @ wt)
+    return grid.integrate(radial)
+
+
+def volume_bruteforce(graph, grid, radial_points=32):
+    return bulk_integral_bruteforce(graph, grid, np.ones_like, radial_points)
+
+
+def weighted_volume_bruteforce(graph, grid, radial_points=32):
+    return bulk_integral_bruteforce(graph, grid, graph.sf.dphi, radial_points)
+
+
+def origin_tangent(sf, c):
+    """Lift a model vector c in R^{n+1} to the ambient tangent space at O."""
+    c = np.asarray(c, dtype=float)
+    if sf.K == 0:
+        return c
+    out = np.zeros(c.shape[:-1] + (sf.n + 2,))
+    out[..., 1:] = c
+    return out
+
+
+def ball_radial_profile(sf, c, rho_bar, x):
+    """Radial graph over S^n of the geodesic ball B(exp_O(c), rho_bar).
+
+    c is a model vector with |c| < rho_bar so the origin lies inside the
+    ball and the boundary is star-shaped about O. Returns the radii R(x)
+    at the unit directions x (shape (N, n+1)); entries are NaN where the
+    profile is undefined (center too far out). No hot path calls it: it
+    is the reference that tests hold the closed-form profiles of
+    domains.symmetric_difference_to_ball against.
+    """
+    c = np.asarray(c, dtype=float)
+    x = np.asarray(x, dtype=float)
+    t = np.linalg.norm(c)
+    if sf.K == 0:
+        b = x @ c
+        disc = b * b - t * t + rho_bar * rho_bar
+        with np.errstate(invalid="ignore"):
+            return b + np.sqrt(disc)
+    if sf.K == -1:
+        # center embeds as (cosh t, sinh t * chat); a cosh R - b sinh R = cosh rho_bar
+        a = np.cosh(t)
+        b = x @ (np.sinh(t) / t * c) if t > 0 else np.zeros(len(x))
+        amp = np.sqrt(a * a - b * b)
+        with np.errstate(invalid="ignore"):
+            return np.arctanh(b / a) + np.arccosh(np.cosh(rho_bar) / amp)
+    a = np.cos(t)
+    b = x @ (np.sin(t) / t * c) if t > 0 else np.zeros(len(x))
+    amp = np.sqrt(a * a + b * b)
+    with np.errstate(invalid="ignore"):
+        return np.arctan2(b, a) + np.arccos(np.cos(rho_bar) / amp)
+
+
+def laplacian(u):
+    """Laplace-Beltrami of u, exact in the harmonic basis."""
+    return sb.SphericalFunction(u.basis, -u.basis.eigenvalues * u.coeffs)

@@ -253,7 +253,7 @@ def test_criterion_7_stability_deficit_lower_bounds(announce,
                     and case.w.kind == "constant"):
                 # constant weights miss the strict monotonicity the
                 # hyperbolic stability statement requires
-                assert set(sw.statuses) == {"hypothesis_unmet"}
+                assert {r.status for r in sw.reports} == {"hypothesis_unmet"}
                 assert sw.empirical_constant is None
                 unmet += 1
                 continue

@@ -1,8 +1,9 @@
 """Tests for the command-line front end: config parsing, commands,
 exit codes and determinism."""
 
+import csv
+import io
 import json
-import os
 
 import pytest
 
@@ -133,10 +134,9 @@ class TestEvalCommand:
         code = cli.main(["eval", "--config", path])
         captured = capsys.readouterr().out
         assert code == 0
-        got = {}
-        for line in captured.strip().split("\n"):
-            key, _, val = line.partition(" = ")
-            got[key] = val
+        rows = list(csv.DictReader(io.StringIO(captured)))
+        assert len(rows) == 1
+        got = rows[0]
         sf = SpaceForm(K=-1, n=3)
         vol = sf.sphere_area * sf.volume_primitive(0.9)
         assert float(got["volume"]) == pytest.approx(vol, rel=1e-10)
@@ -173,6 +173,11 @@ class TestEvalCommand:
 
     def test_missing_file_is_config_error(self, capsys):
         assert cli.main(["eval", "--config", "/no/such/file.ini"]) == 2
+
+    def test_eval_section_is_unknown(self, tmp_path, capsys):
+        path = write_config(tmp_path, BASE + "\n[eval]\nrefine = false\n")
+        assert cli.main(["eval", "--config", path]) == 2
+        assert "unknown config section 'eval'" in capsys.readouterr().err
 
     def test_invalid_case_section_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE + "\n[case:bad]\n"

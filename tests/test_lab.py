@@ -611,7 +611,7 @@ class TestSweep:
         sw = lab.sweep(case, grid3, basis3, directions=6, seed=11)
         assert len(sw.reports) == 12
         assert not sw.failures
-        assert all(s == "pass" for s in sw.statuses)
+        assert all(r.status == "pass" for r in sw.reports)
         C = lab.stability_constant(case)
         assert sw.empirical_constant >= 0.75 * C
 
@@ -621,7 +621,7 @@ class TestSweep:
                                WeightFunction.constant(1.0), k=1, j=0,
                                rho=0.9)
         sw = lab.sweep(case, grid3, basis3, directions=2, seed=11)
-        assert all(s == "hypothesis_unmet" for s in sw.statuses)
+        assert all(r.status == "hypothesis_unmet" for r in sw.reports)
         assert sw.empirical_constant is None
 
     def test_row_failures_recorded_and_sweep_continues(self, basis3, grid3):
