@@ -2,25 +2,50 @@
 
 All tensors are expressed in the per-node orthonormal frames of the grid,
 so the round metric is the identity and raising indices is frame-trivial.
-With w = rho * grad u and D = sqrt(phi^2 + |w|^2):
+With w = rho * grad u, B = rho * Hess u and D = sqrt(phi^2 + |w|^2):
 
     g_ab   = w_a w_b + phi^2 delta_ab
-    h_ab   = (2 phi' w_a w_b + phi^2 phi' delta_ab - phi rho u_ab) / D
-    S^a_b  = phi'/D delta - rho u^a_b/(D phi) + phi' w^a w_b / D^3
-             + rho w^a (u_bc w^c) / (D^3 phi)
+    h_ab   = (2 phi' w_a w_b + phi^2 phi' delta_ab - phi B_ab) / D
+    S^a_b  = phi'/D delta - B^a_b/(D phi) + phi' w^a w_b / D^3
+             + w^a (B_bc w^c) / (D^3 phi)
 
-The symmetric similarity g^{-1/2} h g^{-1/2} of the Weingarten map has
-the same characteristic polynomial as S, because S is self-adjoint with
-respect to g. The integrals read only sigma_k, which symfunc takes from
-that polynomial without an eigensolve; the principal curvatures kappa are
-derived on demand, by eigvalsh of the similarity, for the few readers
-that need them.
+sigma_k of the shape operator S = g^{-1} h is taken in closed form from
+the per-node invariants sigma_j(B) and Q_j = w^T T_j(B) w of
+symfunc.hessian_invariants, with no matrix per node. Write
+M = alpha I + beta B with alpha = phi^2 phi' and beta = -phi. As
+g^{-1} = (I - w w^T / D^2) / phi^2 and 1 - |w|^2/D^2 = phi^2/D^2,
+
+    S = (phi^2 D)^{-1} (M + w v^T),   v = (2 phi' phi^2 w - M w) / D^2,
+
+a rank-one update of M. The update rule sigma_k(A + w v^T) =
+sigma_k(A) + v^T T_{k-1}(A) w and the Newton relation
+M T_{k-1}(M) = sigma_k(M) I - T_k(M) give, with q_m = w^T T_m(M) w,
+q_{-1} = 0, q_0 = |w|^2 and q_n = 0 (Cayley-Hamilton),
+
+    sigma_k(S) = [phi^2 sigma_k(M) + 2 phi' phi^2 q_{k-1} + q_k]
+                 / (D^2 (phi^2 D)^k).
+
+M shares its eigenvectors with B, so T_m(M) is diagonal with T_j(B) and
+
+    sigma_k(M) = sum_j C(n-j, k-j) alpha^{k-j} beta^j sigma_j(B),
+    q_m        = sum_j C(n-1-j, m-j) alpha^{m-j} beta^j Q_j.
+
+Under u -> e u, sigma_j(B) scales by e^j and Q_j by e^{j+2}, so a Jet
+carries the invariants of Hess u and grad u once, and Jet.scaled gives
+those of e u by elementwise products; relabeling the splitting
+(SurfaceGeometry.relabeled) leaves w and B, and so every invariant,
+unchanged. The principal curvatures kappa are derived on demand, by
+eigvalsh of the symmetric similarity g^{-1/2} h g^{-1/2}, which has the
+characteristic polynomial of S because S is self-adjoint with respect
+to g; only a few readers need them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,16 +78,40 @@ class RadialGraph:
         return self.rho * (1.0 + vals)
 
 
+class Jet(NamedTuple):
+    """The 2-jet of u at the grid nodes (values, frame gradient, frame
+    Hessian) with the invariants sigma_j(Hess u), shape (nodes, n+1), and
+    Q_j = grad u^T T_j(Hess u) grad u, shape (nodes, n), that sigma_k of
+    the shape operator reads."""
+
+    vals: np.ndarray
+    du: np.ndarray
+    d2u: np.ndarray
+    sigma: np.ndarray
+    quad: np.ndarray
+
+    @classmethod
+    def of(cls, u, grid):
+        vals, du, d2u = sb.eval_jet_all(u, grid)
+        return cls(vals, du, d2u, *sy.hessian_invariants(d2u, du))
+
+    def scaled(self, e):
+        """The jet of e u: sigma_j scales by e^j and Q_j by e^(j+2)."""
+        p = float(e) ** np.arange(self.sigma.shape[1])
+        return Jet(e * self.vals, e * self.du, e * self.d2u,
+                   self.sigma * p, self.quad * (e * e * p[:-1]))
+
+
 @dataclass(frozen=True)
 class SurfaceGeometry:
     """Batched per-node geometry of a radial graph on a grid.
 
     surface_geometry computes eagerly what the integrals read: the 2-jet
-    of u (u_vals, du, d2u), r, phi, dphi, Phi, D, area_factor,
-    second_form, sigma and H. kappa and H_plus are derived on first
-    access and then cached; only the H^+ integral, convex_flags, the node
-    dump and the tests read them. The Weingarten map and the
-    divergence-form H, the oracles for sigma and H, live in
+    of u (u_vals, du, d2u), r, phi, dphi, Phi, D, area_factor, sigma and
+    H. second_form, kappa and H_plus are derived on first access and then
+    cached; only the H^+ integral, convex_flags, the node dump and the
+    tests read them. The Weingarten map, the divergence-form H and the
+    similarity route to sigma, the oracles for sigma and H, live in
     tests/oracles.py.
     """
 
@@ -77,13 +126,22 @@ class SurfaceGeometry:
     Phi: np.ndarray = field(repr=False)
     D: np.ndarray = field(repr=False)
     area_factor: np.ndarray = field(repr=False)
-    second_form: np.ndarray = field(repr=False)
     sigma: np.ndarray = field(repr=False)
     H: np.ndarray = field(repr=False)
 
     @property
     def _w(self):
         return self.graph.rho * self.du
+
+    @cached_property
+    def second_form(self):
+        """h_ab per node, the formula in the module docstring."""
+        w, ph, dph = self._w, self.phi, self.dphi
+        outer = w[:, :, None] * w[:, None, :]
+        return (2.0 * dph[:, None, None] * outer
+                + (ph * ph * dph)[:, None, None] * np.eye(w.shape[1])
+                - ph[:, None, None] * (self.graph.rho * self.d2u)) \
+            / self.D[:, None, None]
 
     @cached_property
     def kappa(self):
@@ -130,36 +188,58 @@ def _similarity(w, ph, D, second):
     return 0.5 * (sym + np.swapaxes(sym, 1, 2))
 
 
+def _shape_sigma(jet, rho, ph, dph, D):
+    """sigma_0..sigma_n of the shape operator per node, from the jet's
+    Hessian invariants by the closed form in the module docstring."""
+    n = jet.d2u.shape[-1]
+    ph2 = ph * ph
+    alpha, beta = ph2 * dph, -rho * ph
+    apow, bpow = [1.0], [1.0]
+    for _ in range(n):
+        apow.append(apow[-1] * alpha)
+        bpow.append(bpow[-1] * beta)
+    # beta^j sigma_j(B) and beta^j Q_j with B = rho Hess u, w = rho grad u
+    bsig = [bpow[j] * jet.sigma[:, j] for j in range(n + 1)]
+    bquad = [(rho * rho) * bpow[j] * jet.quad[:, j] for j in range(n)]
+    # q[m + 1] = q_m, so that q[0] = q_{-1} = 0 and q[n + 1] = q_n = 0
+    q = [0.0] + [sum(comb(n - 1 - j, m - j) * apow[m - j] * bquad[j]
+                     for j in range(m + 1)) for m in range(n)] + [0.0]
+    sigma = np.empty((len(ph), n + 1))
+    sigma[:, 0] = 1.0
+    den = D * D
+    for k in range(1, n + 1):
+        sig_M = sum(comb(n - j, k - j) * apow[k - j] * bsig[j]
+                    for j in range(k + 1))
+        den = den * (ph2 * D)
+        sigma[:, k] = (ph2 * sig_M + 2.0 * alpha * q[k] + q[k + 1]) / den
+    return sigma
+
+
 def surface_geometry(graph, grid, jet=None):
     """Evaluate the pointwise geometry of the graph at every node.
 
-    jet, if given, is the precomputed eval_jet_all(graph.u, grid).
+    jet, if given, is the precomputed Jet.of(graph.u, grid), or, when
+    graph.u = e u0, Jet.of(u0, grid).scaled(e).
     """
     sf = graph.sf
     n = grid.n
-    vals, du, d2u = sb.eval_jet_all(graph.u, grid) if jet is None else jet
-    if not (np.isfinite(du).all() and np.isfinite(d2u).all()):
+    if jet is None:
+        jet = Jet.of(graph.u, grid)
+    if not (np.isfinite(jet.du).all() and np.isfinite(jet.d2u).all()):
         raise ValueError("non-finite 2-jet")
-    r = graph.radii(vals)
+    r = graph.radii(jet.vals)
     if np.any(r <= 0.0) or np.any(r >= sf.r_max):
         raise ValueError("graph radii leave the admissible band (0, r_max)")
     ph = sf.phi(r)
     dph = sf.dphi(r)
     Ph = sf.Phi(r)
-    w = graph.rho * du
-    gradsq = np.sum(w * w, axis=1)
-    D = np.sqrt(ph * ph + gradsq)
+    D = np.sqrt(ph * ph + graph.rho ** 2 * jet.quad[:, 0])
     if np.min(D) < DEGENERACY_TOL or np.min(ph) < DEGENERACY_TOL:
         raise ValueError("degenerate metric: D or phi below tolerance")
-    area = ph ** (n - 1) * D
-    outer = w[:, :, None] * w[:, None, :]
-    second = (2.0 * dph[:, None, None] * outer
-              + (ph * ph * dph)[:, None, None] * np.eye(n)
-              - ph[:, None, None] * (graph.rho * d2u)) / D[:, None, None]
-    sigma = sy.sigma_all_batch(_similarity(w, ph, D, second))
+    sigma = _shape_sigma(jet, graph.rho, ph, dph, D)
     return SurfaceGeometry(
-        graph=graph, grid=grid, u_vals=vals, du=du, d2u=d2u, r=r, phi=ph,
-        dphi=dph, Phi=Ph, D=D, area_factor=area, second_form=second,
+        graph=graph, grid=grid, u_vals=jet.vals, du=jet.du, d2u=jet.d2u,
+        r=r, phi=ph, dphi=dph, Phi=Ph, D=D, area_factor=ph ** (n - 1) * D,
         sigma=sigma, H=sigma[:, 1])
 
 
@@ -183,7 +263,6 @@ def weighted_curvature_integral(graph, grid, w, k, positive_part=False,
 
 def sphere_curvature_integral(sf, rho, w, k):
     """Closed form of the same integral on the geodesic sphere r = rho."""
-    from math import comb
     ph, dph, Ph = sf.phi(rho), sf.dphi(rho), sf.Phi(rho)
     return comb(sf.n, k) * sf.sphere_area * ph ** (sf.n - k) * dph ** k * w(Ph)
 

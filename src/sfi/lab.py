@@ -33,7 +33,6 @@ from sfi import domains as dm
 from sfi import graphgeom as gg
 from sfi import normalize as nz
 from sfi import spherebasis as sb
-from sfi import symfunc as sy
 from sfi.spaceform import check_weight, phi_triple
 
 # Norm budgets inside which the comparisons are asserted; rows whose
@@ -192,9 +191,9 @@ class ExpansionBlocks:
 
     def integrated(self, jet, grid, rho, area):
         """(C0, C1, C2): closed-form Taylor coefficients of eps for the
-        one-parameter family u = eps * u0, given jet = eval_jet_all(u0,
-        grid)."""
-        vals, grad, _ = jet
+        one-parameter family u = eps * u0, given the values and gradient
+        of u0 at the grid nodes as the first two entries of jet."""
+        vals, grad = jet[:2]
         i1 = grid.integrate(vals)
         i2 = grid.integrate(vals * vals)
         ig = grid.integrate(np.sum(grad * grad, axis=1))
@@ -629,16 +628,16 @@ def expansion_oracle(sf, w, k, constraint_tag, u0, eps_list, grid, *,
         raise ValueError("amplitudes must lie in [1e-4, 1e-1]")
     if use_H_blocks and k != 1:
         raise ValueError("the mean-curvature blocks require k = 1")
-    # one 2-jet of u0 serves every amplitude: the jet of e u0 is e times it
-    jet = sb.eval_jet_all(u0, grid)
-    l2 = np.sqrt(max(grid.integrate(jet[0] ** 2), 0.0))
+    # one jet of u0 and one pass over its Hessian invariants serve every
+    # amplitude: Jet.scaled gives those of e u0 by elementwise products
+    jet = gg.Jet.of(u0, grid)
+    l2 = np.sqrt(max(grid.integrate(jet.vals ** 2), 0.0))
     if abs(l2 - 1.0) > 1e-6:
         raise ValueError(f"direction must have unit L2 norm, got {l2:.3e}")
 
     def F(e):
         graph = gg.RadialGraph(sf=sf, rho=rho, u=u0.scaled(e))
-        geo = gg.surface_geometry(graph, grid,
-                                  jet=tuple(e * part for part in jet))
+        geo = gg.surface_geometry(graph, grid, jet=jet.scaled(e))
         return gg.weighted_curvature_integral(graph, grid, w, k, geo=geo)
 
     F0 = F(0.0)
@@ -709,14 +708,12 @@ def hessian_identity(which, u, grid, m=None):
     exact for band-limited u.
     """
     n = grid.n
-    vals, grad, hess = sb.eval_jet_all(u, grid)
-    sig = sy.sigma_all_batch(hess)
+    vals, grad, hess, sig, quad = gg.Jet.of(u, grid)
     gradsq = np.sum(grad * grad, axis=1)
     if which == 1:
         if not 1 <= m <= n - 1:
             raise ValueError(f"identity 1 needs 1 <= m <= {n - 1}")
-        Ts = sy.newton_tensor_batch(hess, m)
-        lhs = grid.integrate(sy.newton_quadratic_batch(Ts, grad))
+        lhs = grid.integrate(quad[:, m])
         rhs = 0.5 * (m + 2) * grid.integrate(gradsq * sig[:, m])
     elif which == 2:
         if not 2 <= m <= n:

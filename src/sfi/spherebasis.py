@@ -15,8 +15,9 @@ stated polynomial exactness degree holds by construction.
 
 Set-up has no loop over monomials or nodes: build_basis(3, 8) takes about
 20 ms and build_grid(3, 24) about 8 ms (2-vCPU x86-64 host, BLAS pinned to
-one thread), so nothing is cached on disk. A process builds each grid once
-per (n, resolution), and the grid owns the matrices derived from its nodes.
+one thread), so nothing is cached on disk. A process builds each basis
+once per (n, d_max) and each grid once per (n, resolution); the basis
+owns its monomial table and the grid the matrices derived from its nodes.
 """
 
 from __future__ import annotations
@@ -317,10 +318,16 @@ def _fix_signs(columns):
 
 
 def build_basis(n, d_max):
-    """Construct the orthonormal spherical-harmonic basis up to degree d_max."""
+    """The orthonormal spherical-harmonic basis up to degree d_max; calls
+    with the same (n, d_max) share one read-only basis."""
     if n not in SUPPORTED_DIMENSIONS:
         raise ValueError(f"unsupported dimension n={n}; expected one of "
                          f"{SUPPORTED_DIMENSIONS}")
+    return _shared_basis(n, d_max)
+
+
+@lru_cache(maxsize=4)
+def _shared_basis(n, d_max):
     table = MonomialTable(n + 1, d_max)
     omega = unit_sphere_area(n)
     blocks = []
@@ -339,10 +346,11 @@ def build_basis(n, d_max):
         rows = np.zeros((col.shape[1], table.size))
         rows[:, table.degree_slices[d]] = col.T
         blocks.append(rows)
-    return HarmonicBasis(
-        n=n, d_max=d_max, coeffs=np.vstack(blocks),
-        degrees=np.repeat(np.arange(d_max + 1), [len(b) for b in blocks]),
-        table=table)
+    coeffs = np.vstack(blocks)
+    degrees = np.repeat(np.arange(d_max + 1), [len(b) for b in blocks])
+    coeffs.flags.writeable = degrees.flags.writeable = False
+    return HarmonicBasis(n=n, d_max=d_max, coeffs=coeffs, degrees=degrees,
+                         table=table)
 
 
 def _pair_integrals(table, d):

@@ -1,12 +1,14 @@
-"""Elementary symmetric functions and Newton transformations.
+"""Hessian invariants: elementary symmetric functions and Newton quadratics.
 
-The production path, sigma_all_batch, never computes eigenvalues: sigma_k
-is a coefficient of the characteristic polynomial, and Newton's identities
-give it from the recursion T_0 = I, sigma_k = tr(A T_{k-1}) / k,
-T_k = sigma_k I - A T_{k-1}. Newton tensors use the same recursion. The
-independent oracles (sigma_k from the eigenvalues of one matrix, sigma_k
-as a sum of principal minors, and the single-matrix Newton tensor checked
-against d sigma_{k+1} = tr(T_k dA)) live in tests/oracles.py.
+For a symmetric matrix B and a vector w the curvature integrals read
+sigma_j(B) and Q_j = w^T T_j(B) w, where T_j is the Newton transformation
+(T_0 = I, T_j = sigma_j I - B T_{j-1}, d sigma_{j+1} = tr(T_j dB), and
+T_n = 0 by Cayley-Hamilton). Newton's identities give both without an
+eigenvalue: sigma_m = tr(B T_{m-1}) / m, and Q_m = w . t_m from the
+vector recursion t_0 = w, t_m = T_m w = sigma_m w - B t_{m-1}. graphgeom
+takes sigma_k of the shape operator from these invariants in closed form
+(see its module docstring); the eigenvalue, minor-sum and matrix-recursion
+oracles live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -14,44 +16,27 @@ from __future__ import annotations
 import numpy as np
 
 
-def _newton_recursion(a, k):
-    """sigma_0..sigma_k and T_k of symmetric matrices a (..., n, n).
+def hessian_invariants(B, w):
+    """(sigma, Q): sigma_0..sigma_n(B), shape (..., n+1), and
+    Q_0..Q_{n-1} = w^T T_j(B) w, shape (..., n), for symmetric matrices
+    B (..., n, n) and vectors w (..., n), in one recursion pass.
 
-    Newton's identities: T_0 = I, sigma_m = tr(A T_{m-1}) / m and
-    T_m = sigma_m I - A T_{m-1}, where tr(A T) is the entrywise sum of
-    A * T because A and T are symmetric. No eigenvalue is computed.
+    tr(B T) is the entrywise sum of B * T because B and T are symmetric.
+    T_n and Q_n, both zero, are not formed.
     """
-    sig = np.empty(a.shape[:-2] + (k + 1,))
+    B = np.asarray(B, dtype=float)
+    w = np.asarray(w, dtype=float)
+    n = B.shape[-1]
+    sig = np.empty(B.shape[:-2] + (n + 1,))
+    Q = np.empty(B.shape[:-2] + (n,))
     sig[..., 0] = 1.0
-    eye = np.eye(a.shape[-1])
-    T = eye
-    for m in range(1, k + 1):
-        sig[..., m] = np.einsum("...ij,...ij->...", a, T) / m
-        T = sig[..., m, None, None] * eye - a @ T
-    return sig, T
-
-
-def sigma_all_batch(mats):
-    """(sigma_0, ..., sigma_n) of symmetric matrices of shape (..., n, n),
-    by Newton's identities; T_n (zero by Cayley-Hamilton) is not formed."""
-    a = np.asarray(mats, dtype=float)
-    n = a.shape[-1]
-    sig, T = _newton_recursion(a, n - 1)
-    last = np.einsum("...ij,...ij->...", a, T) / n
-    return np.concatenate([sig, last[..., None]], axis=-1)
-
-
-def newton_tensor_batch(mats, k):
-    """Batched Newton tensors for matrices of shape (..., n, n)."""
-    a = np.asarray(mats, dtype=float)
-    n = a.shape[-1]
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"Newton tensor order k={k} outside [0, {n - 1}]")
-    _, T = _newton_recursion(a, k)
-    T = np.broadcast_to(T, a.shape)
-    return 0.5 * (T + np.swapaxes(T, -1, -2))
-
-
-def newton_quadratic_batch(Ts, vs):
-    """Batched v^T T v over matching leading axes."""
-    return np.einsum("...i,...ij,...j->...", vs, Ts, vs)
+    Q[..., 0] = np.einsum("...i,...i->...", w, w)
+    eye = np.eye(n)
+    T, t = eye, w
+    for m in range(1, n + 1):
+        sig[..., m] = np.einsum("...ij,...ij->...", B, T) / m
+        if m < n:
+            T = sig[..., m, None, None] * eye - B @ T
+            t = sig[..., m, None] * w - (B @ t[..., None])[..., 0]
+            Q[..., m] = np.einsum("...i,...i->...", w, t)
+    return sig, Q

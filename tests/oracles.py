@@ -1,6 +1,7 @@
 """Independent reference computations that tests hold sfi against:
 sigma_k by eigenvalues and by principal minors, the single-matrix Newton
-tensor, the Weingarten map, the divergence-form H, brute-force volumes,
+tensor, the batched Newton recursion on the similarity of the Weingarten
+map, the Weingarten map, the divergence-form H, brute-force volumes,
 translated-ball profiles and the Laplace-Beltrami operator. No row, fit
 or CLI command runs them; tests import this module as ``import oracles``.
 """
@@ -29,7 +30,7 @@ def elementary_from_eigenvalues(lams):
 
 def sigma_all(A):
     """(sigma_0, ..., sigma_n) of a symmetric matrix via eigenvalues
-    (oracle for sigma_all_batch)."""
+    (oracle for symfunc.hessian_invariants and SurfaceGeometry.sigma)."""
     return elementary_from_eigenvalues(
         np.linalg.eigvalsh(np.asarray(A, dtype=float)))
 
@@ -62,6 +63,46 @@ def newton_tensor(A, k):
     for m in range(1, k + 1):
         T = sig[m] * np.eye(n) - a @ T
     return T
+
+
+def sigma_all_batch(mats):
+    """(sigma_0, ..., sigma_n) of symmetric matrices (..., n, n) by the
+    matrix form of Newton's identities: T_0 = I, sigma_m = tr(A T_{m-1})
+    / m, T_m = sigma_m I - A T_{m-1}."""
+    a = np.asarray(mats, dtype=float)
+    n = a.shape[-1]
+    sig = np.empty(a.shape[:-2] + (n + 1,))
+    sig[..., 0] = 1.0
+    eye = np.eye(n)
+    T = eye
+    for m in range(1, n + 1):
+        sig[..., m] = np.einsum("...ij,...ij->...", a, T) / m
+        T = sig[..., m, None, None] * eye - a @ T
+    return sig
+
+
+def newton_quadratics_batch(mats, vs):
+    """Q_0..Q_{n-1} = v^T T_m v per matrix, with every Newton tensor
+    T_m of the matrix recursion formed and symmetrized."""
+    a = np.asarray(mats, dtype=float)
+    n = a.shape[-1]
+    sig = sigma_all_batch(a)
+    out = np.empty(a.shape[:-2] + (n,))
+    T = np.broadcast_to(np.eye(n), a.shape)
+    for m in range(n):
+        if m:
+            T = sig[..., m, None, None] * np.eye(n) - a @ T
+        Ts = 0.5 * (T + np.swapaxes(T, -1, -2))
+        out[..., m] = np.einsum("...i,...ij,...j->...", vs, Ts, vs)
+    return out
+
+
+def sigma_by_similarity(geo):
+    """sigma_0..sigma_n of the shape operator per node of a
+    SurfaceGeometry by a second route: the batched Newton recursion on
+    the symmetric similarity g^{-1/2} h g^{-1/2} of the Weingarten map."""
+    return sigma_all_batch(gg._similarity(geo._w, geo.phi, geo.D,
+                                          geo.second_form))
 
 
 def weingarten(geo):

@@ -388,6 +388,20 @@ epsilon = 0.004, 0.008
         assert "case:main" in err
         assert "min_deficit_over_alpha_sq" in err
 
+    def test_shared_basis_keeps_report_bytes(self, tmp_path):
+        # a sweep on a freshly built basis and one on the basis an earlier
+        # call left in the cache write the same bytes
+        from sfi import spherebasis as sb
+
+        path = write_config(tmp_path, BASE + PERTURB_RANDOM + CASE_STAB)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        sb._shared_basis.cache_clear()
+        assert cli.main(["sweep", "--config", path, "--out", str(a)]) == 0
+        basis = sb.build_basis(3, 5)
+        assert cli.main(["sweep", "--config", path, "--out", str(b)]) == 0
+        assert sb.build_basis(3, 5) is basis
+        assert a.read_bytes() == b.read_bytes()
+
     def test_raising_row_is_exit_three_and_rest_reported(
             self, tmp_path, monkeypatch, capsys):
         path = write_config(tmp_path, BASE + PERTURB_RANDOM + CASE_STAB)

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from sfi import graphgeom as gg
 from sfi import spherebasis as sb
+from sfi import symfunc as sy
 from sfi.spaceform import SpaceForm, WeightFunction
 
 ALL_K = [-1, 0, 1]
@@ -52,12 +53,12 @@ class TestRadialGraph:
         # NaN compares false, so it passes the band and degeneracy checks
         # unless rejected explicitly
         g = perturbed_graph(-1, grid3, basis3, 0.01)
-        vals, du, d2u = sb.eval_jet_all(g.u, grid3)
-        for which in range(3):
-            jet = [vals.copy(), du.copy(), d2u.copy()]
-            jet[which].flat[0] = np.nan
+        jet = gg.Jet.of(g.u, grid3)
+        for name in ("vals", "du", "d2u"):
+            bad = getattr(jet, name).copy()
+            bad.flat[0] = np.nan
             with pytest.raises(ValueError, match="non-finite"):
-                gg.surface_geometry(g, grid3, jet=tuple(jet))
+                gg.surface_geometry(g, grid3, jet=jet._replace(**{name: bad}))
         with pytest.raises(ValueError, match="non-finite"):
             g.radii(np.full(3, np.inf))
 
@@ -155,15 +156,14 @@ class TestPerturbedGeometry:
 
     @pytest.mark.parametrize("K", ALL_K)
     def test_scaled_jet_matches_fresh_geometry(self, K, grid3, basis3):
-        # expansion fits build the geometry of eps u0 from eps times the
-        # jet of u0
+        # expansion fits build the geometry of eps u0 from the jet of u0
+        # and its Hessian invariants, scaled by powers of eps
         u0 = perturbed_graph(K, grid3, basis3, 1.0, seed=K + 20).u
-        jet0 = sb.eval_jet_all(u0, grid3)
+        jet0 = gg.Jet.of(u0, grid3)
         for eps in (0.03, -0.004, 0.0):
             g = gg.RadialGraph(sf=SpaceForm(K=K, n=3), rho=0.9,
                                u=u0.scaled(eps))
-            geo = gg.surface_geometry(g, grid3,
-                                      jet=tuple(eps * p for p in jet0))
+            geo = gg.surface_geometry(g, grid3, jet=jet0.scaled(eps))
             fresh = gg.surface_geometry(g, grid3)
             for name in ("u_vals", "du", "d2u", "r", "phi", "dphi", "Phi",
                          "D", "area_factor", "second_form", "kappa",
@@ -173,6 +173,39 @@ class TestPerturbedGeometry:
                 assert np.allclose(got, want, rtol=1e-13,
                                    atol=1e-15 * max(1.0, np.max(np.abs(
                                        want)))), (eps, name)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("K", ALL_K)
+    def test_sigma_matches_eigenvalue_oracles(self, K, n):
+        # the closed form from the Hessian invariants against the
+        # elementary symmetric functions of the principal curvatures
+        # (eigvalsh of the similarity) and against the Newton recursion
+        # on that similarity: nearly spherical graphs over the amplitude
+        # range, and random jets far from any sphere
+        grid = sb.build_grid(n, 8)
+        sf = SpaceForm(K=K, n=n)
+        u0 = perturbed_graph(K, grid, sb.build_basis(n, 4), 1.0,
+                             seed=n + 3 * K + 3).u
+        jet0 = gg.Jet.of(u0, grid)
+        geos = [gg.surface_geometry(
+            gg.RadialGraph(sf=sf, rho=0.9, u=u0.scaled(eps)), grid,
+            jet=jet0.scaled(eps)) for eps in (1e-12, 1e-8, 1e-4, 0.01, 0.2)]
+        rng = np.random.default_rng(40 + n + K)
+        m = grid.node_count
+        a = rng.standard_normal((m, n, n))
+        d2u = 0.5 * (a + np.swapaxes(a, 1, 2))
+        du = 0.6 * rng.standard_normal((m, n))
+        vals = 0.05 * rng.standard_normal(m)
+        rand = gg.Jet(vals, du, d2u, *sy.hessian_invariants(d2u, du))
+        geos.append(gg.surface_geometry(
+            gg.RadialGraph(sf=sf, rho=0.9, u=u0.scaled(0.0)), grid,
+            jet=rand))
+        for geo in geos:
+            tol = 1e-13 * np.maximum(1.0, np.abs(geo.sigma))
+            eig = oracles.elementary_from_eigenvalues(geo.kappa)
+            assert np.all(np.abs(geo.sigma - eig) <= tol)
+            sim = oracles.sigma_by_similarity(geo)
+            assert np.all(np.abs(geo.sigma - sim) <= tol)
 
     def test_convex_flags(self, grid3, basis3):
         g = perturbed_graph(0, grid3, basis3, 0.01, seed=5)

@@ -6,11 +6,13 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from sfi import domains as dm
 from sfi import graphgeom as gg
 from sfi import lab
 from sfi import normalize as nz
 from sfi import spherebasis as sb
+from sfi import symfunc as sy
 from sfi.spaceform import SpaceForm, WeightFunction
 
 ALL_K = [-1, 0, 1]
@@ -192,6 +194,25 @@ class TestHessianIdentities:
             assert np.count_nonzero(keep) >= 3
             slope = np.polyfit(np.log(eps[keep]), np.log(res[keep]), 1)[0]
             assert slope >= 2.9, (which, m, slope)
+
+    def test_invariants_match_matrix_recursion(self, basis3, grid3,
+                                               monkeypatch):
+        # the one-pass invariants against every Newton tensor formed and
+        # symmetrized, through the same identity code
+        u = lab.sample_direction(basis3, 5, 1, degrees=(2, 3, 4)).scaled(0.03)
+        got = [lab.hessian_identity(which, u, grid3, m)
+               for which, m, _ in self.CASES]
+
+        def matrix_route(u, grid):
+            vals, du, d2u = sb.eval_jet_all(u, grid)
+            return gg.Jet(vals, du, d2u, oracles.sigma_all_batch(d2u),
+                          oracles.newton_quadratics_batch(d2u, du))
+
+        monkeypatch.setattr(gg.Jet, "of", staticmethod(matrix_route))
+        for (which, m, _), pair in zip(self.CASES, got):
+            want = lab.hessian_identity(which, u, grid3, m)
+            for a, b in zip(pair, want):
+                assert abs(a - b) <= 1e-13 * max(1.0, abs(b)), (which, m)
 
     def test_trace_integral_vanishes_exactly(self, basis3, grid_exact):
         for stream in range(3):
@@ -581,6 +602,22 @@ class TestNoBatchedEigensolves:
                                    u0, np.geomspace(2e-3, 2e-2, 6), grid3,
                                    rho=RHO[-1])
         assert rep.max_rel_error < 1e-4
+
+    def test_expansion_fit_runs_one_recursion(self, basis3, grid3,
+                                              monkeypatch):
+        # the 13 amplitudes of a fit scale one set of Hessian invariants
+        calls = []
+        invariants = sy.hessian_invariants
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return invariants(*args)
+
+        monkeypatch.setattr(sy, "hessian_invariants", counting)
+        u0 = lab.sample_direction(basis3, 42, 0, degrees=(0, 1, 2, 3, 4))
+        lab.expansion_oracle(SpaceForm(K=0, n=3), WeightFunction.affine(), 2,
+                             "volume", u0, np.geomspace(2e-3, 2e-2, 6), grid3)
+        assert calls == [(grid3.node_count, 3, 3)]
 
     def test_verify_row_solves_only_the_hessian_norm(self, basis3, grid3,
                                                      monkeypatch):

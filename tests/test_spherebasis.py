@@ -239,6 +239,18 @@ class TestGrid:
 
 
 class TestBasis:
+    def test_shared_read_only_basis(self):
+        # the same (n, d_max) is the same basis, with its monomial table
+        basis = sb.build_basis(3, 5)
+        assert sb.build_basis(3, 5) is basis
+        assert sb.build_basis(3, 6) is not basis
+        for arr in (basis.coeffs, basis.degrees):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            basis.coeffs[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            sb.build_basis(5, 5)
+
     def test_orthonormal(self, grid3, basis3):
         V = grid3.vandermonde(basis3.table)
         Y = V @ basis3.coeffs.T

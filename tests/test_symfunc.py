@@ -1,4 +1,5 @@
-"""Tests for elementary symmetric functions and Newton tensors."""
+"""Tests for elementary symmetric functions and Newton tensors: the
+oracles, and symfunc.hessian_invariants against them."""
 
 import math
 
@@ -13,6 +14,30 @@ from sfi import symfunc as sy
 def random_symmetric(rng, n):
     a = rng.standard_normal((n, n))
     return 0.5 * (a + a.T)
+
+
+def batch_sigma(mats):
+    mats = np.asarray(mats)
+    return sy.hessian_invariants(mats, np.zeros(mats.shape[:-1]))[0]
+
+
+def batch_newton_tensor(mats, k):
+    """T_k of each matrix, polarized from the invariants' quadratic forms
+    Q_k(v) = v^T T_k v at v = e_i and e_i + e_j."""
+    mats = np.asarray(mats)
+    n = mats.shape[-1]
+    eye = np.eye(n)
+    vs = (eye[:, None, :] + eye[None, :, :]).reshape(n * n, n)
+    quad = sy.hessian_invariants(
+        np.repeat(mats[:, None], n * n, axis=1),
+        np.broadcast_to(vs, (len(mats), n * n, n)))[1][..., k]
+    quad = quad.reshape(len(mats), n, n)
+    diag = np.einsum("...ii->...i", quad) / 4.0
+    return 0.5 * (quad - diag[:, :, None] - diag[:, None, :])
+
+
+def batch_quadratic(mats, vs, k):
+    return sy.hessian_invariants(mats, vs)[1][..., k]
 
 
 class TestSigma:
@@ -60,7 +85,7 @@ class TestSigma:
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(7)
         mats = np.array([random_symmetric(rng, 3) for _ in range(6)])
-        batch = sy.sigma_all_batch(mats)
+        batch = batch_sigma(mats)
         for i in range(6):
             assert np.allclose(batch[i], oracles.sigma_all(mats[i]), atol=1e-12)
 
@@ -75,7 +100,7 @@ class TestSigma:
                 for kappa0 in (1.3, -0.7)
                 for delta in 10.0 ** -np.arange(2, 13)]
         rand = [random_symmetric(rng, n) for _ in range(8)]
-        batch = sy.sigma_all_batch(np.array(near + rand))
+        batch = batch_sigma(np.array(near + rand))
         for i, (a, sig) in enumerate(zip(near + rand, batch)):
             scale = float(np.max(np.abs(a)))
             for k in range(n + 1):
@@ -129,14 +154,15 @@ class TestNewton:
             oracles.newton_tensor(a, 3)
         with pytest.raises(ValueError):
             oracles.newton_tensor(a, -1)
-        with pytest.raises(ValueError):
-            sy.newton_tensor_batch(a[None], 3)
+        # the invariants stop at Q_{n-1}: T_n vanishes by Cayley-Hamilton
+        assert sy.hessian_invariants(a[None], np.ones((1, 3)))[1].shape \
+            == (1, 3)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(19)
         mats = np.array([random_symmetric(rng, 3) for _ in range(5)])
         for k in range(3):
-            batch = sy.newton_tensor_batch(mats, k)
+            batch = batch_newton_tensor(mats, k)
             for i in range(5):
                 assert np.allclose(batch[i], oracles.newton_tensor(mats[i], k),
                                    atol=1e-11)
@@ -145,11 +171,12 @@ class TestNewton:
 class TestNewtonQuadratic:
     def test_T0_norm(self):
         v = np.array([1.0, -2.0, 0.5])
-        assert sy.newton_quadratic_batch(np.eye(3), v) == pytest.approx(v @ v)
+        rng = np.random.default_rng(3)
+        assert batch_quadratic(random_symmetric(rng, 3), v, 0) \
+            == pytest.approx(v @ v)
 
     def test_diag_example(self):
-        T1 = oracles.newton_tensor(np.diag([1.0, 2.0, 3.0]), 1)
-        assert sy.newton_quadratic_batch(T1, np.eye(3)[0]) \
+        assert batch_quadratic(np.diag([1.0, 2.0, 3.0]), np.eye(3)[0], 1) \
             == pytest.approx(5.0)
 
     def test_double_loop_oracle(self):
@@ -161,14 +188,13 @@ class TestNewtonQuadratic:
         for i in range(4):
             for j in range(4):
                 total += v[i] * T2[i, j] * v[j]
-        assert sy.newton_quadratic_batch(T2, v) == pytest.approx(total,
-                                                                 abs=1e-12)
+        assert batch_quadratic(a, v, 2) == pytest.approx(total, abs=1e-12)
 
     def test_batch(self):
         rng = np.random.default_rng(29)
         mats = np.array([random_symmetric(rng, 3) for _ in range(4)])
         vs = rng.standard_normal((4, 3))
-        Ts = sy.newton_tensor_batch(mats, 1)
-        out = sy.newton_quadratic_batch(Ts, vs)
+        out = batch_quadratic(mats, vs, 1)
         for i in range(4):
-            assert out[i] == pytest.approx(vs[i] @ Ts[i] @ vs[i], abs=1e-12)
+            T1 = oracles.newton_tensor(mats[i], 1)
+            assert out[i] == pytest.approx(vs[i] @ T1 @ vs[i], abs=1e-12)
