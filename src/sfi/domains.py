@@ -42,7 +42,7 @@ POLISH_REL_GAIN = 1e-6
 SEARCH_STEPS = 50
 SEARCH_ALPHA_FLOOR = 1e-12
 # Barycenter: Gauss-Legendre points per ray, gradient-norm tolerance and
-# iteration cap of the Karcher-mean fixed point.
+# iteration cap of the Newton-scaled Karcher iteration.
 BARYCENTER_RADIAL_POINTS = 16
 BARYCENTER_TOL = 1e-10
 BARYCENTER_MAX_ITER = 100
@@ -150,16 +150,14 @@ def radius_for_volume(sf, V):
     return ball_radius(lambda r: ball_volume(sf, r), V, sf.r_max - 1e-9)
 
 
-def _bulk_mass_points(graph, grid, radial_points, radii=None):
-    """Radial x angular quadrature points of Omega, never embedded.
+def _bulk_mass_points(sf, grid, R, radial_points):
+    """Radial x angular quadrature points of the region with radii R at
+    the grid nodes, never embedded.
 
     Returns (mass, ch, sh), each (nodes, radial_points): the point at
     radius r over node x embeds as y = (phi'(r), phi(r) x) for K = +-1 and
     as y = phi(r) x for K = 0, so ch = phi'(r) and sh = phi(r) carry it.
-    radii, if given, are the graph's radii at the grid nodes.
     """
-    sf = graph.sf
-    R = _graph_radii(graph, grid) if radii is None else radii
     t, wt = _radial_rule(radial_points)
     r = R[:, None] * t
     sh = sf.phi(r)
@@ -167,8 +165,37 @@ def _bulk_mass_points(graph, grid, radial_points, radii=None):
     return mass, sf.dphi(r), sh
 
 
+def _origin_moments(sf, R):
+    """Radial moments over each node of a region with radii R about O.
+
+    Returns (P, M, H): the mass P = P_n(R) = int_0^R phi^n, the first
+    moment M = int_0^R t phi^n(t) dt and
+    H = int_0^R phi^n (1 + n t phi'/phi) dt / (n+1) = R phi^n(R) / (n+1),
+    the mass-averaged trace of Hess(d^2/2) at O (see _mass_log_sum).
+    M = R P_n(R) - Q_n(R) with Q_n = int_0^R P_n, which integrates the
+    reduction of SpaceForm.primitive_from_warp once:
+    Q_m = ((m-1) Q_{m-2} - phi^m / m) / (K m), from Q_1 = K (R - phi)
+    for odd n and Q_0 = R^2 / 2 for even n. At K = 0, M = R^{n+2}/(n+2)
+    and H = P. For small R the reduction cancels as primitive_from_warp
+    does: about eps / R^4 relative for n = 3, 4 and eps / R^2 for n = 2.
+    """
+    n = sf.n
+    if sf.K == 0:
+        P = R ** (n + 1) / (n + 1)
+        return P, R ** (n + 2) / (n + 2), P
+    ph, dph = sf.phi(R), sf.dphi(R)
+    P = sf.primitive_from_warp(ph, dph, R)
+    if n % 2:
+        Q, start = sf.K * (R - ph), 1
+    else:
+        Q, start = 0.5 * R * R, 0
+    for m in range(start + 2, n + 1, 2):
+        Q = ((m - 1) * Q - ph ** m / m) / (sf.K * m)
+    return P, R * P - Q, R * ph ** n / (n + 1)
+
+
 def _mass_log_sum(sf, p, nodes, mass, ch, sh):
-    """sum_i mass_i log_p(y_i) over the points of _bulk_mass_points.
+    """(sum_i mass_i log_p(y_i), h) over the points of _bulk_mass_points.
 
     log_p(y) = s (y - c p), with c = cosh d, cos d or 1 and
     s = d / sinh d, d / sin d or 1 for K = -1, +1, 0. Both come from the
@@ -177,9 +204,15 @@ def _mass_log_sum(sf, p, nodes, mass, ch, sh):
     sinh d = sqrt(q) sqrt(1 + q/4), d = 2 asinh(sqrt(q)/2) (signs flipped
     for K = +1). With y = (ch, sh x),
     sum m s y = (sum m s ch, sum_x (sum_r m s sh) x).
+
+    h = (sum m + n sum m s c) / (n+1) is the mass-averaged trace of
+    Hess(d^2/2) at p, whose eigenvalues are 1 (radial) and d coth d or
+    d cot d (n tangential): the sum m s c is sum m d coth d, already formed
+    for the point part. At K = 0, h = sum m.
     """
     if sf.K == 0:
-        return np.sum(mass * sh, axis=1) @ nodes - np.sum(mass) * p
+        m = np.sum(mass)
+        return np.sum(mass * sh, axis=1) @ nodes - m * p, m
     q = np.maximum(2.0 * sf.K - 2.0 * (sf.K * p[0] * ch
                                        + sh * (nodes @ p[1:])[:, None]),
                    0.0)
@@ -192,39 +225,60 @@ def _mass_log_sum(sf, p, nodes, mass, ch, sh):
     den = np.sqrt(q) * np.sqrt(np.maximum(1.0 - 0.25 * sf.K * q, 0.0))
     ms = mass * np.where(d > 1e-12, d / np.where(den > 0, den, 1.0), 1.0)
     msy = np.concatenate([[np.sum(ms * ch)], np.sum(ms * sh, axis=1) @ nodes])
-    return msy - np.sum(ms * c) * p
+    msc = np.sum(ms * c)
+    return msy - msc * p, (np.sum(mass) + sf.n * msc) / (sf.n + 1)
 
 
 def barycenter(graph, grid, radii=None):
     """Karcher mean of the enclosed domain in ambient coordinates.
 
-    Minimizes p -> int_Omega d(y, p)^2 dv by Riemannian fixed-point
-    iteration; the energy gradient is -2 int log_p(y) dv, and convergence
-    is declared when its norm drops below BARYCENTER_TOL.
+    Minimizes p -> int_Omega d(y, p)^2 / 2 dv, whose gradient is
+    -G = -int log_p(y) dv, by Newton-scaled steps p <- exp_p(G / h):
+    h is the mass-averaged trace of the energy's Hessian (see
+    _mass_log_sum), exact for a ball about p, where the Hessian is
+    isotropic; at K = 0, h is the mass and the step lands on the
+    centroid. Convergence is declared when 2 |G| drops below
+    BARYCENTER_TOL max(1, mass).
 
-    The radial x angular points are never embedded: a point at radius r
-    over node x is y = (phi'(r), phi(r) x) (K = +-1), so
-    <y, p> = K phi'(r) p0 + phi(r) (x . pbar) needs one node vector
-    x . pbar per pass. Each pass sums mass * log_p(y) in closed form from
-    the squared chord q = 2K - 2<y, p> (see _mass_log_sum), with two mass
-    sums for the point part. radii, if given, are the graph's radii at
-    the grid nodes.
+    Past pi/2 from p the tangential eigenvalue d cot d is negative, and
+    as a K = +1 domain nears the antipode of p, h -> 0. So h is bounded
+    below by mass / (n+1), its value with every d cot d at 0, and the
+    step is then a damped Newton step: at rho = 2.5 the bound is active
+    and a call takes about 30 passes (the plain Karcher step, G / mass,
+    did not converge in BARYCENTER_MAX_ITER).
+
+    The first pass, at the origin O, is in closed form: log_O(y) = r x
+    for the point at radius r over node x, so G is the angular
+    quadrature of the first radial moment (_origin_moments), and the
+    radial points are built only if a step is taken. Later passes use
+    BARYCENTER_RADIAL_POINTS Gauss-Legendre points per ray, never
+    embedded: a point at radius r over node x is y = (phi'(r), phi(r) x)
+    (K = +-1), so <y, p> = K phi'(r) p0 + phi(r) (x . pbar) needs one
+    node vector x . pbar per pass, and each pass sums mass * log_p(y) in
+    closed form from the squared chord q = 2K - 2<y, p>. radii, if given,
+    are the graph's radii at the grid nodes.
     """
     sf = graph.sf
-    mass, ch, sh = _bulk_mass_points(graph, grid, BARYCENTER_RADIAL_POINTS,
-                                     radii)
-    total = float(np.sum(mass))
+    R = _graph_radii(graph, grid) if radii is None else radii
+    P, M, H = _origin_moments(sf, R)
+    total = grid.integrate(P)
     p = model.origin(sf)
+    G = (grid.weights * M) @ grid.nodes
+    if sf.K != 0:
+        G = np.concatenate([[0.0], G])
+    h = grid.integrate(H)
+    points = None
     for _ in range(BARYCENTER_MAX_ITER):
-        v = _mass_log_sum(sf, p, grid.nodes, mass, ch, sh) / total
-        if 2.0 * total * np.linalg.norm(v) \
-                < BARYCENTER_TOL * max(1.0, total):
+        if 2.0 * np.linalg.norm(G) < BARYCENTER_TOL * max(1.0, total):
             return p
-        p = model.exp_map(sf, p, v)
+        p = model.exp_map(sf, p, G / max(h, total / (sf.n + 1)))
         if sf.K == 1:
             p = p / np.linalg.norm(p)
         elif sf.K == -1:
             p = p / np.sqrt(p[0] ** 2 - np.sum(p[1:] ** 2))
+        if points is None:
+            points = _bulk_mass_points(sf, grid, R, BARYCENTER_RADIAL_POINTS)
+        G, h = _mass_log_sum(sf, p, grid.nodes, *points)
     raise RuntimeError("barycenter iteration did not converge")
 
 
@@ -302,15 +356,15 @@ def _ball_primitive(sf, center_vec, rho_bar, x):
 
 
 def _ball_primitive_gradient(sf, q, a, b, ph, dph, x):
-    """dP_n(R)/dq at the nodes x, shape (nodes, n+1).
+    """dP_n(R)/dq at the nodes x, shape (n+1, nodes).
 
     Differentiating a phi'(R) + K b phi(R) = C, where a^2 = 1 - K|q|^2,
     gives dR/dq = (phi' q / a - phi x) / (b phi' - a phi); K = 0 is the
     same formula with a = 1, phi' = 1 and phi = R. Then
     dP_n(R)/dq = phi^n(R) dR/dq.
     """
-    num = (dph / a)[:, None] * q - ph[:, None] * x
-    return (ph ** sf.n / (b * dph - a * ph))[:, None] * num
+    num = np.outer(q, dph / a) - x.T * ph
+    return num * (ph ** sf.n / (b * dph - a * ph))
 
 
 def symmetric_difference_to_ball(graph, grid, center_vec, rho_bar,
@@ -351,9 +405,27 @@ def symmetric_difference_to_ball(graph, grid, center_vec, rho_bar,
     return grid.integrate(np.abs(primitive - ball))
 
 
+def _lower_quantile(size):
+    """np.quantile(size, SEARCH_KERNEL_QUANTILE) of a finite 1-D array,
+    bit for bit: numpy's linear rule between the order statistics at
+    floor and ceil of (N - 1) q, with its two-sided interpolation, from
+    one np.partition instead of numpy's general machinery."""
+    pos = (len(size) - 1) * SEARCH_KERNEL_QUANTILE
+    lo = math.floor(pos)
+    hi = min(lo + 1, len(size) - 1)
+    part = np.partition(size, (lo, hi))
+    below, above = float(part[lo]), float(part[hi])
+    frac = pos - lo
+    diff = above - below
+    if frac >= 0.5:
+        return above - diff * (1.0 - frac)
+    return below + diff * frac
+
+
 def _search_step(r, dB, w, polish):
     """Step in q of the center search from residuals r, their q-gradients
-    -dB and node weights w; None when the step's model is singular.
+    -dB (shape (n+1, nodes)) and node weights w; None when the step's
+    model is singular.
 
     Newton phase: the gradient -sum w sign(r) dB and the crossing-curve
     Hessian 2 sum w delta(r) dB dB^T, delta a hat kernel of width tau.
@@ -364,12 +436,12 @@ def _search_step(r, dB, w, polish):
     if polish:
         curv = w / np.maximum(size, np.finfo(float).eps * np.max(size))
     else:
-        tau = float(np.quantile(size, SEARCH_KERNEL_QUANTILE))
+        tau = _lower_quantile(size)
         if not tau > 0.0:
             return None
         curv = 2.0 * w * np.maximum(tau - size, 0.0) / (tau * tau)
     try:
-        step = np.linalg.solve((dB.T * curv) @ dB, (w * np.sign(r)) @ dB)
+        step = np.linalg.solve((dB * curv) @ dB.T, dB @ (w * np.sign(r)))
     except np.linalg.LinAlgError:
         return None
     return step if np.isfinite(step).all() else None

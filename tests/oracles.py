@@ -1,9 +1,10 @@
 """Independent reference computations that tests hold sfi against:
 sigma_k by eigenvalues and by principal minors, the single-matrix Newton
 tensor, the batched Newton recursion on the similarity of the Weingarten
-map, the Weingarten map, the divergence-form H, brute-force volumes,
-translated-ball profiles and the Laplace-Beltrami operator. No row, fit
-or CLI command runs them; tests import this module as ``import oracles``.
+map, the Weingarten map, the divergence-form H, brute-force volumes and
+radial moments, translated-ball profiles and the Laplace-Beltrami
+operator. No row, fit or CLI command runs them; tests import this module
+as ``import oracles``.
 """
 
 from itertools import combinations
@@ -165,6 +166,17 @@ def volume_bruteforce(graph, grid, radial_points=32):
 
 def weighted_volume_bruteforce(graph, grid, radial_points=32):
     return bulk_integral_bruteforce(graph, grid, graph.sf.dphi, radial_points)
+
+
+def first_radial_moment_bruteforce(sf, R, points=40):
+    """int_0^R t phi^n(t) dt by a points-point Gauss-Legendre rule on
+    [0, R], for each radius in R (oracle for domains._origin_moments).
+    The integrand is entire, so for R up to 6 the rule's error is far
+    below its rounding, a few 1e-15 relative."""
+    R = np.asarray(R, dtype=float)[..., None]
+    t, w = np.polynomial.legendre.leggauss(points)
+    t = 0.5 * R * (t + 1.0)
+    return np.sum(0.5 * R * w * t * sf.phi(t) ** sf.n, axis=-1)
 
 
 def origin_tangent(sf, c):

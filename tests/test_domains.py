@@ -58,22 +58,44 @@ def embedded_mass_points(graph, grid, radial_points):
 
 
 def materialized_barycenter(graph, grid, radial_points=16, tol=1e-10):
-    """Karcher fixed-point iteration summing model.log_map over the
-    embedded points: the barycenter's reference computation."""
+    """Newton-scaled Karcher iteration summing model.log_map over the
+    embedded points from the origin: the barycenter's reference
+    computation. The step is G / h, with h = sum m (1 + n d cot_K d)/(n+1)
+    from per-point model.distance, bounded below by sum m / (n+1)."""
     sf = graph.sf
     pts, mass = embedded_mass_points(graph, grid, radial_points)
     total = np.sum(mass)
     p = model.origin(sf)
     for _ in range(100):
-        v = mass @ model.log_map(sf, p, pts) / total
-        if 2.0 * total * np.linalg.norm(v) < tol * max(1.0, total):
+        G = mass @ model.log_map(sf, p, pts)
+        if 2.0 * np.linalg.norm(G) < tol * max(1.0, total):
             return p
-        p = model.exp_map(sf, p, v)
+        h = mass @ hessian_trace_density(sf, model.distance(sf, pts, p))
+        p = model.exp_map(sf, p, G / max(h, total / (sf.n + 1)))
         if sf.K == 1:
             p = p / np.linalg.norm(p)
         elif sf.K == -1:
             p = p / np.sqrt(p[0] ** 2 - np.sum(p[1:] ** 2))
     raise AssertionError("reference barycenter did not converge")
+
+
+def hessian_trace_density(sf, d):
+    """tr Hess(d^2/2) / (n+1) = (1 + n d coth d) / (n+1) at K = -1,
+    (1 + n d cot d) / (n+1) at K = +1 and 1 at K = 0."""
+    if sf.K == 0:
+        return np.ones_like(d)
+    t = np.tanh(d) if sf.K == -1 else np.tan(d)
+    safe = np.where(d > 0, t, 1.0)
+    dcot = np.where(d > 0, d / safe, 1.0)
+    return (1.0 + sf.n * dcot) / (sf.n + 1)
+
+
+def gradient_criterion(graph, grid, p, tol=dm.BARYCENTER_TOL):
+    """2 |sum m log_p(y)| / (tol max(1, sum m)) over the embedded points:
+    below 1 where the barycenter declares convergence."""
+    pts, mass = embedded_mass_points(graph, grid, dm.BARYCENTER_RADIAL_POINTS)
+    G = mass @ model.log_map(graph.sf, p, pts)
+    return 2.0 * np.linalg.norm(G) / (tol * max(1.0, np.sum(mass)))
 
 
 def symmetric_difference_oracle(graph, grid, c, rho_bar):
@@ -241,22 +263,122 @@ class TestBarycenter:
         g = ball_graph(K, 1.1, basis3)
         b = dm.barycenter(g, grid3)
         assert np.linalg.norm(model.model_vector(g.sf, b)) < 1e-10
-        # the closed-form mass-weighted log sum against per-point log maps
-        # of the embedded points
+        # the closed-form mass-weighted log sum and Hessian trace against
+        # per-point log maps and distances of the embedded points
         g = perturbed(K, basis3, 0.05, seed=K + 3)
-        mass, ch, sh = dm._bulk_mass_points(g, grid3, 16)
+        R = g.radii(sb.values_on_grid(g.u, grid3))
+        mass, ch, sh = dm._bulk_mass_points(g.sf, grid3, R, 16)
         pts, ref_mass = embedded_mass_points(g, grid3, 16)
         assert np.allclose(mass.ravel(), ref_mass, rtol=1e-14, atol=0)
         for c in ([0.0, 0.0, 0.0, 0.0], [0.2, -0.1, 0.05, 0.3]):
             p = model.exp_map(g.sf, model.origin(g.sf),
                               oracles.origin_tangent(g.sf, np.array(c)))
             want = ref_mass @ model.log_map(g.sf, p, pts)
-            got = dm._mass_log_sum(g.sf, p, grid3.nodes, mass, ch, sh)
+            got, h = dm._mass_log_sum(g.sf, p, grid3.nodes, mass, ch, sh)
             assert np.allclose(got, want, rtol=0, atol=1e-13)
-        # the whole fixed-point iteration against the materialized one
+            want_h = ref_mass @ hessian_trace_density(
+                g.sf, model.distance(g.sf, pts, p))
+            assert h == pytest.approx(want_h, rel=1e-13)
+        # the whole Newton-scaled iteration against the materialized one
         want = materialized_barycenter(g, grid3)
         assert np.linalg.norm(model.model_vector(g.sf, want)) > 1e-4
         assert np.allclose(dm.barycenter(g, grid3), want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("K", ALL_K)
+    def test_first_radial_moment(self, K, n):
+        # M = R P_n - Q_n against a 40-point Gauss-Legendre rule, from
+        # R = 0.02 to 3.1 (K = +1, r_max = pi) or 6. The oracle rounds to
+        # a few 1e-15; the closed form loses what the reduction cancels
+        # for small R, eps / R^2 for n = 2 and eps / R^4 for n = 3, 4
+        # (8.9e-10 relative at R = 0.02, n = 3, K = +1)
+        sf = SpaceForm(K=K, n=n)
+        R = np.geomspace(0.02, 3.1 if K == 1 else 6.0, 25)
+        _P, M, _H = dm._origin_moments(sf, R)
+        want = oracles.first_radial_moment_bruteforce(sf, R)
+        power = 2 * ((n + 1) // 2)
+        tol = 1e-13 + 8 * np.finfo(float).eps / np.minimum(R, 1.0) ** power
+        assert np.all(np.abs(M / want - 1.0) < tol)
+
+    @pytest.mark.parametrize("K", ALL_K)
+    def test_closed_form_origin_pass(self, K, grid3, basis3):
+        # the first pass's gradient and Hessian trace at O, from radial
+        # moments, against the radial quadrature pass at O
+        g = perturbed(K, basis3, 0.05, seed=K + 5)
+        R = g.radii(sb.values_on_grid(g.u, grid3))
+        P, M, H = dm._origin_moments(g.sf, R)
+        G_quad, h_quad = dm._mass_log_sum(
+            g.sf, model.origin(g.sf), grid3.nodes,
+            *dm._bulk_mass_points(g.sf, grid3, R, 16))
+        G = (grid3.weights * M) @ grid3.nodes
+        assert np.allclose(G, G_quad[-4:], rtol=0, atol=1e-15)
+        assert grid3.integrate(H) == pytest.approx(h_quad, rel=1e-14)
+        assert grid3.integrate(P) == pytest.approx(dm.volume(g, grid3),
+                                                   rel=1e-15)
+
+    @pytest.mark.parametrize("K", ALL_K)
+    def test_returned_point_meets_the_tolerance(self, K, grid3, basis3):
+        # the materialized gradient at the returned point meets the
+        # BARYCENTER_TOL criterion, with no help from the closed forms
+        for seed, eps in ((1, 0.003), (2, 0.05)):
+            g = perturbed(K, basis3, eps, seed=seed)
+            assert gradient_criterion(g, grid3, dm.barycenter(g, grid3)) < 1
+
+    @pytest.mark.parametrize("K", ALL_K)
+    def test_radial_quadrature_passes(self, K, grid3, basis3, monkeypatch):
+        # at most 3 radial-quadrature passes for eps <= 0.05, and none in
+        # the call by which recenter verifies the origin
+        passes, bulk = [], []
+        mass_log_sum, bulk_points = dm._mass_log_sum, dm._bulk_mass_points
+        barycenter = dm.barycenter
+
+        def counting_sum(*args):
+            passes[-1] += 1
+            return mass_log_sum(*args)
+
+        def counting_points(*args):
+            bulk[-1] += 1
+            return bulk_points(*args)
+
+        def counting_barycenter(*args, **kwargs):
+            passes.append(0)
+            bulk.append(0)
+            return barycenter(*args, **kwargs)
+
+        monkeypatch.setattr(dm, "_mass_log_sum", counting_sum)
+        monkeypatch.setattr(dm, "_bulk_mass_points", counting_points)
+        monkeypatch.setattr(dm, "barycenter", counting_barycenter)
+        sf = SpaceForm(K=K, n=3)
+        for eps in (0.003, 0.01, 0.05):
+            for seed in range(3):
+                passes.clear()
+                bulk.clear()
+                u = lab.sample_direction(basis3, seed, 0).scaled(eps)
+                nz.recenter(gg.RadialGraph(sf=sf, rho=0.9, u=u), grid3)
+                assert len(passes) == 2
+                assert 1 <= passes[0] <= 3
+                assert passes[1] == 0 and bulk[1] == 0
+
+    @pytest.mark.parametrize("rho, floored", [(math.pi / 2 - 0.02, False),
+                                              (2.5, True)])
+    def test_spherical_domain_near_the_cap(self, rho, floored, grid3,
+                                           basis3):
+        # K = +1 domains reaching past pi/2 from the barycenter: near the
+        # weighted-volume cap pi/2 the Newton step keeps its 3 passes; at
+        # rho = 2.5, h falls below mass / (n+1) and the bound on h keeps
+        # the step from overshooting
+        sf = SpaceForm(K=1, n=3)
+        g = perturbed(1, basis3, 0.05, seed=4, rho=rho)
+        R = g.radii(sb.values_on_grid(g.u, grid3))
+        assert np.max(R) > math.pi / 2
+        P, _M, H = dm._origin_moments(sf, R)
+        raw = grid3.integrate(H) / grid3.integrate(P)
+        assert (raw < 1 / (sf.n + 1)) == floored
+        want = materialized_barycenter(g, grid3)
+        got = dm.barycenter(g, grid3)
+        assert np.linalg.norm(model.model_vector(sf, got)) > 1e-3
+        assert np.allclose(got, want, rtol=0, atol=1e-13)
+        assert gradient_criterion(g, grid3, got) < 1
 
     def test_even_perturbation(self, grid3, basis3):
         a = np.zeros(basis3.size)
@@ -403,6 +525,21 @@ class TestFraenkel:
                 ng.graph, grid, center, rho_bar,
                 primitive=sf.volume_primitive(ng.geometry.r))
 
+    def test_kernel_width_is_numpys_quantile(self):
+        # bit for bit np.quantile(size, 0.1), on random arrays and on
+        # arrays with ties, of lengths that put (N - 1) q on, below and
+        # above the half-way point between two order statistics
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 3, 6, 10, 11, 16, 91, 325, 4225):
+            arrays = [np.abs(rng.standard_normal(n)),
+                      rng.exponential(size=n) * 10.0 ** rng.integers(-12, 3),
+                      rng.integers(0, 3, size=n).astype(float),
+                      np.full(n, 0.25), np.zeros(n)]
+            for size in arrays:
+                want = float(np.quantile(size, dm.SEARCH_KERNEL_QUANTILE))
+                assert dm._lower_quantile(size) == want
+                assert dm._lower_quantile(size[::-1]) == want
+
     @pytest.mark.parametrize("K", ALL_K)
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_ball_primitive_gradient_matches_central_differences(self, K, n):
@@ -416,7 +553,7 @@ class TestFraenkel:
             q, a = dm._center_params(sf, scale * rho_bar * unit)
             b, ph, dph = dm._ball_warp(sf, q, a, rho_bar, x)
             got = dm._ball_primitive_gradient(sf, q, a, b, ph, dph, x)
-            want = np.column_stack([
+            want = np.array([
                 (ball_primitive_of_q(sf, q + h * e, rho_bar, x)
                  - ball_primitive_of_q(sf, q - h * e, rho_bar, x)) / (2 * h)
                 for e in np.eye(n + 1)])

@@ -621,12 +621,15 @@ class TestNoBatchedEigensolves:
 
     def test_verify_row_solves_only_the_hessian_norm(self, basis3, grid3,
                                                      monkeypatch):
+        # stacks only: a cached Gauss rule's first build solves one
+        # matrix (np.polynomial.legendre.leggauss), whatever ran before
         solved = []
         eigvalsh = np.linalg.eigvalsh
 
         def counting(a, *args, **kwargs):
             a = np.asarray(a)
-            solved.append(a.size // a.shape[-1] ** 2)
+            if a.ndim == 3:
+                solved.append(len(a))
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
@@ -637,7 +640,9 @@ class TestNoBatchedEigensolves:
                             u=lab.sample_direction(basis3, 5, 0).scaled(0.01))
         rep = lab.verify(case, g0, grid3)
         assert rep.status == "pass"
-        assert solved == [grid3.node_count]
+        # one stack, pruned to the nodes that can hold the Hessian norm
+        assert len(solved) == 1
+        assert 0 < solved[0] < grid3.node_count
 
 
 class TestSweep:

@@ -135,6 +135,19 @@ def frames_oracle(nodes):
     return frames
 
 
+def vandermonde_oracle(table, points):
+    out = np.empty((len(points), table.size))
+    for i, x in enumerate(points):
+        powers = np.ones((table.nvars, table.max_degree + 1))
+        for p in range(1, table.max_degree + 1):
+            powers[:, p] = powers[:, p - 1] * x
+        row = np.ones(table.size)
+        for j in range(table.nvars):
+            row = row * powers[j, table.exponents[:, j]]
+        out[i] = row
+    return out
+
+
 @pytest.fixture(scope="module")
 def grid3():
     return sb.build_grid(3, 20)
@@ -430,6 +443,35 @@ class TestNormsAndSpectra:
         norms = sb.sobolev_norms(sb.zero_function(basis3), grid3)
         assert norms == (0.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_pruned_hessian_norm_is_exact(self, n):
+        # bit-for-bit the maximum of |eigvalsh| over every node
+        grid = sb.build_grid(n, 16)
+        basis = sb.build_basis(n, 8)
+        rng = np.random.default_rng(30 + n)
+
+        def check(hess):
+            want = float(np.max(np.abs(np.linalg.eigvalsh(hess))))
+            assert sb._hessian_norm(hess) == want
+
+        for degrees in ((2,), (3,), (4,), (2, 3, 4), tuple(range(9))):
+            for _ in range(6):
+                a = np.zeros(basis.size)
+                for d in degrees:
+                    block = basis.degree_block(d)
+                    a[block] = rng.standard_normal(len(block))
+                a *= 10.0 ** rng.uniform(-8, 2)
+                check(sb.eval_jet_all(sb.from_coeffs(basis, a), grid)[2])
+        N = grid.node_count
+        check(np.zeros((N, n, n)))
+        B = rng.standard_normal((n, n))
+        check(np.broadcast_to(B + B.T, (N, n, n)).copy())
+        spike = np.zeros((N, n, n))
+        spike[N // 3] = B + B.T
+        check(spike)
+        spike[N // 3] = np.diag(np.arange(1.0, n + 1))
+        check(spike)
+
     def test_non_finite_jet_rejected(self, grid3):
         # eigvalsh of a zero matrix with NaN at [0, 0] returns 0, so a NaN
         # Hessian could report a finite norm
@@ -514,6 +556,18 @@ class TestSetUpMatchesLoops:
             assert np.array_equal(basis.coeffs, coeffs)
             assert np.array_equal(basis.degrees, degrees)
             assert basis.degrees.dtype == degrees.dtype
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_vandermonde(self, n):
+        # node blocks of NODE_BLOCK, the last one partial
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((2 * sb.NODE_BLOCK + 37, n + 1))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        for d_max in (1, 4, 8):
+            table = sb.MonomialTable(n + 1, d_max)
+            got = table.vandermonde(x)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, vandermonde_oracle(table, x))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_grids(self, n):
