@@ -17,7 +17,6 @@ from functools import cache
 from math import comb
 
 import numpy as np
-from scipy.optimize import brentq
 
 from sfi import graphgeom as gg
 from sfi import model
@@ -46,6 +45,12 @@ SEARCH_ALPHA_FLOOR = 1e-12
 BARYCENTER_RADIAL_POINTS = 16
 BARYCENTER_TOL = 1e-10
 BARYCENTER_MAX_ITER = 100
+# Ball radius (ball_radius, _brent): scipy.optimize.brentq's tolerances as
+# this solver has always used them, rtol being the least brentq accepts
+# (4 eps), and its iteration cap.
+RADIUS_XTOL = 1e-15
+RADIUS_RTOL = 8.9e-16
+RADIUS_MAX_ITER = 100
 
 
 def _graph_radii(graph, grid):
@@ -142,7 +147,58 @@ def ball_radius(ball_value, value, cap, start=1.0):
         raise ValueError(f"value {value!r} above the attainable range")
     if flo == 0:
         return lo
-    return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    return _brent(f, lo, hi, flo, fhi)
+
+
+def _brent(f, xpre, xcur, fpre, fcur):
+    """Root of f between xpre and xcur, given fpre = f(xpre) and
+    fcur = f(xcur) of opposite signs: Brent's method (1973) as
+    scipy.optimize.brentq runs it, step for step and float for float.
+    Raises ValueError on a NaN value and RuntimeError after
+    RADIUS_MAX_ITER steps."""
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise ValueError("function value at a bracket end is NaN")
+    if fpre == 0:
+        return float(xpre)
+    if fcur == 0:
+        return float(xcur)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(RADIUS_MAX_ITER):
+        if fpre != 0 and fcur != 0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (RADIUS_XTOL + RADIUS_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return float(xcur)
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ValueError(f"function value at {xcur!r} is NaN")
+    raise RuntimeError(f"failed to converge after {RADIUS_MAX_ITER} "
+                       f"iterations, value is {xcur!r}")
 
 
 def radius_for_volume(sf, V):

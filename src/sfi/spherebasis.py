@@ -13,11 +13,15 @@ Grids are tensor products: Gauss-Jacobi nodes in each polar cosine (weight
 (1 - t^2)^{(n-2)/2}, matching the slice measure) and uniform azimuth, so a
 stated polynomial exactness degree holds by construction.
 
-Set-up has no loop over monomials or nodes: build_basis(3, 8) takes about
-20 ms and build_grid(3, 24) about 8 ms (2-vCPU x86-64 host, BLAS pinned to
-one thread), so nothing is cached on disk. A process builds each basis
-once per (n, d_max) and each grid once per (n, resolution); the basis
-owns its monomial table and the grid the matrices derived from its nodes.
+Set-up uses numpy alone and has no loop over monomials or nodes: the
+derivatives of monomials are index maps (IndexMap), each degree's
+harmonics come from numpy's SVD, Cholesky factor and a forward
+substitution, and the polar rules from Golub-Welsch (_gauss_jacobi).
+build_basis(3, 8) takes about 12 ms and build_grid(3, 24) about 3 ms
+(2-vCPU x86-64 host, BLAS pinned to one thread), so nothing is cached on
+disk. A process builds each basis once per (n, d_max) and each grid once
+per (n, resolution); the basis owns its monomial table and the grid the
+matrices derived from its nodes.
 """
 
 from __future__ import annotations
@@ -28,9 +32,6 @@ from math import gamma
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import cholesky, null_space, solve_triangular
-from scipy.special import roots_jacobi
 
 from sfi.spaceform import unit_sphere_area
 
@@ -48,11 +49,24 @@ PRUNE_SLACK = 1e-12
 # ---------------------------------------------------------------------------
 # monomial tables
 
+class IndexMap(NamedTuple):
+    """A differentiation operator on monomial coefficient vectors:
+    out[dst] = scale * c[src], zero elsewhere. A derivative of a monomial
+    is one monomial times an integer, so each output row has at most one
+    source, and each entry rounds once."""
+
+    dst: np.ndarray
+    src: np.ndarray
+    scale: np.ndarray
+
+
 class MonomialTable:
     """Graded monomial basis for polynomials of degree <= max_degree.
 
-    Stores exponent rows in graded lexicographic order together with
-    sparse differentiation matrices acting on coefficient vectors.
+    Stores exponent rows in graded lexicographic order together with the
+    index maps of every first derivative d/dx_j (diff_maps[j]) and second
+    derivative d^2/dx_j dx_k (second_diff_maps[j, k], j <= k), all built
+    here, so a table shared between threads is never written to.
     """
 
     def __init__(self, nvars, max_degree):
@@ -77,14 +91,29 @@ class MonomialTable:
         row = np.full(len(grid), -1, dtype=np.int64)
         row[order] = np.arange(self.size)
         strides = (max_degree + 1) ** np.arange(nvars - 1, -1, -1)
-        self._diff = []
-        for j, stride in enumerate(strides):
-            cols = np.nonzero(self.exponents[:, j])[0]
-            self._diff.append(sparse.csr_matrix(
-                (self.exponents[cols, j].astype(float),
-                 (row[order[cols] - stride], cols)),
-                shape=(self.size, self.size)))
-        self._second = {}
+
+        def derivative(alpha):
+            # d^alpha x^e = e!/(e - alpha)! x^(e - alpha), alpha_j <= 2
+            src = np.nonzero(np.all(self.exponents >= alpha, axis=1))[0]
+            e = self.exponents[src]
+            scale = np.prod(np.where(alpha > 0, e, 1)
+                            * np.where(alpha > 1, e - 1, 1), axis=1)
+            return IndexMap(row[order[src] - alpha @ strides], src, scale)
+
+        unit = np.eye(nvars, dtype=np.int64)
+        self.jet_pairs = [(j, k) for j in range(nvars)
+                          for k in range(j, nvars)]
+        maps = [derivative(alpha) for alpha in
+                [0 * unit[0], *unit,
+                 *(unit[j] + unit[k] for j, k in self.jet_pairs)]]
+        self.diff_maps = maps[1:nvars + 1]
+        self.second_diff_maps = dict(zip(self.jet_pairs, maps[nvars + 1:]))
+        # the 2-jet's coefficient columns c, d/dx_j c and d^2/dx_j dx_k c
+        # (jet_pairs order) as one map into a C-ordered (size, columns)
+        self._jet_columns = len(maps)
+        self._jet_map = IndexMap(*map(np.concatenate, zip(*(
+            (m.dst * len(maps) + col, m.src, m.scale)
+            for col, m in enumerate(maps)))))
         # monomial i = x_lead^a * x_trail^b, where a and b index the
         # distinct exponent rows of the leading and trailing halves of the
         # variables, each of total degree <= max_degree (evaluate)
@@ -95,14 +124,15 @@ class MonomialTable:
         self._halves = [rows for rows, _ in halves]
         self._split_at = tuple(inverse.ravel() for _, inverse in halves)
 
-    def diff(self, j):
-        return self._diff[j]
-
-    def second_diff(self, j, k):
-        key = (min(j, k), max(j, k))
-        if key not in self._second:
-            self._second[key] = (self._diff[key[0]] @ self._diff[key[1]]).tocsr()
-        return self._second[key]
+    def jet_coefficients(self, c):
+        """Coefficient columns of the 2-jet of the polynomial c, shape
+        (size, 1 + nvars + len(jet_pairs)), C-ordered: c, then d/dx_j c
+        for each j, then d^2/dx_j dx_k c for each pair of jet_pairs; one
+        gather and scale."""
+        dst, src, scale = self._jet_map
+        out = np.zeros(self.size * self._jet_columns)
+        out[dst] = scale * c[src]
+        return out.reshape(self.size, self._jet_columns)
 
     def _power_blocks(self, pts):
         """(rows, powers) for each block of NODE_BLOCK points of the (N,
@@ -246,13 +276,46 @@ def _sphere_rule(n, degree):
         return _circle_rule(degree)
     sub_pts, sub_w = _sphere_rule(n - 1, degree)
     nt = (degree + 2) // 2
-    t, wt = roots_jacobi(nt, (n - 2) / 2.0, (n - 2) / 2.0)
+    t, wt = _gauss_jacobi(nt, (n - 2) / 2.0)
     s = np.sqrt(1.0 - t * t)
     pts = np.concatenate([
         np.column_stack([np.full(len(sub_pts), ti),
                          si * sub_pts]) for ti, si in zip(t, s)])
     w = np.concatenate([wi * sub_w for wi in wt])
     return pts, w
+
+
+def _gauss_jacobi(m, a):
+    """m-point Gauss rule on [-1, 1] for the weight (1 - t^2)^a, a > -1,
+    exact for polynomials of degree <= 2m - 1.
+
+    Golub-Welsch (1969): the nodes are the eigenvalues of the symmetric
+    Jacobi matrix of the orthonormal polynomials p_k, whose recurrence
+    b_{k+1} p_{k+1} = t p_k - b_k p_{k-1} has
+    b_k^2 = k (k + 2a) / ((2k + 2a)^2 - 1). A Newton step on p_m through
+    the same recurrence refines them, the weights are the Christoffel
+    numbers 1 / sum_{k<m} p_k(t)^2 at the refined nodes, and the rule is
+    symmetrized about 0. The recurrence runs in np.longdouble, 11 bits
+    wider than a double on x86-64: in doubles its rounding alone moves a
+    node near 0 by up to 4 of that node's ulps.
+    """
+    k = np.arange(1, m + 1, dtype=np.longdouble)
+    b = np.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a) ** 2 - 1))
+    t = np.linalg.eigvalsh(np.diag(b[:-1].astype(float), -1))
+    t = t.astype(np.longdouble)
+    mass = 2.0 ** (2 * a + 1) * gamma(a + 1) ** 2 / gamma(2 * a + 2)
+    for newton in (True, False):
+        # p_k(t), p_k'(t) and sum_{j<k} p_j(t)^2, from k = 0 to m
+        prev, p = np.zeros_like(t), np.full_like(t, mass ** -0.5)
+        dprev, dp, norm = np.zeros_like(t), np.zeros_like(t), 0.0
+        for bk_prev, bk in zip(np.concatenate([[0], b[:-1]]), b):
+            norm = norm + p * p
+            prev, p, dprev, dp = (p, (t * p - bk_prev * prev) / bk,
+                                  dp, (p + t * dp - bk_prev * dprev) / bk)
+        if newton:
+            t = t - p / dp
+    w = 1 / norm
+    return ((t - t[::-1]) / 2).astype(float), ((w + w[::-1]) / 2).astype(float)
 
 
 def _build_frames(nodes):
@@ -340,8 +403,21 @@ class HarmonicBasis:
 
 def _laplacian_matrix(table, d):
     """Euclidean Laplacian from homogeneous degree d to degree d - 2."""
-    lap = sum(table.second_diff(j, j) for j in range(table.nvars))
-    return lap[table.degree_slices[d - 2], table.degree_slices[d]].toarray()
+    rows, cols = table.degree_slices[d - 2], table.degree_slices[d]
+    out = np.zeros((rows.stop - rows.start, cols.stop - cols.start))
+    for j in range(table.nvars):
+        dst, src, scale = table.second_diff_maps[j, j]
+        at = (src >= cols.start) & (src < cols.stop)
+        out[dst[at] - rows.start, src[at] - cols.start] += scale[at]
+    return out
+
+
+def _solve_lower(L, B):
+    """X with L X = B for a lower-triangular L, by forward substitution."""
+    X = np.empty_like(B)
+    for i in range(len(L)):
+        X[i] = (B[i] - L[i, :i] @ X[:i]) / L[i, i]
+    return X
 
 
 def _fix_signs(columns):
@@ -372,12 +448,15 @@ def _shared_basis(n, d_max):
         elif d == 1:
             col = np.eye(n + 1) * np.sqrt((n + 1) / omega)
         else:
-            null = null_space(_laplacian_matrix(table, d))
+            # the Laplacian maps degree d onto degree d - 2, so its rank
+            # is its row count and the trailing right singular vectors
+            # span its null space, the harmonics of degree d
+            lap = _laplacian_matrix(table, d)
+            null = np.linalg.svd(lap)[2][len(lap):].T
             mono_ints = _pair_integrals(table, d)
             gram = null.T @ mono_ints @ null
-            chol = cholesky(gram, lower=False)
-            col = solve_triangular(chol, null.T, trans="T", lower=False).T
-            col = _fix_signs(col)
+            chol = np.linalg.cholesky(gram)
+            col = _fix_signs(_solve_lower(chol, null.T).T)
         rows = np.zeros((col.shape[1], table.size))
         rows[:, table.degree_slices[d]] = col.T
         blocks.append(rows)
@@ -454,18 +533,15 @@ def eval_jet_all(u, grid):
     Hessian (N, n, n) in frame components).
     """
     table = u.basis.table
-    c = u.polynomial_coeffs()
     m = table.nvars
-    pairs = [(j, k) for j in range(m) for k in range(j, m)]
     # value, gradient and Hessian coefficients as the columns of one GEMM
     # against the grid Vandermonde, which is read once
-    cols = ([c] + [table.diff(j) @ c for j in range(m)]
-            + [table.second_diff(j, k) @ c for j, k in pairs])
-    jet = grid.vandermonde(table) @ np.column_stack(cols)
+    jet = grid.vandermonde(table) @ table.jet_coefficients(
+        u.polynomial_coeffs())
     vals = jet[:, 0]
     amb_grad = jet[:, 1:m + 1]
     amb_hess = np.empty((len(jet), m, m))
-    for col, (j, k) in enumerate(pairs, start=m + 1):
+    for col, (j, k) in enumerate(table.jet_pairs, start=m + 1):
         amb_hess[:, j, k] = amb_hess[:, k, j] = jet[:, col]
     E = grid.frames
     grad = (E @ amb_grad[:, :, None])[:, :, 0]

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 import oracles
 from sfi import domains as dm
@@ -255,6 +255,55 @@ class TestRadiusSolvers:
         total = dm.ball_volume(sf, math.pi - 1e-9)
         with pytest.raises(ValueError, match="above the attainable"):
             dm.radius_for_volume(sf, 2 * total)
+        with pytest.raises(ValueError, match="below the attainable"):
+            dm.radius_for_volume(sf, -1.0)
+
+    def test_brent_matches_scipy_brentq(self, monkeypatch):
+        # every constraint's ball radius over 40 radii and three starts,
+        # against scipy's brentq on the same bracket, bit for bit
+        solve, seen = dm._brent, []
+
+        def both(f, lo, hi, flo, fhi):
+            got = solve(f, lo, hi, flo, fhi)
+            seen.append((got, brentq(f, lo, hi, xtol=dm.RADIUS_XTOL,
+                                     rtol=dm.RADIUS_RTOL)))
+            return got
+
+        monkeypatch.setattr(dm, "_brent", both)
+        for K in ALL_K:
+            for n in (2, 3, 4):
+                sf = SpaceForm(K=K, n=n)
+                constraints = [nz.volume_constraint(),
+                               nz.weighted_volume_constraint()]
+                constraints += [nz.quermass_constraint(j) for j in range(n)]
+                for con in constraints:
+                    top = min(con.ball_radius_cap(sf), 3.0)
+                    for rho in np.linspace(0.02, 0.999 * top, 40):
+                        value = con.of_ball(sf, rho)
+                        for start in (0.05, 1.0, 3.0):
+                            got = con.ball_radius(sf, value, start=start)
+                            assert type(got) is float
+                            assert got == seen[-1][0]
+        assert len(seen) == 5400
+        assert all(got == want for got, want in seen)
+
+    def test_brent_failures(self, monkeypatch):
+        def f(x):
+            return x - 0.3
+
+        # scipy also gives up after the step that lands on the root
+        with pytest.raises(RuntimeError):
+            brentq(f, 0.0, 1.0, maxiter=1)
+        monkeypatch.setattr(dm, "RADIUS_MAX_ITER", 1)
+        with pytest.raises(RuntimeError):
+            dm._brent(f, 0.0, 1.0, -0.3, 0.7)
+        monkeypatch.undo()
+        assert dm._brent(f, 0.0, 1.0, -0.3, 0.7) == brentq(
+            f, 0.0, 1.0, xtol=dm.RADIUS_XTOL, rtol=dm.RADIUS_RTOL)
+        with pytest.raises(ValueError, match="NaN"):
+            dm._brent(lambda x: math.nan, 0.0, 1.0, -0.3, 0.7)
+        with pytest.raises(ValueError, match="NaN"):
+            dm._brent(f, 0.0, 1.0, math.nan, 0.7)
 
 
 class TestBarycenter:

@@ -1,12 +1,19 @@
 """Every public top-level function or class of src/sfi is referenced by
 sfi code (docstrings do not count), exported in sfi.__all__, or
 allowlisted with its reason. Reference computations that only tests read
-belong in tests/oracles.py."""
+belong in tests/oracles.py. numpy is the only runtime dependency; scipy
+and mpmath serve the tests as oracles."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import sfi
+
+SRC = Path(sfi.__file__).parent
 
 CLOSED_FORM = "a closed form of the paper, for the worst-direction search"
 ALLOWED = {
@@ -24,7 +31,7 @@ ALLOWED = {
 
 def test_every_public_definition_is_used_exported_or_allowlisted():
     trees = {path.stem: ast.parse(path.read_text())
-             for path in Path(sfi.__file__).parent.glob("*.py")}
+             for path in SRC.glob("*.py")}
     referenced = {node.id if isinstance(node, ast.Name) else node.attr
                   for tree in trees.values() for node in ast.walk(tree)
                   if isinstance(node, (ast.Name, ast.Attribute))}
@@ -35,3 +42,35 @@ def test_every_public_definition_is_used_exported_or_allowlisted():
                     and node.name not in referenced | set(sfi.__all__)
                     | set(ALLOWED))
     assert unused == []
+
+
+def test_importing_the_package_loads_no_scipy():
+    code = ("import sys, sfi, sfi.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'mpmath')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=SRC.parent)
+    assert out.stdout.strip() == "[]"
+
+
+def test_source_imports_no_scipy():
+    imported = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+    assert not {name for name in imported
+                if name.split(".")[0] in ("scipy", "mpmath")}
+    assert "numpy" in imported
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(
+        (SRC.parents[1] / "pyproject.toml").read_text())["project"]
+    assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
+    test_extra = {d.split(">")[0] for d in
+                  project["optional-dependencies"]["test"]}
+    assert {"scipy", "mpmath"} <= test_extra

@@ -4,11 +4,13 @@ import dataclasses
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.linalg import cholesky, null_space, solve_triangular
+from scipy.special import roots_jacobi
 
 import oracles
 from sfi import spherebasis as sb
@@ -89,6 +91,16 @@ def laplacian_matrix_oracle(table, d):
     return out
 
 
+def apply_map(index_map, c):
+    out = np.zeros(len(c))
+    out[index_map.dst] = index_map.scale * c[index_map.src]
+    return out
+
+
+def second_diff_oracle(table, j, k):
+    return diff_matrix_oracle(table, j) @ diff_matrix_oracle(table, k)
+
+
 def basis_oracle(n, d_max):
     table = sb.MonomialTable(n + 1, d_max)
     omega = unit_sphere_area(n)
@@ -99,10 +111,15 @@ def basis_oracle(n, d_max):
         elif d == 1:
             col = np.eye(n + 1) * np.sqrt((n + 1) / omega)
         else:
-            null = null_space(laplacian_matrix_oracle(table, d))
+            lap = laplacian_matrix_oracle(table, d)
+            null = np.linalg.svd(lap)[2][len(lap):].T
             gram = null.T @ pair_integrals_oracle(n + 1, d) @ null
-            chol = cholesky(gram, lower=False)
-            col = solve_triangular(chol, null.T, trans="T", lower=False).T
+            chol = np.linalg.cholesky(gram)
+            # forward substitution chol @ x = null.T, row by row
+            x = np.empty_like(null.T)
+            for i in range(len(chol)):
+                x[i] = (null.T[i] - chol[i, :i] @ x[:i]) / chol[i, i]
+            col = x.T
             for i in range(col.shape[1]):
                 j = np.argmax(np.abs(col[:, i]))
                 if col[j, i] < 0:
@@ -113,6 +130,57 @@ def basis_oracle(n, d_max):
             rows.append(row)
             degrees.append(d)
     return np.array(rows), np.array(degrees, dtype=np.int64)
+
+
+def scipy_basis_oracle(table, d):
+    """The degree-d block as scipy's null_space, cholesky and
+    solve_triangular built it before the runtime dropped scipy."""
+    null = null_space(laplacian_matrix_oracle(table, d))
+    gram = null.T @ pair_integrals_oracle(table.nvars, d) @ null
+    chol = cholesky(gram, lower=False)
+    return sb._fix_signs(
+        solve_triangular(chol, null.T, trans="T", lower=False).T)
+
+
+def jacobi_oracle(m, a, x):
+    """(P_m, P_m') of the Jacobi polynomial P^(a,a) at the mpf x, from
+    the standard three-term recurrence and P_m' = (m + 2a + 1)/2
+    P_{m-1}^(a+1,a+1)."""
+    def value(m, a):
+        prev, cur = mpmath.mpf(1), (a + 1) * x
+        if m == 0:
+            return prev
+        for k in range(2, m + 1):
+            c = 2 * k + 2 * a
+            prev, cur = cur, ((c - 1) * c * (c - 2) * x * cur
+                              - 2 * (k + a - 1) ** 2 * c * prev) \
+                / (2 * k * (k + 2 * a) * (c - 2))
+        return cur
+    return value(m, a), (m + 2 * a + 1) / 2 * value(m - 1, a + 1)
+
+
+def gauss_jacobi_oracle(m, a):
+    """Nodes and weights of the m-point Gauss rule for (1 - t^2)^a at 40
+    digits: Newton's method on P_m^(a,a) from scipy's nonnegative nodes,
+    mirrored, and
+    w = 2^(2a+1) Gamma(m+a+1)^2 / (Gamma(m+2a+1) m! (1-t^2) P_m'(t)^2)."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(a)
+        scale = (2 ** (2 * a + 1) * mpmath.gamma(m + a + 1) ** 2
+                 / (mpmath.gamma(m + 2 * a + 1) * mpmath.factorial(m)))
+        starts = roots_jacobi(m, float(a), float(a))[0][m // 2:]
+        nodes, weights = [], []
+        for i, start in enumerate(starts):
+            t = mpmath.mpf(0 if i == 0 and m % 2 else start)
+            for _ in range(3 if t else 0):
+                p, dp = jacobi_oracle(m, a, t)
+                t -= p / dp
+            _, dp = jacobi_oracle(m, a, t)
+            nodes.append(t)
+            weights.append(scale / ((1 - t * t) * dp * dp))
+        half = m // 2
+        return ([-t for t in nodes[::-1][:half]] + nodes,
+                weights[::-1][:half] + weights)
 
 
 def frames_oracle(nodes):
@@ -194,6 +262,33 @@ class TestGrid:
         quad = vander.T @ (g.weights)
         scale = unit_sphere_area(n)
         assert np.allclose(quad, exact, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_gauss_jacobi_rule(self, n):
+        a = (n - 2) / 2
+        # where np.longdouble is no wider than a double, the recurrence's
+        # own rounding moves a node by up to 4 of its ulps
+        ulps = 1 if np.finfo(np.longdouble).nmant > 52 else 4
+        for m in range(1, 31):
+            t, w = sb._gauss_jacobi(m, a)
+            want_t, want_w = gauss_jacobi_oracle(m, a)
+            for got, want in zip(t, want_t):
+                assert abs(mpmath.mpf(got) - want) \
+                    <= ulps * np.spacing(abs(float(want)))
+            for got, want in zip(w, want_w):
+                assert abs(mpmath.mpf(got) / want - 1) <= 1e-13
+            # exact through degree 2m - 1
+            for k in range(2 * m):
+                exact = 0.0 if k % 2 else (
+                    math.gamma((k + 1) / 2) * math.gamma(a + 1)
+                    / math.gamma((k + 1) / 2 + a + 1))
+                assert np.sum(w * t ** k) == pytest.approx(exact, rel=1e-13,
+                                                           abs=1e-15)
+            # scipy's rule, whose weights come from the derivative before
+            # its last Newton step
+            ref_t, ref_w = roots_jacobi(m, a, a)
+            assert np.allclose(t, ref_t, rtol=0, atol=2.0 ** -52)
+            assert np.allclose(w, ref_w, rtol=1e-12, atol=0)
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -377,8 +472,9 @@ class TestJets:
         t = basis3.table
         V = t.vandermonde(grid3.nodes)
         c = u.polynomial_coeffs()
-        amb_grad = np.column_stack([V @ (t.diff(j) @ c) for j in range(4)])
-        amb_hess = np.array([[V @ (t.second_diff(j, k) @ c)
+        amb_grad = np.column_stack([V @ (diff_matrix_oracle(t, j) @ c)
+                                    for j in range(4)])
+        amb_hess = np.array([[V @ (second_diff_oracle(t, j, k) @ c)
                               for k in range(4)] for j in range(4)])
         E = grid3.frames
         ref_hess = (np.einsum("iam,mki,ibk->iab", E, amb_hess, E)
@@ -540,12 +636,22 @@ class TestSetUpMatchesLoops:
             assert table.degree_slices == slices
             assert np.array_equal(table.sphere_integrals(),
                                   sphere_integrals_oracle(table))
+            # each index map against the sparse matrix it replaced, on
+            # random coefficients, bit for bit
+            c = np.random.default_rng(d_max).standard_normal(table.size)
             for j in range(n + 1):
-                want = diff_matrix_oracle(table, j)
-                got = table.diff(j)
-                for part in ("data", "indices", "indptr"):
-                    assert np.array_equal(getattr(got, part),
-                                          getattr(want, part))
+                assert np.array_equal(apply_map(table.diff_maps[j], c),
+                                      diff_matrix_oracle(table, j) @ c)
+            cols = [c] + [diff_matrix_oracle(table, j) @ c
+                          for j in range(n + 1)]
+            for j, k in table.jet_pairs:
+                want = second_diff_oracle(table, j, k) @ c
+                assert np.array_equal(
+                    apply_map(table.second_diff_maps[j, k], c), want)
+                cols.append(want)
+            jet = table.jet_coefficients(c)
+            assert jet.flags.c_contiguous
+            assert np.array_equal(jet, np.column_stack(cols))
             for d in range(2, d_max + 1):
                 assert np.array_equal(sb._laplacian_matrix(table, d),
                                       laplacian_matrix_oracle(table, d))
@@ -556,6 +662,17 @@ class TestSetUpMatchesLoops:
             assert np.array_equal(basis.coeffs, coeffs)
             assert np.array_equal(basis.degrees, degrees)
             assert basis.degrees.dtype == degrees.dtype
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_basis_near_scipy_construction(self, n):
+        # numpy's SVD, Cholesky and forward substitution round differently
+        # from scipy's null_space, cholesky and solve_triangular
+        basis = sb.build_basis(n, 8)
+        for d in range(2, 9):
+            want = scipy_basis_oracle(basis.table, d)
+            got = basis.coeffs[basis.degree_block(d)][
+                :, basis.table.degree_slices[d]].T
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_vandermonde(self, n):
