@@ -154,8 +154,14 @@ def build_basis_grid(gcfg, n, resolution_override=None):
     from sfi import spherebasis as sb
 
     d_max = gcfg.get("basis_degree", 8)
-    res = resolution_override or gcfg.get("resolution") \
-        or sb.default_resolution(d_max)
+    if d_max < 0:
+        raise ConfigError(f"grid.basis_degree: {d_max} is negative")
+    res = resolution_override
+    if res is None:
+        res = gcfg.get("resolution", sb.default_resolution(d_max))
+    if res < sb.MIN_RESOLUTION:
+        raise ConfigError(f"grid.resolution: {res} is below the minimum "
+                          f"{sb.MIN_RESOLUTION}")
     if res < 2 * d_max:
         raise ConfigError(f"grid.resolution: {res} is below twice the "
                           f"basis degree {d_max}")
@@ -246,6 +252,8 @@ def build_directions(pcfg, basis, seed, *, unit=False):
 
 def epsilon_schedule(pcfg, *, default=(0.01,)):
     eps = pcfg.get("epsilon", tuple(default))
+    if not eps:
+        raise ConfigError("perturbation.epsilon: no amplitude given")
     for e in eps:
         if e < 0:
             raise ConfigError(f"perturbation.epsilon: negative amplitude "

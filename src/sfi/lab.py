@@ -482,10 +482,6 @@ class DeficitReport:
     budget: float
     notes: str = ""
 
-    @property
-    def passed(self):
-        return self.status == "pass"
-
 
 def verify(case, graph_raw, grid, *, direction_id="", epsilon=None):
     """Normalize graph_raw under the case's constraint and compare the

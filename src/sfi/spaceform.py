@@ -182,10 +182,6 @@ class WeightFunction:
         return cls("shifted-power", *_power_closures(float(alpha), shift=1.0),
                    label=f"(1+s)^{alpha:g}")
 
-    @classmethod
-    def custom(cls, fn, d1, d2, d3, label="custom"):
-        return cls("custom", fn, d1, d2, d3, label=label)
-
     def scaled(self, c):
         """Return c * g as a new weight (same admissibility for c > 0)."""
         c = float(c)

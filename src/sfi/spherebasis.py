@@ -21,7 +21,9 @@ build_basis(3, 8) takes about 12 ms and build_grid(3, 24) about 3 ms
 (2-vCPU x86-64 host, BLAS pinned to one thread), so nothing is cached on
 disk. A process builds each basis once per (n, d_max) and each grid once
 per (n, resolution); the basis owns its monomial table and the grid the
-matrices derived from its nodes.
+basis values Y at its nodes. Grid values are u.coeffs @ Y, projection is
+Y @ (w f), and the 2-jet's derivative columns are synthesized from Y too
+(HarmonicBasis.dual), laid out node-minor through symfunc.
 """
 
 from __future__ import annotations
@@ -33,13 +35,15 @@ from typing import NamedTuple
 
 import numpy as np
 
+from sfi import symfunc as sy
 from sfi.spaceform import unit_sphere_area
 
 SUPPORTED_DIMENSIONS = (2, 3, 4)
-# Points per block of MonomialTable.vandermonde and evaluate. A block's
-# temporaries (495 x 512 monomials or 45 x 512 half-table rows at n = 3,
-# degree 8) are reused from the heap: unblocked, an evaluate call on 4225
-# points inside a row faulted in 2270 fresh pages.
+MIN_RESOLUTION = 4
+# Points per block of the basis values (_synthesize) and of evaluate. A
+# block's temporaries (165 x 512 degree-8 monomials or 45 x 512 half-table
+# rows at n = 3) are reused from the heap: unblocked, an evaluate call on
+# 4225 points inside a row faulted in 2270 fresh pages.
 NODE_BLOCK = 512
 # Relative slack of the Hessian-norm pruning test (_hessian_norm): a sum
 # of at most 16 squares rounds by under 16 ulps.
@@ -151,26 +155,10 @@ class MonomialTable:
                 powers[:, p] = powers[:, p - 1] * block
             yield rows, powers
 
-    def vandermonde(self, points):
-        """Monomial values at points, shape (N, size), C-ordered.
-
-        Each block of points is formed monomial-major (_monomial_rows),
-        one contiguous row gather of the power table per variable, and
-        written transposed into the result. The products come in
-        variable order, so every entry is bit-identical to a per-node
-        loop that multiplies x_0^e_0 x_1^e_1 ... from the left.
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty((len(pts), self.size))
-        for rows, powers in self._power_blocks(pts):
-            out[rows] = _monomial_rows(powers, self.exponents).T
-        return out
-
     def evaluate(self, points, coeffs):
         """Values of the polynomial with these coefficients at points.
 
-        Equals vandermonde(points) @ coeffs up to summation order, but
-        never forms the (N, size) Vandermonde matrix. The coefficients are
+        Never forms the (N, size) Vandermonde matrix. The coefficients are
         scattered into one small dense matrix over the exponent rows of the
         leading and trailing halves of the variables (45 x 45 at n = 3,
         degree 8); per block of points, the two halves' power tables are
@@ -187,10 +175,6 @@ class MonomialTable:
             trail = _monomial_rows(powers[self._split:], trail_rows)
             out[rows] = np.einsum("ij,ij->j", lead, dense @ trail)
         return out
-
-    def sphere_integrals(self):
-        """Exact integrals of each monomial over the unit sphere S^{nvars-1}."""
-        return _sphere_moments(self.exponents.T, self.max_degree)
 
 
 def _monomial_rows(powers, exponents):
@@ -233,31 +217,33 @@ def _sphere_moments(exponents, top):
 class SphereGrid:
     """Tensor-product quadrature rule on S^n with per-node tangent frames.
 
-    A copy with moved nodes (dataclasses.replace) starts without the
-    original's matrices, so it is never served another grid's."""
+    frames, shape (nodes, n, n+1), is a view of a node-minor array from
+    build_grid (any layout works). A copy with moved nodes
+    (dataclasses.replace) starts without the original's basis values, so
+    it is never served another grid's."""
 
     n: int
     d_exact: int
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     frames: np.ndarray = field(repr=False)
-    _vandermondes: dict = field(default_factory=dict, init=False,
+    _basis_values: dict = field(default_factory=dict, init=False,
                                 compare=False, repr=False)
 
     @property
     def node_count(self):
         return len(self.weights)
 
-    def vandermonde(self, table):
-        """Monomial values at the nodes, shape (nodes, table.size), read
-        only; built once per (table.nvars, table.max_degree)."""
-        key = (table.nvars, table.max_degree)
-        V = self._vandermondes.get(key)
-        if V is None:
-            V = table.vandermonde(self.nodes)
-            V.flags.writeable = False
-            V = self._vandermondes.setdefault(key, V)
-        return V
+    def basis_values(self, basis):
+        """Values Y of the basis at the nodes, shape (basis.size, nodes),
+        read only; built once per (basis.n, basis.d_max)."""
+        key = (basis.n, basis.d_max)
+        Y = self._basis_values.get(key)
+        if Y is None:
+            Y = _synthesize(basis, self.nodes)
+            Y.flags.writeable = False
+            Y = self._basis_values.setdefault(key, Y)
+        return Y
 
     def integrate(self, values):
         """Quadrature sum with fixed (pairwise) summation order."""
@@ -350,19 +336,20 @@ def build_grid(n, resolution):
     if n not in SUPPORTED_DIMENSIONS:
         raise ValueError(f"unsupported dimension n={n}; expected one of "
                          f"{SUPPORTED_DIMENSIONS}")
-    if resolution < 4:
-        raise ValueError("resolution must be at least 4")
+    if resolution < MIN_RESOLUTION:
+        raise ValueError(f"resolution must be at least {MIN_RESOLUTION}")
     return _shared_grid(n, resolution)
 
 
 # A sweep row reads two grids, the working grid and its coarse
-# error-estimate grid; at resolution 24 and basis degree 8 a grid's
-# Vandermonde matrix takes 16.7 MB.
+# error-estimate grid; at resolution 24 and basis degree 8 a grid's basis
+# values take 9.6 MB (285 x 4225 doubles).
 @lru_cache(maxsize=4)
 def _shared_grid(n, resolution):
     nodes, weights = _sphere_rule(n, resolution)
     nodes = nodes / np.linalg.norm(nodes, axis=1, keepdims=True)
-    frames = _build_frames(nodes)
+    frames = np.ascontiguousarray(
+        _build_frames(nodes).transpose(1, 2, 0)).transpose(2, 0, 1)
     nodes.flags.writeable = weights.flags.writeable = False
     frames.flags.writeable = False
     return SphereGrid(n=n, d_exact=resolution, nodes=nodes, weights=weights,
@@ -378,24 +365,28 @@ class HarmonicBasis:
 
     coeffs rows are coefficient vectors over the basis's own graded
     monomial table of (n+1, d_max); degrees holds the homogeneity degree
-    of each element.
+    of each element, ascending.
+
+    dual is block-diagonal, C_d M_d per degree d (C_d the coeffs block,
+    M_d the sphere Gram matrix of degree-d monomials): dual @ p lists the
+    products <Y_k, p>, the exact basis coefficients of a harmonic p. A
+    derivative of a harmonic polynomial is harmonic, one degree lower.
     """
 
     n: int
     d_max: int
     coeffs: np.ndarray = field(repr=False)
     degrees: np.ndarray = field(repr=False)
+    dual: np.ndarray = field(repr=False)
     table: MonomialTable = field(repr=False, compare=False)
 
     @property
     def size(self):
         return len(self.degrees)
 
-    @property
-    def eigenvalues(self):
-        """Laplace-Beltrami eigenvalues d(d + n - 1) per element."""
-        d = self.degrees.astype(float)
-        return d * (d + self.n - 1)
+    def size_through(self, d):
+        """Number of elements of degree <= d: they lead the basis."""
+        return int(np.searchsorted(self.degrees, d, side="right"))
 
     def degree_block(self, d):
         return np.nonzero(self.degrees == d)[0]
@@ -441,8 +432,9 @@ def build_basis(n, d_max):
 def _shared_basis(n, d_max):
     table = MonomialTable(n + 1, d_max)
     omega = unit_sphere_area(n)
-    blocks = []
+    coeffs, dual = [], []
     for d in range(d_max + 1):
+        mono_ints = _pair_integrals(table, d)
         if d == 0:
             col = np.array([[omega ** -0.5]])
         elif d == 1:
@@ -453,18 +445,19 @@ def _shared_basis(n, d_max):
             # span its null space, the harmonics of degree d
             lap = _laplacian_matrix(table, d)
             null = np.linalg.svd(lap)[2][len(lap):].T
-            mono_ints = _pair_integrals(table, d)
             gram = null.T @ mono_ints @ null
             chol = np.linalg.cholesky(gram)
             col = _fix_signs(_solve_lower(chol, null.T).T)
-        rows = np.zeros((col.shape[1], table.size))
-        rows[:, table.degree_slices[d]] = col.T
-        blocks.append(rows)
-    coeffs = np.vstack(blocks)
-    degrees = np.repeat(np.arange(d_max + 1), [len(b) for b in blocks])
+        for blocks, block in ((coeffs, col.T), (dual, col.T @ mono_ints)):
+            rows = np.zeros((col.shape[1], table.size))
+            rows[:, table.degree_slices[d]] = block
+            blocks.append(rows)
+    degrees = np.repeat(np.arange(d_max + 1), [len(b) for b in coeffs])
+    coeffs, dual = np.vstack(coeffs), np.vstack(dual)
     coeffs.flags.writeable = degrees.flags.writeable = False
+    dual.flags.writeable = False
     return HarmonicBasis(n=n, d_max=d_max, coeffs=coeffs, degrees=degrees,
-                         table=table)
+                         dual=dual, table=table)
 
 
 def _pair_integrals(table, d):
@@ -491,22 +484,11 @@ class SphericalFunction:
             raise ValueError("coefficient vector does not match basis size")
         object.__setattr__(self, "coeffs", a.copy())
 
-    @property
-    def coeff_norm(self):
-        """L^2 norm via Parseval (basis is orthonormal)."""
-        return float(np.linalg.norm(self.coeffs))
-
     def scaled(self, c):
         return SphericalFunction(self.basis, self.coeffs * c)
 
     def polynomial_coeffs(self):
         return self.coeffs @ self.basis.coeffs
-
-    def degree_energies(self):
-        """ell^2 coefficient energy per harmonic degree, shape (d_max + 1,)."""
-        out = np.zeros(self.basis.d_max + 1)
-        np.add.at(out, self.basis.degrees, self.coeffs ** 2)
-        return out
 
 
 def zero_function(basis):
@@ -523,32 +505,49 @@ def evaluate(u, points):
 
 
 def values_on_grid(u, grid):
-    return grid.vandermonde(u.basis.table) @ u.polynomial_coeffs()
+    return u.coeffs @ grid.basis_values(u.basis)
 
 
 def eval_jet_all(u, grid):
     """Covariant 2-jet of u at every grid node.
 
     Returns (values (N,), gradient (N, n) in frame components,
-    Hessian (N, n, n) in frame components).
+    Hessian (N, n, n) in frame components), views of node-minor arrays.
+
+    DU and D^2 U are harmonic of degree <= d_max - 1 and d_max - 2: dual
+    maps them into the basis and the leading rows of Y synthesize them.
+    The frame projection runs entry by entry on node vectors.
     """
-    table = u.basis.table
-    m = table.nvars
-    # value, gradient and Hessian coefficients as the columns of one GEMM
-    # against the grid Vandermonde, which is read once
-    jet = grid.vandermonde(table) @ table.jet_coefficients(
-        u.polynomial_coeffs())
-    vals = jet[:, 0]
-    amb_grad = jet[:, 1:m + 1]
-    amb_hess = np.empty((len(jet), m, m))
-    for col, (j, k) in enumerate(table.jet_pairs, start=m + 1):
-        amb_hess[:, j, k] = amb_hess[:, k, j] = jet[:, col]
-    E = grid.frames
-    grad = (E @ amb_grad[:, :, None])[:, :, 0]
-    radial = np.einsum("im,im->i", grid.nodes, amb_grad)
-    hess = E @ amb_hess @ E.transpose(0, 2, 1)
-    hess -= radial[:, None, None] * np.eye(grid.n)
-    return vals, grad, hess
+    basis, table = u.basis, u.basis.table
+    m, N = table.nvars, grid.node_count
+    Y = grid.basis_values(basis)
+    cols = table.jet_coefficients(u.polynomial_coeffs())
+    amb = np.empty((cols.shape[1] - 1, N))
+    for rows, top in ((slice(0, m), basis.d_max - 1),
+                      (slice(m, None), basis.d_max - 2)):
+        # the elements and monomials of degree <= top lead their tables
+        s = basis.size_through(top)
+        t = table.degree_slices[top].stop if top >= 0 else 0
+        harmonic = basis.dual[:s, :t] @ cols[:t, 1:][:, rows]
+        np.matmul(harmonic.T, Y[:s], out=amb[rows])
+    amb_grad = amb[:m]
+    amb_hess = {}
+    for row, (j, k) in enumerate(table.jet_pairs, start=m):
+        amb_hess[j, k] = amb_hess[k, j] = amb[row]
+    # Ek[k] holds entry k of every frame vector, shape (n, N), and
+    # half[k] holds E (D^2 U) e_k
+    n, Ek = grid.n, grid.frames.transpose(2, 1, 0)
+    out = np.empty((n * (n + 1), N))
+    grad = sy.contract(Ek, amb_grad, out=out[:n])
+    half = np.empty((m, n, N))
+    for k in range(m):
+        sy.contract(Ek, [amb_hess[j, k] for j in range(m)], out=half[k])
+    hess = sy.contract(half[:, :, None], Ek[:, None],
+                       out=out[n:].reshape(n, n, N))
+    radial = sy.contract(grid.nodes.T, amb_grad, out=np.empty(N))
+    for a in range(n):
+        hess[a, a] -= radial
+    return u.coeffs @ Y, grad.T, hess.transpose(2, 0, 1)
 
 
 def project(samples, grid, basis):
@@ -556,9 +555,24 @@ def project(samples, grid, basis):
     if grid.d_exact < 2 * basis.d_max:
         raise ValueError("grid exactness must be at least twice the basis "
                          "degree for projection")
-    V = grid.vandermonde(basis.table)
     weighted = grid.weights * np.asarray(samples, dtype=float)
-    return SphericalFunction(basis, basis.coeffs @ (V.T @ weighted))
+    return SphericalFunction(basis, grid.basis_values(basis) @ weighted)
+
+
+def _synthesize(basis, points):
+    """Values of every basis element at points, shape (basis.size, N),
+    per block of NODE_BLOCK points and per degree: the (N, table.size)
+    monomial Vandermonde matrix is never formed."""
+    table = basis.table
+    blocks = [(slice(basis.size_through(d - 1), basis.size_through(d)),
+               table.exponents[mono], mono)
+              for d, mono in enumerate(table.degree_slices)]
+    out = np.empty((basis.size, len(points)))
+    for nodes, powers in table._power_blocks(points):
+        for rows, exps, mono in blocks:
+            out[rows, nodes] = (basis.coeffs[rows, mono]
+                                @ _monomial_rows(powers, exps))
+    return out
 
 
 class SobolevNorms(NamedTuple):

@@ -2,9 +2,10 @@
 sigma_k by eigenvalues and by principal minors, the single-matrix Newton
 tensor, the batched Newton recursion on the similarity of the Weingarten
 map, the Weingarten map, the divergence-form H, brute-force volumes and
-radial moments, translated-ball profiles and the Laplace-Beltrami
-operator. No row, fit or CLI command runs them; tests import this module
-as ``import oracles``.
+radial moments, translated-ball profiles, the Laplace-Beltrami
+operator, coefficient norms and the monomial Vandermonde matrix. No
+row, fit or CLI command runs them; tests import this module as
+``import oracles``.
 """
 
 from itertools import combinations
@@ -223,4 +224,45 @@ def ball_radial_profile(sf, c, rho_bar, x):
 
 def laplacian(u):
     """Laplace-Beltrami of u, exact in the harmonic basis."""
-    return sb.SphericalFunction(u.basis, -u.basis.eigenvalues * u.coeffs)
+    return sb.SphericalFunction(u.basis, -eigenvalues(u.basis) * u.coeffs)
+
+
+def eigenvalues(basis):
+    """Laplace-Beltrami eigenvalues d(d + n - 1) per basis element."""
+    d = basis.degrees.astype(float)
+    return d * (d + basis.n - 1)
+
+
+def coeff_norm(u):
+    """L^2 norm of u via Parseval (the basis is orthonormal)."""
+    return float(np.linalg.norm(u.coeffs))
+
+
+def degree_energies(u):
+    """ell^2 coefficient energy per harmonic degree, shape (d_max + 1,)."""
+    out = np.zeros(u.basis.d_max + 1)
+    np.add.at(out, u.basis.degrees, u.coeffs ** 2)
+    return out
+
+
+def sphere_integrals(table):
+    """Exact integrals of each monomial of table over the unit sphere
+    S^{nvars-1}."""
+    return sb._sphere_moments(table.exponents.T, table.max_degree)
+
+
+def vandermonde(table, points):
+    """Monomial values at points, shape (N, table.size), C-ordered: the
+    matrix that sb.SphereGrid.basis_values and sb.evaluate avoid forming.
+
+    Each block of points is formed monomial-major (sb._monomial_rows), one
+    contiguous row gather of the power table per variable, and written
+    transposed into the result. The products come in variable order, so
+    every entry is bit-identical to a per-node loop that multiplies
+    x_0^e_0 x_1^e_1 ... from the left.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.empty((len(pts), table.size))
+    for rows, powers in table._power_blocks(pts):
+        out[rows] = sb._monomial_rows(powers, table.exponents).T
+    return out

@@ -186,6 +186,32 @@ class TestEvalCommand:
         assert "case:bad" in capsys.readouterr().err
 
 
+class TestGridAndAmplitudeSettings:
+    @pytest.mark.parametrize("grid, argv, key", [
+        ("basis_degree = -1", [], "grid.basis_degree"),
+        ("basis_degree = 1\nresolution = 3", [], "grid.resolution"),
+        ("basis_degree = 1\nresolution = 2", [], "grid.resolution"),
+        ("basis_degree = 5\nresolution = 0", [], "grid.resolution"),
+        ("basis_degree = 5", ["--resolution", "0"], "grid.resolution"),
+        ("basis_degree = 1", ["--resolution", "3"], "grid.resolution"),
+    ], ids=["negative-degree", "resolution-3", "resolution-2", "resolution-0",
+            "override-0", "override-3"])
+    def test_bad_grid_settings_name_the_key(self, tmp_path, capsys, grid,
+                                            argv, key):
+        path = write_config(tmp_path, BASE.replace("basis_degree = 5", grid))
+        assert cli.main(["eval", "--config", path, *argv]) == 2
+        assert f"config error: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "verify", "sweep"])
+    def test_empty_epsilon_names_the_key(self, tmp_path, capsys, command):
+        body = BASE + PERTURB_RANDOM.replace("epsilon = 0.004", "epsilon =") \
+            + CASE_STAB
+        path = write_config(tmp_path, body)
+        assert cli.main([command, "--config", path]) == 2
+        assert "config error: perturbation.epsilon" \
+            in capsys.readouterr().err
+
+
 class TestOutputSection:
     def test_output_format_json_is_the_default(self, tmp_path):
         out = tmp_path / "r.json"

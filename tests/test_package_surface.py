@@ -1,6 +1,7 @@
 """Every public top-level function or class of src/sfi is referenced by
 sfi code (docstrings do not count), exported in sfi.__all__, or
-allowlisted with its reason. Reference computations that only tests read
+allowlisted with its reason, and every public method or property of its
+classes is referenced by sfi code or allowlisted. Reference computations that only tests read
 belong in tests/oracles.py. numpy is the only runtime dependency; scipy
 and mpmath serve the tests as oracles."""
 
@@ -27,20 +28,47 @@ ALLOWED = {
     "symmetric_difference_to_ball": "the definition of alpha that the "
                                     "asymmetry search is held to exactly",
 }
+ALLOWED_MEMBERS = {
+    "ExpansionReport.max_rel_error": "the fit gate of the benchmark's "
+                                     "expand workload reads it",
+}
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text())
+            for path in SRC.glob("*.py")}
+
+
+def _referenced(trees):
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
 
 
 def test_every_public_definition_is_used_exported_or_allowlisted():
-    trees = {path.stem: ast.parse(path.read_text())
-             for path in SRC.glob("*.py")}
-    referenced = {node.id if isinstance(node, ast.Name) else node.attr
-                  for tree in trees.values() for node in ast.walk(tree)
-                  if isinstance(node, (ast.Name, ast.Attribute))}
+    trees = _trees()
+    referenced = _referenced(trees)
     unused = sorted(f"{module}.{node.name}" for module, tree in trees.items()
                     for node in tree.body
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")
                     and node.name not in referenced | set(sfi.__all__)
                     | set(ALLOWED))
+    assert unused == []
+
+
+def test_every_public_member_is_used_or_allowlisted():
+    # methods and properties of the package's classes, read by name
+    # anywhere in the package; exporting the class does not cover them
+    trees = _trees()
+    referenced = _referenced(trees)
+    unused = sorted(f"{module}.{cls.name}.{node.name}"
+                    for module, tree in trees.items() for cls in tree.body
+                    if isinstance(cls, ast.ClassDef) for node in cls.body
+                    if isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_")
+                    and node.name not in referenced
+                    and f"{cls.name}.{node.name}" not in ALLOWED_MEMBERS)
     assert unused == []
 
 

@@ -156,8 +156,8 @@ class TestWeightFunction:
         assert w.deriv(2.0, 1) == pytest.approx(3.0)
 
     def test_custom_label(self):
-        w = WeightFunction.custom(lambda s: s + 1, lambda s: 1.0,
-                                  lambda s: 0.0, lambda s: 0.0, label="lin")
+        w = WeightFunction("custom", lambda s: s + 1, lambda s: 1.0,
+                           lambda s: 0.0, lambda s: 0.0, label="lin")
         assert w.label == "lin"
         assert w(1.0) == 2.0
 
@@ -186,10 +186,10 @@ class TestWeightFlags:
         assert f.hyperbolic_admissible
 
     def test_decreasing_weight(self):
-        w = WeightFunction.custom(lambda s: 1.0 / (1.0 + s),
-                                  lambda s: -1.0 / (1.0 + s) ** 2,
-                                  lambda s: 2.0 / (1.0 + s) ** 3,
-                                  lambda s: -6.0 / (1.0 + s) ** 4)
+        w = WeightFunction("custom", lambda s: 1.0 / (1.0 + s),
+                           lambda s: -1.0 / (1.0 + s) ** 2,
+                           lambda s: 2.0 / (1.0 + s) ** 3,
+                           lambda s: -6.0 / (1.0 + s) ** 4)
         f = check_weight(w, self.GRID)
         assert f.positive and not f.monotone
 

@@ -216,6 +216,24 @@ def vandermonde_oracle(table, points):
     return out
 
 
+def jet_oracle(u, grid):
+    """(values, frame gradient, frame Hessian) of u at the grid nodes,
+    one monomial Vandermonde product per jet column."""
+    t = u.basis.table
+    V = oracles.vandermonde(t, grid.nodes)
+    c = u.polynomial_coeffs()
+    m = t.nvars
+    amb_grad = np.column_stack([V @ (diff_matrix_oracle(t, j) @ c)
+                                for j in range(m)])
+    amb_hess = np.array([[V @ (second_diff_oracle(t, j, k) @ c)
+                          for k in range(m)] for j in range(m)])
+    E = grid.frames
+    hess = (np.einsum("iam,mki,ibk->iab", E, amb_hess, E)
+            - np.einsum("im,im->i", grid.nodes, amb_grad)[:, None, None]
+            * np.eye(grid.n))
+    return V @ c, np.einsum("iam,im->ia", E, amb_grad), hess
+
+
 @pytest.fixture(scope="module")
 def grid3():
     return sb.build_grid(3, 20)
@@ -257,8 +275,8 @@ class TestGrid:
         res = 9
         g = sb.build_grid(n, res)
         table = sb.MonomialTable(n + 1, res)
-        vander = table.vandermonde(g.nodes)
-        exact = table.sphere_integrals()
+        vander = oracles.vandermonde(table, g.nodes)
+        exact = oracles.sphere_integrals(table)
         quad = vander.T @ (g.weights)
         scale = unit_sphere_area(n)
         assert np.allclose(quad, exact, atol=1e-12 * scale)
@@ -296,28 +314,30 @@ class TestGrid:
         with pytest.raises(ValueError):
             sb.build_grid(3, 3)
 
-    def test_vandermonde_cache(self):
+    def test_basis_values_cache(self):
         grid = sb.build_grid(3, 20)
-        t = sb.MonomialTable(4, 5)
-        a = grid.vandermonde(t)
-        assert grid.vandermonde(t) is a
-        assert np.array_equal(a, t.vandermonde(grid.nodes))
-        # the same (n, resolution) is the same grid, with its matrices
+        basis = sb.build_basis(3, 5)
+        Y = grid.basis_values(basis)
+        assert grid.basis_values(basis) is Y
+        assert Y.shape == (basis.size, grid.node_count)
+        want = basis.coeffs @ oracles.vandermonde(basis.table, grid.nodes).T
+        assert np.allclose(Y, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+        # the same (n, resolution) is the same grid, with its values
         assert sb.build_grid(3, 20) is grid
-        assert sb.build_grid(3, 20).vandermonde(t) is a
+        assert sb.build_grid(3, 20).basis_values(basis) is Y
         # shared arrays cannot be written through
-        for arr in (grid.nodes, grid.weights, grid.frames, a):
+        for arr in (grid.nodes, grid.weights, grid.frames, Y):
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             grid.nodes[0, 0] = 0.0
-        # a rotated copy builds its own matrix
+        # a rotated copy builds its own values
         rng = np.random.default_rng(8)
         q, _r = np.linalg.qr(rng.standard_normal((4, 4)))
         rotated = dataclasses.replace(grid, nodes=grid.nodes @ q.T,
                                       frames=grid.frames @ q.T)
-        assert rotated.vandermonde(t) is not a
-        assert np.array_equal(rotated.vandermonde(t),
-                              t.vandermonde(rotated.nodes))
+        assert rotated.basis_values(basis) is not Y
+        assert np.array_equal(rotated.basis_values(basis),
+                              sb._synthesize(basis, rotated.nodes))
         # the process keeps at most four grids, the most recently used
         for res in range(8, 14):
             assert sb.build_grid(2, res) is sb.build_grid(2, res)
@@ -337,13 +357,17 @@ class TestGrid:
         rotated = dataclasses.replace(grid, nodes=grid.nodes @ q.T,
                                       frames=grid.frames @ q.T)
         u = sb.from_coeffs(basis, rng.standard_normal(basis.size))
-        # fill the caches for the unrotated grid first
+        # fill the unrotated grid's basis values first
         sb.values_on_grid(u, grid)
         sb.project(np.zeros(grid.node_count), grid, basis)
+        sb.eval_jet_all(u, grid)
         vals = sb.values_on_grid(u, rotated)
         assert np.allclose(vals, sb.evaluate(u, rotated.nodes), atol=1e-12)
         back = sb.project(sb.evaluate(u, rotated.nodes), rotated, basis)
         assert np.allclose(back.coeffs, u.coeffs, atol=1e-10)
+        for got, want in zip(sb.eval_jet_all(u, rotated),
+                             jet_oracle(u, rotated)):
+            assert np.allclose(got, want, rtol=0, atol=1e-11)
 
 
 class TestBasis:
@@ -360,9 +384,8 @@ class TestBasis:
             sb.build_basis(5, 5)
 
     def test_orthonormal(self, grid3, basis3):
-        V = grid3.vandermonde(basis3.table)
-        Y = V @ basis3.coeffs.T
-        gram = Y.T @ (grid3.weights[:, None] * Y)
+        Y = grid3.basis_values(basis3)
+        gram = Y @ (grid3.weights[:, None] * Y.T)
         assert np.allclose(gram, np.eye(basis3.size), atol=1e-9)
 
     def test_dimension_counts(self, basis3):
@@ -392,7 +415,7 @@ class TestBasis:
             c = sb.from_coeffs(basis, rng.standard_normal(basis.size))
             x = rng.standard_normal((200, n + 1))
             x /= np.linalg.norm(x, axis=1, keepdims=True)
-            want = basis.table.vandermonde(x) @ c.polynomial_coeffs()
+            want = oracles.vandermonde(basis.table, x) @ c.polynomial_coeffs()
             assert np.allclose(sb.evaluate(c, x), want, rtol=0,
                                atol=1e-13 * np.max(np.abs(want)))
 
@@ -469,23 +492,73 @@ class TestJets:
         assert np.allclose(g, grad[17], rtol=0, atol=tol)
         assert np.allclose(h, hess[17], rtol=0, atol=10 * tol)
         # one matrix-vector product per jet column as the reference
-        t = basis3.table
-        V = t.vandermonde(grid3.nodes)
-        c = u.polynomial_coeffs()
-        amb_grad = np.column_stack([V @ (diff_matrix_oracle(t, j) @ c)
-                                    for j in range(4)])
-        amb_hess = np.array([[V @ (second_diff_oracle(t, j, k) @ c)
-                              for k in range(4)] for j in range(4)])
-        E = grid3.frames
-        ref_hess = (np.einsum("iam,mki,ibk->iab", E, amb_hess, E)
-                    - np.einsum("im,im->i", grid3.nodes, amb_grad)[:, None,
-                                                                   None]
-                    * np.eye(3))
-        scale = np.max(np.abs(V @ c))
-        assert np.allclose(vals, V @ c, rtol=0, atol=1e-13 * scale)
-        assert np.allclose(grad, np.einsum("iam,im->ia", E, amb_grad),
-                           rtol=0, atol=1e-12 * scale)
-        assert np.allclose(hess, ref_hess, rtol=0, atol=1e-11 * scale)
+        want_vals, want_grad, want_hess = jet_oracle(u, grid3)
+        scale = np.max(np.abs(want_vals))
+        assert np.allclose(vals, want_vals, rtol=0, atol=1e-13 * scale)
+        assert np.allclose(grad, want_grad, rtol=0, atol=1e-12 * scale)
+        assert np.allclose(hess, want_hess, rtol=0, atol=1e-11 * scale)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_synthesis_matches_monomial_oracle(self, n):
+        # values, frame gradient and frame Hessian from the basis values,
+        # degree by degree, including d_max <= 1 where the Hessian
+        # columns have no basis rows
+        rng = np.random.default_rng(40 + n)
+        for d_max in (0, 1, 2, 5):
+            basis = sb.build_basis(n, d_max)
+            grid = sb.build_grid(n, max(4, 2 * d_max))
+            for d in [*range(d_max + 1), None]:
+                a = rng.standard_normal(basis.size)
+                if d is not None:
+                    a[basis.degrees != d] = 0.0
+                u = sb.from_coeffs(basis, a)
+                want = jet_oracle(u, grid)
+                scale = max(1.0, np.max(np.abs(want[0])))
+                for got, ref in zip(sb.eval_jet_all(u, grid), want):
+                    assert got.shape == ref.shape
+                    assert np.allclose(got, ref, rtol=0,
+                                       atol=1e-12 * scale)
+                assert np.allclose(sb.values_on_grid(u, grid), want[0],
+                                   rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_dual_carries_derivatives_into_the_basis(self, n):
+        # d/dx_j Y_k and d^2/dx_j dx_l Y_k are harmonic, so dual gives
+        # their exact basis coefficients: re-synthesized, they are the
+        # monomial derivatives
+        basis = sb.build_basis(n, 6)
+        table = basis.table
+        assert np.allclose(basis.dual @ basis.coeffs.T, np.eye(basis.size),
+                           rtol=0, atol=1e-13)
+        derivatives = [diff_matrix_oracle(table, j) for j in range(n + 1)]
+        derivatives += [second_diff_oracle(table, j, k)
+                        for j, k in table.jet_pairs]
+        for D in derivatives:
+            want = (D @ basis.coeffs.T).T
+            got = (want @ basis.dual.T) @ basis.coeffs
+            assert np.allclose(got, want, rtol=0,
+                               atol=1e-12 * np.max(np.abs(want)))
+
+    def test_layout_invariance(self, grid3, basis3):
+        # build_grid stores frames node-minor; a replaced copy holds a
+        # C-ordered array, and the jet is bit-identical on both
+        assert grid3.frames.transpose(1, 2, 0).flags.c_contiguous
+        c_ordered = dataclasses.replace(
+            grid3, frames=np.ascontiguousarray(grid3.frames))
+        q, _r = np.linalg.qr(np.random.default_rng(2).standard_normal((4, 4)))
+        rotated = dataclasses.replace(grid3, nodes=grid3.nodes @ q.T,
+                                      frames=grid3.frames @ q.T)
+        assert c_ordered.frames.flags.c_contiguous
+        assert rotated.frames.flags.c_contiguous
+        u = sb.from_coeffs(basis3, np.random.default_rng(4).standard_normal(
+            basis3.size))
+        vals, grad, hess = sb.eval_jet_all(u, grid3)
+        for got, want in zip(sb.eval_jet_all(u, c_ordered),
+                             (vals, grad, hess)):
+            assert np.array_equal(got, want)
+        # views of node-minor arrays
+        assert grad.T.flags.c_contiguous
+        assert hess.transpose(1, 2, 0).flags.c_contiguous
 
 
 class TestProjection:
@@ -517,7 +590,7 @@ class TestProjection:
         rng = np.random.default_rng(9)
         u = sb.from_coeffs(basis3, rng.standard_normal(basis3.size))
         norms = sb.sobolev_norms(u, grid3)
-        assert norms.l2 == pytest.approx(u.coeff_norm, rel=1e-9)
+        assert norms.l2 == pytest.approx(oracles.coeff_norm(u), rel=1e-9)
 
 
 class TestNormsAndSpectra:
@@ -611,17 +684,17 @@ class TestNormsAndSpectra:
         u = sb.from_coeffs(basis3, rng.standard_normal(basis3.size))
         _, _, hess = sb.eval_jet_all(u, grid3)
         total = grid3.integrate(np.trace(hess, axis1=1, axis2=2))
-        assert abs(total) < 1e-10 * u.coeff_norm
+        assert abs(total) < 1e-10 * oracles.coeff_norm(u)
 
     def test_degree_energies(self, basis3):
         a = np.zeros(basis3.size)
         a[0] = 2.0
         a[basis3.degree_block(3)[1]] = 1.5
         u = sb.from_coeffs(basis3, a)
-        e = u.degree_energies()
+        e = oracles.degree_energies(u)
         assert e[0] == pytest.approx(4.0)
         assert e[3] == pytest.approx(2.25)
-        assert np.sum(e) == pytest.approx(u.coeff_norm**2)
+        assert np.sum(e) == pytest.approx(oracles.coeff_norm(u)**2)
 
 
 class TestSetUpMatchesLoops:
@@ -634,7 +707,7 @@ class TestSetUpMatchesLoops:
             exps, slices = exponents_oracle(n + 1, d_max)
             assert np.array_equal(table.exponents, exps)
             assert table.degree_slices == slices
-            assert np.array_equal(table.sphere_integrals(),
+            assert np.array_equal(oracles.sphere_integrals(table),
                                   sphere_integrals_oracle(table))
             # each index map against the sparse matrix it replaced, on
             # random coefficients, bit for bit
@@ -682,7 +755,7 @@ class TestSetUpMatchesLoops:
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         for d_max in (1, 4, 8):
             table = sb.MonomialTable(n + 1, d_max)
-            got = table.vandermonde(x)
+            got = oracles.vandermonde(table, x)
             assert got.flags.c_contiguous
             assert np.array_equal(got, vandermonde_oracle(table, x))
 

@@ -198,3 +198,25 @@ class TestNewtonQuadratic:
         for i in range(4):
             T1 = oracles.newton_tensor(mats[i], 1)
             assert out[i] == pytest.approx(vs[i] @ T1 @ vs[i], abs=1e-12)
+
+
+class TestLayout:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_node_minor_inputs_are_bit_identical(self, n):
+        # the recursion runs entry by entry, so its rounding does not
+        # depend on whether the node axis is first or last in memory
+        rng = np.random.default_rng(31 + n)
+        a = rng.standard_normal((500, n, n))
+        B = a + a.swapaxes(1, 2)
+        w = rng.standard_normal((500, n))
+        sig, Q = sy.hessian_invariants(B, w)
+        B_nm = np.ascontiguousarray(B.transpose(1, 2, 0)).transpose(2, 0, 1)
+        w_nm = np.ascontiguousarray(w.T).T
+        sig_nm, Q_nm = sy.hessian_invariants(B_nm, w_nm)
+        assert np.array_equal(sig, sig_nm)
+        assert np.array_equal(Q, Q_nm)
+        # both come back as views of node-minor arrays
+        assert sig.T.flags.c_contiguous and Q.T.flags.c_contiguous
+        for i in range(0, 500, 97):
+            assert np.allclose(sig[i], oracles.sigma_all(B[i]), rtol=1e-10,
+                               atol=1e-10)
