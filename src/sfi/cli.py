@@ -505,27 +505,26 @@ def cmd_expand(ctx, args):
     from sfi import lab
 
     pcfg = ctx.perturbation
-    eps_list = pcfg.get("epsilon")
-    if eps_list is None or len(eps_list) < 6:
-        raise ConfigError("perturbation.epsilon: expansion fits need at "
-                          "least 6 amplitudes")
+    try:
+        eps_list = lab.expansion_amplitudes(pcfg.get("epsilon", ()))
+    except ValueError as exc:
+        raise ConfigError(f"perturbation.epsilon: {exc}") from None
     if not ctx.cases:
         raise ConfigError("missing required config section [case:<name>]")
     directions = build_directions(pcfg, ctx.basis, ctx.seed, unit=True)
 
-    rows = []
-    for _, case in ctx.cases:
-        tag = case.constraint().label
-        use_H = case.family.target == "H"
-        for did, u0 in directions:
-            rep = lab.expansion_oracle(ctx.sf, ctx.w, case.k, tag, u0,
-                                       eps_list, ctx.grid, rho=case.rho,
-                                       use_H_blocks=use_H)
-            cells = [rep.target_id, rep.weight_kind, rep.K, rep.n, rep.rho,
-                     rep.constraint, did, *rep.fitted, *rep.closed,
-                     *rep.rel_errors, rep.residual_slope,
-                     rep.condition_number]
-            rows.append(dict(zip(EXPAND_COLUMNS, cells)))
+    def run(task):
+        case, did, u0 = task
+        rep = lab.expansion_oracle(
+            ctx.sf, ctx.w, case.k, case.constraint().label, u0, eps_list,
+            ctx.grid, rho=case.rho, use_H_blocks=case.family.target == "H")
+        cells = [rep.target_id, rep.weight_kind, rep.K, rep.n, rep.rho,
+                 rep.constraint, did, *rep.fitted, *rep.closed,
+                 *rep.rel_errors, rep.residual_slope, rep.condition_number]
+        return dict(zip(EXPAND_COLUMNS, cells))
+
+    rows = _run_tasks([(case, did, u0) for _, case in ctx.cases
+                       for did, u0 in directions], run, args.threads)
 
     if ctx.format == "json":
         text = json.dumps(rows, indent=2, default=float) + "\n"

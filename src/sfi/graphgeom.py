@@ -31,8 +31,8 @@ M shares its eigenvectors with B, so T_m(M) is diagonal with T_j(B) and
     q_m        = sum_j C(n-1-j, m-j) alpha^{m-j} beta^j Q_j.
 
 Under u -> e u, sigma_j(B) scales by e^j and Q_j by e^{j+2}, so a Jet
-carries the invariants of Hess u and grad u once, and Jet.scaled gives
-those of e u by elementwise products; relabeling the splitting
+carries the invariants of Hess u and grad u once, scaled to every
+amplitude of a fit by scaled_curvature_integrals; relabeling the splitting
 (SurfaceGeometry.relabeled) leaves w and B, and so every invariant,
 unchanged. The principal curvatures kappa are derived on demand, by
 eigvalsh of the symmetric similarity g^{-1/2} h g^{-1/2}, which has the
@@ -94,12 +94,6 @@ class Jet(NamedTuple):
     def of(cls, u, grid):
         vals, du, d2u = sb.eval_jet_all(u, grid)
         return cls(vals, du, d2u, *sy.hessian_invariants(d2u, du))
-
-    def scaled(self, e):
-        """The jet of e u: sigma_j scales by e^j and Q_j by e^(j+2)."""
-        p = float(e) ** np.arange(self.sigma.shape[1])
-        return Jet(e * self.vals, e * self.du, e * self.d2u,
-                   self.sigma * p, self.quad * (e * e * p[:-1]))
 
 
 @dataclass(frozen=True)
@@ -188,59 +182,90 @@ def _similarity(w, ph, D, second):
     return 0.5 * (sym + np.swapaxes(sym, 1, 2))
 
 
-def _shape_sigma(jet, rho, ph, dph, D):
-    """sigma_0..sigma_n of the shape operator per node, from the jet's
-    Hessian invariants by the closed form in the module docstring."""
-    n = jet.d2u.shape[-1]
+def _shape_sigma(n, orders, sig, quad, rho, ph, dph, D):
+    """sigma_k of the shape operator for k in orders, a range from 1 up,
+    by the closed form in the module docstring, forming only the terms
+    those orders read; sig and quad yield sigma_j(Hess u) and Q_j from
+    j = 0, node-minor like ph, dph and D, with any leading axis."""
+    top = orders[-1]
     ph2 = ph * ph
     alpha, beta = ph2 * dph, -rho * ph
     apow, bpow = [1.0], [1.0]
-    for _ in range(n):
+    for _ in range(top):
         apow.append(apow[-1] * alpha)
         bpow.append(bpow[-1] * beta)
     # beta^j sigma_j(B) and beta^j Q_j with B = rho Hess u, w = rho grad u
-    bsig = [bpow[j] * jet.sigma[:, j] for j in range(n + 1)]
-    bquad = [(rho * rho) * bpow[j] * jet.quad[:, j] for j in range(n)]
-    # q[m + 1] = q_m, so that q[0] = q_{-1} = 0 and q[n + 1] = q_n = 0
-    q = [0.0] + [sum(comb(n - 1 - j, m - j) * apow[m - j] * bquad[j]
-                     for j in range(m + 1)) for m in range(n)] + [0.0]
-    sigma = np.empty((len(ph), n + 1))
-    sigma[:, 0] = 1.0
-    den = D * D
-    for k in range(1, n + 1):
-        sig_M = sum(comb(n - j, k - j) * apow[k - j] * bsig[j]
-                    for j in range(k + 1))
+    bsig = [b * s for b, s in zip(bpow, sig)]
+    bquad = [(rho * rho) * b * q for b, q in zip(bpow, quad)]
+    # q[m] = q_m, with q_n = 0 (Cayley-Hamilton)
+    q = {m: sum(comb(n - 1 - j, m - j) * apow[m - j] * bquad[j]
+                for j in range(m + 1)) if m < n else 0.0
+         for m in range(orders[0] - 1, top + 1)}
+    out, den = [], D * D
+    for k in range(1, top + 1):
         den = den * (ph2 * D)
-        sigma[:, k] = (ph2 * sig_M + 2.0 * alpha * q[k] + q[k + 1]) / den
-    return sigma
+        if k in orders:
+            sig_M = sum(comb(n - j, k - j) * apow[k - j] * bsig[j]
+                        for j in range(k + 1))
+            out.append((ph2 * sig_M + 2.0 * alpha * q[k - 1] + q[k]) / den)
+    return out
 
 
-def surface_geometry(graph, grid, jet=None):
-    """Evaluate the pointwise geometry of the graph at every node.
-
-    jet, if given, is the precomputed Jet.of(graph.u, grid), or, when
-    graph.u = e u0, Jet.of(u0, grid).scaled(e).
-    """
-    sf = graph.sf
-    n = grid.n
-    if jet is None:
-        jet = Jet.of(graph.u, grid)
-    if not (np.isfinite(jet.du).all() and np.isfinite(jet.d2u).all()):
+def _radial_fields(graph, vals, quad0, du, d2u):
+    """(r, phi, phi', Phi, D) from node values of u and Q_0 = |grad u|^2
+    of any shape, after the finite 2-jet, band and degeneracy checks."""
+    if not (np.isfinite(du).all() and np.isfinite(d2u).all()):
         raise ValueError("non-finite 2-jet")
-    r = graph.radii(jet.vals)
+    sf = graph.sf
+    r = graph.radii(vals)
     if np.any(r <= 0.0) or np.any(r >= sf.r_max):
         raise ValueError("graph radii leave the admissible band (0, r_max)")
-    ph = sf.phi(r)
-    dph = sf.dphi(r)
-    Ph = sf.Phi(r)
-    D = np.sqrt(ph * ph + graph.rho ** 2 * jet.quad[:, 0])
+    ph, dph, Ph = sf.phi(r), sf.dphi(r), sf.Phi(r)
+    D = np.sqrt(ph * ph + graph.rho ** 2 * quad0)
     if np.min(D) < DEGENERACY_TOL or np.min(ph) < DEGENERACY_TOL:
         raise ValueError("degenerate metric: D or phi below tolerance")
-    sigma = _shape_sigma(jet, graph.rho, ph, dph, D)
+    return r, ph, dph, Ph, D
+
+
+def surface_geometry(graph, grid):
+    """Evaluate the pointwise geometry of the graph at every node."""
+    n = grid.n
+    jet = Jet.of(graph.u, grid)
+    r, ph, dph, Ph, D = _radial_fields(graph, jet.vals, jet.quad[:, 0],
+                                       jet.du, jet.d2u)
+    sigma = np.column_stack([np.ones_like(ph), *_shape_sigma(
+        n, range(1, n + 1), jet.sigma.T, jet.quad.T, graph.rho, ph, dph, D)])
     return SurfaceGeometry(
         graph=graph, grid=grid, u_vals=jet.vals, du=jet.du, d2u=jet.d2u,
         r=r, phi=ph, dphi=dph, Phi=Ph, D=D, area_factor=ph ** (n - 1) * D,
         sigma=sigma, H=sigma[:, 1])
+
+
+def scaled_curvature_integrals(graph, grid, w, k, amplitudes, jet):
+    """weighted_curvature_integral on rho (1 + e u) for each amplitude e,
+    where graph = rho (1 + u) and jet = Jet.of(graph.u, grid), in one
+    pass over blocks of NODE_BLOCK nodes with (amplitudes, block)
+    temporaries that scales sigma_j by e^j and Q_j by e^(j+2) and forms
+    only sigma_k. grid.integrate sums each row of the integrands, so each
+    value is bit for bit that of a full-grid geometry of the scaled jet."""
+    n = grid.n
+    if not 0 <= k <= n:
+        raise ValueError(f"sigma order k={k} outside [0, {n}]")
+    e = np.asarray(amplitudes, dtype=float)[:, None]
+    p = np.array([float(x) ** np.arange(n + 1) for x in e[:, 0]])
+    pq = e * e * p[:, :-1]
+    out = np.empty((len(e), grid.node_count))
+    for start in range(0, grid.node_count, sb.NODE_BLOCK):
+        b = slice(start, start + sb.NODE_BLOCK)
+        sig = (jet.sigma[b, j] * p[:, j:j + 1] for j in range(n + 1))
+        quad = (jet.quad[b, j] * pq[:, j:j + 1] for j in range(n))
+        _, ph, dph, Ph, D = _radial_fields(
+            graph, e * jet.vals[b], jet.quad[b, 0] * pq[:, :1], jet.du[b],
+            jet.d2u[b])
+        core = 1.0 if k == 0 else _shape_sigma(
+            n, range(k, k + 1), sig, quad, graph.rho, ph, dph, D)[0]
+        out[:, b] = w(Ph) * core * (ph ** (n - 1) * D)
+    return [grid.integrate(row) for row in out]
 
 
 def weighted_curvature_integral(graph, grid, w, k, positive_part=False,

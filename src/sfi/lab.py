@@ -600,7 +600,19 @@ class ExpansionReport:
 
     @property
     def max_rel_error(self):
-        return max(self.rel_errors)
+        """The largest relative error, NaN if any is NaN."""
+        return float(np.max(self.rel_errors))
+
+
+def expansion_amplitudes(eps_list):
+    """Sorted amplitudes in [1e-4, 1e-1], at least 6 of them distinct."""
+    eps = np.asarray(sorted(float(e) for e in eps_list))
+    if not np.all((eps >= 1e-4 - 1e-12) & (eps <= 1e-1 + 1e-12)):
+        raise ValueError("amplitudes must lie in [1e-4, 1e-1]")
+    if len(set(eps)) < 6:
+        raise ValueError("need at least 6 distinct amplitudes for the "
+                         "expansion fit")
+    return eps
 
 
 def expansion_oracle(sf, w, k, constraint_tag, u0, eps_list, grid, *,
@@ -617,28 +629,22 @@ def expansion_oracle(sf, w, k, constraint_tag, u0, eps_list, grid, *,
     the residual model. use_H_blocks selects the mean-curvature form of
     the closed coefficients (k must be 1).
     """
-    eps = np.asarray(sorted(float(e) for e in eps_list))
-    if len(eps) < 6:
-        raise ValueError("need at least 6 amplitudes for the expansion fit")
-    if eps[0] < 1e-4 - 1e-12 or eps[-1] > 1e-1 + 1e-12:
-        raise ValueError("amplitudes must lie in [1e-4, 1e-1]")
+    eps = expansion_amplitudes(eps_list)
     if use_H_blocks and k != 1:
         raise ValueError("the mean-curvature blocks require k = 1")
     # one jet of u0 and one pass over its Hessian invariants serve every
-    # amplitude: Jet.scaled gives those of e u0 by elementwise products
+    # amplitude: one node-blocked pass scales them to F(0) and F(+-eps)
     jet = gg.Jet.of(u0, grid)
     l2 = np.sqrt(max(grid.integrate(jet.vals ** 2), 0.0))
     if abs(l2 - 1.0) > 1e-6:
         raise ValueError(f"direction must have unit L2 norm, got {l2:.3e}")
 
-    def F(e):
-        graph = gg.RadialGraph(sf=sf, rho=rho, u=u0.scaled(e))
-        geo = gg.surface_geometry(graph, grid, jet=jet.scaled(e))
-        return gg.weighted_curvature_integral(graph, grid, w, k, geo=geo)
-
-    F0 = F(0.0)
     xs = np.concatenate([eps, -eps])
-    ys = np.array([F(x) for x in xs]) - F0
+    F = np.array(gg.scaled_curvature_integrals(
+        gg.RadialGraph(sf=sf, rho=rho, u=u0), grid, w, k, [0.0, *xs], jet))
+    if not np.isfinite(F).all():
+        raise ValueError("non-finite curvature integral in the fit")
+    F0, ys = float(F[0]), F[1:] - F[0]
     design = np.column_stack([xs ** p for p in range(1, 6)])
     scale = np.linalg.norm(design, axis=0)
     cond = float(np.linalg.cond(design / scale))

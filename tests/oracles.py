@@ -3,12 +3,14 @@ sigma_k by eigenvalues and by principal minors, the single-matrix Newton
 tensor, the batched Newton recursion on the similarity of the Weingarten
 map, the Weingarten map, the divergence-form H, brute-force volumes and
 radial moments, translated-ball profiles, the Laplace-Beltrami
-operator, coefficient norms and the monomial Vandermonde matrix. No
+operator, coefficient norms, the monomial Vandermonde matrix, and the
+per-amplitude loop of full-grid geometries behind an expansion fit. No
 row, fit or CLI command runs them; tests import this module as
 ``import oracles``.
 """
 
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -118,6 +120,73 @@ def weingarten(geo):
             + dph[:, None, None] * outer / (D ** 3)[:, None, None]
             + w[:, :, None] * (hess_r @ w[:, :, None])[:, None, :, 0]
             / (D ** 3 * ph)[:, None, None])
+
+
+def scaled_jet(jet, e):
+    """The jet of e u from the jet of u: values and derivatives scale by
+    e, sigma_j by e^j and Q_j by e^(j+2)."""
+    p = float(e) ** np.arange(jet.sigma.shape[1])
+    return gg.Jet(e * jet.vals, e * jet.du, e * jet.d2u, jet.sigma * p,
+                  jet.quad * (e * e * p[:-1]))
+
+
+def shape_sigma_all(jet, rho, ph, dph, D):
+    """sigma_0..sigma_n of the shape operator per node from a jet's
+    Hessian invariants, every order over the whole grid (the closed form
+    in the graphgeom module docstring)."""
+    n = jet.d2u.shape[-1]
+    ph2 = ph * ph
+    alpha, beta = ph2 * dph, -rho * ph
+    apow, bpow = [1.0], [1.0]
+    for _ in range(n):
+        apow.append(apow[-1] * alpha)
+        bpow.append(bpow[-1] * beta)
+    bsig = [bpow[j] * jet.sigma[:, j] for j in range(n + 1)]
+    bquad = [(rho * rho) * bpow[j] * jet.quad[:, j] for j in range(n)]
+    # q[m + 1] = q_m, so that q[0] = q_{-1} = 0 and q[n + 1] = q_n = 0
+    q = [0.0] + [sum(comb(n - 1 - j, m - j) * apow[m - j] * bquad[j]
+                     for j in range(m + 1)) for m in range(n)] + [0.0]
+    sigma = np.empty((len(ph), n + 1))
+    sigma[:, 0] = 1.0
+    den = D * D
+    for k in range(1, n + 1):
+        sig_M = sum(comb(n - j, k - j) * apow[k - j] * bsig[j]
+                    for j in range(k + 1))
+        den = den * (ph2 * D)
+        sigma[:, k] = (ph2 * sig_M + 2.0 * alpha * q[k] + q[k + 1]) / den
+    return sigma
+
+
+def geometry_from_jet(graph, grid, jet):
+    """SurfaceGeometry of graph built from a given 2-jet over the whole
+    grid at once, with every sigma_j; for jet = Jet.of(graph.u, grid) it
+    is gg.surface_geometry(graph, grid)."""
+    sf, n = graph.sf, grid.n
+    if not (np.isfinite(jet.du).all() and np.isfinite(jet.d2u).all()):
+        raise ValueError("non-finite 2-jet")
+    r = graph.radii(jet.vals)
+    if np.any(r <= 0.0) or np.any(r >= sf.r_max):
+        raise ValueError("graph radii leave the admissible band (0, r_max)")
+    ph, dph, Ph = sf.phi(r), sf.dphi(r), sf.Phi(r)
+    D = np.sqrt(ph * ph + graph.rho ** 2 * jet.quad[:, 0])
+    if np.min(D) < gg.DEGENERACY_TOL or np.min(ph) < gg.DEGENERACY_TOL:
+        raise ValueError("degenerate metric: D or phi below tolerance")
+    sigma = shape_sigma_all(jet, graph.rho, ph, dph, D)
+    return gg.SurfaceGeometry(
+        graph=graph, grid=grid, u_vals=jet.vals, du=jet.du, d2u=jet.d2u,
+        r=r, phi=ph, dphi=dph, Phi=Ph, D=D, area_factor=ph ** (n - 1) * D,
+        sigma=sigma, H=sigma[:, 1])
+
+
+def scaled_curvature_integrals(graph, grid, w, k, amplitudes, jet):
+    """gg.scaled_curvature_integrals one amplitude at a time: the full-grid
+    geometry of each scaled jet, then weighted_curvature_integral."""
+    out = []
+    for e in amplitudes:
+        g = gg.RadialGraph(sf=graph.sf, rho=graph.rho, u=graph.u.scaled(e))
+        geo = geometry_from_jet(g, grid, scaled_jet(jet, e))
+        out.append(gg.weighted_curvature_integral(g, grid, w, k, geo=geo))
+    return out
 
 
 def mean_curvature_two_ways(graph, grid, geo=None):

@@ -381,6 +381,38 @@ k = 2
         assert cli.main(["expand", "--config", path]) == 2
         assert "perturbation.epsilon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps, why", [
+        ("0.01, 0.02, 0.04, 0.08, 0.16, 0.32", "[1e-4, 1e-1]"),
+        ("0.01, 0.01, 0.01, 0.01, 0.01, 0.01", "6 distinct")])
+    def test_bad_epsilon_is_config_error(self, tmp_path, capsys, eps, why):
+        body = self.EXPAND_BODY.replace(
+            "epsilon = 0.002, 0.0032, 0.005, 0.008, 0.0126, 0.02",
+            f"epsilon = {eps}")
+        path = write_config(tmp_path, body)
+        assert cli.main(["expand", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "config error: perturbation.epsilon" in err
+        assert why in err
+
+    def test_threads_identical_csv(self, tmp_path, monkeypatch):
+        body = self.EXPAND_BODY.replace("directions = 1", "directions = 3")
+        path = write_config(tmp_path, body)
+        pools = []
+        run_tasks = cli._run_tasks
+
+        def spy(tasks, runner, threads):
+            pools.append((len(tasks), threads))
+            return run_tasks(tasks, runner, threads)
+
+        monkeypatch.setattr(cli, "_run_tasks", spy)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for out, threads in ((a, "1"), (b, "2")):
+            assert cli.main(["expand", "--config", path, "--threads",
+                             threads, "--out", str(out)]) == 0
+        assert pools == [(3, 1), (3, 2)]
+        assert a.read_bytes() == b.read_bytes()
+        assert len(a.read_text().strip().split("\n")) == 4
+
     def test_duplicate_run_identical(self, tmp_path):
         path = write_config(tmp_path, self.EXPAND_BODY)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -49,16 +49,18 @@ class TestRadialGraph:
         with pytest.raises(ValueError):
             gg.surface_geometry(g, grid3)
 
-    def test_non_finite_jet_rejected(self, grid3, basis3):
+    def test_non_finite_jet_rejected(self, grid3, basis3, monkeypatch):
         # NaN compares false, so it passes the band and degeneracy checks
         # unless rejected explicitly
         g = perturbed_graph(-1, grid3, basis3, 0.01)
-        jet = gg.Jet.of(g.u, grid3)
-        for name in ("vals", "du", "d2u"):
-            bad = getattr(jet, name).copy()
-            bad.flat[0] = np.nan
+        jet = sb.eval_jet_all(g.u, grid3)
+        for i in range(3):
+            bad = list(jet)
+            bad[i] = bad[i].copy()
+            bad[i].flat[0] = np.nan
+            monkeypatch.setattr(sb, "eval_jet_all", lambda u, grid: bad)
             with pytest.raises(ValueError, match="non-finite"):
-                gg.surface_geometry(g, grid3, jet=jet._replace(**{name: bad}))
+                gg.surface_geometry(g, grid3)
         with pytest.raises(ValueError, match="non-finite"):
             g.radii(np.full(3, np.inf))
 
@@ -156,14 +158,27 @@ class TestPerturbedGeometry:
 
     @pytest.mark.parametrize("K", ALL_K)
     def test_scaled_jet_matches_fresh_geometry(self, K, grid3, basis3):
-        # expansion fits build the geometry of eps u0 from the jet of u0
-        # and its Hessian invariants, scaled by powers of eps
+        # expansion fits take the geometry of eps u0 from the jet of u0
+        # and its Hessian invariants, scaled by powers of eps: the
+        # per-amplitude reference geometry against a fresh one, and the
+        # integrals of the node-blocked kernel against fresh integrals
+        sf = SpaceForm(K=K, n=3)
         u0 = perturbed_graph(K, grid3, basis3, 1.0, seed=K + 20).u
         jet0 = gg.Jet.of(u0, grid3)
-        for eps in (0.03, -0.004, 0.0):
-            g = gg.RadialGraph(sf=SpaceForm(K=K, n=3), rho=0.9,
-                               u=u0.scaled(eps))
-            geo = gg.surface_geometry(g, grid3, jet=jet0.scaled(eps))
+        amps = (0.03, -0.004, 0.0)
+        w = WeightFunction.shifted_power(2.0)
+        for k in range(4):
+            got = gg.scaled_curvature_integrals(
+                gg.RadialGraph(sf=sf, rho=0.9, u=u0), grid3, w, k, amps,
+                jet0)
+            want = [gg.weighted_curvature_integral(
+                gg.RadialGraph(sf=sf, rho=0.9, u=u0.scaled(eps)), grid3, w,
+                k) for eps in amps]
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-15), k
+        for eps in amps:
+            g = gg.RadialGraph(sf=sf, rho=0.9, u=u0.scaled(eps))
+            geo = oracles.geometry_from_jet(g, grid3,
+                                            oracles.scaled_jet(jet0, eps))
             fresh = gg.surface_geometry(g, grid3)
             for name in ("u_vals", "du", "d2u", "r", "phi", "dphi", "Phi",
                          "D", "area_factor", "second_form", "kappa",
@@ -176,30 +191,29 @@ class TestPerturbedGeometry:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("K", ALL_K)
-    def test_sigma_matches_eigenvalue_oracles(self, K, n):
+    def test_sigma_matches_eigenvalue_oracles(self, K, n, monkeypatch):
         # the closed form from the Hessian invariants against the
         # elementary symmetric functions of the principal curvatures
         # (eigvalsh of the similarity) and against the Newton recursion
         # on that similarity: nearly spherical graphs over the amplitude
-        # range, and random jets far from any sphere
+        # range, and a random jet far from any sphere
         grid = sb.build_grid(n, 8)
         sf = SpaceForm(K=K, n=n)
         u0 = perturbed_graph(K, grid, sb.build_basis(n, 4), 1.0,
                              seed=n + 3 * K + 3).u
-        jet0 = gg.Jet.of(u0, grid)
         geos = [gg.surface_geometry(
-            gg.RadialGraph(sf=sf, rho=0.9, u=u0.scaled(eps)), grid,
-            jet=jet0.scaled(eps)) for eps in (1e-12, 1e-8, 1e-4, 0.01, 0.2)]
+            gg.RadialGraph(sf=sf, rho=0.9, u=u0.scaled(eps)), grid)
+            for eps in (1e-12, 1e-8, 1e-4, 0.01, 0.2)]
         rng = np.random.default_rng(40 + n + K)
         m = grid.node_count
         a = rng.standard_normal((m, n, n))
         d2u = 0.5 * (a + np.swapaxes(a, 1, 2))
         du = 0.6 * rng.standard_normal((m, n))
         vals = 0.05 * rng.standard_normal(m)
-        rand = gg.Jet(vals, du, d2u, *sy.hessian_invariants(d2u, du))
+        monkeypatch.setattr(sb, "eval_jet_all", lambda u, grid: (vals, du,
+                                                                 d2u))
         geos.append(gg.surface_geometry(
-            gg.RadialGraph(sf=sf, rho=0.9, u=u0.scaled(0.0)), grid,
-            jet=rand))
+            gg.RadialGraph(sf=sf, rho=0.9, u=u0), grid))
         for geo in geos:
             tol = 1e-13 * np.maximum(1.0, np.abs(geo.sigma))
             eig = oracles.elementary_from_eigenvalues(geo.kappa)
@@ -211,6 +225,76 @@ class TestPerturbedGeometry:
         g = perturbed_graph(0, grid3, basis3, 0.01, seed=5)
         geo = gg.surface_geometry(g, grid3)
         assert np.all(geo.convex_flags())
+
+
+class TestScaledCurvatureIntegrals:
+    AMPS = (0.0, *np.geomspace(2e-3, 2e-2, 6), *-np.geomspace(2e-3, 2e-2, 6))
+
+    # 91 nodes, fewer than one node block; 2541 and 1125 nodes, not
+    # multiples of NODE_BLOCK
+    @pytest.mark.parametrize("n, res", [(2, 12), (3, 20), (4, 8)])
+    @pytest.mark.parametrize("K", ALL_K)
+    def test_equals_per_amplitude_oracle(self, K, n, res):
+        grid = sb.build_grid(n, res)
+        assert grid.node_count < sb.NODE_BLOCK \
+            or grid.node_count % sb.NODE_BLOCK
+        g = perturbed_graph(K, grid, sb.build_basis(n, 4), 1.0,
+                            seed=7 * n + K, rho=0.9)
+        jet = gg.Jet.of(g.u, grid)
+        for w in (WeightFunction.affine(), WeightFunction.shifted_power(2.0),
+                  WeightFunction.power(1.5)):
+            for k in range(n + 1):
+                got = gg.scaled_curvature_integrals(g, grid, w, k, self.AMPS,
+                                                    jet)
+                assert got == oracles.scaled_curvature_integrals(
+                    g, grid, w, k, self.AMPS, jet), (w.label, k)
+
+    @pytest.mark.parametrize("K", ALL_K)
+    def test_reference_geometry_is_surface_geometry(self, K, grid3, basis3):
+        g = perturbed_graph(K, grid3, basis3, 0.03, seed=K + 30)
+        geo = gg.surface_geometry(g, grid3)
+        ref = oracles.geometry_from_jet(g, grid3, gg.Jet.of(g.u, grid3))
+        for name in ("u_vals", "du", "d2u", "r", "phi", "dphi", "Phi", "D",
+                     "area_factor", "sigma", "H"):
+            assert np.array_equal(getattr(geo, name), getattr(ref, name)), \
+                name
+
+    @pytest.mark.parametrize("case", ["band", "degenerate", "vals", "du",
+                                      "d2u"])
+    def test_checks_match_surface_geometry(self, case, grid3, basis3,
+                                           monkeypatch):
+        # the bad node lies in the last, partial node block
+        g = gg.RadialGraph(sf=SpaceForm(K=0, n=3), rho=1.0,
+                           u=perturbed_graph(0, grid3, basis3, 0.01).u)
+        vals, du, d2u = (a.copy() for a in sb.eval_jet_all(g.u, grid3))
+        node = grid3.node_count - 5
+        if case == "band":
+            vals[node] = -2.0
+        elif case == "degenerate":
+            vals[node], du[node] = -1.0 + 1e-15, 0.0
+        else:
+            {"vals": vals, "du": du, "d2u": d2u}[case][node] = np.nan
+        jet = gg.Jet(vals, du, d2u, *sy.hessian_invariants(d2u, du))
+        monkeypatch.setattr(sb, "eval_jet_all", lambda u, grid: (vals, du,
+                                                                 d2u))
+        with pytest.raises(ValueError, match={
+                "band": "band", "degenerate": "degenerate"}.get(
+                    case, "non-finite")) as want:
+            gg.surface_geometry(g, grid3)
+        for k in (0, 2):
+            with pytest.raises(ValueError) as got:
+                gg.scaled_curvature_integrals(g, grid3,
+                                              WeightFunction.affine(), k,
+                                              [0.0, 0.5, 1.0], jet)
+            assert str(got.value) == str(want.value)
+
+    def test_bad_k(self, grid3, basis3):
+        g = perturbed_graph(0, grid3, basis3, 1.0)
+        jet = gg.Jet.of(g.u, grid3)
+        for k in (-1, 4):
+            with pytest.raises(ValueError, match="outside"):
+                gg.scaled_curvature_integrals(
+                    g, grid3, WeightFunction.affine(), k, [0.0], jet)
 
 
 class TestMeanCurvatureTwoWays:

@@ -167,6 +167,51 @@ class TestExpansionBlocks:
         with pytest.raises(ValueError, match="unit L2"):
             lab.expansion_oracle(sf, w, 1, "volume", u0.scaled(2.0),
                                  np.geomspace(2e-3, 2e-2, 6), grid3)
+        # six values but five distinct amplitudes
+        with pytest.raises(ValueError, match="6 distinct"):
+            lab.expansion_oracle(sf, w, 1, "volume", u0,
+                                 [2e-3, 3e-3, 5e-3, 8e-3, 1e-2, 1e-2], grid3)
+        with pytest.raises(ValueError, match="amplitudes must lie"):
+            lab.expansion_oracle(sf, w, 1, "volume", u0,
+                                 [np.nan, 2e-3, 3e-3, 5e-3, 8e-3, 1e-2],
+                                 grid3)
+
+    @pytest.mark.parametrize("use_H", [False, True])
+    def test_fit_equals_per_amplitude_fit(self, use_H, basis3, grid3,
+                                          monkeypatch):
+        # the node-blocked kernel against one full-grid geometry per
+        # amplitude: every field of the report to the last bit
+        u0 = lab.sample_direction(basis3, 9, 0, degrees=(0, 2, 3))
+        args = (SpaceForm(K=-1, n=3), WeightFunction.shifted_power(2.0), 1,
+                "volume", u0, np.geomspace(2e-3, 2e-2, 6), grid3)
+        got = lab.expansion_oracle(*args, rho=0.9, use_H_blocks=use_H)
+        monkeypatch.setattr(gg, "scaled_curvature_integrals",
+                            oracles.scaled_curvature_integrals)
+        assert got == lab.expansion_oracle(*args, rho=0.9,
+                                           use_H_blocks=use_H)
+
+    def test_max_rel_error_propagates_nan(self):
+        rep = lab.ExpansionReport(
+            target_id="sigma1", weight_kind="1+s", K=0, n=3, rho=1.0,
+            constraint="volume", eps=(), fitted=(1.0, np.nan, np.nan),
+            closed=(1.0, 0.0, 1.0), rel_errors=(3e-6, np.nan, np.nan),
+            residual_slope=3.0, condition_number=10.0)
+        assert np.isnan(rep.max_rel_error)
+        assert not rep.max_rel_error < 1e-4
+
+    def test_non_finite_integral_raises(self, basis3, grid3):
+        # finite on the sphere, so F(0) and the closed blocks are finite,
+        # but NaN wherever Phi exceeds its value there: every F(+-eps)
+        sf, rho = SpaceForm(K=0, n=3), 1.0
+        affine = WeightFunction.affine()
+        top = float(sf.Phi(rho))
+        w = WeightFunction("affine", lambda s: np.where(s > top, np.nan,
+                                                        1.0 + s),
+                           affine.d1, affine.d2, affine.d3, label="1+s")
+        u0 = lab.sample_direction(basis3, 42, 0, degrees=(0, 1, 2, 3, 4))
+        with pytest.raises(ValueError, match="non-finite"):
+            lab.expansion_oracle(sf, w, 1, "volume", u0,
+                                 np.geomspace(2e-3, 2e-2, 6), grid3, rho=rho)
 
 
 class TestHessianIdentities:
