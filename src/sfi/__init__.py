@@ -23,15 +23,12 @@ from sfi.lab import (
     SweepResult,
     TheoremCase,
     THEOREMS,
-    asymmetry_upper_bound,
     equality_function,
     expansion_oracle,
-    hessian_identity,
     sample_direction,
     stability_constant,
     sweep,
     verify,
-    write_report,
 )
 # ``normalize`` the function is reached through the submodule of the same
 # name; re-exporting it here would shadow ``sfi.normalize``.
@@ -49,7 +46,6 @@ from sfi.spaceform import (
     WeightFunction,
     check_weight,
     default_weight_set,
-    phi_triple,
     unit_sphere_area,
 )
 from sfi.spherebasis import (
@@ -80,7 +76,6 @@ __all__ = [
     "TheoremCase",
     "WeightFlags",
     "WeightFunction",
-    "asymmetry_upper_bound",
     "build_basis",
     "build_grid",
     "check_weight",
@@ -90,9 +85,7 @@ __all__ = [
     "equality_function",
     "expansion_oracle",
     "fraenkel_asymmetry",
-    "hessian_identity",
     "parse_constraint",
-    "phi_triple",
     "quermass_constraint",
     "quermassintegrals",
     "radius_for_volume",
@@ -109,7 +102,6 @@ __all__ = [
     "weighted_curvature_integral",
     "weighted_volume",
     "weighted_volume_constraint",
-    "write_report",
 ]
 
 __version__ = "0.1.0"

@@ -5,7 +5,7 @@ Four commands share one flat INI configuration:
 * eval: domain functionals and curvature summary of a single graph;
 * verify: one deficit-report row per (case, direction, amplitude);
 * expand: fitted-versus-closed-form expansion coefficient table;
-* sweep: randomized direction/amplitude product sweeps per case.
+* sweep: verify over random directions, with a summary line per case.
 
 Exit codes: 0 success, 1 at least one row failed its inequality,
 2 configuration error (the offending key is named), 3 numerical failure.
@@ -416,11 +416,48 @@ def _run_tasks(tasks, runner, threads):
     return [runner(t) for t in tasks]
 
 
-def _finish_rows(reports, failures, ctx):
-    """List the rows that raised, write the report of the others and
-    return the exit code: 3 if any row raised, else 1 if any failed."""
+def _verify_rows(ctx, args, pcfg, eps_default, summary=False):
+    """Verify every (case, direction, amplitude) row of the perturbation
+    spec pcfg, one task per row on --threads threads; the zero direction
+    is one row with no amplitude. With summary, one line per case gives
+    its row and failure counts and its empirical constant on stderr.
+    Lists the rows that raised, writes the report of the others and
+    returns the exit code: 3 if any row raised, else 1 if any failed."""
+    from sfi import graphgeom as gg
     from sfi import lab
 
+    if not ctx.cases:
+        raise ConfigError("missing required config section [case:<name>]")
+    directions = build_directions(pcfg, ctx.basis, ctx.seed)
+    eps_list = epsilon_schedule(pcfg, default=eps_default)
+
+    tasks = []
+    for name, case in ctx.cases:
+        for did, u0 in directions:
+            for eps in [None] if did == "zero" else eps_list:
+                u = u0 if eps is None else u0.scaled(eps)
+                graph = gg.RadialGraph(sf=ctx.sf, rho=case.rho, u=u)
+                tasks.append((name, case, graph, did, eps))
+
+    def run(task):
+        _name, case, graph, did, eps = task
+        return lab.verify_row(case, graph, ctx.grid, did, eps)
+
+    by_case = {name: [] for name, _ in ctx.cases}
+    for task, row in zip(tasks, _run_tasks(tasks, run, args.threads)):
+        by_case[task[0]].append(row)
+    reports, failures = [], []
+    for name, rows in by_case.items():
+        done = [r for r in rows if isinstance(r, lab.DeficitReport)]
+        reports += done
+        failures += [(name, *r) for r in rows
+                     if not isinstance(r, lab.DeficitReport)]
+        if summary:
+            emp = lab.empirical_constant(done)
+            emp = "n/a" if emp is None else format(emp, ".6g")
+            print(f"{name}: rows={len(done)} "
+                  f"failures={len(rows) - len(done)} "
+                  f"min_deficit_over_alpha_sq={emp}", file=sys.stderr)
     for name, did, eps, msg in failures:
         eps_text = "n/a" if eps is None else format(eps, "g")
         print(f"numerical failure: {name}: {did} eps={eps_text} "
@@ -434,63 +471,16 @@ def _finish_rows(reports, failures, ctx):
 
 
 def cmd_verify(ctx, args):
-    from sfi import graphgeom as gg
-    from sfi import lab
-
-    if not ctx.cases:
-        raise ConfigError("missing required config section [case:<name>]")
-    directions = build_directions(ctx.perturbation, ctx.basis, ctx.seed)
-    eps_list = epsilon_schedule(ctx.perturbation)
-
-    tasks = []
-    for name, case in ctx.cases:
-        for did, u0 in directions:
-            # the zero direction is one row with no amplitude
-            for eps in [None] if did == "zero" else eps_list:
-                u = u0 if eps is None else u0.scaled(eps)
-                graph = gg.RadialGraph(sf=ctx.sf, rho=case.rho, u=u)
-                tasks.append((name, case, graph, did, eps))
-
-    def run(task):
-        name, case, graph, did, eps = task
-        try:
-            return lab.verify(case, graph, ctx.grid, direction_id=did,
-                              epsilon=eps)
-        except lab.NUMERICAL_ERRORS as exc:
-            return name, did, eps, str(exc)
-
-    results = _run_tasks(tasks, run, args.threads)
-    reports = [r for r in results if isinstance(r, lab.DeficitReport)]
-    failures = [r for r in results if not isinstance(r, lab.DeficitReport)]
-    return _finish_rows(reports, failures, ctx)
+    return _verify_rows(ctx, args, ctx.perturbation, (0.01,))
 
 
 def cmd_sweep(ctx, args):
-    from sfi import lab
-
-    pcfg = ctx.perturbation
-    degrees = pcfg.get("degrees", (2, 3, 4))
-    count = pcfg.get("directions", 10)
-    eps_list = epsilon_schedule(pcfg, default=(0.003, 0.01))
-    if not ctx.cases:
-        raise ConfigError("missing required config section [case:<name>]")
-
-    def run(named_case):
-        name, case = named_case
-        return name, lab.sweep(case, ctx.grid, ctx.basis, directions=count,
-                               eps_schedule=eps_list, seed=ctx.seed,
-                               degrees=degrees)
-
-    results = _run_tasks(ctx.cases, run, args.threads)
-    reports, failures = [], []
-    for name, sw in results:
-        reports.extend(sw.reports)
-        failures.extend((name,) + f for f in sw.failures)
-        emp = "n/a" if sw.empirical_constant is None \
-            else format(sw.empirical_constant, ".6g")
-        print(f"{name}: rows={len(sw.reports)} failures={len(sw.failures)} "
-              f"min_deficit_over_alpha_sq={emp}", file=sys.stderr)
-    return _finish_rows(reports, failures, ctx)
+    """verify over random directions, whatever perturbation.mode says:
+    10 directions and the amplitudes 0.003, 0.01 unless configured, with
+    one summary line per case."""
+    pcfg = {**ctx.perturbation, "mode": "random",
+            "directions": ctx.perturbation.get("directions", 10)}
+    return _verify_rows(ctx, args, pcfg, (0.003, 0.01), summary=True)
 
 
 EXPAND_COLUMNS = ("target", "weight_kind", "K", "n", "rho", "constraint",

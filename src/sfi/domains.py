@@ -45,9 +45,8 @@ SEARCH_ALPHA_FLOOR = 1e-12
 BARYCENTER_RADIAL_POINTS = 16
 BARYCENTER_TOL = 1e-10
 BARYCENTER_MAX_ITER = 100
-# Ball radius (ball_radius, _brent): scipy.optimize.brentq's tolerances as
-# this solver has always used them, rtol being the least brentq accepts
-# (4 eps), and its iteration cap.
+# Ball radius (ball_radius, _brent): scipy.optimize.brentq's tolerances,
+# rtol being the least brentq accepts (4 eps), and its iteration cap.
 RADIUS_XTOL = 1e-15
 RADIUS_RTOL = 8.9e-16
 RADIUS_MAX_ITER = 100
@@ -83,15 +82,20 @@ def quermassintegrals(graph, grid, geo=None):
     """All quermassintegrals W_{-1}..W_n as a dict keyed by the index."""
     if geo is None:
         geo = gg.surface_geometry(graph, grid)
-    sf = graph.sf
     n = grid.n
     sig_ints = [grid.integrate(geo.sigma[:, k] * geo.area_factor)
                 for k in range(n + 1)]
-    W = {-1: volume(graph, grid, geo=geo), 0: sig_ints[0]}
-    if n >= 1:
-        W[1] = sig_ints[1] + sf.K * n * W[-1]
+    return _quermass_recurrence(graph.sf.K, n, volume(graph, grid, geo=geo),
+                                sig_ints)
+
+
+def _quermass_recurrence(K, n, vol, sig_ints):
+    """W_{-1}..W_n from the volume and the integrals of sigma_0..sigma_n:
+    W_{-1} = vol, W_0 = int sigma_0, W_1 = int sigma_1 + K n W_{-1} and
+    W_k = int sigma_k + K (n-k+1)/(k-1) W_{k-2} for k >= 2."""
+    W = {-1: vol, 0: sig_ints[0], 1: sig_ints[1] + K * n * vol}
     for k in range(2, n + 1):
-        W[k] = sig_ints[k] + sf.K * (n - k + 1) / (k - 1) * W[k - 2]
+        W[k] = sig_ints[k] + K * (n - k + 1) / (k - 1) * W[k - 2]
     return W
 
 
@@ -109,12 +113,7 @@ def ball_quermassintegrals(sf, rho):
     ph, dph = sf.phi(rho), sf.dphi(rho)
     sig_ints = [comb(n, k) * sf.sphere_area * ph ** (n - k) * dph ** k
                 for k in range(n + 1)]
-    W = {-1: ball_volume(sf, rho), 0: sig_ints[0]}
-    if n >= 1:
-        W[1] = sig_ints[1] + sf.K * n * W[-1]
-    for k in range(2, n + 1):
-        W[k] = sig_ints[k] + sf.K * (n - k + 1) / (k - 1) * W[k - 2]
-    return W
+    return _quermass_recurrence(sf.K, n, ball_volume(sf, rho), sig_ints)
 
 
 def ball_radius(ball_value, value, cap, start=1.0):
@@ -299,9 +298,7 @@ def barycenter(graph, grid, radii=None):
     Past pi/2 from p the tangential eigenvalue d cot d is negative, and
     as a K = +1 domain nears the antipode of p, h -> 0. So h is bounded
     below by mass / (n+1), its value with every d cot d at 0, and the
-    step is then a damped Newton step: at rho = 2.5 the bound is active
-    and a call takes about 30 passes (the plain Karcher step, G / mass,
-    did not converge in BARYCENTER_MAX_ITER).
+    step is then a damped Newton step.
 
     The first pass, at the origin O, is in closed form: log_O(y) = r x
     for the point at radius r over node x, so G is the angular

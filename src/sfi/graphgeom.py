@@ -220,7 +220,7 @@ def _radial_fields(graph, vals, quad0, du, d2u):
     r = graph.radii(vals)
     if np.any(r <= 0.0) or np.any(r >= sf.r_max):
         raise ValueError("graph radii leave the admissible band (0, r_max)")
-    ph, dph, Ph = sf.phi(r), sf.dphi(r), sf.Phi(r)
+    ph, dph, Ph = sf.warp(r)
     D = np.sqrt(ph * ph + graph.rho ** 2 * quad0)
     if np.min(D) < DEGENERACY_TOL or np.min(ph) < DEGENERACY_TOL:
         raise ValueError("degenerate metric: D or phi below tolerance")
@@ -288,7 +288,7 @@ def weighted_curvature_integral(graph, grid, w, k, positive_part=False,
 
 def sphere_curvature_integral(sf, rho, w, k):
     """Closed form of the same integral on the geodesic sphere r = rho."""
-    ph, dph, Ph = sf.phi(rho), sf.dphi(rho), sf.Phi(rho)
+    ph, dph, Ph = sf.warp(rho)
     return comb(sf.n, k) * sf.sphere_area * ph ** (sf.n - k) * dph ** k * w(Ph)
 
 

@@ -15,9 +15,8 @@ hypersurface against its value on the matching geodesic ball:
 * sweep drives verify over a deterministic family of random directions
   and amplitudes and emits report rows with a fixed CSV/JSON schema.
 
-The second-order coefficient blocks and the Hessian integral identities
-live here as plain functions so that tests can probe each piece of the
-analysis separately.
+The second-order coefficient blocks live here as plain functions so that
+tests can probe each piece of the analysis separately.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import comb, inf
-from pathlib import Path
 
 import numpy as np
 
@@ -33,7 +31,7 @@ from sfi import domains as dm
 from sfi import graphgeom as gg
 from sfi import normalize as nz
 from sfi import spherebasis as sb
-from sfi.spaceform import check_weight, phi_triple
+from sfi.spaceform import check_weight
 
 # Norm budgets inside which the comparisons are asserted; rows whose
 # normalized profile exceeds the relevant budget are flagged, not failed.
@@ -207,7 +205,7 @@ def sigma_expansion_blocks(sf, w, k, rho):
     n, K = sf.n, sf.K
     if not 0 <= k <= n:
         raise ValueError(f"sigma order k={k} outside [0, {n}]")
-    ph, dp, s = phi_triple(sf, rho)
+    ph, dp, s = sf.warp(rho)
     if dp <= 0:
         raise ValueError("expansion blocks need phi'(rho) > 0")
     G = float(w(s))
@@ -241,7 +239,7 @@ def H_expansion_blocks(sf, w, rho):
     blocks and is excluded from fits.
     """
     n, K = sf.n, sf.K
-    ph, dp, s = phi_triple(sf, rho)
+    ph, dp, s = sf.warp(rho)
     if dp <= 0:
         raise ValueError("expansion blocks need phi'(rho) > 0")
     G = float(w(s))
@@ -271,7 +269,7 @@ def h_volume_deficit_coefficients(sf, w, rho):
     for normalized graphs (volume matched, barycenter at the origin).
     """
     n = sf.n
-    ph, dp, s = phi_triple(sf, rho)
+    ph, dp, s = sf.warp(rho)
     G = float(w(s))
     G1 = float(w.deriv(s, 1))
     G2 = float(w.deriv(s, 2))
@@ -286,7 +284,7 @@ def h_volume_deficit_coefficients(sf, w, rho):
 def sigma_weighted_volume_deficit_coefficients(sf, w, k, rho):
     """(cu2, cgrad2) of the weighted-volume-constrained sigma_k deficit."""
     n, K = sf.n, sf.K
-    ph, dp, s = phi_triple(sf, rho)
+    ph, dp, s = sf.warp(rho)
     G = float(w(s))
     G1 = float(w.deriv(s, 1))
     G2 = float(w.deriv(s, 2))
@@ -308,7 +306,7 @@ def quermass_deficit_coefficients(sf, w, k, j, rho):
     """(cu2, cgrad2) of the W_j-constrained sigma_k deficit (j = -1 is
     the volume constraint); valid for every K."""
     n, K = sf.n, sf.K
-    ph, dp, s = phi_triple(sf, rho)
+    ph, dp, s = sf.warp(rho)
     G = float(w(s))
     G1 = float(w.deriv(s, 1))
     G2 = float(w.deriv(s, 2))
@@ -345,7 +343,7 @@ def h_volume_gradient_bound(sf, w, rho):
     directions; coincides with poincare_saturation_limit for constant
     weights and is otherwise a lower bound."""
     n = sf.n
-    ph, dp, s = phi_triple(sf, rho)
+    ph, dp, s = sf.warp(rho)
     A = (n - 1) * ph ** (n - 3) * dp * float(w(s)) \
         + ph ** (n - 1) * float(w.deriv(s, 1))
     return (n + 2) / (2.0 * (n + 1)) * A
@@ -358,7 +356,7 @@ def sigma_weighted_volume_gradient_bound(sf, w, k, rho):
     if sf.K != -1:
         raise ValueError("this bound is specific to K = -1")
     n = sf.n
-    ph, dp, s = phi_triple(sf, rho)
+    ph, dp, s = sf.warp(rho)
     G = float(w(s))
     G1 = float(w.deriv(s, 1))
     C = comb(n, k)
@@ -373,7 +371,7 @@ def quermass_gradient_bound(sf, w, k, j, rho):
     """Proved lower-bound coefficient of deficit / (rho^2 ||grad u||^2)
     for the W_j-constrained sigma_k comparison (K = -1 and K = 0)."""
     n = sf.n
-    ph, dp, s = phi_triple(sf, rho)
+    ph, dp, s = sf.warp(rho)
     G = float(w(s))
     C = comb(n, k)
     if sf.K == -1:
@@ -418,7 +416,7 @@ def weighted_volume_rhs_closed_form(sf, w, k, wvol):
 
 
 # ---------------------------------------------------------------------------
-# stability constants and the asymmetry bound
+# stability constants
 
 def stability_constant(case, rho=None):
     """Closed-form constant C of the stability lower bound
@@ -432,7 +430,7 @@ def stability_constant(case, rho=None):
     n = sf.n
     omega = sf.sphere_area
     r = case.rho if rho is None else rho
-    ph, dp, s = phi_triple(sf, r)
+    ph, dp, s = sf.warp(r)
     G = float(w(s))
     if case.theorem == "sigmak-quermass-hyperbolic":
         return comb(n, k) * n * (n - k) * (k - j) / (4.0 * omega) \
@@ -441,13 +439,6 @@ def stability_constant(case, rho=None):
     return comb(n, k) * n * ((n - k) * (k - j) * G
                              + (2 * k - j - 1) * r ** 2 * G1) \
         / (4.0 * omega * r ** (n + k + 2))
-
-
-def asymmetry_upper_bound(sf, rho, grad_l2_sq):
-    """Leading-order upper bound on alpha^2 in terms of the gradient
-    energy: (1/n^2) |S^n| phi(rho)^{2n} rho^2 ||grad u||^2."""
-    return sf.sphere_area * sf.phi(rho) ** (2 * sf.n) * rho ** 2 \
-        * grad_l2_sq / sf.n ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -527,20 +518,16 @@ def verify(case, graph_raw, grid, *, direction_id="", epsilon=None):
         graph, coarse, w, k, positive_part=positive_part)
     err_quad = abs(lhs - lhs_coarse)
 
-    # The barycenter is not the optimal ball center: after recentering
-    # the optimum sits about 0.01-0.04 eps from the origin (K = -1), and
-    # alpha there is 0.02-0.3% below its value at the origin. Seeded at
-    # the origin, the center search takes a few steps (median 7 objective
-    # evaluations on K = -1 rows) and stops once a step gains at most
-    # dm.POLISH_REL_GAIN of alpha, under alpha's own quadrature error. Its
-    # alpha is never below the true minimum, so an early stop can only
-    # raise the bound.
+    # The barycenter is not the optimal ball center, but the optimum lies
+    # close to the origin, so the center search is seeded there. Its alpha
+    # is never below the true minimum, so an early stop can only raise
+    # the bound.
     alpha, _center = dm.fraenkel_asymmetry(
         graph, grid, geo=geo, seed_center=np.zeros(sf.n + 1))
-    cval = constraint.of_graph(graph, grid, geo=geo)
 
     if fam.kind == "validity":
-        rhs = equality_function(sf, w, k, constraint, cval)
+        rhs = equality_function(sf, w, k, constraint,
+                                normalized.constraint_value)
         deficit = lhs - rhs
         C = eta = bound = None
         gap = deficit
@@ -693,54 +680,6 @@ def expansion_oracle(sf, w, k, constraint_tag, u0, eps_list, grid, *,
 
 
 # ---------------------------------------------------------------------------
-# Hessian integral identities
-
-def hessian_identity(which, u, grid, m=None):
-    """(lhs, rhs) of one of the five spherical-Hessian integral
-    identities behind the expansion remainder analysis:
-
-      1: int T_m(Hess u)[grad u, grad u] = (m+2)/2 int |grad u|^2 sigma_m
-      2: int sigma_m = (n-m+1)/2 int |grad u|^2 sigma_{m-2}   (m >= 2)
-      3: int sigma_1 = 0 (exactly)
-      4: int u sigma_m = -(m+1)/(2m) int |grad u|^2 sigma_{m-1}
-      5: int u^2 sigma_m -> 0 at cubic order (rhs is 0)
-
-    sigma_m means sigma_m(Hess u) throughout; identities 1, 4, 5 need
-    m >= 1. Identities 1, 2, 4 hold up to cubic-order corrections; 3 is
-    exact for band-limited u.
-    """
-    n = grid.n
-    vals, grad, hess, sig, quad = gg.Jet.of(u, grid)
-    gradsq = np.sum(grad * grad, axis=1)
-    if which == 1:
-        if not 1 <= m <= n - 1:
-            raise ValueError(f"identity 1 needs 1 <= m <= {n - 1}")
-        lhs = grid.integrate(quad[:, m])
-        rhs = 0.5 * (m + 2) * grid.integrate(gradsq * sig[:, m])
-    elif which == 2:
-        if not 2 <= m <= n:
-            raise ValueError(f"identity 2 needs 2 <= m <= {n}")
-        lhs = grid.integrate(sig[:, m])
-        rhs = 0.5 * (n - m + 1) * grid.integrate(gradsq * sig[:, m - 2])
-    elif which == 3:
-        lhs = grid.integrate(sig[:, 1])
-        rhs = 0.0
-    elif which == 4:
-        if not 1 <= m <= n:
-            raise ValueError(f"identity 4 needs 1 <= m <= {n}")
-        lhs = grid.integrate(vals * sig[:, m])
-        rhs = -(m + 1) / (2.0 * m) * grid.integrate(gradsq * sig[:, m - 1])
-    elif which == 5:
-        if not 1 <= m <= n:
-            raise ValueError(f"identity 5 needs 1 <= m <= {n}")
-        lhs = grid.integrate(vals * vals * sig[:, m])
-        rhs = 0.0
-    else:
-        raise ValueError(f"unknown identity {which}; expected 1..5")
-    return float(lhs), float(rhs)
-
-
-# ---------------------------------------------------------------------------
 # samplers and sweeps
 
 def philox_rng(seed, stream):
@@ -781,32 +720,40 @@ NUMERICAL_ERRORS = (RuntimeError, ValueError, FloatingPointError,
                     ZeroDivisionError)
 
 
+def verify_row(case, graph, grid, direction_id, epsilon):
+    """verify's report of one row, or (direction_id, epsilon, message)
+    when the row fails numerically."""
+    try:
+        return verify(case, graph, grid, direction_id=direction_id,
+                      epsilon=epsilon)
+    except NUMERICAL_ERRORS as exc:
+        return direction_id, epsilon, str(exc)
+
+
+def empirical_constant(reports):
+    """The minimum of deficit / alpha^2 over rows whose hypotheses are met
+    and whose asymmetry is resolvable; None when no row qualifies."""
+    ratios = [r.deficit / r.alpha ** 2 for r in reports
+              if r.status != "hypothesis_unmet" and r.alpha ** 2 > 1e-30]
+    return min(ratios) if ratios else None
+
+
 def sweep(case, grid, basis, *, directions=30, eps_schedule=(0.003, 0.01),
           seed=2025, degrees=(2, 3, 4)):
-    """Run verify over a deterministic grid of sampled directions and
-    amplitudes; row failures are recorded and the sweep continues.
-
-    The empirical constant is the minimum of deficit / alpha^2 over rows
-    whose hypotheses are met and whose asymmetry is resolvable; None when
-    no row qualifies.
-    """
-    rows, failures = [], []
+    """verify_row over a deterministic grid of sampled directions and
+    amplitudes; row failures are recorded and the sweep continues."""
+    rows = []
     for i in range(directions):
         u0 = sample_direction(basis, seed, i, degrees=degrees)
-        did = f"d{i:03d}"
         for eps in eps_schedule:
             graph = gg.RadialGraph(sf=case.sf, rho=case.rho,
                                    u=u0.scaled(eps))
-            try:
-                rows.append(verify(case, graph, grid, direction_id=did,
-                                   epsilon=eps))
-            except NUMERICAL_ERRORS as exc:
-                failures.append((did, float(eps), str(exc)))
-    ratios = [r.deficit / r.alpha ** 2 for r in rows
-              if r.status != "hypothesis_unmet" and r.alpha ** 2 > 1e-30]
-    empirical = min(ratios) if ratios else None
-    return SweepResult(case=case, reports=tuple(rows),
-                       failures=tuple(failures), empirical_constant=empirical)
+            rows.append(verify_row(case, graph, grid, f"d{i:03d}", eps))
+    reports = tuple(r for r in rows if isinstance(r, DeficitReport))
+    return SweepResult(case=case, reports=reports,
+                       failures=tuple(r for r in rows
+                                      if not isinstance(r, DeficitReport)),
+                       empirical_constant=empirical_constant(reports))
 
 
 # ---------------------------------------------------------------------------
@@ -874,12 +821,3 @@ def json_text(reports):
     doc = {"budget_c1": C1_BUDGET, "budget_w2inf": W2INF_BUDGET,
            "rows": rows}
     return json.dumps(doc, indent=2, sort_keys=False) + "\n"
-
-
-def write_report(reports, path, fmt="csv"):
-    """Write reports to path in csv or json format."""
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown format {fmt!r}")
-    text = csv_text(reports) if fmt == "csv" else json_text(reports)
-    Path(path).write_text(text)
-    return text

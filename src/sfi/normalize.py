@@ -191,11 +191,13 @@ def recenter(graph, grid):
 
 @dataclass(frozen=True)
 class NormalizedGraph:
-    """A graph satisfying bar = O and one matched constraint, with
-    residual bookkeeping, its geometry on the grid and its norms."""
+    """A graph satisfying bar = O and one matched constraint, with the
+    constraint's value, residual bookkeeping, its geometry on the grid
+    and its norms."""
 
     graph: gg.RadialGraph
     constraint: Constraint
+    constraint_value: float
     constraint_residual: float
     bar_displacement: float
     out_of_band: float
@@ -215,6 +217,8 @@ def normalize(graph, grid, constraint):
     surface, so neither the barycenter nor the matched value can move
     afterwards. The recentered graph's geometry is built once; it gives
     the constraint value and, relabeled, the returned geometry and norms.
+    Relabeling keeps every field the constraint reads (radii, sigma and
+    area factor), so the value is also that of the returned graph.
     """
     graph, bar_after, band = recenter(graph, grid)
     geo = gg.surface_geometry(graph, grid)
@@ -226,8 +230,9 @@ def normalize(graph, grid, constraint):
     if not (resid < 1e-10 and bar_after < 1e-8):
         raise RuntimeError("normalization did not reach joint tolerance")
     return NormalizedGraph(
-        graph=graph, constraint=constraint, constraint_residual=resid,
-        bar_displacement=bar_after, out_of_band=band,
+        graph=graph, constraint=constraint, constraint_value=value,
+        constraint_residual=resid, bar_displacement=bar_after,
+        out_of_band=band,
         norms=sb.sobolev_norms(graph.u, grid,
                                jet=(geo.u_vals, geo.du, geo.d2u)),
         geometry=geo)

@@ -74,14 +74,18 @@ class SpaceForm:
             return np.ones_like(r)
         return np.cos(r)
 
-    def Phi(self, r):
-        """Antiderivative of phi with Phi(0) = 0."""
+    def warp(self, r):
+        """(phi, phi', Phi) at r, Phi the antiderivative of phi with
+        Phi(0) = 0: Phi = phi' - 1 (K = -1), r^2/2 (K = 0) and 1 - phi'
+        (K = +1), so phi' and Phi share one cosh or cos."""
         r = self._check_domain(r)
         if self.K == -1:
-            return np.cosh(r) - 1.0
+            dph = np.cosh(r)
+            return np.sinh(r), dph, dph - 1.0
         if self.K == 0:
-            return 0.5 * r * r
-        return 1.0 - np.cos(r)
+            return r + 0.0, np.ones_like(r), 0.5 * r * r
+        dph = np.cos(r)
+        return np.sin(r), dph, 1.0 - dph
 
     def volume_primitive(self, r, n=None):
         """Integral of phi^n from 0 to r, in closed form.
@@ -117,14 +121,9 @@ class SpaceForm:
         return out
 
 
-def phi_triple(sf, r):
-    """Return (phi, phi', Phi) at radius r for the given space form."""
-    return sf.phi(r), sf.dphi(r), sf.Phi(r)
-
-
 @dataclass(frozen=True)
 class WeightFunction:
-    """Weight g on [0, inf) with analytic derivatives up to third order.
+    """Weight g on [0, inf) with analytic derivatives up to second order.
 
     The evaluators are closures; numerical differentiation is never used
     because second derivatives of g enter expansion coefficients at full
@@ -135,7 +134,6 @@ class WeightFunction:
     fn: callable = field(repr=False)
     d1: callable = field(repr=False)
     d2: callable = field(repr=False)
-    d3: callable = field(repr=False)
     label: str = ""
 
     def __call__(self, s):
@@ -149,21 +147,19 @@ class WeightFunction:
             return self.d1(s)
         if order == 2:
             return self.d2(s)
-        if order == 3:
-            return self.d3(s)
-        raise ValueError(f"derivative order must be 0..3, got {order}")
+        raise ValueError(f"derivative order must be 0..2, got {order}")
 
     @classmethod
     def constant(cls, value=1.0):
         z = lambda s: np.zeros_like(s)
-        return cls("constant", lambda s: np.full_like(s, float(value)), z, z, z,
+        return cls("constant", lambda s: np.full_like(s, float(value)), z, z,
                    label=f"{value:g}")
 
     @classmethod
     def affine(cls):
         """g(s) = 1 + s."""
         z = lambda s: np.zeros_like(s)
-        return cls("affine", lambda s: 1.0 + s, lambda s: np.ones_like(s), z, z,
+        return cls("affine", lambda s: 1.0 + s, lambda s: np.ones_like(s), z,
                    label="1+s")
 
     @classmethod
@@ -187,8 +183,7 @@ class WeightFunction:
         c = float(c)
         return WeightFunction(
             self.kind, lambda s: c * self.fn(s), lambda s: c * self.d1(s),
-            lambda s: c * self.d2(s), lambda s: c * self.d3(s),
-            label=f"{c:g}*({self.label})")
+            lambda s: c * self.d2(s), label=f"{c:g}*({self.label})")
 
 
 def _power_closures(alpha, shift):
@@ -207,7 +202,7 @@ def _power_closures(alpha, shift):
                 out = coef * base ** p
             return out
         return f
-    return dk(0), dk(1), dk(2), dk(3)
+    return dk(0), dk(1), dk(2)
 
 
 @dataclass(frozen=True)

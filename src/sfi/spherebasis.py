@@ -17,12 +17,11 @@ Set-up uses numpy alone and has no loop over monomials or nodes: the
 derivatives of monomials are index maps (IndexMap), each degree's
 harmonics come from numpy's SVD, Cholesky factor and a forward
 substitution, and the polar rules from Golub-Welsch (_gauss_jacobi).
-build_basis(3, 8) takes about 12 ms and build_grid(3, 24) about 3 ms
-(2-vCPU x86-64 host, BLAS pinned to one thread), so nothing is cached on
-disk. A process builds each basis once per (n, d_max) and each grid once
-per (n, resolution); the basis owns its monomial table and the grid the
-basis values Y at its nodes. Grid values are u.coeffs @ Y, projection is
-Y @ (w f), and the 2-jet's derivative columns are synthesized from Y too
+Set-up is cheap, so nothing is cached on disk. A process builds each
+basis once per (n, d_max) and each grid once per (n, resolution); the
+basis owns its monomial table and the grid the basis values Y at its
+nodes. Grid values are u.coeffs @ Y, projection is Y @ (w f), and the
+2-jet's derivative columns are synthesized from Y too
 (HarmonicBasis.dual), laid out node-minor through symfunc.
 """
 
@@ -40,10 +39,8 @@ from sfi.spaceform import unit_sphere_area
 
 SUPPORTED_DIMENSIONS = (2, 3, 4)
 MIN_RESOLUTION = 4
-# Points per block of the basis values (_synthesize) and of evaluate. A
-# block's temporaries (165 x 512 degree-8 monomials or 45 x 512 half-table
-# rows at n = 3) are reused from the heap: unblocked, an evaluate call on
-# 4225 points inside a row faulted in 2270 fresh pages.
+# Points per block of the basis values (_synthesize) and of evaluate,
+# small enough that a block's temporaries are reused from the heap.
 NODE_BLOCK = 512
 # Relative slack of the Hessian-norm pruning test (_hessian_norm): a sum
 # of at most 16 squares rounds by under 16 ulps.
@@ -587,12 +584,10 @@ def _hessian_norm(hess):
 
     For symmetric B, B's largest row norm <= |B|_2 <= its Frobenius norm,
     so a node whose Frobenius norm is below the largest row norm over all
-    nodes cannot hold the maximum, and only the others are solved: a
-    median of 122 and at most 396 of 4225 nodes over 60 normalized
-    degree 2-4 directions at n = 3. eigvalsh solves
-    each matrix on its own, so the result is bit-identical to solving
-    every node. Squared norms are compared, with a relative slack of
-    PRUNE_SLACK that covers their rounding.
+    nodes cannot hold the maximum, and only the others are solved.
+    eigvalsh solves each matrix on its own, so the result is
+    bit-identical to solving every node. Squared norms are compared, with
+    a relative slack of PRUNE_SLACK that covers their rounding.
     """
     rows = np.sum(hess * hess, axis=-1)
     frob = np.sum(rows, axis=-1)

@@ -3,19 +3,22 @@ sigma_k by eigenvalues and by principal minors, the single-matrix Newton
 tensor, the batched Newton recursion on the similarity of the Weingarten
 map, the Weingarten map, the divergence-form H, brute-force volumes and
 radial moments, translated-ball profiles, the Laplace-Beltrami
-operator, coefficient norms, the monomial Vandermonde matrix, and the
-per-amplitude loop of full-grid geometries behind an expansion fit. No
-row, fit or CLI command runs them; tests import this module as
-``import oracles``.
+operator, coefficient norms, the monomial Vandermonde matrix, the
+per-amplitude loop of full-grid geometries behind an expansion fit, the
+spherical-Hessian integral identities, the gradient-energy bound on the
+asymmetry and a report-file writer. No row, fit or CLI command runs
+them; tests import this module as ``import oracles``.
 """
 
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 
 from sfi import domains as dm
 from sfi import graphgeom as gg
+from sfi import lab
 from sfi import spherebasis as sb
 
 
@@ -167,7 +170,7 @@ def geometry_from_jet(graph, grid, jet):
     r = graph.radii(jet.vals)
     if np.any(r <= 0.0) or np.any(r >= sf.r_max):
         raise ValueError("graph radii leave the admissible band (0, r_max)")
-    ph, dph, Ph = sf.phi(r), sf.dphi(r), sf.Phi(r)
+    ph, dph, Ph = sf.warp(r)
     D = np.sqrt(ph * ph + graph.rho ** 2 * jet.quad[:, 0])
     if np.min(D) < gg.DEGENERACY_TOL or np.min(ph) < gg.DEGENERACY_TOL:
         raise ValueError("degenerate metric: D or phi below tolerance")
@@ -335,3 +338,64 @@ def vandermonde(table, points):
     for rows, powers in table._power_blocks(pts):
         out[rows] = sb._monomial_rows(powers, table.exponents).T
     return out
+
+
+def hessian_identity(which, u, grid, m=None):
+    """(lhs, rhs) of one of the five spherical-Hessian integral
+    identities behind the expansion remainder analysis:
+
+      1: int T_m(Hess u)[grad u, grad u] = (m+2)/2 int |grad u|^2 sigma_m
+      2: int sigma_m = (n-m+1)/2 int |grad u|^2 sigma_{m-2}   (m >= 2)
+      3: int sigma_1 = 0 (exactly)
+      4: int u sigma_m = -(m+1)/(2m) int |grad u|^2 sigma_{m-1}
+      5: int u^2 sigma_m -> 0 at cubic order (rhs is 0)
+
+    sigma_m means sigma_m(Hess u) throughout; identities 1, 4, 5 need
+    m >= 1. Identities 1, 2, 4 hold up to cubic-order corrections; 3 is
+    exact for band-limited u.
+    """
+    n = grid.n
+    vals, grad, hess, sig, quad = gg.Jet.of(u, grid)
+    gradsq = np.sum(grad * grad, axis=1)
+    if which == 1:
+        if not 1 <= m <= n - 1:
+            raise ValueError(f"identity 1 needs 1 <= m <= {n - 1}")
+        lhs = grid.integrate(quad[:, m])
+        rhs = 0.5 * (m + 2) * grid.integrate(gradsq * sig[:, m])
+    elif which == 2:
+        if not 2 <= m <= n:
+            raise ValueError(f"identity 2 needs 2 <= m <= {n}")
+        lhs = grid.integrate(sig[:, m])
+        rhs = 0.5 * (n - m + 1) * grid.integrate(gradsq * sig[:, m - 2])
+    elif which == 3:
+        lhs = grid.integrate(sig[:, 1])
+        rhs = 0.0
+    elif which == 4:
+        if not 1 <= m <= n:
+            raise ValueError(f"identity 4 needs 1 <= m <= {n}")
+        lhs = grid.integrate(vals * sig[:, m])
+        rhs = -(m + 1) / (2.0 * m) * grid.integrate(gradsq * sig[:, m - 1])
+    elif which == 5:
+        if not 1 <= m <= n:
+            raise ValueError(f"identity 5 needs 1 <= m <= {n}")
+        lhs = grid.integrate(vals * vals * sig[:, m])
+        rhs = 0.0
+    else:
+        raise ValueError(f"unknown identity {which}; expected 1..5")
+    return float(lhs), float(rhs)
+
+
+def asymmetry_upper_bound(sf, rho, grad_l2_sq):
+    """Leading-order upper bound on alpha^2 in terms of the gradient
+    energy: (1/n^2) |S^n| phi(rho)^{2n} rho^2 ||grad u||^2."""
+    return sf.sphere_area * sf.phi(rho) ** (2 * sf.n) * rho ** 2 \
+        * grad_l2_sq / sf.n ** 2
+
+
+def write_report(reports, path, fmt="csv"):
+    """Write reports to path in csv or json format."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
+    text = lab.csv_text(reports) if fmt == "csv" else lab.json_text(reports)
+    Path(path).write_text(text)
+    return text

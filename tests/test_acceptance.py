@@ -168,8 +168,8 @@ def test_criterion_5_hessian_integral_identities(announce, basis8, grid44):
         for which, m, exact in IDENTITY_CASES:
             res, ref = [], 1.0
             for e in eps:
-                lhs, rhs = lab.hessian_identity(which, u0.scaled(e),
-                                                grid44, m)
+                lhs, rhs = oracles.hessian_identity(which, u0.scaled(e),
+                                                    grid44, m)
                 res.append(abs(lhs - rhs))
                 ref = max(ref, abs(lhs), abs(rhs))
             res = np.array(res)
@@ -183,7 +183,7 @@ def test_criterion_5_hessian_integral_identities(announce, basis8, grid44):
                 assert slope >= 2.9, (which, m, slope)
         for stream in range(3):
             u = lab.sample_direction(basis8, 12, stream, degrees=(2, 3, 4))
-            lhs, rhs = lab.hessian_identity(3, u.scaled(0.05), grid44)
+            lhs, rhs = oracles.hessian_identity(3, u.scaled(0.05), grid44)
             assert rhs == 0.0
             assert abs(lhs) < 1e-10
 
@@ -286,8 +286,8 @@ def test_criterion_8_asymmetry_gradient_energy_bound(announce,
         rows = 0
         for case, sw in results:
             for rep in sw.reports:
-                cap = lab.asymmetry_upper_bound(case.sf, rep.rho,
-                                                rep.grad_l2 ** 2)
+                cap = oracles.asymmetry_upper_bound(case.sf, rep.rho,
+                                                    rep.grad_l2 ** 2)
                 assert rep.alpha ** 2 <= 1.1 * cap + 1e-18, \
                     (case.theorem, case.k, case.j, rep.direction_id)
                 rows += 1

@@ -481,6 +481,68 @@ epsilon = 0.004, 0.008
         assert ",d000," in lines[1]
 
 
+    @pytest.mark.parametrize("setting, key", [
+        ("degrees = 9", "perturbation.degrees"),
+        ("degrees =", "perturbation.degrees"),
+        ("directions = 0", "perturbation.directions")])
+    def test_bad_perturbation_is_config_error(self, tmp_path, capsys,
+                                              setting, key):
+        # as in verify: exit 2 naming the key, no report written
+        body = BASE + PERTURB_RANDOM + CASE_STAB
+        body = body.replace("degrees = 2,3" if key.endswith("degrees")
+                            else "directions = 2", setting)
+        path = write_config(tmp_path, body)
+        for command in ("verify", "sweep"):
+            out = tmp_path / f"{command}.csv"
+            assert cli.main([command, "--config", path, "--out",
+                             str(out)]) == 2
+            assert f"config error: {key}" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_one_case_rows_split_over_threads(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, BASE + PERTURB_RANDOM + CASE_STAB)
+        pools = []
+        run_tasks = cli._run_tasks
+
+        def spy(tasks, runner, threads):
+            pools.append((len(tasks), threads))
+            return run_tasks(tasks, runner, threads)
+
+        monkeypatch.setattr(cli, "_run_tasks", spy)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for out, threads in ((a, "1"), (b, "2")):
+            assert cli.main(["sweep", "--config", path, "--threads",
+                             threads, "--out", str(out)]) == 0
+        # 2 directions x 1 amplitude of the one case, one task per row
+        assert pools == [(2, 1), (2, 2)]
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_sweep_writes_verify_bytes(self, tmp_path):
+        body = BASE + PERTURB_RANDOM.replace("epsilon = 0.004",
+                                             "epsilon = 0.004, 0.008") \
+            + CASE_STAB + CASE_STAB.replace("main", "second").replace(
+                "j = 0", "j = -1")
+        path = write_config(tmp_path, body)
+        a, b = tmp_path / "verify.csv", tmp_path / "sweep.csv"
+        assert cli.main(["verify", "--config", path, "--out", str(a)]) == 0
+        assert cli.main(["sweep", "--config", path, "--out", str(b),
+                         "--threads", "2"]) == 0
+        assert len(a.read_text().strip().split("\n")) == 9
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_random_directions_whatever_the_mode(self, tmp_path, capsys):
+        # sweep's defaults: 10 random directions at eps 0.003 and 0.01
+        body = BASE + "\n[perturbation]\nmode = zero\ndegrees = 2\n" \
+            "seed = 11\n" + CASE_STAB
+        path = write_config(tmp_path, body)
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--config", path, "--out", str(out)]) == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert [(r["direction_id"], float(r["epsilon"])) for r in rows] \
+            == [(f"d{i:03d}", e) for i in range(10) for e in (0.003, 0.01)]
+        assert "case:main: rows=20 failures=0" in capsys.readouterr().err
+
+
 class TestNumericalFailureExit:
     def test_surface_breakdown_is_exit_three(self, tmp_path, capsys):
         # amplitude 1.0 pushes radii far outside the admissible band

@@ -204,10 +204,10 @@ class TestExpansionBlocks:
         # but NaN wherever Phi exceeds its value there: every F(+-eps)
         sf, rho = SpaceForm(K=0, n=3), 1.0
         affine = WeightFunction.affine()
-        top = float(sf.Phi(rho))
+        top = float(sf.warp(rho)[2])
         w = WeightFunction("affine", lambda s: np.where(s > top, np.nan,
                                                         1.0 + s),
-                           affine.d1, affine.d2, affine.d3, label="1+s")
+                           affine.d1, affine.d2, label="1+s")
         u0 = lab.sample_direction(basis3, 42, 0, degrees=(0, 1, 2, 3, 4))
         with pytest.raises(ValueError, match="non-finite"):
             lab.expansion_oracle(sf, w, 1, "volume", u0,
@@ -226,8 +226,8 @@ class TestHessianIdentities:
         eps = np.geomspace(3e-3, 3e-2, 7)
         res, ref = [], 1.0
         for e in eps:
-            lhs, rhs = lab.hessian_identity(which, u0.scaled(e), grid_exact,
-                                            m)
+            lhs, rhs = oracles.hessian_identity(which, u0.scaled(e),
+                                                grid_exact, m)
             res.append(abs(lhs - rhs))
             ref = max(ref, abs(lhs), abs(rhs))
         res = np.array(res)
@@ -245,7 +245,7 @@ class TestHessianIdentities:
         # the one-pass invariants against every Newton tensor formed and
         # symmetrized, through the same identity code
         u = lab.sample_direction(basis3, 5, 1, degrees=(2, 3, 4)).scaled(0.03)
-        got = [lab.hessian_identity(which, u, grid3, m)
+        got = [oracles.hessian_identity(which, u, grid3, m)
                for which, m, _ in self.CASES]
 
         def matrix_route(u, grid):
@@ -255,25 +255,26 @@ class TestHessianIdentities:
 
         monkeypatch.setattr(gg.Jet, "of", staticmethod(matrix_route))
         for (which, m, _), pair in zip(self.CASES, got):
-            want = lab.hessian_identity(which, u, grid3, m)
+            want = oracles.hessian_identity(which, u, grid3, m)
             for a, b in zip(pair, want):
                 assert abs(a - b) <= 1e-13 * max(1.0, abs(b)), (which, m)
 
     def test_trace_integral_vanishes_exactly(self, basis3, grid_exact):
         for stream in range(3):
             u0 = lab.sample_direction(basis3, 12, stream, degrees=(2, 3, 4))
-            lhs, rhs = lab.hessian_identity(3, u0.scaled(0.05), grid_exact)
+            lhs, rhs = oracles.hessian_identity(3, u0.scaled(0.05),
+                                                grid_exact)
             assert rhs == 0.0
             assert abs(lhs) < 1e-10
 
     def test_rejects_bad_arguments(self, basis3, grid_exact):
         u0 = lab.sample_direction(basis3, 1, 0)
         with pytest.raises(ValueError, match="identity 1"):
-            lab.hessian_identity(1, u0, grid_exact, 3)
+            oracles.hessian_identity(1, u0, grid_exact, 3)
         with pytest.raises(ValueError, match="identity 2"):
-            lab.hessian_identity(2, u0, grid_exact, 1)
+            oracles.hessian_identity(2, u0, grid_exact, 1)
         with pytest.raises(ValueError, match="unknown identity"):
-            lab.hessian_identity(7, u0, grid_exact, 1)
+            oracles.hessian_identity(7, u0, grid_exact, 1)
 
 
 class TestEqualityFunction:
@@ -370,8 +371,8 @@ class TestStabilityConstants:
                                                rho=RHO[K])
                         C = lab.stability_constant(case)
                         b = lab.quermass_gradient_bound(sf, w, k, j, RHO[K])
-                        ratio = lab.asymmetry_upper_bound(sf, RHO[K], 1.0) \
-                            / RHO[K] ** 2
+                        ratio = oracles.asymmetry_upper_bound(
+                            sf, RHO[K], 1.0) / RHO[K] ** 2
                         assert C == pytest.approx(b / ratio, rel=1e-12), \
                             (K, w.label, k, j)
 
@@ -505,6 +506,30 @@ class TestVerify:
             assert abs(rep.deficit) <= 10 * rep.err_quad + 1e-9
             assert rep.alpha < 1e-8
 
+    @pytest.mark.parametrize("tid, K, k, j", [
+        ("sigmak-weighted-volume", -1, 2, None),
+        ("sigmak-quermass-hyperbolic-validity", -1, 2, 1),
+        ("sigmak-quermass-hyperbolic", -1, 1, 0)])
+    def test_constraint_measured_once_per_row(self, basis3, grid3,
+                                              monkeypatch, tid, K, k, j):
+        # normalize measures the constraint and verify reads that value
+        calls = []
+        of_graph = nz.Constraint.of_graph
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.label)
+            return of_graph(self, *args, **kwargs)
+
+        monkeypatch.setattr(nz.Constraint, "of_graph", counting)
+        sf = SpaceForm(K=K, n=3)
+        case = lab.TheoremCase(tid, sf, WeightFunction.affine(), k=k, j=j,
+                               rho=RHO[K])
+        u0 = lab.sample_direction(basis3, 40, 0, degrees=(2, 3, 4))
+        rep = lab.verify(case, gg.RadialGraph(sf=sf, rho=RHO[K],
+                                              u=u0.scaled(0.004)), grid3)
+        assert rep.status == "pass"
+        assert calls == [case.constraint().label]
+
     def test_validity_row_strictly_positive(self, basis3, grid3):
         sf = SpaceForm(K=-1, n=3)
         case = lab.TheoremCase("sigmak-weighted-volume", sf,
@@ -584,8 +609,8 @@ class TestVerify:
             g0 = gg.RadialGraph(sf=sf, rho=0.9, u=u0.scaled(0.008))
             rep = lab.verify(case, g0, grid3)
             ng = nz.normalize(g0, grid3, con)
-            cap = lab.asymmetry_upper_bound(sf, ng.rho,
-                                            ng.norms.grad_l2 ** 2)
+            cap = oracles.asymmetry_upper_bound(sf, ng.rho,
+                                                ng.norms.grad_l2 ** 2)
             assert rep.alpha ** 2 <= cap * 1.1
 
     def test_asymmetry_center_improves_on_origin(self, basis3, grid3):
@@ -810,9 +835,10 @@ class TestSerialization:
         assert doc["rows"][1]["j"] == -1
         assert doc["rows"][1]["pass"] == "hypothesis_unmet"
         out = tmp_path / "rows.json"
-        lab.write_report(reports, out, fmt="json")
+        oracles.write_report(reports, out, fmt="json")
         assert json.loads(out.read_text()) == doc
 
     def test_write_rejects_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="unknown format"):
-            lab.write_report(self._reports(), tmp_path / "x.xml", fmt="xml")
+            oracles.write_report(self._reports(), tmp_path / "x.xml",
+                                 fmt="xml")

@@ -303,6 +303,24 @@ class TestNormalize:
             con.of_ball(res.graph.sf, res.rho), rel=1e-10)
         assert_carried_state(res, grid3)
 
+    @pytest.mark.parametrize("K", [-1, 0])
+    @pytest.mark.parametrize("con", [
+        nz.volume_constraint(), nz.weighted_volume_constraint(),
+        nz.quermass_constraint(0), nz.quermass_constraint(1)])
+    def test_carried_value_is_the_returned_graphs(self, K, con, grid3,
+                                                  basis3):
+        # relabeling keeps the radii, sigma and area factor, so the value
+        # measured before matching is the matched graph's, bit for bit
+        rng = np.random.default_rng(5)
+        a = random_mid_band(basis3, rng, 0.03)
+        g = gg.RadialGraph(sf=SpaceForm(K=K, n=3), rho=1.0,
+                           u=sb.from_coeffs(basis3, a))
+        res = nz.normalize(g, grid3, con)
+        assert res.constraint_value == con.of_graph(res.graph, grid3,
+                                                    geo=res.geometry)
+        assert res.constraint_value == pytest.approx(
+            con.of_graph(res.graph, grid3), rel=1e-12)
+
     @pytest.mark.parametrize("K,con", [
         (-1, nz.volume_constraint()), (0, nz.volume_constraint()),
         (1, nz.volume_constraint()), (-1, nz.weighted_volume_constraint())])

@@ -1,9 +1,9 @@
 """Every public top-level function or class of src/sfi is referenced by
-sfi code (docstrings do not count), exported in sfi.__all__, or
+sfi code (docstrings, imports and sfi.__all__ do not count) or
 allowlisted with its reason, and every public method or property of its
-classes is referenced by sfi code or allowlisted. Reference computations that only tests read
-belong in tests/oracles.py. numpy is the only runtime dependency; scipy
-and mpmath serve the tests as oracles."""
+classes is referenced by sfi code or allowlisted. Reference computations
+that only tests read belong in tests/oracles.py. numpy is the only
+runtime dependency; scipy and mpmath serve the tests as oracles."""
 
 import ast
 import subprocess
@@ -17,6 +17,7 @@ import sfi
 SRC = Path(sfi.__file__).parent
 
 CLOSED_FORM = "a closed form of the paper, for the worst-direction search"
+BENCHMARK = "the benchmark calls it"
 ALLOWED = {
     "sigma_weighted_volume_deficit_coefficients": CLOSED_FORM,
     "quermass_deficit_coefficients": CLOSED_FORM,
@@ -27,6 +28,9 @@ ALLOWED = {
     "weighted_volume_rhs_closed_form": CLOSED_FORM,
     "symmetric_difference_to_ball": "the definition of alpha that the "
                                     "asymmetry search is held to exactly",
+    "parse_constraint": BENCHMARK,
+    "default_weight_set": BENCHMARK,
+    "sweep": BENCHMARK,
 }
 ALLOWED_MEMBERS = {
     "ExpansionReport.max_rel_error": "the fit gate of the benchmark's "
@@ -52,8 +56,7 @@ def test_every_public_definition_is_used_exported_or_allowlisted():
                     for node in tree.body
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")
-                    and node.name not in referenced | set(sfi.__all__)
-                    | set(ALLOWED))
+                    and node.name not in referenced | set(ALLOWED))
     assert unused == []
 
 

@@ -12,7 +12,6 @@ from sfi.spaceform import (
     WeightFunction,
     check_weight,
     default_weight_set,
-    phi_triple,
     unit_sphere_area,
 )
 
@@ -41,7 +40,7 @@ class TestPhi:
         sf = make(K)
         assert sf.phi(0.0) == 0.0
         assert sf.dphi(0.0) == 1.0
-        assert sf.Phi(0.0) == 0.0
+        assert sf.warp(0.0) == (0.0, 1.0, 0.0)
 
     @pytest.mark.parametrize("K", ALL_K)
     def test_structure_identity(self, K):
@@ -54,14 +53,14 @@ class TestPhi:
         sf = make(K)
         for r in [0.3, 0.9, 1.7]:
             val, _ = quad(sf.phi, 0.0, r)
-            assert sf.Phi(r) == pytest.approx(val, abs=1e-12)
+            assert sf.warp(r)[2] == pytest.approx(val, abs=1e-12)
 
     def test_flat_closed_forms(self):
         sf = make(0)
         r = np.array([0.2, 1.0, 3.7])
         assert np.allclose(sf.phi(r), r)
         assert np.allclose(sf.dphi(r), 1.0)
-        assert np.allclose(sf.Phi(r), r**2 / 2)
+        assert np.allclose(sf.warp(r)[2], r**2 / 2)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -81,12 +80,24 @@ class TestPhi:
         with pytest.raises(ValueError):
             SpaceForm(K=0, n=1)
 
-    def test_phi_triple(self):
+    def test_warp(self):
         sf = make(-1)
-        ph, dph, Ph = phi_triple(sf, 0.8)
+        ph, dph, Ph = sf.warp(0.8)
         assert ph == pytest.approx(math.sinh(0.8))
         assert dph == pytest.approx(math.cosh(0.8))
         assert Ph == pytest.approx(math.cosh(0.8) - 1.0)
+
+    @pytest.mark.parametrize("K", ALL_K)
+    def test_warp_is_phi_dphi_and_closed_form_Phi_bit_for_bit(self, K):
+        sf = make(K)
+        r = np.linspace(0.0, 3.0, 301)
+        ph, dph, Ph = sf.warp(r)
+        assert np.array_equal(ph, sf.phi(r))
+        assert np.array_equal(dph, sf.dphi(r))
+        closed = {-1: np.cosh(r) - 1.0, 0: 0.5 * r * r, 1: 1.0 - np.cos(r)}
+        assert np.array_equal(Ph, closed[K])
+        with pytest.raises(ValueError, match="radius out of range"):
+            sf.warp(-0.1)
 
 
 class TestVolumePrimitive:
@@ -129,7 +140,9 @@ class TestWeightFunction:
         w = WeightFunction.constant(2.5)
         assert w(3.0) == 2.5
         assert w.deriv(3.0, 1) == 0.0
-        assert w.deriv(3.0, 3) == 0.0
+        assert w.deriv(3.0, 2) == 0.0
+        with pytest.raises(ValueError, match="order must be 0..2"):
+            w.deriv(3.0, 3)
 
     def test_power_and_affine(self):
         s_vals = [0.3, 1.1, 2.2]
@@ -144,7 +157,6 @@ class TestWeightFunction:
         assert w(1.5) == pytest.approx(2.25)
         assert w.deriv(1.5, 1) == pytest.approx(3.0)
         assert w.deriv(1.5, 2) == pytest.approx(2.0)
-        assert w.deriv(1.5, 3) == pytest.approx(0.0)
 
     def test_power_alpha_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -157,7 +169,7 @@ class TestWeightFunction:
 
     def test_custom_label(self):
         w = WeightFunction("custom", lambda s: s + 1, lambda s: 1.0,
-                           lambda s: 0.0, lambda s: 0.0, label="lin")
+                           lambda s: 0.0, label="lin")
         assert w.label == "lin"
         assert w(1.0) == 2.0
 
@@ -188,8 +200,7 @@ class TestWeightFlags:
     def test_decreasing_weight(self):
         w = WeightFunction("custom", lambda s: 1.0 / (1.0 + s),
                            lambda s: -1.0 / (1.0 + s) ** 2,
-                           lambda s: 2.0 / (1.0 + s) ** 3,
-                           lambda s: -6.0 / (1.0 + s) ** 4)
+                           lambda s: 2.0 / (1.0 + s) ** 3)
         f = check_weight(w, self.GRID)
         assert f.positive and not f.monotone
 
