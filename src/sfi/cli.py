@@ -127,14 +127,18 @@ def build_weight(wcfg):
     if kind not in WEIGHT_KINDS:
         raise ConfigError(f"weight.kind: unknown kind {kind!r}; expected "
                           f"one of {WEIGHT_KINDS}")
+    alpha = wcfg.get("alpha", 2.0 if kind == "shifted_power" else 1.0)
+    if kind in ("power", "shifted_power") and not alpha >= 1:
+        raise ConfigError(f"weight.alpha: {kind} weights need alpha >= 1, "
+                          f"got {alpha:g}")
     if kind == "constant":
         w = WeightFunction.constant(wcfg.get("value", 1.0))
     elif kind == "power":
-        w = WeightFunction.power(wcfg.get("alpha", 1.0))
+        w = WeightFunction.power(alpha)
     elif kind == "affine":
         w = WeightFunction.affine()
     else:
-        w = WeightFunction.shifted_power(wcfg.get("alpha", 2.0))
+        w = WeightFunction.shifted_power(alpha)
     scale = wcfg.get("scale", 1.0)
     if scale != 1.0:
         w = w.scaled(scale)
@@ -142,12 +146,21 @@ def build_weight(wcfg):
 
 
 def build_space(scfg):
+    """The space form of [space]; n must be a dimension the basis
+    supports and rho must lie in the radial domain (0, r_max)."""
+    from sfi import spherebasis as sb
     from sfi.spaceform import SpaceForm
 
-    try:
-        return SpaceForm(K=scfg["K"], n=scfg["n"])
-    except ValueError as exc:
-        raise ConfigError(f"space: {exc}") from None
+    K, n, rho = scfg["K"], scfg["n"], scfg["rho"]
+    if K not in (-1, 0, 1):
+        raise ConfigError(f"space.K: curvature must be -1, 0 or +1, got {K}")
+    if n not in sb.SUPPORTED_DIMENSIONS:
+        raise ConfigError(f"space.n: unsupported dimension {n}; expected "
+                          f"one of {sb.SUPPORTED_DIMENSIONS}")
+    sf = SpaceForm(K=K, n=n)
+    if not 0 < rho < sf.r_max:
+        raise ConfigError(f"space.rho: {rho:g} is outside (0, {sf.r_max:g})")
+    return sf
 
 
 def build_basis_grid(gcfg, n, resolution_override=None):
@@ -281,24 +294,6 @@ def emit(text, out_path):
             fh.write(text)
 
 
-def rows_csv(rows):
-    """CSV text of dict rows with the first row's keys as header: text
-    cells as given, booleans as true/false, integers in decimal, other
-    numbers as %.17g."""
-    header = list(rows[0])
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for key in header:
-            v = row[key]
-            if isinstance(v, bool):
-                v = "true" if v else "false"
-            cells.append(v if isinstance(v, str) else str(v)
-                         if isinstance(v, int) else format(float(v), ".17g"))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # run context
 
@@ -348,12 +343,11 @@ def build_run_context(sections, cases_cfg, args):
 # commands
 
 def cmd_eval(ctx, args):
-    import json
-
     import numpy as np
 
     from sfi import domains as dm
     from sfi import graphgeom as gg
+    from sfi import lab
     from sfi import model
 
     sf, w, rho, grid = ctx.sf, ctx.w, ctx.rho, ctx.grid
@@ -363,7 +357,7 @@ def cmd_eval(ctx, args):
     graph = gg.RadialGraph(sf=sf, rho=rho, u=directions[0][1].scaled(eps))
 
     geo = gg.surface_geometry(graph, grid)
-    fun = dm.domain_functionals(graph, grid)
+    fun = dm.domain_functionals(graph, grid, geo)
     convex = geo.convex_flags()
 
     pairs = [("K", sf.K), ("n", sf.n), ("rho", rho),
@@ -390,14 +384,9 @@ def cmd_eval(ctx, args):
               ("vol_err", fun.vol_err), ("area_err", fun.area_err),
               ("quad_tol", EVAL_QUAD_TOL)]
 
-    if ctx.format == "json":
-        text = json.dumps(dict(pairs), indent=2) + "\n"
-    else:
-        text = rows_csv([dict(pairs)])
-    emit(text, ctx.out)
-
+    emit(lab.table_text(dict(pairs), ctx.format), ctx.out)
     if args.dump_nodes:
-        emit(rows_csv(gg.node_dump_rows(geo)),
+        emit(lab.table_text(gg.node_dump_rows(geo), "csv"),
              resolve_out_path(args.dump_nodes))
     if max(fun.vol_err, fun.area_err) > EVAL_QUAD_TOL:
         print(f"numerical failure: quadrature error "
@@ -462,9 +451,7 @@ def _verify_rows(ctx, args, pcfg, eps_default, summary=False):
         eps_text = "n/a" if eps is None else format(eps, "g")
         print(f"numerical failure: {name}: {did} eps={eps_text} "
               f"error: {msg}", file=sys.stderr)
-    text = lab.csv_text(reports) if ctx.format == "csv" \
-        else lab.json_text(reports)
-    emit(text, ctx.out)
+    emit(lab.report_text(reports, ctx.format), ctx.out)
     if failures:
         return 3
     return 1 if any(r.status == "fail" for r in reports) else 0
@@ -490,8 +477,6 @@ EXPAND_COLUMNS = ("target", "weight_kind", "K", "n", "rho", "constraint",
 
 
 def cmd_expand(ctx, args):
-    import json
-
     from sfi import lab
 
     pcfg = ctx.perturbation
@@ -515,12 +500,7 @@ def cmd_expand(ctx, args):
 
     rows = _run_tasks([(case, did, u0) for _, case in ctx.cases
                        for did, u0 in directions], run, args.threads)
-
-    if ctx.format == "json":
-        text = json.dumps(rows, indent=2, default=float) + "\n"
-    else:
-        text = rows_csv(rows)
-    emit(text, ctx.out)
+    emit(lab.table_text(rows, ctx.format), ctx.out)
     return 0
 
 
@@ -542,7 +522,7 @@ def parse_args(argv):
         p.add_argument("--out", help="output file (default: output.path, "
                                      "else stdout)")
         p.add_argument("--format", choices=FORMATS)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--seed", type=int, default=None,
                        help="override perturbation.seed")
         p.add_argument("--resolution", type=int, default=None,
@@ -559,13 +539,6 @@ COMMANDS = {"eval": cmd_eval, "verify": cmd_verify, "expand": cmd_expand,
 
 def main(argv=None):
     args = parse_args(argv)
-    if args.threads is None:
-        try:
-            args.threads = int(os.environ.get("SFI_THREADS", "1"))
-        except ValueError:
-            print("config error: SFI_THREADS must be an integer",
-                  file=sys.stderr)
-            return 2
     if args.threads < 1:
         print("config error: --threads must be at least 1", file=sys.stderr)
         return 2

@@ -382,12 +382,9 @@ def _ball_warp(sf, q, a, rho_bar, x):
 
 
 def _warp_primitive(sf, ph, dph):
-    """P_n(R) from phi(R) and phi'(R) of a ball profile. A finite K = +1
-    profile reaching R >= pi raises ValueError, like volume_primitive."""
+    """P_n(R) from phi(R) and phi'(R) of a ball profile with phi(R) > 0."""
     if sf.K == 0:
         return sf.volume_primitive(ph)
-    if sf.K == 1 and np.isfinite(ph).all() and (ph <= 0.0).any():
-        raise ValueError(f"radius out of range [0, {sf.r_max})")
     if sf.n % 2:
         R = None
     elif sf.K == -1:
@@ -397,15 +394,20 @@ def _warp_primitive(sf, ph, dph):
     return sf.primitive_from_warp(ph, dph, R)
 
 
-def _ball_primitive(sf, center_vec, rho_bar, x):
-    """P_n(R) of the radial profile R(x) of ball(exp_O(c), rho_bar), from
-    the closed forms in symmetric_difference_to_ball; NaN where the
-    profile is undefined. A finite K = +1 profile reaching R >= pi raises
-    ValueError, like volume_primitive.
-    """
-    q, a = _center_params(sf, center_vec)
-    _b, ph, dph = _ball_warp(sf, q, a, rho_bar, x)
-    return _warp_primitive(sf, ph, dph)
+def _alpha_at(sf, grid, primitive, rho_bar, center):
+    """(alpha, terms) at the model vector center, for the graph whose
+    P_n(R) at the nodes is primitive; terms = (r, q, a, b, ph, dph) feed
+    the search's next step, r = P_n(R) - P_n(R_ball). (+inf, None) when
+    the center is not closer than CENTER_LIMIT rho_bar to the origin or
+    phi(R_ball) > 0 fails at a node (NaN, or past pi at K = +1)."""
+    if not np.linalg.norm(center) < CENTER_LIMIT * rho_bar:
+        return np.inf, None
+    q, a = _center_params(sf, center)
+    b, ph, dph = _ball_warp(sf, q, a, rho_bar, grid.nodes)
+    if not np.all(ph > 0.0):
+        return np.inf, None
+    r = primitive - _warp_primitive(sf, ph, dph)
+    return grid.integrate(np.abs(r)), (r, q, a, b, ph, dph)
 
 
 def _ball_primitive_gradient(sf, q, a, b, ph, dph, x):
@@ -428,9 +430,10 @@ def symmetric_difference_to_ball(graph, grid, center_vec, rho_bar,
     re-expressed as a radial graph about the origin, so the volume between
     the two profiles is an angular quadrature of |P_n(R) - P_n(R_ball)|.
     primitive, if given, is P_n(R) of the graph at the grid nodes, which
-    does not depend on the ball. Returns +inf when the center is not
-    closer than CENTER_LIMIT rho_bar to the origin or the ball profile is
-    not finite.
+    does not depend on the ball. Returns +inf wherever the asymmetry
+    search sees +inf: when the center is not closer than CENTER_LIMIT
+    rho_bar to the origin, or the ball profile is not finite or, at
+    K = +1, reaches past the antipode (sin R <= 0 at some node).
 
     For K = +-1 the ball profile solves a phi'(R) + K b phi(R) = C with
     a = phi'(t), b = x . q, q = (phi(t)/t) c, t = |c| and
@@ -447,15 +450,9 @@ def symmetric_difference_to_ball(graph, grid, center_vec, rho_bar,
     atan2(sin R, cos R). For K = 0, |R x - c| = rho_bar gives
     R = b + sqrt(b^2 - |c|^2 + rho_bar^2).
     """
-    sf = graph.sf
-    if not np.linalg.norm(center_vec) < CENTER_LIMIT * rho_bar:
-        return np.inf
     if primitive is None:
-        primitive = sf.volume_primitive(_graph_radii(graph, grid))
-    ball = _ball_primitive(sf, center_vec, rho_bar, grid.nodes)
-    if not np.isfinite(ball).all():
-        return np.inf
-    return grid.integrate(np.abs(primitive - ball))
+        primitive = graph.sf.volume_primitive(_graph_radii(graph, grid))
+    return _alpha_at(graph.sf, grid, primitive, rho_bar, center_vec)[0]
 
 
 def _lower_quantile(size):
@@ -506,21 +503,7 @@ def _center_search(sf, grid, primitive, rho_bar, center):
     fraenkel_asymmetry.
     """
     x, w = grid.nodes, grid.weights
-
-    def trial(c):
-        # alpha at c, computed as symmetric_difference_to_ball computes
-        # it, and the terms of the next step; (+inf, None) where that
-        # returns +inf or raises (ph <= 0: the profile is NaN or past pi)
-        if not np.linalg.norm(c) < CENTER_LIMIT * rho_bar:
-            return np.inf, None
-        q, a = _center_params(sf, c)
-        b, ph, dph = _ball_warp(sf, q, a, rho_bar, x)
-        if not np.all(ph > 0.0):
-            return np.inf, None
-        r = primitive - _warp_primitive(sf, ph, dph)
-        return grid.integrate(np.abs(r)), (r, q, a, b, ph, dph)
-
-    alpha, terms = trial(center)
+    alpha, terms = _alpha_at(sf, grid, primitive, rho_bar, center)
     if terms is None:
         raise RuntimeError("asymmetry center search seeded outside the "
                            "comparison ball")
@@ -535,7 +518,8 @@ def _center_search(sf, grid, primitive, rho_bar, center):
         gain = 0.0
         for _ in range(SEARCH_HALVINGS if step is not None else 0):
             c_new = _center_from_params(sf, q + step)
-            alpha_new, terms_new = trial(c_new)
+            alpha_new, terms_new = _alpha_at(sf, grid, primitive, rho_bar,
+                                             c_new)
             if alpha_new < alpha:
                 gain = alpha - alpha_new
                 alpha, center, terms = alpha_new, c_new, terms_new
@@ -603,10 +587,9 @@ class DomainFunctionals:
     area_err: float = 0.0
 
 
-def domain_functionals(graph, grid):
-    """Evaluate all domain functionals; the error fields compare against
-    a finer grid."""
-    geo = gg.surface_geometry(graph, grid)
+def domain_functionals(graph, grid, geo):
+    """Evaluate all domain functionals from geo, the graph's geometry on
+    grid; the error fields compare against a finer grid."""
     W = quermassintegrals(graph, grid, geo=geo)
     fine = sb.build_grid(grid.n, grid.d_exact + 6)
     geo_f = gg.surface_geometry(graph, fine)
@@ -614,5 +597,5 @@ def domain_functionals(graph, grid):
     area_err = abs(fine.integrate(geo_f.area_factor) - W[0])
     return DomainFunctionals(
         vol=W[-1], weighted_vol=weighted_volume(graph, grid, geo=geo),
-        quermass=W, barycenter_point=barycenter(graph, grid),
+        quermass=W, barycenter_point=barycenter(graph, grid, geo.r),
         vol_err=vol_err, area_err=area_err)

@@ -79,12 +79,6 @@ THEOREMS = {
     )
 }
 
-VALIDITY_THEOREMS = tuple(t for t, f in THEOREMS.items()
-                          if f.kind == "validity")
-STABILITY_THEOREMS = tuple(t for t, f in THEOREMS.items()
-                           if f.kind == "stability")
-
-
 @dataclass(frozen=True)
 class TheoremCase:
     """One concrete instance: theorem id, space form, weight and indices.
@@ -764,60 +758,71 @@ CSV_COLUMNS = ("theorem", "K", "n", "k", "j", "weight_kind", "rho",
                "C", "eta", "bound", "pass", "err_quad", "norm_c1",
                "norm_w2inf")
 
-_INT_COLUMNS = {"K", "n", "k", "j"}
-_TEXT_COLUMNS = {"theorem", "weight_kind", "direction_id", "pass"}
-
 
 def report_cells(rep):
-    """Report fields in fixed column order; None marks empty cells."""
-    return {
-        "theorem": rep.theorem, "K": rep.K, "n": rep.n, "k": rep.k,
-        "j": rep.j, "weight_kind": rep.weight_kind, "rho": rep.rho,
-        "epsilon": rep.epsilon, "direction_id": rep.direction_id,
-        "lhs": rep.lhs, "rhs": rep.rhs, "deficit": rep.deficit,
-        "alpha": rep.alpha, "C": rep.C, "eta": rep.eta, "bound": rep.bound,
-        "pass": rep.status, "err_quad": rep.err_quad,
-        "norm_c1": rep.norm_c1, "norm_w2inf": rep.norm_w2inf,
-    }
+    """Report fields in fixed column order, pass taken from status; None
+    marks empty cells."""
+    return {c: getattr(rep, "status" if c == "pass" else c)
+            for c in CSV_COLUMNS}
 
 
-def _format_cell(name, value):
+def _csv_cell(value):
     if value is None:
         return ""
-    if name in _TEXT_COLUMNS:
-        return str(value)
-    if name in _INT_COLUMNS:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")
 
 
+def _json_cell(value):
+    if value is None or isinstance(value, (str, bool)):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    return float(value)
+
+
+def table_text(rows, fmt, columns=None, meta=None):
+    """CSV or JSON text of rows, a list of dicts or one dict (a record).
+
+    A cell's type picks its format: None is an empty cell (JSON null),
+    text is given as is, booleans are true/false, integers (numpy's too)
+    decimal, and any other number %.17g in CSV or a float in JSON. CSV
+    has a header, columns or else the first row's keys, and one line per
+    row. JSON is the list of rows, the record's object, or with meta the
+    object {**meta, "rows": rows}.
+    """
+    record = isinstance(rows, dict)
+    rows = [rows] if record else rows
+    if fmt == "csv":
+        header = list(columns or rows[0])
+        lines = [",".join(header)]
+        lines += [",".join(_csv_cell(row[c]) for c in header) for row in rows]
+        return "\n".join(lines) + "\n"
+    rows = [{c: _json_cell(row[c]) for c in columns or row} for row in rows]
+    doc = rows[0] if record else rows
+    if meta is not None:
+        doc = {**meta, "rows": doc}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def report_text(reports, fmt):
+    """Reports as CSV_COLUMNS rows, in CSV or in JSON wrapped with the
+    norm budgets that applied."""
+    return table_text([report_cells(r) for r in reports], fmt, CSV_COLUMNS,
+                      meta={"budget_c1": C1_BUDGET,
+                            "budget_w2inf": W2INF_BUDGET})
+
+
 def csv_text(reports):
-    """Deterministic CSV serialization with the fixed column order and
-    %.17g float cells; empty cells for inapplicable fields."""
-    lines = [",".join(CSV_COLUMNS)]
-    for rep in reports:
-        cells = report_cells(rep)
-        lines.append(",".join(_format_cell(c, cells[c])
-                              for c in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    """report_text in CSV."""
+    return report_text(reports, "csv")
 
 
 def json_text(reports):
-    """JSON mirror of the CSV rows (identical field names), wrapped with
-    the norm budgets that applied."""
-    rows = []
-    for rep in reports:
-        cells = report_cells(rep)
-        row = {}
-        for c in CSV_COLUMNS:
-            v = cells[c]
-            if v is None or c in _TEXT_COLUMNS:
-                row[c] = v
-            elif c in _INT_COLUMNS:
-                row[c] = int(v)
-            else:
-                row[c] = float(v)
-        rows.append(row)
-    doc = {"budget_c1": C1_BUDGET, "budget_w2inf": W2INF_BUDGET,
-           "rows": rows}
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    """report_text in JSON."""
+    return report_text(reports, "json")

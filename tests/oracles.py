@@ -396,6 +396,6 @@ def write_report(reports, path, fmt="csv"):
     """Write reports to path in csv or json format."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
-    text = lab.csv_text(reports) if fmt == "csv" else lab.json_text(reports)
+    text = lab.report_text(reports, fmt)
     Path(path).write_text(text)
     return text

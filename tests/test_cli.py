@@ -159,6 +159,24 @@ class TestEvalCommand:
         assert lines[0].startswith("node,r,H,kappa1")
         assert len(lines) > 100
 
+    def test_one_geometry_on_the_working_grid(self, tmp_path, monkeypatch):
+        from sfi import graphgeom as gg
+        from sfi import spherebasis as sb
+
+        node_counts = []
+        build = gg.surface_geometry
+
+        def counted(graph, grid, *args, **kwargs):
+            node_counts.append(grid.node_count)
+            return build(graph, grid, *args, **kwargs)
+
+        monkeypatch.setattr(gg, "surface_geometry", counted)
+        path = write_config(tmp_path, BASE + PERTURB_RANDOM)
+        assert cli.main(["eval", "--config", path, "--out",
+                         str(tmp_path / "e.csv")]) == 0
+        working = sb.build_grid(3, sb.default_resolution(5)).node_count
+        assert node_counts.count(working) == 1
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE + "\n[space]\n")
         assert cli.main(["eval", "--config", path]) == 2
@@ -210,6 +228,28 @@ class TestGridAndAmplitudeSettings:
         assert cli.main([command, "--config", path]) == 2
         assert "config error: perturbation.epsilon" \
             in capsys.readouterr().err
+
+
+class TestSpaceAndWeightSettings:
+    # values the library rejects are config errors naming their key
+    @pytest.mark.parametrize("edits, key", [
+        ({"kind = affine": "kind = power\nalpha = 0.5"}, "weight.alpha"),
+        ({"kind = affine": "kind = shifted_power\nalpha = 0.5"},
+         "weight.alpha"),
+        ({"K = -1": "K = 2"}, "space.K"),
+        ({"n = 3": "n = 5"}, "space.n"),
+        ({"rho = 0.9": "rho = 0"}, "space.rho"),
+        ({"K = -1": "K = 1", "rho = 0.9": "rho = 3.5"}, "space.rho"),
+    ], ids=["power-alpha", "shifted-power-alpha", "curvature-2",
+            "dimension-5", "rho-0", "rho-past-antipode"])
+    def test_rejected_value_names_the_key(self, tmp_path, capsys, edits,
+                                          key):
+        body = BASE
+        for old, new in edits.items():
+            body = body.replace(old, new)
+        path = write_config(tmp_path, body)
+        assert cli.main(["eval", "--config", path]) == 2
+        assert f"config error: {key}" in capsys.readouterr().err
 
 
 class TestOutputSection:
@@ -336,14 +376,13 @@ k = 2
                          "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threads_env_override(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path, BASE + PERTURB_RANDOM + CASE_STAB)
-        monkeypatch.setenv("SFI_THREADS", "2")
-        out = tmp_path / "env.csv"
-        assert cli.main(["verify", "--config", path, "--out",
-                         str(out)]) == 0
+    def test_threads_default_to_one(self, tmp_path, monkeypatch):
+        # --threads is the only thread setting; the environment has none
+        assert cli.parse_args(["verify", "--config", "x"]).threads == 1
         monkeypatch.setenv("SFI_THREADS", "zero")
-        assert cli.main(["verify", "--config", path]) == 2
+        path = write_config(tmp_path, BASE + PERTURB_RANDOM + CASE_STAB)
+        assert cli.main(["verify", "--config", path, "--out",
+                         str(tmp_path / "a.csv")]) == 0
 
 
 class TestExpandCommand:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -535,10 +536,11 @@ class TestFraenkel:
                 == np.inf
             assert symmetric_difference_oracle(g, grid, c, rho_bar) == np.inf
 
-    def test_ball_profile_past_pi_raises(self):
+    def test_ball_profile_past_pi_is_infinite(self, basis3):
         # a K = +1 direction whose ball profile is finite but reaches past
-        # the antipode leaves the radial domain, for the oracle's
-        # volume_primitive and the closed form alike
+        # the antipode leaves the radial domain: the oracle's
+        # volume_primitive raises there, and alpha on a one-node rule in
+        # that direction is +inf, as the center search sees it
         sf = SpaceForm(K=1, n=3)
         c = np.array([1.8, 0.0, 0.0, 0.0])
         x = np.array([[0.5, math.sqrt(0.75), 0.0, 0.0]])
@@ -546,8 +548,11 @@ class TestFraenkel:
         assert np.pi < Rb[0] < 2 * np.pi
         with pytest.raises(ValueError):
             sf.volume_primitive(Rb)
-        with pytest.raises(ValueError):
-            dm._ball_primitive(sf, c, 1.82, x)
+        one_node = types.SimpleNamespace(nodes=x, integrate=np.sum)
+        primitive = sf.volume_primitive(np.ones(1))
+        assert dm.symmetric_difference_to_ball(
+            ball_graph(1, 1.0, basis3), one_node, c, 1.82,
+            primitive=primitive) == np.inf
 
     # basis degree and grid resolution per n: the sweep's degree-8 setup
     # for n = 2, 3, and degree 4 on a 12393-node grid for n = 4
@@ -653,9 +658,9 @@ class TestFraenkel:
 class TestDomainFunctionals:
     def test_bundle(self, grid3, basis3):
         g = perturbed(-1, basis3, 0.03, seed=21)
-        df = dm.domain_functionals(g, grid3)
-        assert df.vol == pytest.approx(df.quermass[-1])
         geo = gg.surface_geometry(g, grid3)
+        df = dm.domain_functionals(g, grid3, geo)
+        assert df.vol == pytest.approx(df.quermass[-1])
         area = grid3.integrate(geo.area_factor)
         assert df.quermass[0] == pytest.approx(area, rel=1e-9)
         assert df.vol_err < 1e-9 * df.vol

@@ -99,10 +99,10 @@ class TestCaseValidation:
                             rho=-0.5)
 
     def test_registry_kinds(self):
-        assert set(lab.VALIDITY_THEOREMS) | set(lab.STABILITY_THEOREMS) \
-            == set(lab.THEOREMS)
-        assert "sigmak-quermass-euclidean" in lab.STABILITY_THEOREMS
-        assert "H-volume" in lab.VALIDITY_THEOREMS
+        kinds = {tid: fam.kind for tid, fam in lab.THEOREMS.items()}
+        assert set(kinds.values()) == {"validity", "stability"}
+        assert kinds["sigmak-quermass-euclidean"] == "stability"
+        assert kinds["H-volume"] == "validity"
 
 
 class TestExpansionBlocks:
@@ -837,6 +837,19 @@ class TestSerialization:
         out = tmp_path / "rows.json"
         oracles.write_report(reports, out, fmt="json")
         assert json.loads(out.read_text()) == doc
+
+    def test_cell_format_follows_the_cell_type(self):
+        row = {"none": None, "flag": True, "count": 3,
+               "index": np.int64(-1), "value": np.float64(1 / 3),
+               "big": np.inf, "name": "d000"}
+        lines = lab.table_text([row], "csv").split("\n")
+        assert lines[0] == "none,flag,count,index,value,big,name"
+        assert lines[1] == ",true,3,-1,0.33333333333333331,inf,d000"
+        text = lab.table_text([row], "json")
+        assert json.loads(text) == [{**row, "value": 1 / 3}]
+        assert '"index": -1,' in text
+        assert json.loads(lab.table_text(row, "json")) \
+            == json.loads(text)[0]
 
     def test_write_rejects_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="unknown format"):

@@ -1,9 +1,10 @@
 """Every public top-level function or class of src/sfi is referenced by
 sfi code (docstrings, imports and sfi.__all__ do not count) or
-allowlisted with its reason, and every public method or property of its
-classes is referenced by sfi code or allowlisted. Reference computations
-that only tests read belong in tests/oracles.py. numpy is the only
-runtime dependency; scipy and mpmath serve the tests as oracles."""
+allowlisted with its reason, every public method or property of its
+classes is referenced by sfi code or allowlisted, and every module-level
+constant is read by sfi code. Reference computations that only tests
+read belong in tests/oracles.py. numpy is the only runtime dependency;
+scipy and mpmath serve the tests as oracles."""
 
 import ast
 import subprocess
@@ -31,6 +32,8 @@ ALLOWED = {
     "parse_constraint": BENCHMARK,
     "default_weight_set": BENCHMARK,
     "sweep": BENCHMARK,
+    "csv_text": BENCHMARK,
+    "json_text": "report_text in JSON, the twin of csv_text",
 }
 ALLOWED_MEMBERS = {
     "ExpansionReport.max_rel_error": "the fit gate of the benchmark's "
@@ -44,9 +47,11 @@ def _trees():
 
 
 def _referenced(trees):
+    # names read, not assigned
     return {node.id if isinstance(node, ast.Name) else node.attr
             for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))}
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
 
 
 def test_every_public_definition_is_used_exported_or_allowlisted():
@@ -73,6 +78,19 @@ def test_every_public_member_is_used_or_allowlisted():
                     and node.name not in referenced
                     and f"{cls.name}.{node.name}" not in ALLOWED_MEMBERS)
     assert unused == []
+
+
+def test_every_module_constant_is_read():
+    # module-level names other than dunders such as __all__
+    trees = _trees()
+    referenced = _referenced(trees)
+    unread = sorted(f"{module}.{target.id}"
+                    for module, tree in trees.items() for node in tree.body
+                    if isinstance(node, ast.Assign) for target in node.targets
+                    if isinstance(target, ast.Name)
+                    and not target.id.startswith("__")
+                    and target.id not in referenced)
+    assert unread == []
 
 
 def test_importing_the_package_loads_no_scipy():
