@@ -223,12 +223,15 @@ def _bulk_mass_points(sf, grid, R, radial_points):
 def _origin_moments(sf, R):
     """Radial moments over each node of a region with radii R about O.
 
-    Returns (P, M, H): the mass P = P_n(R) = int_0^R phi^n, the first
-    moment M = int_0^R t phi^n(t) dt and
-    H = int_0^R phi^n (1 + n t phi'/phi) dt / (n+1) = R phi^n(R) / (n+1),
-    the mass-averaged trace of Hess(d^2/2) at O (see _mass_log_sum).
-    M = R P_n(R) - Q_n(R) with Q_n = int_0^R P_n, which integrates the
-    reduction of SpaceForm.primitive_from_warp once:
+    Returns (P, M, H), the radial primitives of the Karcher energy's
+    derivatives at O (_origin_derivatives): the mass
+    P = P_n(R) = int_0^R phi^n, the first moment M = int_0^R t phi^n(t) dt
+    and H = int_0^R phi^n (1 + n t phi'/phi) dt / (n+1) = R phi^n(R) / (n+1),
+    the trace of Hess(d^2/2) integrated along the ray, over n+1. Its
+    tangential part T = int_0^R t phi^{n-1} phi' = (R phi^n(R) - P) / n,
+    done by parts, is ((n+1) H - P) / n, so no further transcendental is
+    needed. M = R P_n(R) - Q_n(R) with Q_n = int_0^R P_n, which
+    integrates the reduction of SpaceForm.primitive_from_warp once:
     Q_m = ((m-1) Q_{m-2} - phi^m / m) / (K m), from Q_1 = K (R - phi)
     for odd n and Q_0 = R^2 / 2 for even n. At K = 0, M = R^{n+2}/(n+2)
     and H = P. For small R the reduction cancels as primitive_from_warp
@@ -247,6 +250,60 @@ def _origin_moments(sf, R):
     for m in range(start + 2, n + 1, 2):
         Q = ((m - 1) * Q - ph ** m / m) / (sf.K * m)
     return P, R * P - Q, R * ph ** n / (n + 1)
+
+
+def _origin_derivatives(sf, grid, R):
+    """(mass, G, h, H) of the region with radii R at the grid nodes.
+
+    The Karcher energy E(p) = int_Omega d(y, p)^2 / 2 dv has, at the
+    origin O and in model coordinates, the gradient -G and the Hessian H.
+    log_O(y) = t x for the point at radius t over node x, and Hess(d^2/2)
+    has the eigenvalue 1 along x and t coth t, t cot t or 1 (K = -1, +1,
+    0) across it, so with the radial primitives of _origin_moments
+
+        G = sum_i w_i M_i x_i,
+        H = sum_i w_i (P_i - T_i) x_i x_i^T + (sum_i w_i T_i) I,
+
+    T_i = ((n+1) H_i - P_i) / n being the tangential eigenvalue's
+    integral along the ray. h = tr H / (n+1) is summed from the H_i
+    directly. At K = 0, T = P, so H = mass I and h = mass.
+    """
+    P, M, Hr = _origin_moments(sf, R)
+    total = grid.integrate(P)
+    G = (grid.weights * M) @ grid.nodes
+    h = grid.integrate(Hr)
+    if sf.K == 0:
+        return total, G, h, total * np.eye(sf.n + 1)
+    wT = grid.weights * (((sf.n + 1) * Hr - P) / sf.n)
+    H = (grid.nodes.T * (grid.weights * P - wT)) @ grid.nodes
+    return total, G, h, H + np.sum(wT) * np.eye(sf.n + 1)
+
+
+def _gradient_met(G, total):
+    """barycenter's convergence criterion: 2 |G| < BARYCENTER_TOL
+    max(1, mass)."""
+    return 2.0 * np.linalg.norm(G) < BARYCENTER_TOL * max(1.0, total)
+
+
+def origin_newton_step(sf, grid, R):
+    """Model vector of the Karcher energy's Newton step H^{-1} G at O
+    (_origin_derivatives) for the region with radii R at the grid nodes.
+
+    Zero when G meets barycenter's criterion (_gradient_met); None when H
+    is not positive definite, which can happen only at K = +1, where
+    t cot t is negative past pi/2. At K = 0 the step is the centroid
+    G / mass.
+    """
+    total, G, _h, H = _origin_derivatives(sf, grid, R)
+    if _gradient_met(G, total):
+        return np.zeros_like(G)
+    if sf.K == 0:
+        return G / total
+    try:
+        L = np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return None
+    return np.linalg.solve(L.T, np.linalg.solve(L, G))
 
 
 def _mass_log_sum(sf, p, nodes, mass, ch, sh):
@@ -293,16 +350,17 @@ def barycenter(graph, grid, radii=None):
     _mass_log_sum), exact for a ball about p, where the Hessian is
     isotropic; at K = 0, h is the mass and the step lands on the
     centroid. Convergence is declared when 2 |G| drops below
-    BARYCENTER_TOL max(1, mass).
+    BARYCENTER_TOL max(1, mass) (_gradient_met).
 
     Past pi/2 from p the tangential eigenvalue d cot d is negative, and
     as a K = +1 domain nears the antipode of p, h -> 0. So h is bounded
     below by mass / (n+1), its value with every d cot d at 0, and the
-    step is then a damped Newton step.
+    step is then a damped Newton step. That step contracts slowly on
+    K = +1 domains of radius about 2.8 and more, and the iteration may
+    then raise after BARYCENTER_MAX_ITER passes.
 
-    The first pass, at the origin O, is in closed form: log_O(y) = r x
-    for the point at radius r over node x, so G is the angular
-    quadrature of the first radial moment (_origin_moments), and the
+    The first pass, at the origin O, takes G and h from the closed forms
+    of _origin_derivatives, which recenter's Newton step shares, and the
     radial points are built only if a step is taken. Later passes use
     BARYCENTER_RADIAL_POINTS Gauss-Legendre points per ray, never
     embedded: a point at radius r over node x is y = (phi'(r), phi(r) x)
@@ -313,16 +371,13 @@ def barycenter(graph, grid, radii=None):
     """
     sf = graph.sf
     R = _graph_radii(graph, grid) if radii is None else radii
-    P, M, H = _origin_moments(sf, R)
-    total = grid.integrate(P)
+    total, G, h, _H = _origin_derivatives(sf, grid, R)
     p = model.origin(sf)
-    G = (grid.weights * M) @ grid.nodes
     if sf.K != 0:
         G = np.concatenate([[0.0], G])
-    h = grid.integrate(H)
     points = None
     for _ in range(BARYCENTER_MAX_ITER):
-        if 2.0 * np.linalg.norm(G) < BARYCENTER_TOL * max(1.0, total):
+        if _gradient_met(G, total):
             return p
         p = model.exp_map(sf, p, G / max(h, total / (sf.n + 1)))
         if sf.K == 1:

@@ -1,11 +1,14 @@
 """Normalization of radial graphs to the theorems' side conditions.
 
-Two operations compose the pipeline: recentering moves the domain by an
-ambient isometry until its barycenter sits at the origin, re-deriving the
-radial profile by per-node ray shooting; radius matching then re-labels
-the same surface as rho*(1 + u*) so the chosen constraint functional of
-the enclosed domain equals its value on the comparison ball of radius
-rho*. Matching is a pure re-parametrization, so it never moves the
+Two operations compose the pipeline. Recentering moves the domain by an
+ambient isometry until its barycenter sits at the origin O: each pass
+takes one Newton step of the Karcher energy from its gradient and
+Hessian at O, which are closed-form angular quadratures of radial
+primitives (domains.origin_newton_step), and re-derives the radial
+profile by per-node ray shooting. Radius matching then re-labels the
+same surface as rho*(1 + u*) so the chosen constraint functional of the
+enclosed domain equals its value on the comparison ball of radius rho*.
+Matching is a pure re-parametrization, so it never moves the
 barycenter, and it runs after recentering, so the weighted volume (the
 one constraint not invariant under isometries) is matched on the final
 surface. normalize is therefore a single pass.
@@ -161,12 +164,22 @@ def reproject_after_isometry(graph, grid, iso, radii):
 def recenter(graph, grid):
     """Translate the domain so its barycenter is the origin.
 
-    Fixed-point iteration: translate by the current barycenter and
-    re-derive the graph, until the model-coordinate displacement falls
-    below BAR_TOL. Returns (new_graph, displacement, out_of_band), the
-    last being the worst per-pass out-of-band energy relative to the
-    energy of the profile handed in (floored to absorb root-solve noise).
-    Each pass reuses the node values the previous reprojection computed.
+    Newton iteration at the origin: each pass computes the Karcher
+    energy's gradient -G and Hessian H at O in closed form and stops
+    when G meets the barycenter's own criterion (displacement 0) or the
+    step H^{-1} G is shorter than BAR_TOL (displacement |H^{-1} G|).
+    Otherwise it translates the domain by the isometry taking
+    exp_O(H^{-1} G) to O and re-derives the graph; the next pass's
+    closed forms confirm the result on the re-derived graph. When H is
+    not positive definite (K = +1 domains far past pi/2) the pass falls
+    back to domains.barycenter and translates by the point it returns.
+    At K = 0, H is the mass times the identity and each step is the
+    centroid.
+
+    Returns (new_graph, displacement, out_of_band), the last being the
+    worst per-pass out-of-band energy relative to the energy of the
+    profile handed in (floored to absorb root-solve noise). Each pass
+    reuses the node values the previous reprojection computed.
     """
     sf = graph.sf
     values = sb.values_on_grid(graph.u, grid)
@@ -174,8 +187,14 @@ def recenter(graph, grid):
     worst_band = 0.0
     for _ in range(RECENTER_PASSES):
         radii = graph.radii(values)
-        bar = dm.barycenter(graph, grid, radii=radii)
-        disp = float(np.linalg.norm(model.model_vector(sf, bar)))
+        step = dm.origin_newton_step(sf, grid, radii)
+        if step is None:
+            bar = dm.barycenter(graph, grid, radii=radii)
+            step = model.model_vector(sf, bar)
+        else:
+            bar = model.exp_map(sf, model.origin(sf), step if sf.K == 0
+                                else np.concatenate([[0.0], step]))
+        disp = float(np.linalg.norm(step))
         if disp < BAR_TOL:
             return graph, disp, worst_band
         iso = model.translation_to_origin(sf, bar)
@@ -193,7 +212,13 @@ def recenter(graph, grid):
 class NormalizedGraph:
     """A graph satisfying bar = O and one matched constraint, with the
     constraint's value, residual bookkeeping, its geometry on the grid
-    and its norms."""
+    and its norms.
+
+    bar_displacement is recenter's last Newton step |H^{-1} G| on the
+    final graph, below BAR_TOL, or 0 when the gradient there met the
+    barycenter's criterion; on the fallback path it is the distance of
+    domains.barycenter's point from O.
+    """
 
     graph: gg.RadialGraph
     constraint: Constraint

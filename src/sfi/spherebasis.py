@@ -39,8 +39,13 @@ from sfi.spaceform import unit_sphere_area
 
 SUPPORTED_DIMENSIONS = (2, 3, 4)
 MIN_RESOLUTION = 4
-# Points per block of the basis values (_synthesize) and of evaluate,
-# small enough that a block's temporaries are reused from the heap.
+# Points per block of the basis values (_synthesize) and of evaluate.
+# Blocking bounds a call's temporaries but does not keep them under
+# glibc's default mmap threshold (128 KB): at n = 3 and degree 8,
+# evaluate's power table is 4 x 9 x 512 doubles (147 KB) and each
+# half-table monomial block 45 x 512 (184 KB). Whether such a block is
+# reused from the heap or mapped and faulted in afresh on each call
+# depends on the process's dynamic mmap threshold.
 NODE_BLOCK = 512
 # Relative slack of the Hessian-norm pruning test (_hessian_norm): a sum
 # of at most 16 squares rounds by under 16 ulps.
@@ -140,8 +145,7 @@ class MonomialTable:
         nvars) array pts: rows slices the block out of pts, and powers
         holds the per-variable powers x_j^p node-minor, shape
         (nvars, degree+1, block), contiguous, the node axis last. Blocks
-        keep every temporary of a caller small enough to be reused from
-        the heap, not faulted in afresh on each call."""
+        bound the size of a caller's temporaries (see NODE_BLOCK)."""
         for start in range(0, len(pts), NODE_BLOCK):
             rows = slice(start, start + NODE_BLOCK)
             block = pts[rows].T

@@ -374,40 +374,85 @@ class TestBarycenter:
             g = perturbed(K, basis3, eps, seed=seed)
             assert gradient_criterion(g, grid3, dm.barycenter(g, grid3)) < 1
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("K", ALL_K)
-    def test_radial_quadrature_passes(self, K, grid3, basis3, monkeypatch):
-        # at most 3 radial-quadrature passes for eps <= 0.05, and none in
-        # the call by which recenter verifies the origin
-        passes, bulk = [], []
+    def test_origin_derivatives_match_central_differences(self, K, n):
+        # G and the full Hessian H of the Karcher energy at O against the
+        # radial quadrature: G against _mass_log_sum at exp_O(+-h e_j)
+        # averaged, column j of H against its central difference. A
+        # parallel frame along the geodesic keeps e_k (k != j) and turns
+        # e_j within the e_0, e_j plane, so the spatial components
+        # differentiate to H e_j up to O(h^2). Directions carry degree-1
+        # content; K = +1 also reaches past pi/2 (rho = 2.0, 2.8), where
+        # the tangential eigenvalue t cot t is negative
+        grid = sb.build_grid(n, 12)
+        basis = sb.build_basis(n, 4)
+        sf = SpaceForm(K=K, n=n)
+        rng = np.random.default_rng(10 * n + K)
+        h = 1e-6
+        for rho in ((1.0, 2.0, 2.8) if K == 1 else (1.0,)):
+            for eps in (0.003, 0.05):
+                a = rng.standard_normal(basis.size)
+                g = gg.RadialGraph(sf=sf, rho=rho, u=sb.from_coeffs(
+                    basis, eps * a / np.linalg.norm(a)))
+                R = g.radii(sb.values_on_grid(g.u, grid))
+                total, G, h_tr, H = dm._origin_derivatives(sf, grid, R)
+                points = dm._bulk_mass_points(sf, grid, R, 16)
+                O = model.origin(sf)
+                spatial = 0 if K == 0 else 1
+                for j in range(n + 1):
+                    e = np.zeros(len(O))
+                    e[spatial + j] = h
+                    Gp, Gm = (dm._mass_log_sum(
+                        sf, model.exp_map(sf, O, s * e), grid.nodes,
+                        *points)[0][spatial:] for s in (1.0, -1.0))
+                    assert np.allclose(0.5 * (Gp + Gm), G, rtol=0,
+                                       atol=1e-10 * total)
+                    assert np.allclose(-(Gp - Gm) / (2 * h), H[:, j],
+                                       rtol=0,
+                                       atol=1e-7 * np.max(np.abs(H)))
+                assert np.allclose(H, H.T, rtol=0, atol=1e-15 * total)
+                assert np.trace(H) / (n + 1) == pytest.approx(h_tr,
+                                                              rel=1e-13)
+                if K == 0:
+                    # the centroid step, bit for bit the barycenter's
+                    assert np.array_equal(H, total * np.eye(n + 1))
+                    assert np.array_equal(dm.origin_newton_step(sf, grid, R),
+                                          dm.barycenter(g, grid))
+
+    @pytest.mark.parametrize("K", ALL_K)
+    def test_recenter_needs_no_radial_quadrature(self, K, grid3, basis3,
+                                                 monkeypatch):
+        # for eps <= 0.05 one closed-form Newton step at O recenters: no
+        # barycenter call, no radial quadrature and one reprojection,
+        # and the materialized gradient at O of the returned graph meets
+        # the barycenter's criterion
+        calls = {"quadrature": 0, "reproject": 0}
         mass_log_sum, bulk_points = dm._mass_log_sum, dm._bulk_mass_points
-        barycenter = dm.barycenter
+        reproject = nz.reproject_after_isometry
 
-        def counting_sum(*args):
-            passes[-1] += 1
-            return mass_log_sum(*args)
+        def counting(name, fun):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fun(*args, **kwargs)
+            return counted
 
-        def counting_points(*args):
-            bulk[-1] += 1
-            return bulk_points(*args)
-
-        def counting_barycenter(*args, **kwargs):
-            passes.append(0)
-            bulk.append(0)
-            return barycenter(*args, **kwargs)
-
-        monkeypatch.setattr(dm, "_mass_log_sum", counting_sum)
-        monkeypatch.setattr(dm, "_bulk_mass_points", counting_points)
-        monkeypatch.setattr(dm, "barycenter", counting_barycenter)
+        monkeypatch.setattr(dm, "_mass_log_sum",
+                            counting("quadrature", mass_log_sum))
+        monkeypatch.setattr(dm, "_bulk_mass_points",
+                            counting("quadrature", bulk_points))
+        monkeypatch.setattr(nz, "reproject_after_isometry",
+                            counting("reproject", reproject))
         sf = SpaceForm(K=K, n=3)
         for eps in (0.003, 0.01, 0.05):
             for seed in range(3):
-                passes.clear()
-                bulk.clear()
+                calls.update(quadrature=0, reproject=0)
                 u = lab.sample_direction(basis3, seed, 0).scaled(eps)
-                nz.recenter(gg.RadialGraph(sf=sf, rho=0.9, u=u), grid3)
-                assert len(passes) == 2
-                assert 1 <= passes[0] <= 3
-                assert passes[1] == 0 and bulk[1] == 0
+                new, disp, _ = nz.recenter(
+                    gg.RadialGraph(sf=sf, rho=0.9, u=u), grid3)
+                assert calls == {"quadrature": 0, "reproject": 1}
+                assert disp < nz.BAR_TOL
+                assert gradient_criterion(new, grid3, model.origin(sf)) < 1
 
     @pytest.mark.parametrize("rho, floored", [(math.pi / 2 - 0.02, False),
                                               (2.5, True)])

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from sfi import domains as dm
 from sfi import graphgeom as gg
+from sfi import lab
 from sfi import model
 from sfi import normalize as nz
 from sfi import spherebasis as sb
@@ -241,6 +242,59 @@ class TestRecenter:
         new_graph, _, values = passes[-1]
         assert new_graph is new
         assert np.array_equal(values, values_on_grid(new.u, grid3))
+
+    def test_spherical_domain_far_past_the_equator(self):
+        # K = +1, rho = 2.8: the barycenter's damped step contracts too
+        # slowly to converge, but H at O stays positive definite (least
+        # eigenvalue about 0.52), so the Newton step recenters
+        grid, basis = sb.build_grid(3, 20), sb.build_basis(3, 5)
+        sf = SpaceForm(K=1, n=3)
+        g = gg.RadialGraph(sf=sf, rho=2.8,
+                           u=lab.sample_direction(basis, 4, 0).scaled(0.01))
+        R = g.radii(sb.values_on_grid(g.u, grid))
+        _total, _G, _h, H = dm._origin_derivatives(sf, grid, R)
+        assert 0.4 < np.linalg.eigvalsh(H)[0] < 0.6
+        with pytest.raises(RuntimeError, match="did not converge"):
+            dm.barycenter(g, grid)
+        res = nz.normalize(g, grid, nz.volume_constraint())
+        assert res.constraint_residual < 1e-10
+        assert res.bar_displacement < nz.BAR_TOL
+        R = res.graph.radii(res.geometry.u_vals)
+        total, G, _h, _H = dm._origin_derivatives(sf, grid, R)
+        assert 2.0 * np.linalg.norm(G) < 1e-8 * max(1.0, total)
+
+    def test_indefinite_hessian_falls_back_to_the_barycenter(
+            self, grid3, basis3, monkeypatch):
+        # with H at O forced indefinite, recenter translates by the
+        # point domains.barycenter returns
+        derivatives = dm._origin_derivatives
+
+        def indefinite(*args):
+            total, G, h, H = derivatives(*args)
+            return total, G, h, H - 2.0 * H[0, 0] * np.eye(len(H))
+
+        monkeypatch.setattr(dm, "_origin_derivatives", indefinite)
+        points = []
+        barycenter = dm.barycenter
+
+        def recorded(*args, **kwargs):
+            points.append(barycenter(*args, **kwargs))
+            return points[-1]
+
+        monkeypatch.setattr(dm, "barycenter", recorded)
+        sf = SpaceForm(K=1, n=3)
+        u = sb.from_coeffs(basis3, mode(basis3, [(2, 0, 0.03), (1, 1, 0.01)]))
+        g = gg.RadialGraph(sf=sf, rho=1.0, u=u)
+        R = g.radii(sb.values_on_grid(u, grid3))
+        assert dm.origin_newton_step(sf, grid3, R) is None
+        new, disp, _ = nz.recenter(g, grid3)
+        # one fallback pass; on the reprojected graph the gradient at O
+        # meets the barycenter's criterion before H is factorized
+        assert len(points) == 1
+        assert np.linalg.norm(model.model_vector(sf, points[0])) > 1e-3
+        assert disp == 0.0
+        monkeypatch.undo()
+        assert np.array_equal(dm.barycenter(new, grid3), model.origin(sf))
 
     def test_residual_odd_content_is_second_order(self, grid3, basis3):
         amps = []
