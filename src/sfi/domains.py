@@ -4,16 +4,16 @@ Volume integrals reduce to the radial primitive P_n(r) = int_0^r phi^n,
 known in closed form for every K, so bulk quantities are single angular
 quadratures. The brute-force radial Gauss-Legendre volumes that check
 them, and the reference ball profile, live in tests/oracles.py. The
-barycenter is the Karcher mean of the enclosed mass; Fraenkel asymmetry
-minimizes the symmetric-difference volume against equal-volume geodesic
-balls over the center.
+barycenter is the Karcher mean of the enclosed mass, found by Newton
+steps whose gradient and Hessian are such quadratures at the origin of
+each iterate; Fraenkel asymmetry minimizes the symmetric-difference
+volume against equal-volume geodesic balls over the center.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 from math import comb
 
 import numpy as np
@@ -40,9 +40,8 @@ SEARCH_REL_GAIN = 1e-5
 POLISH_REL_GAIN = 1e-6
 SEARCH_STEPS = 50
 SEARCH_ALPHA_FLOOR = 1e-12
-# Barycenter: Gauss-Legendre points per ray, gradient-norm tolerance and
-# iteration cap of the Newton-scaled Karcher iteration.
-BARYCENTER_RADIAL_POINTS = 16
+# Barycenter: gradient-norm tolerance and iteration cap of the Newton
+# iteration.
 BARYCENTER_TOL = 1e-10
 BARYCENTER_MAX_ITER = 100
 # Ball radius (ball_radius, _brent): scipy.optimize.brentq's tolerances,
@@ -67,15 +66,6 @@ def weighted_volume(graph, grid, geo=None):
     sf = graph.sf
     r = geo.r if geo is not None else _graph_radii(graph, grid)
     return grid.integrate(sf.phi(r) ** (sf.n + 1)) / (sf.n + 1)
-
-
-@cache
-def _radial_rule(points):
-    """Gauss-Legendre rule on [0, 1], as shared read-only arrays."""
-    t, w = np.polynomial.legendre.leggauss(points)
-    t, w = 0.5 * (t + 1.0), 0.5 * w
-    t.flags.writeable = w.flags.writeable = False
-    return t, w
 
 
 def quermassintegrals(graph, grid, geo=None):
@@ -205,21 +195,6 @@ def radius_for_volume(sf, V):
     return ball_radius(lambda r: ball_volume(sf, r), V, sf.r_max - 1e-9)
 
 
-def _bulk_mass_points(sf, grid, R, radial_points):
-    """Radial x angular quadrature points of the region with radii R at
-    the grid nodes, never embedded.
-
-    Returns (mass, ch, sh), each (nodes, radial_points): the point at
-    radius r over node x embeds as y = (phi'(r), phi(r) x) for K = +-1 and
-    as y = phi(r) x for K = 0, so ch = phi'(r) and sh = phi(r) carry it.
-    """
-    t, wt = _radial_rule(radial_points)
-    r = R[:, None] * t
-    sh = sf.phi(r)
-    mass = grid.weights[:, None] * R[:, None] * wt * sh ** sf.n
-    return mass, sf.dphi(r), sh
-
-
 def _origin_moments(sf, R):
     """Radial moments over each node of a region with radii R about O.
 
@@ -289,12 +264,14 @@ def origin_newton_step(sf, grid, R):
     """Model vector of the Karcher energy's Newton step H^{-1} G at O
     (_origin_derivatives) for the region with radii R at the grid nodes.
 
-    Zero when G meets barycenter's criterion (_gradient_met); None when H
-    is not positive definite, which can happen only at K = +1, where
-    t cot t is negative past pi/2. At K = 0 the step is the centroid
-    G / mass.
+    Zero when G meets barycenter's criterion (_gradient_met). At K = 0
+    the step is the centroid G / mass. When H is not positive definite,
+    which can happen only at K = +1, where t cot t is negative past
+    pi/2, the step is the damped G / max(h, mass / (n+1)): h is exact
+    for a ball about O, and mass / (n+1) is its value with every t cot t
+    at 0.
     """
-    total, G, _h, H = _origin_derivatives(sf, grid, R)
+    total, G, h, H = _origin_derivatives(sf, grid, R)
     if _gradient_met(G, total):
         return np.zeros_like(G)
     if sf.K == 0:
@@ -302,91 +279,67 @@ def origin_newton_step(sf, grid, R):
     try:
         L = np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
-        return None
+        return G / max(h, total / (sf.n + 1))
     return np.linalg.solve(L.T, np.linalg.solve(L, G))
 
 
-def _mass_log_sum(sf, p, nodes, mass, ch, sh):
-    """(sum_i mass_i log_p(y_i), h) over the points of _bulk_mass_points.
+def _shoot_radii(graph, grid, iso, radii):
+    """Radii at the grid nodes of iso(surface), by per-node secant ray
+    shooting from the first guess radii.
 
-    log_p(y) = s (y - c p), with c = cosh d, cos d or 1 and
-    s = d / sinh d, d / sin d or 1 for K = -1, +1, 0. Both come from the
-    squared chord q = <y - p, y - p> = 2K - 2<y, p> (Lorentz product for
-    K = -1) through the half-angle forms cosh d = 1 + q/2,
-    sinh d = sqrt(q) sqrt(1 + q/4), d = 2 asinh(sqrt(q)/2) (signs flipped
-    for K = +1). With y = (ch, sh x),
-    sum m s y = (sum m s ch, sum_x (sum_r m s sh) x).
-
-    h = (sum m + n sum m s c) / (n+1) is the mass-averaged trace of
-    Hess(d^2/2) at p, whose eigenvalues are 1 (radial) and d coth d or
-    d cot d (n tangential): the sum m s c is sum m d coth d, already formed
-    for the point part. At K = 0, h = sum m.
+    The radius r over node x solves s = R(y), where (s, y) are the polar
+    coordinates of iso^{-1}(embed(r, x)) and R is the graph's radius
+    function; the residual has unit slope in r to leading order.
     """
-    if sf.K == 0:
-        m = np.sum(mass)
-        return np.sum(mass * sh, axis=1) @ nodes - m * p, m
-    q = np.maximum(2.0 * sf.K - 2.0 * (sf.K * p[0] * ch
-                                       + sh * (nodes @ p[1:])[:, None]),
-                   0.0)
-    half = 0.5 * np.sqrt(q)
-    if sf.K == -1:
-        d = 2.0 * np.arcsinh(half)
-    else:
-        d = 2.0 * np.arcsin(np.minimum(half, 1.0))
-    c = 1.0 - 0.5 * sf.K * q
-    den = np.sqrt(q) * np.sqrt(np.maximum(1.0 - 0.25 * sf.K * q, 0.0))
-    ms = mass * np.where(d > 1e-12, d / np.where(den > 0, den, 1.0), 1.0)
-    msy = np.concatenate([[np.sum(ms * ch)], np.sum(ms * sh, axis=1) @ nodes])
-    msc = np.sum(ms * c)
-    return msy - msc * p, (np.sum(mass) + sf.n * msc) / (sf.n + 1)
+    sf = graph.sf
+    inv = iso.inverse()
+
+    def shoot_residual(r):
+        s, y = model.polar(sf, inv(model.embed(sf, r, grid.nodes)))
+        return s - graph.radii(sb.evaluate(graph.u, y))
+
+    r0 = radii
+    f0 = shoot_residual(r0)
+    r1 = r0 - f0
+    f1 = shoot_residual(r1)
+    for _ in range(60):
+        if np.max(np.abs(f1)) < 1e-14 * graph.rho:
+            break
+        denom = f1 - f0
+        denom = np.where(np.abs(denom) > 1e-300, denom, 1.0)
+        r2 = r1 - f1 * (r1 - r0) / denom
+        r0, f0 = r1, f1
+        r1 = r2
+        f1 = shoot_residual(r1)
+    return r1
 
 
 def barycenter(graph, grid, radii=None):
     """Karcher mean of the enclosed domain in ambient coordinates.
 
-    Minimizes p -> int_Omega d(y, p)^2 / 2 dv, whose gradient is
-    -G = -int log_p(y) dv, by Newton-scaled steps p <- exp_p(G / h):
-    h is the mass-averaged trace of the energy's Hessian (see
-    _mass_log_sum), exact for a ball about p, where the Hessian is
-    isotropic; at K = 0, h is the mass and the step lands on the
-    centroid. Convergence is declared when 2 |G| drops below
-    BARYCENTER_TOL max(1, mass) (_gradient_met).
-
-    Past pi/2 from p the tangential eigenvalue d cot d is negative, and
-    as a K = +1 domain nears the antipode of p, h -> 0. So h is bounded
-    below by mass / (n+1), its value with every d cot d at 0, and the
-    step is then a damped Newton step. That step contracts slowly on
-    K = +1 domains of radius about 2.8 and more, and the iteration may
-    then raise after BARYCENTER_MAX_ITER passes.
-
-    The first pass, at the origin O, takes G and h from the closed forms
-    of _origin_derivatives, which recenter's Newton step shares, and the
-    radial points are built only if a step is taken. Later passes use
-    BARYCENTER_RADIAL_POINTS Gauss-Legendre points per ray, never
-    embedded: a point at radius r over node x is y = (phi'(r), phi(r) x)
-    (K = +-1), so <y, p> = K phi'(r) p0 + phi(r) (x . pbar) needs one
-    node vector x . pbar per pass, and each pass sums mass * log_p(y) in
-    closed form from the squared chord q = 2K - 2<y, p>. radii, if given,
-    are the graph's radii at the grid nodes.
+    Minimizes p -> int_Omega d(y, p)^2 / 2 dv by Newton steps taken at
+    the origin of the current iterate p: each pass moves p to O by
+    model.translation_to_origin, finds the moved domain's radii at the
+    grid nodes by secant ray shooting (_shoot_radii) and steps by
+    origin_newton_step, mapped back through the same isometry. It
+    returns p once the gradient there meets the criterion
+    2 |G| < BARYCENTER_TOL max(1, mass) (_gradient_met) and raises
+    RuntimeError after BARYCENTER_MAX_ITER passes. At K = 0 the first
+    step lands on the centroid. radii, if given, are the graph's radii
+    at the grid nodes.
     """
     sf = graph.sf
     R = _graph_radii(graph, grid) if radii is None else radii
-    total, G, h, _H = _origin_derivatives(sf, grid, R)
-    p = model.origin(sf)
-    if sf.K != 0:
-        G = np.concatenate([[0.0], G])
-    points = None
+    p = O = model.origin(sf)
     for _ in range(BARYCENTER_MAX_ITER):
-        if _gradient_met(G, total):
+        step = origin_newton_step(sf, grid, R)
+        if not step.any():
             return p
-        p = model.exp_map(sf, p, G / max(h, total / (sf.n + 1)))
-        if sf.K == 1:
-            p = p / np.linalg.norm(p)
-        elif sf.K == -1:
-            p = p / np.sqrt(p[0] ** 2 - np.sum(p[1:] ** 2))
-        if points is None:
-            points = _bulk_mass_points(sf, grid, R, BARYCENTER_RADIAL_POINTS)
-        G, h = _mass_log_sum(sf, p, grid.nodes, *points)
+        if sf.K != 0:
+            step = np.concatenate([[0.0], step])
+        back = model.translation_to_origin(sf, p).inverse()
+        p = back(model.exp_map(sf, O, step))
+        R = _shoot_radii(graph, grid, model.translation_to_origin(sf, p), R)
     raise RuntimeError("barycenter iteration did not converge")
 
 

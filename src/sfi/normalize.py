@@ -5,7 +5,8 @@ ambient isometry until its barycenter sits at the origin O: each pass
 takes one Newton step of the Karcher energy from its gradient and
 Hessian at O, which are closed-form angular quadratures of radial
 primitives (domains.origin_newton_step), and re-derives the radial
-profile by per-node ray shooting. Radius matching then re-labels the
+profile by the per-node ray shooting that domains.barycenter also uses
+at each of its iterates. Radius matching then re-labels the
 same surface as rho*(1 + u*) so the chosen constraint functional of the
 enclosed domain equals its value on the comparison ball of radius rho*.
 Matching is a pure re-parametrization, so it never moves the
@@ -127,7 +128,8 @@ def match_radius(graph, grid, constraint, value=None):
 
 
 def reproject_after_isometry(graph, grid, iso, radii):
-    """Radial graph of iso(surface), by per-node secant ray shooting.
+    """Radial graph of iso(surface), by per-node secant ray shooting
+    (domains._shoot_radii).
 
     radii are the graph's radii at the grid nodes. Returns
     (new_graph, out_energy, values): out_energy is the absolute L2 energy
@@ -135,26 +137,8 @@ def reproject_after_isometry(graph, grid, iso, radii):
     represent, and values are the new u at the grid nodes.
     """
     sf = graph.sf
-    inv = iso.inverse()
-
-    def shoot_residual(r):
-        s, y = model.polar(sf, inv(model.embed(sf, r, grid.nodes)))
-        return s - graph.radii(sb.evaluate(graph.u, y))
-
-    r0 = radii
-    f0 = shoot_residual(r0)
-    r1 = r0 - f0  # residual has unit slope in r to leading order
-    f1 = shoot_residual(r1)
-    for _ in range(60):
-        if np.max(np.abs(f1)) < 1e-14 * graph.rho:
-            break
-        denom = f1 - f0
-        denom = np.where(np.abs(denom) > 1e-300, denom, 1.0)
-        r2 = r1 - f1 * (r1 - r0) / denom
-        r0, f0 = r1, f1
-        r1 = r2
-        f1 = shoot_residual(r1)
-    samples = r1 / graph.rho - 1.0
+    r = dm._shoot_radii(graph, grid, iso, radii)
+    samples = r / graph.rho - 1.0
     u_new = sb.project(samples, grid, graph.u.basis)
     values = sb.values_on_grid(u_new, grid)
     out_energy = grid.integrate((samples - values) ** 2)
@@ -171,10 +155,9 @@ def recenter(graph, grid):
     Otherwise it translates the domain by the isometry taking
     exp_O(H^{-1} G) to O and re-derives the graph; the next pass's
     closed forms confirm the result on the re-derived graph. When H is
-    not positive definite (K = +1 domains far past pi/2) the pass falls
-    back to domains.barycenter and translates by the point it returns.
-    At K = 0, H is the mass times the identity and each step is the
-    centroid.
+    not positive definite (K = +1 domains far past pi/2) the step is
+    origin_newton_step's damped one. At K = 0, H is the mass times the
+    identity and each step is the centroid.
 
     Returns (new_graph, displacement, out_of_band), the last being the
     worst per-pass out-of-band energy relative to the energy of the
@@ -188,15 +171,11 @@ def recenter(graph, grid):
     for _ in range(RECENTER_PASSES):
         radii = graph.radii(values)
         step = dm.origin_newton_step(sf, grid, radii)
-        if step is None:
-            bar = dm.barycenter(graph, grid, radii=radii)
-            step = model.model_vector(sf, bar)
-        else:
-            bar = model.exp_map(sf, model.origin(sf), step if sf.K == 0
-                                else np.concatenate([[0.0], step]))
         disp = float(np.linalg.norm(step))
         if disp < BAR_TOL:
             return graph, disp, worst_band
+        bar = model.exp_map(sf, model.origin(sf), step if sf.K == 0
+                            else np.concatenate([[0.0], step]))
         iso = model.translation_to_origin(sf, bar)
         graph, out_energy, values = reproject_after_isometry(
             graph, grid, iso, radii)
@@ -216,8 +195,7 @@ class NormalizedGraph:
 
     bar_displacement is recenter's last Newton step |H^{-1} G| on the
     final graph, below BAR_TOL, or 0 when the gradient there met the
-    barycenter's criterion; on the fallback path it is the distance of
-    domains.barycenter's point from O.
+    barycenter's criterion.
     """
 
     graph: gg.RadialGraph

@@ -2,7 +2,8 @@
 sigma_k by eigenvalues and by principal minors, the single-matrix Newton
 tensor, the batched Newton recursion on the similarity of the Weingarten
 map, the Weingarten map, the divergence-form H, brute-force volumes and
-radial moments, translated-ball profiles, the Laplace-Beltrami
+radial moments, the embedded mass points and gradient that the
+barycenter is held to, translated-ball profiles, the Laplace-Beltrami
 operator, coefficient norms, the monomial Vandermonde matrix, the
 per-amplitude loop of full-grid geometries behind an expansion fit, the
 spherical-Hessian integral identities, the gradient-energy bound on the
@@ -19,6 +20,7 @@ import numpy as np
 from sfi import domains as dm
 from sfi import graphgeom as gg
 from sfi import lab
+from sfi import model
 from sfi import spherebasis as sb
 
 
@@ -226,10 +228,10 @@ def bulk_integral_bruteforce(graph, grid, integrand, radial_points=32):
     """
     sf = graph.sf
     R = dm._graph_radii(graph, grid)
-    t, wt = dm._radial_rule(radial_points)
-    r = R[:, None] * t[None, :]
+    t, wt = np.polynomial.legendre.leggauss(radial_points)
+    r = R[:, None] * (0.5 * (t + 1.0))
     vals = integrand(r) * sf.phi(r) ** sf.n
-    radial = R * (vals @ wt)
+    radial = R * (vals @ (0.5 * wt))
     return grid.integrate(radial)
 
 
@@ -250,6 +252,27 @@ def first_radial_moment_bruteforce(sf, R, points=40):
     t, w = np.polynomial.legendre.leggauss(points)
     t = 0.5 * R * (t + 1.0)
     return np.sum(0.5 * R * w * t * sf.phi(t) ** sf.n, axis=-1)
+
+
+def embedded_mass_points(graph, grid, radial_points):
+    """Radial x angular quadrature points embedded in the model, with
+    their masses, flattened (reference for the barycenter)."""
+    sf = graph.sf
+    R = graph.radii(sb.values_on_grid(graph.u, grid))
+    t, wt = np.polynomial.legendre.leggauss(radial_points)
+    r = R[:, None] * (0.5 * (t + 1.0))
+    mass = grid.weights[:, None] * R[:, None] * (0.5 * wt) * sf.phi(r) ** sf.n
+    x = np.repeat(grid.nodes[:, None, :], radial_points, axis=1)
+    pts = model.embed(sf, r, x)
+    return pts.reshape(-1, pts.shape[-1]), mass.ravel()
+
+
+def barycenter_gradient_criterion(graph, grid, p, tol=dm.BARYCENTER_TOL):
+    """2 |sum m log_p(y)| / (tol max(1, sum m)) over 16 embedded points
+    per ray: below 1 where the barycenter declares convergence."""
+    pts, mass = embedded_mass_points(graph, grid, 16)
+    G = mass @ model.log_map(graph.sf, p, pts)
+    return 2.0 * np.linalg.norm(G) / (tol * max(1.0, np.sum(mass)))
 
 
 def origin_tangent(sf, c):

@@ -177,6 +177,18 @@ class TestEvalCommand:
         working = sb.build_grid(3, sb.default_resolution(5)).node_count
         assert node_counts.count(working) == 1
 
+    def test_spherical_domain_far_past_the_equator(self, tmp_path, capsys):
+        # K = +1, rho = 2.8: the barycenter converges, so the report is
+        # written instead of a numerical failure
+        body = BASE.replace("K = -1", "K = 1").replace(
+            "rho = 0.9", "rho = 2.8").replace(
+            "basis_degree = 5", "basis_degree = 5\nresolution = 20")
+        path = write_config(tmp_path, body + (
+            "\n[perturbation]\nmode = random\nseed = 4\nepsilon = 0.01\n"))
+        assert cli.main(["eval", "--config", path]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert 1e-5 < float(rows[0]["barycenter_displacement"]) < 1e-3
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE + "\n[space]\n")
         assert cli.main(["eval", "--config", path]) == 2

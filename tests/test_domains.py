@@ -45,26 +45,13 @@ def perturbed(K, basis, eps, seed=0, rho=1.0):
                           u=sb.from_coeffs(basis, eps * a))
 
 
-def embedded_mass_points(graph, grid, radial_points):
-    """Radial x angular quadrature points embedded in the model, with
-    their masses, flattened (reference for the barycenter)."""
-    sf = graph.sf
-    R = graph.radii(sb.values_on_grid(graph.u, grid))
-    t, wt = np.polynomial.legendre.leggauss(radial_points)
-    r = R[:, None] * (0.5 * (t + 1.0))
-    mass = grid.weights[:, None] * R[:, None] * (0.5 * wt) * sf.phi(r) ** 3
-    x = np.repeat(grid.nodes[:, None, :], radial_points, axis=1)
-    pts = model.embed(sf, r, x)
-    return pts.reshape(-1, pts.shape[-1]), mass.ravel()
-
-
 def materialized_barycenter(graph, grid, radial_points=16, tol=1e-10):
     """Newton-scaled Karcher iteration summing model.log_map over the
     embedded points from the origin: the barycenter's reference
     computation. The step is G / h, with h = sum m (1 + n d cot_K d)/(n+1)
     from per-point model.distance, bounded below by sum m / (n+1)."""
     sf = graph.sf
-    pts, mass = embedded_mass_points(graph, grid, radial_points)
+    pts, mass = oracles.embedded_mass_points(graph, grid, radial_points)
     total = np.sum(mass)
     p = model.origin(sf)
     for _ in range(100):
@@ -89,14 +76,6 @@ def hessian_trace_density(sf, d):
     safe = np.where(d > 0, t, 1.0)
     dcot = np.where(d > 0, d / safe, 1.0)
     return (1.0 + sf.n * dcot) / (sf.n + 1)
-
-
-def gradient_criterion(graph, grid, p, tol=dm.BARYCENTER_TOL):
-    """2 |sum m log_p(y)| / (tol max(1, sum m)) over the embedded points:
-    below 1 where the barycenter declares convergence."""
-    pts, mass = embedded_mass_points(graph, grid, dm.BARYCENTER_RADIAL_POINTS)
-    G = mass @ model.log_map(graph.sf, p, pts)
-    return 2.0 * np.linalg.norm(G) / (tol * max(1.0, np.sum(mass)))
 
 
 def symmetric_difference_oracle(graph, grid, c, rho_bar):
@@ -313,26 +292,26 @@ class TestBarycenter:
         g = ball_graph(K, 1.1, basis3)
         b = dm.barycenter(g, grid3)
         assert np.linalg.norm(model.model_vector(g.sf, b)) < 1e-10
-        # the closed-form mass-weighted log sum and Hessian trace against
-        # per-point log maps and distances of the embedded points
-        g = perturbed(K, basis3, 0.05, seed=K + 3)
-        R = g.radii(sb.values_on_grid(g.u, grid3))
-        mass, ch, sh = dm._bulk_mass_points(g.sf, grid3, R, 16)
-        pts, ref_mass = embedded_mass_points(g, grid3, 16)
-        assert np.allclose(mass.ravel(), ref_mass, rtol=1e-14, atol=0)
-        for c in ([0.0, 0.0, 0.0, 0.0], [0.2, -0.1, 0.05, 0.3]):
-            p = model.exp_map(g.sf, model.origin(g.sf),
-                              oracles.origin_tangent(g.sf, np.array(c)))
-            want = ref_mass @ model.log_map(g.sf, p, pts)
-            got, h = dm._mass_log_sum(g.sf, p, grid3.nodes, mass, ch, sh)
-            assert np.allclose(got, want, rtol=0, atol=1e-13)
-            want_h = ref_mass @ hessian_trace_density(
-                g.sf, model.distance(g.sf, pts, p))
-            assert h == pytest.approx(want_h, rel=1e-13)
-        # the whole Newton-scaled iteration against the materialized one
-        want = materialized_barycenter(g, grid3)
-        assert np.linalg.norm(model.model_vector(g.sf, want)) > 1e-4
-        assert np.allclose(dm.barycenter(g, grid3), want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("K, rho", [(-1, 1.0), (1, 1.0),
+                                        (1, math.pi / 2 - 0.02), (1, 2.5)])
+    def test_agrees_with_the_materialized_iteration(self, K, rho):
+        # against the materialized iteration run to tol = 1e-14, which
+        # stops far closer to its limit than the barycenter's own
+        # criterion; K = +1 also reaches past pi/2 from the barycenter,
+        # where H at O stays positive definite, so every pass is a
+        # Newton step
+        grid = sb.build_grid(3, 30)
+        g = perturbed(K, sb.build_basis(3, 5), 0.05, seed=4, rho=rho)
+        R = g.radii(sb.values_on_grid(g.u, grid))
+        assert (np.max(R) > math.pi / 2) == (rho > 1.0)
+        _total, _G, _h, H = dm._origin_derivatives(g.sf, grid, R)
+        assert np.linalg.eigvalsh(H)[0] > 0
+        want = materialized_barycenter(g, grid, tol=1e-14)
+        got = dm.barycenter(g, grid)
+        assert np.linalg.norm(model.model_vector(g.sf, got)) > 1e-3
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert oracles.barycenter_gradient_criterion(g, grid, got) < 1
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("K", ALL_K)
@@ -352,16 +331,18 @@ class TestBarycenter:
 
     @pytest.mark.parametrize("K", ALL_K)
     def test_closed_form_origin_pass(self, K, grid3, basis3):
-        # the first pass's gradient and Hessian trace at O, from radial
-        # moments, against the radial quadrature pass at O
+        # the gradient and Hessian trace at O, from radial moments,
+        # against per-point log maps and distances of the embedded points
         g = perturbed(K, basis3, 0.05, seed=K + 5)
         R = g.radii(sb.values_on_grid(g.u, grid3))
         P, M, H = dm._origin_moments(g.sf, R)
-        G_quad, h_quad = dm._mass_log_sum(
-            g.sf, model.origin(g.sf), grid3.nodes,
-            *dm._bulk_mass_points(g.sf, grid3, R, 16))
+        O = model.origin(g.sf)
+        pts, mass = oracles.embedded_mass_points(g, grid3, 16)
+        G_quad = mass @ model.log_map(g.sf, O, pts)
+        h_quad = mass @ hessian_trace_density(g.sf,
+                                              model.distance(g.sf, pts, O))
         G = (grid3.weights * M) @ grid3.nodes
-        assert np.allclose(G, G_quad[-4:], rtol=0, atol=1e-15)
+        assert np.allclose(G, G_quad[-4:], rtol=0, atol=1e-14)
         assert grid3.integrate(H) == pytest.approx(h_quad, rel=1e-14)
         assert grid3.integrate(P) == pytest.approx(dm.volume(g, grid3),
                                                    rel=1e-15)
@@ -372,24 +353,25 @@ class TestBarycenter:
         # BARYCENTER_TOL criterion, with no help from the closed forms
         for seed, eps in ((1, 0.003), (2, 0.05)):
             g = perturbed(K, basis3, eps, seed=seed)
-            assert gradient_criterion(g, grid3, dm.barycenter(g, grid3)) < 1
+            assert oracles.barycenter_gradient_criterion(
+                g, grid3, dm.barycenter(g, grid3)) < 1
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("K", ALL_K)
     def test_origin_derivatives_match_central_differences(self, K, n):
         # G and the full Hessian H of the Karcher energy at O against the
-        # radial quadrature: G against _mass_log_sum at exp_O(+-h e_j)
-        # averaged, column j of H against its central difference. A
-        # parallel frame along the geodesic keeps e_k (k != j) and turns
-        # e_j within the e_0, e_j plane, so the spatial components
-        # differentiate to H e_j up to O(h^2). Directions carry degree-1
-        # content; K = +1 also reaches past pi/2 (rho = 2.0, 2.8), where
-        # the tangential eigenvalue t cot t is negative
+        # embedded points: G against their mass-weighted log maps at
+        # exp_O(+-h e_j) averaged, column j of H against its central
+        # difference. A parallel frame along the geodesic keeps e_k
+        # (k != j) and turns e_j within the e_0, e_j plane, so the spatial
+        # components differentiate to H e_j up to O(h^2). Directions carry
+        # degree-1 content; K = +1 also reaches past pi/2 (rho = 2.0,
+        # 2.8), where the tangential eigenvalue t cot t is negative
         grid = sb.build_grid(n, 12)
         basis = sb.build_basis(n, 4)
         sf = SpaceForm(K=K, n=n)
         rng = np.random.default_rng(10 * n + K)
-        h = 1e-6
+        h = 1e-5
         for rho in ((1.0, 2.0, 2.8) if K == 1 else (1.0,)):
             for eps in (0.003, 0.05):
                 a = rng.standard_normal(basis.size)
@@ -397,15 +379,15 @@ class TestBarycenter:
                     basis, eps * a / np.linalg.norm(a)))
                 R = g.radii(sb.values_on_grid(g.u, grid))
                 total, G, h_tr, H = dm._origin_derivatives(sf, grid, R)
-                points = dm._bulk_mass_points(sf, grid, R, 16)
+                pts, mass = oracles.embedded_mass_points(g, grid, 16)
                 O = model.origin(sf)
                 spatial = 0 if K == 0 else 1
                 for j in range(n + 1):
                     e = np.zeros(len(O))
                     e[spatial + j] = h
-                    Gp, Gm = (dm._mass_log_sum(
-                        sf, model.exp_map(sf, O, s * e), grid.nodes,
-                        *points)[0][spatial:] for s in (1.0, -1.0))
+                    Gp, Gm = ((mass @ model.log_map(
+                        sf, model.exp_map(sf, O, s * e), pts))[spatial:]
+                        for s in (1.0, -1.0))
                     assert np.allclose(0.5 * (Gp + Gm), G, rtol=0,
                                        atol=1e-10 * total)
                     assert np.allclose(-(Gp - Gm) / (2 * h), H[:, j],
@@ -415,21 +397,23 @@ class TestBarycenter:
                 assert np.trace(H) / (n + 1) == pytest.approx(h_tr,
                                                               rel=1e-13)
                 if K == 0:
-                    # the centroid step, bit for bit the barycenter's
+                    # the centroid step: the barycenter's first, which its
+                    # later passes, on radii shot about that point, move
+                    # only by the grid's quadrature error
                     assert np.array_equal(H, total * np.eye(n + 1))
-                    assert np.array_equal(dm.origin_newton_step(sf, grid, R),
-                                          dm.barycenter(g, grid))
+                    assert np.allclose(dm.origin_newton_step(sf, grid, R),
+                                       dm.barycenter(g, grid), rtol=0,
+                                       atol=1e-8)
 
     @pytest.mark.parametrize("K", ALL_K)
     def test_recenter_needs_no_radial_quadrature(self, K, grid3, basis3,
                                                  monkeypatch):
         # for eps <= 0.05 one closed-form Newton step at O recenters: no
-        # barycenter call, no radial quadrature and one reprojection,
-        # and the materialized gradient at O of the returned graph meets
-        # the barycenter's criterion
-        calls = {"quadrature": 0, "reproject": 0}
-        mass_log_sum, bulk_points = dm._mass_log_sum, dm._bulk_mass_points
-        reproject = nz.reproject_after_isometry
+        # barycenter call and one reprojection, and the materialized
+        # gradient at O of the returned graph meets the barycenter's
+        # criterion
+        calls = {"barycenter": 0, "reproject": 0}
+        barycenter, reproject = dm.barycenter, nz.reproject_after_isometry
 
         def counting(name, fun):
             def counted(*args, **kwargs):
@@ -437,43 +421,21 @@ class TestBarycenter:
                 return fun(*args, **kwargs)
             return counted
 
-        monkeypatch.setattr(dm, "_mass_log_sum",
-                            counting("quadrature", mass_log_sum))
-        monkeypatch.setattr(dm, "_bulk_mass_points",
-                            counting("quadrature", bulk_points))
+        monkeypatch.setattr(dm, "barycenter",
+                            counting("barycenter", barycenter))
         monkeypatch.setattr(nz, "reproject_after_isometry",
                             counting("reproject", reproject))
         sf = SpaceForm(K=K, n=3)
         for eps in (0.003, 0.01, 0.05):
             for seed in range(3):
-                calls.update(quadrature=0, reproject=0)
+                calls.update(barycenter=0, reproject=0)
                 u = lab.sample_direction(basis3, seed, 0).scaled(eps)
                 new, disp, _ = nz.recenter(
                     gg.RadialGraph(sf=sf, rho=0.9, u=u), grid3)
-                assert calls == {"quadrature": 0, "reproject": 1}
+                assert calls == {"barycenter": 0, "reproject": 1}
                 assert disp < nz.BAR_TOL
-                assert gradient_criterion(new, grid3, model.origin(sf)) < 1
-
-    @pytest.mark.parametrize("rho, floored", [(math.pi / 2 - 0.02, False),
-                                              (2.5, True)])
-    def test_spherical_domain_near_the_cap(self, rho, floored, grid3,
-                                           basis3):
-        # K = +1 domains reaching past pi/2 from the barycenter: near the
-        # weighted-volume cap pi/2 the Newton step keeps its 3 passes; at
-        # rho = 2.5, h falls below mass / (n+1) and the bound on h keeps
-        # the step from overshooting
-        sf = SpaceForm(K=1, n=3)
-        g = perturbed(1, basis3, 0.05, seed=4, rho=rho)
-        R = g.radii(sb.values_on_grid(g.u, grid3))
-        assert np.max(R) > math.pi / 2
-        P, _M, H = dm._origin_moments(sf, R)
-        raw = grid3.integrate(H) / grid3.integrate(P)
-        assert (raw < 1 / (sf.n + 1)) == floored
-        want = materialized_barycenter(g, grid3)
-        got = dm.barycenter(g, grid3)
-        assert np.linalg.norm(model.model_vector(sf, got)) > 1e-3
-        assert np.allclose(got, want, rtol=0, atol=1e-13)
-        assert gradient_criterion(g, grid3, got) < 1
+                assert oracles.barycenter_gradient_criterion(
+                    new, grid3, model.origin(sf)) < 1
 
     def test_even_perturbation(self, grid3, basis3):
         a = np.zeros(basis3.size)
