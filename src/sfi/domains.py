@@ -271,16 +271,22 @@ def origin_newton_step(sf, grid, R):
     for a ball about O, and mass / (n+1) is its value with every t cot t
     at 0.
     """
+    step, met = _newton_step(sf, grid, R)
+    return np.zeros_like(step) if met else step
+
+
+def _newton_step(sf, grid, R):
+    """(step, met): origin_newton_step's step, also when G meets the
+    criterion, and whether it does."""
     total, G, h, H = _origin_derivatives(sf, grid, R)
-    if _gradient_met(G, total):
-        return np.zeros_like(G)
+    met = _gradient_met(G, total)
     if sf.K == 0:
-        return G / total
+        return G / total, met
     try:
         L = np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
-        return G / max(h, total / (sf.n + 1))
-    return np.linalg.solve(L.T, np.linalg.solve(L, G))
+        return G / max(h, total / (sf.n + 1)), met
+    return np.linalg.solve(L.T, np.linalg.solve(L, G)), met
 
 
 def _shoot_radii(graph, grid, iso, radii):
@@ -321,24 +327,24 @@ def barycenter(graph, grid, radii=None):
     the origin of the current iterate p: each pass moves p to O by
     model.translation_to_origin, finds the moved domain's radii at the
     grid nodes by secant ray shooting (_shoot_radii) and steps by
-    origin_newton_step, mapped back through the same isometry. It
-    returns p once the gradient there meets the criterion
-    2 |G| < BARYCENTER_TOL max(1, mass) (_gradient_met) and raises
-    RuntimeError after BARYCENTER_MAX_ITER passes. At K = 0 the first
-    step lands on the centroid. radii, if given, are the graph's radii
-    at the grid nodes.
+    origin_newton_step, mapped back through the same isometry. Once the
+    gradient at p meets the criterion 2 |G| < BARYCENTER_TOL max(1, mass)
+    (_gradient_met) it takes the step computed there and returns the
+    point it lands on; it raises RuntimeError after BARYCENTER_MAX_ITER
+    passes. At K = 0 the first step lands on the centroid. radii, if
+    given, are the graph's radii at the grid nodes.
     """
     sf = graph.sf
     R = _graph_radii(graph, grid) if radii is None else radii
     p = O = model.origin(sf)
     for _ in range(BARYCENTER_MAX_ITER):
-        step = origin_newton_step(sf, grid, R)
-        if not step.any():
-            return p
+        step, met = _newton_step(sf, grid, R)
         if sf.K != 0:
             step = np.concatenate([[0.0], step])
         back = model.translation_to_origin(sf, p).inverse()
         p = back(model.exp_map(sf, O, step))
+        if met:
+            return p
         R = _shoot_radii(graph, grid, model.translation_to_origin(sf, p), R)
     raise RuntimeError("barycenter iteration did not converge")
 

@@ -23,6 +23,15 @@ basis owns its monomial table and the grid the basis values Y at its
 nodes. Grid values are u.coeffs @ Y, projection is Y @ (w f), and the
 2-jet's derivative columns are synthesized from Y too
 (HarmonicBasis.dual), laid out node-minor through symfunc.
+
+Every synthesis kernel (evaluate, values_on_grid, eval_jet_all,
+SphericalFunction.polynomial_coeffs) runs through u's own degree, the
+degree of its last coefficient that is not exactly 0 (_top_degree; NaN
+and inf count as nonzero). The basis and the monomial table are graded,
+so the elements and monomials through that degree are a prefix: a
+degree-4 profile in a degree-8 basis contracts 35 of the 285 rows of Y
+and 70 of the 495 monomials. A function with degree-d_max content runs
+the same code through d_max.
 """
 
 from __future__ import annotations
@@ -40,12 +49,13 @@ from sfi.spaceform import unit_sphere_area
 SUPPORTED_DIMENSIONS = (2, 3, 4)
 MIN_RESOLUTION = 4
 # Points per block of the basis values (_synthesize) and of evaluate.
-# Blocking bounds a call's temporaries but does not keep them under
-# glibc's default mmap threshold (128 KB): at n = 3 and degree 8,
-# evaluate's power table is 4 x 9 x 512 doubles (147 KB) and each
-# half-table monomial block 45 x 512 (184 KB). Whether such a block is
-# reused from the heap or mapped and faulted in afresh on each call
-# depends on the process's dynamic mmap threshold.
+# evaluate runs through the polynomial's own degree, so its temporaries
+# depend on that degree. At n = 3 and degree 4, the power table is
+# 4 x 5 x 512 doubles (80 KB) and each half-table monomial block
+# 15 x 512 (60 KB), both under glibc's default mmap threshold (128 KB).
+# At degree 8 they are 4 x 9 x 512 (147 KB) and 45 x 512 (184 KB), above
+# it: whether such a block is reused from the heap or mapped and faulted
+# in afresh on each call depends on the process's dynamic mmap threshold.
 NODE_BLOCK = 512
 # Relative slack of the Hessian-norm pruning test (_hessian_norm): a sum
 # of at most 16 squares rounds by under 16 ulps.
@@ -88,7 +98,9 @@ class MonomialTable:
         order = keep[np.lexsort((-keep, total[keep]))]
         self.exponents = grid[order]
         self.size = len(order)
-        counts = np.bincount(total[order], minlength=max_degree + 1)
+        # total degree of each row, ascending
+        self.degrees = total[order]
+        counts = np.bincount(self.degrees, minlength=max_degree + 1)
         ends = np.cumsum(counts).tolist()
         self.degree_slices = [slice(e - c, e) for e, c in
                               zip(ends, counts.tolist())]
@@ -122,13 +134,17 @@ class MonomialTable:
             for col, m in enumerate(maps)))))
         # monomial i = x_lead^a * x_trail^b, where a and b index the
         # distinct exponent rows of the leading and trailing halves of the
-        # variables, each of total degree <= max_degree (evaluate)
+        # variables; _halves[top] holds (lead rows, trail rows, (a, b) of
+        # each monomial) for the monomials of degree <= top, a prefix of
+        # the table (evaluate)
         self._split = nvars // 2
-        halves = [np.unique(part, axis=0, return_inverse=True)
-                  for part in (self.exponents[:, :self._split],
-                               self.exponents[:, self._split:])]
-        self._halves = [rows for rows, _ in halves]
-        self._split_at = tuple(inverse.ravel() for _, inverse in halves)
+        self._halves = []
+        for mono in self.degree_slices:
+            halves = [np.unique(part, axis=0, return_inverse=True)
+                      for part in (self.exponents[:mono.stop, :self._split],
+                                   self.exponents[:mono.stop, self._split:])]
+            self._halves.append((*(rows for rows, _ in halves),
+                                 tuple(inv.ravel() for _, inv in halves)))
 
     def jet_coefficients(self, c):
         """Coefficient columns of the 2-jet of the polynomial c, shape
@@ -140,42 +156,55 @@ class MonomialTable:
         out[dst] = scale * c[src]
         return out.reshape(self.size, self._jet_columns)
 
-    def _power_blocks(self, pts):
+    def _power_blocks(self, pts, top):
         """(rows, powers) for each block of NODE_BLOCK points of the (N,
         nvars) array pts: rows slices the block out of pts, and powers
-        holds the per-variable powers x_j^p node-minor, shape
-        (nvars, degree+1, block), contiguous, the node axis last. Blocks
+        holds the per-variable powers x_j^p for p <= top node-minor, shape
+        (nvars, top+1, block), contiguous, the node axis last. Blocks
         bound the size of a caller's temporaries (see NODE_BLOCK)."""
         for start in range(0, len(pts), NODE_BLOCK):
             rows = slice(start, start + NODE_BLOCK)
             block = pts[rows].T
-            powers = np.empty((self.nvars, self.max_degree + 1,
-                               block.shape[1]))
+            powers = np.empty((self.nvars, top + 1, block.shape[1]))
             powers[:, 0] = 1.0
-            for p in range(1, self.max_degree + 1):
+            for p in range(1, top + 1):
                 powers[:, p] = powers[:, p - 1] * block
             yield rows, powers
 
     def evaluate(self, points, coeffs):
-        """Values of the polynomial with these coefficients at points.
+        """Values of the polynomial with these coefficients (one per
+        table row) at points.
 
-        Never forms the (N, size) Vandermonde matrix. The coefficients are
-        scattered into one small dense matrix over the exponent rows of the
-        leading and trailing halves of the variables (45 x 45 at n = 3,
-        degree 8); per block of points, the two halves' power tables are
-        formed along the node axis and contracted as
-        lead . (dense @ trail) node by node.
+        Runs through the polynomial's own degree top, that of its last
+        coefficient that is not exactly 0 (_top_degree): the monomials of
+        degree <= top lead the table. Never forms the (N, size)
+        Vandermonde matrix. Those coefficients are scattered into one
+        small dense matrix over the exponent rows of the leading and
+        trailing halves of the variables through top (15 x 15 at n = 3
+        and top 4, 45 x 45 at top 8); per block of points, the two
+        halves' power tables through top are formed along the node axis
+        and contracted as lead . (dense @ trail) node by node.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        lead_rows, trail_rows = self._halves
+        top = _top_degree(coeffs, self.degrees)
+        lead_rows, trail_rows, at = self._halves[top]
         dense = np.zeros((len(lead_rows), len(trail_rows)))
-        dense[self._split_at] = coeffs
+        dense[at] = coeffs[:len(at[0])]
         out = np.empty(len(pts))
-        for rows, powers in self._power_blocks(pts):
+        for rows, powers in self._power_blocks(pts, top):
             lead = _monomial_rows(powers[:self._split], lead_rows)
             trail = _monomial_rows(powers[self._split:], trail_rows)
             out[rows] = np.einsum("ij,ij->j", lead, dense @ trail)
         return out
+
+
+def _top_degree(coeffs, degrees):
+    """Degree of the last entry of coeffs that is not exactly 0, where
+    degrees (ascending) holds each entry's degree; 0 when every entry is
+    0. NaN and inf count as nonzero, so a kernel trimmed to this degree
+    never drops a non-finite coefficient."""
+    nonzero = np.flatnonzero(coeffs)
+    return int(degrees[nonzero[-1]]) if len(nonzero) else 0
 
 
 def _monomial_rows(powers, exponents):
@@ -488,8 +517,20 @@ class SphericalFunction:
     def scaled(self, c):
         return SphericalFunction(self.basis, self.coeffs * c)
 
+    @property
+    def degree(self):
+        """Degree of the last coefficient that is not exactly 0
+        (_top_degree), through which every synthesis kernel runs."""
+        return _top_degree(self.coeffs, self.basis.degrees)
+
     def polynomial_coeffs(self):
-        return self.coeffs @ self.basis.coeffs
+        """Coefficients over the basis's monomial table. Those above the
+        function's degree are 0 and are not summed."""
+        basis, top = self.basis, self.degree
+        s, t = basis.size_through(top), basis.table.degree_slices[top].stop
+        out = np.zeros(basis.table.size)
+        out[:t] = self.coeffs[:s] @ basis.coeffs[:s, :t]
+        return out
 
 
 def zero_function(basis):
@@ -506,7 +547,10 @@ def evaluate(u, points):
 
 
 def values_on_grid(u, grid):
-    return u.coeffs @ grid.basis_values(u.basis)
+    """Values of u at the grid nodes from the leading rows of Y, through
+    u's degree."""
+    s = u.basis.size_through(u.degree)
+    return u.coeffs[:s] @ grid.basis_values(u.basis)[:s]
 
 
 def eval_jet_all(u, grid):
@@ -515,17 +559,21 @@ def eval_jet_all(u, grid):
     Returns (values (N,), gradient (N, n) in frame components,
     Hessian (N, n, n) in frame components), views of node-minor arrays.
 
-    DU and D^2 U are harmonic of degree <= d_max - 1 and d_max - 2: dual
-    maps them into the basis and the leading rows of Y synthesize them.
-    The frame projection runs entry by entry on node vectors.
+    Runs through u's degree d = u.degree: the value row contracts the
+    elements of degree <= d with the leading rows of Y. DU and D^2 U are
+    harmonic of degree <= d - 1 and d - 2: dual maps them into the basis
+    and the leading rows of Y synthesize them, so each GEMM is as deep as
+    the derivative's own degree. The frame projection runs entry by entry
+    on node vectors.
     """
     basis, table = u.basis, u.basis.table
     m, N = table.nvars, grid.node_count
     Y = grid.basis_values(basis)
+    degree = u.degree
     cols = table.jet_coefficients(u.polynomial_coeffs())
     amb = np.empty((cols.shape[1] - 1, N))
-    for rows, top in ((slice(0, m), basis.d_max - 1),
-                      (slice(m, None), basis.d_max - 2)):
+    for rows, top in ((slice(0, m), degree - 1),
+                      (slice(m, None), degree - 2)):
         # the elements and monomials of degree <= top lead their tables
         s = basis.size_through(top)
         t = table.degree_slices[top].stop if top >= 0 else 0
@@ -548,7 +596,8 @@ def eval_jet_all(u, grid):
     radial = sy.contract(grid.nodes.T, amb_grad, out=np.empty(N))
     for a in range(n):
         hess[a, a] -= radial
-    return u.coeffs @ Y, grad.T, hess.transpose(2, 0, 1)
+    s = basis.size_through(degree)
+    return u.coeffs[:s] @ Y[:s], grad.T, hess.transpose(2, 0, 1)
 
 
 def project(samples, grid, basis):
@@ -569,7 +618,7 @@ def _synthesize(basis, points):
                table.exponents[mono], mono)
               for d, mono in enumerate(table.degree_slices)]
     out = np.empty((basis.size, len(points)))
-    for nodes, powers in table._power_blocks(points):
+    for nodes, powers in table._power_blocks(points, table.max_degree):
         for rows, exps, mono in blocks:
             out[rows, nodes] = (basis.coeffs[rows, mono]
                                 @ _monomial_rows(powers, exps))

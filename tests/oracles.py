@@ -358,7 +358,7 @@ def vandermonde(table, points):
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.empty((len(pts), table.size))
-    for rows, powers in table._power_blocks(pts):
+    for rows, powers in table._power_blocks(pts, table.max_degree):
         out[rows] = sb._monomial_rows(powers, table.exponents).T
     return out
 

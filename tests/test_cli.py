@@ -551,7 +551,8 @@ epsilon = 0.004, 0.008
             assert not out.exists()
 
     def test_one_case_rows_split_over_threads(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path, BASE + PERTURB_RANDOM + CASE_STAB)
+        # degrees 2, 3 run the raw profile's kernels below the basis
+        # degree 5; degrees 2, 5 run them through it
         pools = []
         run_tasks = cli._run_tasks
 
@@ -560,13 +561,16 @@ epsilon = 0.004, 0.008
             return run_tasks(tasks, runner, threads)
 
         monkeypatch.setattr(cli, "_run_tasks", spy)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for out, threads in ((a, "1"), (b, "2")):
-            assert cli.main(["sweep", "--config", path, "--threads",
-                             threads, "--out", str(out)]) == 0
-        # 2 directions x 1 amplitude of the one case, one task per row
-        assert pools == [(2, 1), (2, 2)]
-        assert a.read_bytes() == b.read_bytes()
+        for degrees in ("2,3", "2,5"):
+            path = write_config(tmp_path, BASE + CASE_STAB
+                                + PERTURB_RANDOM.replace("2,3", degrees))
+            a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+            for out, threads in ((a, "1"), (b, "2")):
+                assert cli.main(["sweep", "--config", path, "--threads",
+                                 threads, "--out", str(out)]) == 0
+            # 2 directions x 1 amplitude of the one case, one task per row
+            assert pools[-2:] == [(2, 1), (2, 2)]
+            assert a.read_bytes() == b.read_bytes()
 
     def test_sweep_writes_verify_bytes(self, tmp_path):
         body = BASE + PERTURB_RANDOM.replace("epsilon = 0.004",

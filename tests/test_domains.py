@@ -293,16 +293,27 @@ class TestBarycenter:
         b = dm.barycenter(g, grid3)
         assert np.linalg.norm(model.model_vector(g.sf, b)) < 1e-10
 
-    @pytest.mark.parametrize("K, rho", [(-1, 1.0), (1, 1.0),
-                                        (1, math.pi / 2 - 0.02), (1, 2.5)])
-    def test_agrees_with_the_materialized_iteration(self, K, rho):
+    @pytest.mark.parametrize("K, rho, sampled", [
+        *(pytest.param(K, rho, False, id=f"{K}-{rho}") for K, rho in
+          [(-1, 1.0), (1, 1.0), (1, math.pi / 2 - 0.02), (1, 2.5)]),
+        pytest.param(1, 0.8, True, id="1-0.8-sampled")])
+    def test_agrees_with_the_materialized_iteration(self, K, rho, sampled):
         # against the materialized iteration run to tol = 1e-14, which
         # stops far closer to its limit than the barycenter's own
         # criterion; K = +1 also reaches past pi/2 from the barycenter,
         # where H at O stays positive definite, so every pass is a
-        # Newton step
-        grid = sb.build_grid(3, 30)
-        g = perturbed(K, sb.build_basis(3, 5), 0.05, seed=4, rho=rho)
+        # Newton step. The sampled direction (degrees 1-4, seed 2025,
+        # eps = 0.01) meets the criterion after one step with a step of
+        # 4.4e-11 still to take: returning before it lands 3.9e-11 away.
+        if sampled:
+            grid = sb.build_grid(3, 24)
+            u = lab.sample_direction(sb.build_basis(3, 8), 2025, 0,
+                                     degrees=(1, 2, 3, 4))
+            g = gg.RadialGraph(sf=SpaceForm(K=K, n=3), rho=rho,
+                               u=u.scaled(0.01))
+        else:
+            grid = sb.build_grid(3, 30)
+            g = perturbed(K, sb.build_basis(3, 5), 0.05, seed=4, rho=rho)
         R = g.radii(sb.values_on_grid(g.u, grid))
         assert (np.max(R) > math.pi / 2) == (rho > 1.0)
         _total, _G, _h, H = dm._origin_derivatives(g.sf, grid, R)

@@ -657,6 +657,31 @@ class TestVerify:
         assert [(d, e) for d, e, _ in sw.failures] == [("d000", 0.01)]
         assert "non-finite" in sw.failures[0][2]
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_non_finite_top_coefficient_is_never_trimmed(self, n):
+        # the kernels run through u's degree, that of its last coefficient
+        # that is not exactly 0; NaN and inf count as nonzero, so a
+        # non-finite degree-d_max coefficient over degree 2-3 content
+        # reaches every value and verify raises before reporting a row
+        sf = SpaceForm(K=-1, n=n)
+        case = lab.TheoremCase("sigmak-quermass-hyperbolic", sf,
+                               WeightFunction.affine(), k=1, j=0, rho=0.9)
+        basis, grid = sb.build_basis(n, 4), sb.build_grid(n, 8)
+        for bad in (np.nan, np.inf, -np.inf):
+            coeffs = lab.sample_direction(basis, 5, 0, degrees=(2, 3)).coeffs
+            coeffs[basis.degree_block(basis.d_max)[-1]] = bad
+            u = sb.from_coeffs(basis, coeffs)
+            assert u.degree == basis.d_max
+            with np.errstate(invalid="ignore"):
+                kernels = (sb.evaluate(u, grid.nodes),
+                           sb.values_on_grid(u, grid),
+                           *sb.eval_jet_all(u, grid))
+            for vals in kernels:
+                assert not np.isfinite(vals).any()
+            g0 = gg.RadialGraph(sf=sf, rho=0.9, u=u.scaled(0.01))
+            with pytest.raises(ValueError, match="non-finite values of u"):
+                lab.verify(case, g0, grid)
+
 
 class TestNoBatchedEigensolves:
     # sigma_k comes from Newton's identities, so the only batch of

@@ -325,8 +325,15 @@ def assert_carried_state(res, grid):
                            rtol=1e-12, atol=1e-14), name
     norms = sb.sobolev_norms(res.graph.u, grid)
     assert np.allclose(res.norms, norms, rtol=1e-12, atol=1e-15)
+    # bar_displacement is recenter's last Newton step at O, or 0 when the
+    # gradient there met the criterion; the barycenter takes that step
+    # in either case
+    radii = res.graph.radii(sb.values_on_grid(res.graph.u, grid))
+    step, met = dm._newton_step(res.graph.sf, grid, radii)
+    step = np.linalg.norm(step)
+    assert res.bar_displacement == (0.0 if met else step)
     bar = dm.barycenter(res.graph, grid)
-    assert abs(res.bar_displacement - np.linalg.norm(
+    assert abs(step - np.linalg.norm(
         model.model_vector(res.graph.sf, bar))) < 1e-12
 
 

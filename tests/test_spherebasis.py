@@ -221,7 +221,7 @@ def jet_oracle(u, grid):
     one monomial Vandermonde product per jet column."""
     t = u.basis.table
     V = oracles.vandermonde(t, grid.nodes)
-    c = u.polynomial_coeffs()
+    c = u.coeffs @ u.basis.coeffs
     m = t.nvars
     amb_grad = np.column_stack([V @ (diff_matrix_oracle(t, j) @ c)
                                 for j in range(m)])
@@ -232,6 +232,25 @@ def jet_oracle(u, grid):
             - np.einsum("im,im->i", grid.nodes, amb_grad)[:, None, None]
             * np.eye(grid.n))
     return V @ c, np.einsum("iam,im->ia", E, amb_grad), hess
+
+
+def through_each_degree(basis, rng):
+    """The zero function, then for each top degree 0..d_max a random
+    function whose coefficients above that degree are 0."""
+    yield sb.zero_function(basis)
+    for top in range(basis.d_max + 1):
+        a = rng.standard_normal(basis.size)
+        a[basis.degrees > top] = 0.0
+        yield sb.from_coeffs(basis, a)
+
+
+def untrimmed(monkeypatch, kernel, *args):
+    """kernel(*args) with every synthesis kernel run through the top
+    degree of its basis or monomial table, whatever the function's own
+    degree: the bits of the kernels before they were trimmed."""
+    with monkeypatch.context() as m:
+        m.setattr(sb, "_top_degree", lambda coeffs, degrees: degrees[-1])
+        return kernel(*args)
 
 
 @pytest.fixture(scope="module")
@@ -398,7 +417,7 @@ class TestBasis:
         vals = sb.evaluate(e0, pts)
         assert np.allclose(vals, unit_sphere_area(3) ** -0.5, atol=1e-14)
 
-    def test_degree_one_spans_coordinates(self, basis3):
+    def test_degree_one_spans_coordinates(self, basis3, monkeypatch):
         rng = np.random.default_rng(0)
         pts = rng.standard_normal((10, 4))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -408,16 +427,29 @@ class TestBasis:
             e = sb.from_coeffs(basis3, np.eye(basis3.size)[idx])
             assert np.allclose(sb.evaluate(e, pts), scale * pts[:, pos],
                                atol=1e-12)
-        # general functions in every supported dimension against the
-        # monomial Vandermonde oracle
+        # general functions in every supported dimension, through each
+        # top degree and the zero function, against the monomial
+        # Vandermonde oracle; with degree-d_max content, bit for bit the
+        # untrimmed kernel
         for n in (2, 3, 4):
             basis = sb.build_basis(n, 6)
-            c = sb.from_coeffs(basis, rng.standard_normal(basis.size))
             x = rng.standard_normal((200, n + 1))
             x /= np.linalg.norm(x, axis=1, keepdims=True)
-            want = oracles.vandermonde(basis.table, x) @ c.polynomial_coeffs()
-            assert np.allclose(sb.evaluate(c, x), want, rtol=0,
-                               atol=1e-13 * np.max(np.abs(want)))
+            V = oracles.vandermonde(basis.table, x)
+            for c in through_each_degree(basis, rng):
+                full = c.coeffs @ basis.coeffs
+                want = V @ full
+                got = sb.evaluate(c, x)
+                assert np.allclose(got, want, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(want)))
+                poly = c.polynomial_coeffs()
+                assert np.allclose(poly, full, rtol=0,
+                                   atol=1e-15 * np.max(np.abs(full)))
+                assert not poly[basis.table.degrees > c.degree].any()
+                if c.degree == basis.d_max:
+                    assert np.array_equal(poly, full)
+                    assert np.array_equal(
+                        got, untrimmed(monkeypatch, sb.evaluate, c, x))
 
     def test_eigenfunction_property(self, grid3, basis3):
         rng = np.random.default_rng(1)
@@ -499,27 +531,40 @@ class TestJets:
         assert np.allclose(hess, want_hess, rtol=0, atol=1e-11 * scale)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_synthesis_matches_monomial_oracle(self, n):
+    def test_synthesis_matches_monomial_oracle(self, n, monkeypatch):
         # values, frame gradient and frame Hessian from the basis values,
-        # degree by degree, including d_max <= 1 where the Hessian
-        # columns have no basis rows
+        # through each top degree and for the zero function, including
+        # tops <= 1 where the Hessian columns have no basis rows, and
+        # degree by degree; with degree-d_max content, bit for bit the
+        # untrimmed kernels
         rng = np.random.default_rng(40 + n)
         for d_max in (0, 1, 2, 5):
             basis = sb.build_basis(n, d_max)
             grid = sb.build_grid(n, max(4, 2 * d_max))
-            for d in [*range(d_max + 1), None]:
+            single = []
+            for d in range(d_max + 1):
                 a = rng.standard_normal(basis.size)
-                if d is not None:
-                    a[basis.degrees != d] = 0.0
-                u = sb.from_coeffs(basis, a)
+                a[basis.degrees != d] = 0.0
+                single.append(sb.from_coeffs(basis, a))
+            for u in [*through_each_degree(basis, rng), *single]:
                 want = jet_oracle(u, grid)
                 scale = max(1.0, np.max(np.abs(want[0])))
-                for got, ref in zip(sb.eval_jet_all(u, grid), want):
+                jet = sb.eval_jet_all(u, grid)
+                vals = sb.values_on_grid(u, grid)
+                for got, ref in zip(jet, want):
                     assert got.shape == ref.shape
                     assert np.allclose(got, ref, rtol=0,
                                        atol=1e-12 * scale)
-                assert np.allclose(sb.values_on_grid(u, grid), want[0],
-                                   rtol=0, atol=1e-13 * scale)
+                assert np.allclose(vals, want[0], rtol=0,
+                                   atol=1e-13 * scale)
+                if u.degree == d_max:
+                    for got, ref in zip(
+                            (*jet, vals),
+                            (*untrimmed(monkeypatch, sb.eval_jet_all, u,
+                                        grid),
+                             untrimmed(monkeypatch, sb.values_on_grid, u,
+                                       grid))):
+                        assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_dual_carries_derivatives_into_the_basis(self, n):
