@@ -261,23 +261,17 @@ def _gradient_met(G, total):
 
 
 def origin_newton_step(sf, grid, R):
-    """Model vector of the Karcher energy's Newton step H^{-1} G at O
-    (_origin_derivatives) for the region with radii R at the grid nodes.
+    """(step, met): the model vector of the Karcher energy's Newton step
+    H^{-1} G at O (_origin_derivatives) for the region with radii R at
+    the grid nodes, and whether G meets barycenter's criterion
+    (_gradient_met).
 
-    Zero when G meets barycenter's criterion (_gradient_met). At K = 0
-    the step is the centroid G / mass. When H is not positive definite,
-    which can happen only at K = +1, where t cot t is negative past
-    pi/2, the step is the damped G / max(h, mass / (n+1)): h is exact
-    for a ball about O, and mass / (n+1) is its value with every t cot t
-    at 0.
+    At K = 0 the step is the centroid G / mass. When H is not positive
+    definite, which can happen only at K = +1, where t cot t is negative
+    past pi/2, the step is the damped G / max(h, mass / (n+1)): h is
+    exact for a ball about O, and mass / (n+1) is its value with every
+    t cot t at 0.
     """
-    step, met = _newton_step(sf, grid, R)
-    return np.zeros_like(step) if met else step
-
-
-def _newton_step(sf, grid, R):
-    """(step, met): origin_newton_step's step, also when G meets the
-    criterion, and whether it does."""
     total, G, h, H = _origin_derivatives(sf, grid, R)
     met = _gradient_met(G, total)
     if sf.K == 0:
@@ -338,7 +332,7 @@ def barycenter(graph, grid, radii=None):
     R = _graph_radii(graph, grid) if radii is None else radii
     p = O = model.origin(sf)
     for _ in range(BARYCENTER_MAX_ITER):
-        step, met = _newton_step(sf, grid, R)
+        step, met = origin_newton_step(sf, grid, R)
         if sf.K != 0:
             step = np.concatenate([[0.0], step])
         back = model.translation_to_origin(sf, p).inverse()

@@ -170,8 +170,8 @@ def recenter(graph, grid):
     worst_band = 0.0
     for _ in range(RECENTER_PASSES):
         radii = graph.radii(values)
-        step = dm.origin_newton_step(sf, grid, radii)
-        disp = float(np.linalg.norm(step))
+        step, met = dm.origin_newton_step(sf, grid, radii)
+        disp = 0.0 if met else float(np.linalg.norm(step))
         if disp < BAR_TOL:
             return graph, disp, worst_band
         bar = model.exp_map(sf, model.origin(sf), step if sf.K == 0

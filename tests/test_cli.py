@@ -562,6 +562,7 @@ epsilon = 0.004, 0.008
 
         monkeypatch.setattr(cli, "_run_tasks", spy)
         for degrees in ("2,3", "2,5"):
+            pools.clear()
             path = write_config(tmp_path, BASE + CASE_STAB
                                 + PERTURB_RANDOM.replace("2,3", degrees))
             a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -569,7 +570,7 @@ epsilon = 0.004, 0.008
                 assert cli.main(["sweep", "--config", path, "--threads",
                                  threads, "--out", str(out)]) == 0
             # 2 directions x 1 amplitude of the one case, one task per row
-            assert pools[-2:] == [(2, 1), (2, 2)]
+            assert pools == [(2, 1), (2, 2)]
             assert a.read_bytes() == b.read_bytes()
 
     def test_sweep_writes_verify_bytes(self, tmp_path):

@@ -412,7 +412,7 @@ class TestBarycenter:
                     # later passes, on radii shot about that point, move
                     # only by the grid's quadrature error
                     assert np.array_equal(H, total * np.eye(n + 1))
-                    assert np.allclose(dm.origin_newton_step(sf, grid, R),
+                    assert np.allclose(dm.origin_newton_step(sf, grid, R)[0],
                                        dm.barycenter(g, grid), rtol=0,
                                        atol=1e-8)
 

@@ -289,7 +289,8 @@ class TestRecenter:
         g = gg.RadialGraph(sf=sf, rho=1.0, u=u)
         R = g.radii(sb.values_on_grid(u, grid3))
         total, G, h, _H = derivatives(sf, grid3, R)
-        step = dm.origin_newton_step(sf, grid3, R)
+        step, met = dm.origin_newton_step(sf, grid3, R)
+        assert not met
         assert np.array_equal(step, G / max(h, total / (sf.n + 1)))
         assert np.linalg.norm(step) > 1e-3
         new, disp, _ = nz.recenter(g, grid3)
@@ -329,7 +330,7 @@ def assert_carried_state(res, grid):
     # gradient there met the criterion; the barycenter takes that step
     # in either case
     radii = res.graph.radii(sb.values_on_grid(res.graph.u, grid))
-    step, met = dm._newton_step(res.graph.sf, grid, radii)
+    step, met = dm.origin_newton_step(res.graph.sf, grid, radii)
     step = np.linalg.norm(step)
     assert res.bar_displacement == (0.0 if met else step)
     bar = dm.barycenter(res.graph, grid)
