@@ -8,7 +8,9 @@ Four commands share one flat INI configuration:
 * sweep: verify over random directions, with a summary line per case.
 
 Exit codes: 0 success, 1 at least one row failed its inequality,
-2 configuration error (the offending key is named), 3 numerical failure.
+2 configuration error (the offending key is named), 3 numerical failure,
+4 worker failure (a --threads worker process died or returned a
+truncated result; no report is written).
 For verify and sweep, 3 means at least one row raised: each such row is
 listed on stderr as a numerical failure with its direction id, amplitude
 and error, and the report still holds every other row.
@@ -21,12 +23,27 @@ from __future__ import annotations
 import argparse
 import configparser
 import os
+import pickle
+import signal
 import sys
+import traceback
 from dataclasses import dataclass
 
 
 class ConfigError(Exception):
     """Invalid configuration; the message names the offending key."""
+
+
+class WorkerFailure(Exception):
+    """A worker process died or returned a result that cannot be read."""
+
+
+class _WorkerTraceback(Exception):
+    """The traceback text of an exception raised in a worker process, set
+    as the cause of the exception re-raised in the parent."""
+
+    def __str__(self):
+        return "\n" + self.args[0]
 
 
 # ---------------------------------------------------------------------------
@@ -396,20 +413,141 @@ def cmd_eval(ctx, args):
     return 0
 
 
-def _run_tasks(tasks, runner, threads):
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+def _available_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(runner, tasks))
-    return [runner(t) for t in tasks]
+
+def _run_tasks(tasks, runner, threads):
+    """[runner(t) for t in tasks] on W = min(threads, len(tasks), CPUs
+    available) worker processes. One worker runs the tasks inline.
+    Otherwise the parent forks W times, worker k runs tasks k, k + W,
+    k + 2W, ... on the parent's state (copy-on-write) and pickles its
+    results into a pipe, and the parent puts them back in task order.
+
+    If tasks raise, the exception of the first of them in task order is
+    re-raised with the worker's traceback text as its cause. A worker
+    that dies or returns a truncated result raises WorkerFailure; the
+    other workers are then killed. Every worker is reaped, also when the
+    parent is interrupted. Forking copies only the calling thread, so
+    the parent must have no other Python threads when it calls this."""
+    workers = min(threads, len(tasks), _available_cpus())
+    if workers <= 1:
+        return [runner(t) for t in tasks]
+    pids, fds = [], []
+    try:
+        for k in range(workers):
+            r, w = os.pipe()
+            fds.append(r)
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                os.close(w)
+                raise WorkerFailure(f"cannot fork worker {k}: {exc}") \
+                    from None
+            if pid == 0:
+                _worker_main(w, fds, tasks, k, workers, runner)
+            os.close(w)
+            pids.append(pid)
+        results, raised = [None] * len(tasks), []
+        for k in range(workers):
+            data = _read_to_eof(fds[k])
+            status = os.waitpid(pids[k], 0)[1]
+            pids[k] = None
+            out = _worker_output(k, data, status,
+                                 len(range(k, len(tasks), workers)))
+            if out[0] is None:
+                results[k::workers] = out[1]
+            else:
+                raised.append(out)
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            if pid is not None:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                os.waitpid(pid, 0)
+    if raised:
+        i, exc, tb = min(raised, key=lambda out: out[0])
+        if exc is None:
+            raise WorkerFailure(f"task {i} raised an exception that cannot "
+                                f"be pickled:\n{tb}")
+        raise exc from _WorkerTraceback(tb)
+    return results
+
+
+def _worker_main(fd, read_fds, tasks, start, step, runner):
+    """Body of a forked worker: close the read ends read_fds, so that a
+    write to fd fails rather than blocks once the parent is gone, write
+    the pickled result of tasks start, start + step, ... to fd and leave
+    by os._exit, so that the caller's cleanup and inherited buffers never
+    run in the worker. The result is (None, results), or (index,
+    exception, traceback text) of the first task that raised; the
+    exception is None if it does not survive a pickle round trip."""
+    status = 1
+    try:
+        for r in read_fds:
+            os.close(r)
+        results = []
+        for i in range(start, len(tasks), step):
+            try:
+                results.append(runner(tasks[i]))
+            except BaseException as exc:
+                tb = traceback.format_exc()
+                try:
+                    data = pickle.dumps((i, exc, tb))
+                    pickle.loads(data)
+                except Exception:
+                    data = pickle.dumps((i, None, tb))
+                break
+        else:
+            data = pickle.dumps((None, results))
+        with open(fd, "wb") as fh:
+            fh.write(data)
+        status = 0
+    except BaseException:
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
+
+
+def _read_to_eof(fd):
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _worker_output(k, data, status, count):
+    """The unpickled result of worker k, which ran count tasks."""
+    code = os.waitstatus_to_exitcode(status)
+    if code:
+        how = (f"was killed by signal {-code}" if code < 0
+               else f"exited with status {code}")
+        raise WorkerFailure(f"worker {k} {how}")
+    try:
+        out = pickle.loads(data)
+    except Exception:
+        out = None
+    if not (isinstance(out, tuple)
+            and (len(out) == 3 or len(out) == 2 and out[0] is None
+                 and len(out[1]) == count)):
+        raise WorkerFailure(f"worker {k} returned a truncated result "
+                            f"({len(data)} bytes)")
+    return out
 
 
 def _verify_rows(ctx, args, pcfg, eps_default, summary=False):
     """Verify every (case, direction, amplitude) row of the perturbation
-    spec pcfg, one task per row on --threads threads; the zero direction
-    is one row with no amplitude. With summary, one line per case gives
-    its row and failure counts and its empirical constant on stderr.
+    spec pcfg, one task per row on up to --threads worker processes (see
+    _run_tasks); the zero direction is one row with no amplitude. With
+    summary, one line per case gives its row and failure counts and its
+    empirical constant on stderr.
     Lists the rows that raised, writes the report of the others and
     returns the exit code: 3 if any row raised, else 1 if any failed."""
     from sfi import graphgeom as gg
@@ -542,6 +680,10 @@ def main(argv=None):
     if args.threads < 1:
         print("config error: --threads must be at least 1", file=sys.stderr)
         return 2
+    if args.threads > 1 and not hasattr(os, "fork"):
+        print("config error: --threads above 1 needs os.fork, which this "
+              "platform lacks", file=sys.stderr)
+        return 2
     try:
         sections, cases = load_config(args.config)
         ctx = build_run_context(sections, cases, args)
@@ -553,6 +695,9 @@ def main(argv=None):
             ZeroDivisionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except WorkerFailure as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

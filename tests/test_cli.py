@@ -4,11 +4,17 @@ exit codes and determinism."""
 import csv
 import io
 import json
+import os
+import pickle
+import time
 
 import pytest
 
 from sfi import cli
 from sfi import lab
+
+
+AVAILABLE_CPUS = cli._available_cpus
 
 
 def write_config(tmp_path, body, name="run.ini"):
@@ -45,6 +51,30 @@ theorem = sigmak-quermass-hyperbolic
 k = 1
 j = 0
 """
+
+
+@pytest.fixture(autouse=True)
+def cpus(monkeypatch):
+    """Two CPUs available, so --threads 2 forks on any host; call with n
+    to make n available."""
+    def make_available(n):
+        monkeypatch.setattr(cli, "_available_cpus", lambda: n)
+    make_available(2)
+    return make_available
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of os.fork calls, each passed on to the real os.fork."""
+    real_fork = os.fork
+    calls = []
+
+    def counting_fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
 
 
 class TestConfigParsing:
@@ -380,13 +410,25 @@ k = 2
                   str(b)])
         assert a.read_bytes() != b.read_bytes()
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        path = write_config(tmp_path, BASE + PERTURB_RANDOM + CASE_STAB)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert cli.main(["verify", "--config", path, "--out", str(a)]) == 0
-        assert cli.main(["verify", "--config", path, "--threads", "3",
-                         "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+    def test_threads_do_not_change_output(self, tmp_path, cpus, forks):
+        cpus(8)
+        # (directions, --threads, workers forked): more workers asked for
+        # than rows, then 5 rows split 3 + 2 and 2 + 2 + 1
+        for directions, threads, workers in ((2, 3, 2), (5, 2, 2),
+                                             (5, 3, 3)):
+            path = write_config(tmp_path, BASE + CASE_STAB
+                                + PERTURB_RANDOM.replace(
+                                    "directions = 2",
+                                    f"directions = {directions}"))
+            a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+            assert cli.main(["verify", "--config", path, "--out",
+                             str(a)]) == 0
+            forks.clear()
+            assert cli.main(["verify", "--config", path, "--threads",
+                             str(threads), "--out", str(b)]) == 0
+            assert len(forks) == workers
+            assert len(a.read_text().strip().split("\n")) == directions + 1
+            assert a.read_bytes() == b.read_bytes()
 
     def test_threads_default_to_one(self, tmp_path, monkeypatch):
         # --threads is the only thread setting; the environment has none
@@ -445,7 +487,7 @@ k = 2
         assert "config error: perturbation.epsilon" in err
         assert why in err
 
-    def test_threads_identical_csv(self, tmp_path, monkeypatch):
+    def test_threads_identical_csv(self, tmp_path, monkeypatch, forks):
         body = self.EXPAND_BODY.replace("directions = 1", "directions = 3")
         path = write_config(tmp_path, body)
         pools = []
@@ -456,13 +498,19 @@ k = 2
             return run_tasks(tasks, runner, threads)
 
         monkeypatch.setattr(cli, "_run_tasks", spy)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for out, threads in ((a, "1"), (b, "2")):
+        # 3 fits: inline, split 2 + 1, and on 64 threads asked for, capped
+        # at the 2 CPUs available
+        outs = []
+        for threads, workers in (("1", 0), ("2", 2), ("64", 2)):
+            outs.append(tmp_path / f"t{threads}.csv")
+            forks.clear()
             assert cli.main(["expand", "--config", path, "--threads",
-                             threads, "--out", str(out)]) == 0
-        assert pools == [(3, 1), (3, 2)]
-        assert a.read_bytes() == b.read_bytes()
-        assert len(a.read_text().strip().split("\n")) == 4
+                             threads, "--out", str(outs[-1])]) == 0
+            assert len(forks) == workers
+        assert pools == [(3, 1), (3, 2), (3, 64)]
+        assert outs[0].read_bytes() == outs[1].read_bytes() \
+            == outs[2].read_bytes()
+        assert len(outs[0].read_text().strip().split("\n")) == 4
 
     def test_duplicate_run_identical(self, tmp_path):
         path = write_config(tmp_path, self.EXPAND_BODY)
@@ -550,7 +598,8 @@ epsilon = 0.004, 0.008
             assert f"config error: {key}" in capsys.readouterr().err
             assert not out.exists()
 
-    def test_one_case_rows_split_over_threads(self, tmp_path, monkeypatch):
+    def test_one_case_rows_split_over_threads(self, tmp_path, monkeypatch,
+                                              cpus, forks):
         # degrees 2, 3 run the raw profile's kernels below the basis
         # degree 5; degrees 2, 5 run them through it
         pools = []
@@ -561,6 +610,7 @@ epsilon = 0.004, 0.008
             return run_tasks(tasks, runner, threads)
 
         monkeypatch.setattr(cli, "_run_tasks", spy)
+        cpus(3)
         for degrees in ("2,3", "2,5"):
             pools.clear()
             path = write_config(tmp_path, BASE + CASE_STAB
@@ -572,6 +622,20 @@ epsilon = 0.004, 0.008
             # 2 directions x 1 amplitude of the one case, one task per row
             assert pools == [(2, 1), (2, 2)]
             assert a.read_bytes() == b.read_bytes()
+        # 5 directions x 1 amplitude split 3 + 2 and 2 + 2 + 1
+        path = write_config(tmp_path, BASE + CASE_STAB
+                            + PERTURB_RANDOM.replace("directions = 2",
+                                                     "directions = 5"))
+        outs = []
+        for threads, workers in (("1", 0), ("2", 2), ("3", 3)):
+            outs.append(tmp_path / f"t{threads}.csv")
+            forks.clear()
+            assert cli.main(["sweep", "--config", path, "--threads",
+                             threads, "--out", str(outs[-1])]) == 0
+            assert len(forks) == workers
+        assert len(outs[0].read_text().strip().split("\n")) == 6
+        assert outs[0].read_bytes() == outs[1].read_bytes() \
+            == outs[2].read_bytes()
 
     def test_sweep_writes_verify_bytes(self, tmp_path):
         body = BASE + PERTURB_RANDOM.replace("epsilon = 0.004",
@@ -597,6 +661,115 @@ epsilon = 0.004, 0.008
         assert [(r["direction_id"], float(r["epsilon"])) for r in rows] \
             == [(f"d{i:03d}", e) for i in range(10) for e in (0.003, 0.01)]
         assert "case:main: rows=20 failures=0" in capsys.readouterr().err
+
+
+class TestWorkerProcesses:
+    def test_available_cpus(self):
+        assert 1 <= AVAILABLE_CPUS() <= os.cpu_count()
+
+    def test_dead_worker_is_exit_four_and_no_report(
+            self, tmp_path, monkeypatch, capsys):
+        path = write_config(tmp_path, BASE + PERTURB_RANDOM + CASE_STAB)
+        real_verify = lab.verify
+
+        def dies_on_d001(case, graph, grid, **kw):
+            if kw["direction_id"] == "d001":
+                os._exit(9)
+            return real_verify(case, graph, grid, **kw)
+
+        monkeypatch.setattr(lab, "verify", dies_on_d001)
+        out = tmp_path / "v.csv"
+        for command in ("verify", "sweep"):
+            assert cli.main([command, "--config", path, "--out", str(out),
+                             "--threads", "2"]) == 4
+            err = capsys.readouterr().err
+            assert "worker failure: worker 1 exited with status 9" in err
+            assert "numerical failure" not in err
+            assert not out.exists()
+
+    def test_row_type_error_keeps_its_type(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, BASE + PERTURB_RANDOM + CASE_STAB)
+        real_verify = lab.verify
+
+        def breaks_on_d001(case, graph, grid, **kw):
+            if kw["direction_id"] == "d001":
+                raise TypeError("forced type error")
+            return real_verify(case, graph, grid, **kw)
+
+        monkeypatch.setattr(lab, "verify", breaks_on_d001)
+        for threads in ("1", "2"):
+            with pytest.raises(TypeError, match="forced type error") as info:
+                cli.main(["verify", "--config", path, "--threads", threads,
+                          "--out", str(tmp_path / "v.csv")])
+        # at --threads 2 the worker's traceback is the cause
+        cause = str(info.value.__cause__)
+        assert "in breaks_on_d001" in cause
+        assert "TypeError: forced type error" in cause
+        assert not (tmp_path / "v.csv").exists()
+
+    def test_threads_need_fork(self, tmp_path, monkeypatch, capsys):
+        path = write_config(tmp_path, BASE + PERTURB_RANDOM + CASE_STAB)
+        monkeypatch.delattr(os, "fork")
+        out = tmp_path / "v.csv"
+        assert cli.main(["verify", "--config", path, "--threads", "2",
+                         "--out", str(out)]) == 2
+        assert "config error: --threads" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli.main(["verify", "--config", path, "--threads", "1",
+                         "--out", str(out)]) == 0
+
+    def test_first_raising_task_in_task_order(self):
+        # over 2 workers, task 2 is worker 0's second task and task 3 its
+        # third; task 1, which worker 1 runs, is the first to raise
+        def runner(t):
+            if t >= 1:
+                raise ValueError(f"task {t}")
+            return t
+
+        with pytest.raises(ValueError, match="task 1"):
+            cli._run_tasks(list(range(5)), runner, 2)
+
+    def test_rows_come_back_in_task_order(self, cpus, forks):
+        cpus(3)
+        tasks = list(range(7))
+        assert cli._run_tasks(tasks, lambda t: (t, os.getpid()), 3) \
+            != [(t, os.getpid()) for t in tasks]
+        assert [t for t, _ in cli._run_tasks(tasks, lambda t: (t, 0), 3)] \
+            == tasks
+        assert len(forks) == 6
+
+    def test_dead_worker_stops_the_others(self):
+        def runner(t):
+            if t == 0:
+                os._exit(9)
+            time.sleep(60)
+
+        t0 = time.perf_counter()
+        with pytest.raises(cli.WorkerFailure, match="worker 0 exited"):
+            cli._run_tasks([0, 1], runner, 2)
+        assert time.perf_counter() - t0 < 30
+
+    def test_interrupted_parent_reaps_workers(self, monkeypatch):
+        def interrupted(fd):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_read_to_eof", interrupted)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            cli._run_tasks([0, 1], lambda t: time.sleep(60), 2)
+        assert time.perf_counter() - t0 < 30
+
+    def test_unpicklable_result_is_worker_failure(self):
+        with pytest.raises(cli.WorkerFailure, match="exited with status 1"):
+            cli._run_tasks([0, 1], lambda t: lambda: t, 2)
+
+    def test_truncated_result_is_worker_failure(self):
+        data = pickle.dumps((None, [1.0, 2.0]))
+        assert cli._worker_output(0, data, 0, 2) == (None, [1.0, 2.0])
+        with pytest.raises(cli.WorkerFailure, match="truncated result"):
+            cli._worker_output(0, data[:-3], 0, 2)
+        with pytest.raises(cli.WorkerFailure, match="truncated result"):
+            cli._worker_output(0, data, 0, 3)
 
 
 class TestNumericalFailureExit:
