@@ -432,7 +432,9 @@ def _run_tasks(tasks, runner, threads):
     that dies or returns a truncated result raises WorkerFailure; the
     other workers are then killed. Every worker is reaped, also when the
     parent is interrupted. Forking copies only the calling thread, so
-    the parent must have no other Python threads when it calls this."""
+    the parent must have no other Python threads when it calls this.
+    BLAS threads have not been seen to break a worker: the tests run
+    with them unpinned."""
     workers = min(threads, len(tasks), _available_cpus())
     if workers <= 1:
         return [runner(t) for t in tasks]

@@ -732,11 +732,13 @@ class TestWorkerProcesses:
     def test_rows_come_back_in_task_order(self, cpus, forks):
         cpus(3)
         tasks = list(range(7))
-        assert cli._run_tasks(tasks, lambda t: (t, os.getpid()), 3) \
-            != [(t, os.getpid()) for t in tasks]
-        assert [t for t, _ in cli._run_tasks(tasks, lambda t: (t, 0), 3)] \
-            == tasks
-        assert len(forks) == 6
+        rows = cli._run_tasks(tasks, lambda t: (t, os.getpid()), 3)
+        assert [t for t, _ in rows] == tasks
+        pids = [pid for _, pid in rows]
+        assert len(forks) == len(set(pids)) == 3
+        assert os.getpid() not in pids
+        # worker 0 ran tasks 0, 3 and 6
+        assert pids[::3] == [pids[0]] * 3
 
     def test_dead_worker_stops_the_others(self):
         def runner(t):
