@@ -1,8 +1,6 @@
 """Curvature integrals and weighted geometric inequalities in space forms."""
 
 from sfi.domains import (
-    DomainFunctionals,
-    domain_functionals,
     fraenkel_asymmetry,
     quermassintegrals,
     radius_for_volume,
@@ -61,7 +59,6 @@ from sfi.spherebasis import (
 __all__ = [
     "Constraint",
     "DeficitReport",
-    "DomainFunctionals",
     "ExpansionBlocks",
     "ExpansionReport",
     "HarmonicBasis",
@@ -81,7 +78,6 @@ __all__ = [
     "check_weight",
     "default_resolution",
     "default_weight_set",
-    "domain_functionals",
     "equality_function",
     "expansion_oracle",
     "fraenkel_asymmetry",

@@ -144,6 +144,11 @@ def build_weight(wcfg):
     if kind not in WEIGHT_KINDS:
         raise ConfigError(f"weight.kind: unknown kind {kind!r}; expected "
                           f"one of {WEIGHT_KINDS}")
+    if "value" in wcfg and kind != "constant":
+        raise ConfigError(f"weight.value: only constant weights take a "
+                          f"value, not {kind}")
+    if "alpha" in wcfg and kind in ("constant", "affine"):
+        raise ConfigError(f"weight.alpha: {kind} weights take no alpha")
     alpha = wcfg.get("alpha", 2.0 if kind == "shifted_power" else 1.0)
     if kind in ("power", "shifted_power") and not alpha >= 1:
         raise ConfigError(f"weight.alpha: {kind} weights need alpha >= 1, "
@@ -366,6 +371,7 @@ def cmd_eval(ctx, args):
     from sfi import graphgeom as gg
     from sfi import lab
     from sfi import model
+    from sfi import spherebasis as sb
 
     sf, w, rho, grid = ctx.sf, ctx.w, ctx.rho, ctx.grid
     pcfg = ctx.perturbation
@@ -374,40 +380,43 @@ def cmd_eval(ctx, args):
     graph = gg.RadialGraph(sf=sf, rho=rho, u=directions[0][1].scaled(eps))
 
     geo = gg.surface_geometry(graph, grid)
-    fun = dm.domain_functionals(graph, grid, geo)
+    W = dm.quermassintegrals(geo)
+    fine = sb.build_grid(grid.n, grid.d_exact + 6)
+    geo_fine = gg.surface_geometry(graph, fine)
+    vol_err = abs(dm.volume(geo_fine) - W[-1])
+    area_err = abs(fine.integrate(geo_fine.area_factor) - W[0])
     convex = geo.convex_flags()
 
     pairs = [("K", sf.K), ("n", sf.n), ("rho", rho),
              ("weight", w.label), ("direction", directions[0][0]),
              ("epsilon", eps), ("nodes", grid.node_count),
-             ("volume", fun.vol), ("weighted_volume", fun.weighted_vol),
-             ("area", fun.quermass[0])]
-    for k in sorted(fun.quermass):
-        pairs.append((f"W_{k}", fun.quermass[k]))
+             ("volume", W[-1]), ("weighted_volume", dm.weighted_volume(geo)),
+             ("area", W[0])]
+    for k in sorted(W):
+        pairs.append((f"W_{k}", W[k]))
     for k in range(sf.n + 1):
         pairs.append((f"sigma_int_{k}",
                       grid.integrate(geo.sigma[:, k] * geo.area_factor)))
     for k in range(sf.n + 1):
         pairs.append((f"weighted_sigma_int_{k}",
-                      gg.weighted_curvature_integral(graph, grid, w, k,
-                                                     geo=geo)))
+                      gg.weighted_curvature_integral(geo, w, k)))
     pairs += [("min_radius", float(np.min(geo.r))),
               ("max_radius", float(np.max(geo.r))),
               ("mean_convex", bool(np.all(geo.H > 0))),
               ("convex_fraction", float(np.mean(convex))),
               ("barycenter_displacement",
                float(np.linalg.norm(model.model_vector(
-                   sf, fun.barycenter_point)))),
-              ("vol_err", fun.vol_err), ("area_err", fun.area_err),
+                   sf, dm.barycenter(geo))))),
+              ("vol_err", vol_err), ("area_err", area_err),
               ("quad_tol", EVAL_QUAD_TOL)]
 
     emit(lab.table_text(dict(pairs), ctx.format), ctx.out)
     if args.dump_nodes:
         emit(lab.table_text(gg.node_dump_rows(geo), "csv"),
              resolve_out_path(args.dump_nodes))
-    if max(fun.vol_err, fun.area_err) > EVAL_QUAD_TOL:
+    if max(vol_err, area_err) > EVAL_QUAD_TOL:
         print(f"numerical failure: quadrature error "
-              f"{max(fun.vol_err, fun.area_err):.3e} exceeds tolerance "
+              f"{max(vol_err, area_err):.3e} exceeds tolerance "
               f"{EVAL_QUAD_TOL:g}", file=sys.stderr)
         return 3
     return 0

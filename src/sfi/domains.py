@@ -8,17 +8,19 @@ barycenter is the Karcher mean of the enclosed mass, found by Newton
 steps whose gradient and Hessian are such quadratures at the origin of
 each iterate; Fraenkel asymmetry minimizes the symmetric-difference
 volume against equal-volume geodesic balls over the center.
+
+Each functional of a graph takes its geometry on a grid
+(graphgeom.SurfaceGeometry) and reads the graph, grid and radii r from
+it, so every caller that holds the same geometry gets the same bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
 
-from sfi import graphgeom as gg
 from sfi import model
 from sfi import spherebasis as sb
 
@@ -51,32 +53,24 @@ RADIUS_RTOL = 8.9e-16
 RADIUS_MAX_ITER = 100
 
 
-def _graph_radii(graph, grid):
-    return graph.radii(sb.values_on_grid(graph.u, grid))
-
-
-def volume(graph, grid, geo=None):
+def volume(geo):
     """Vol(Omega) via the closed-form radial primitive."""
-    r = geo.r if geo is not None else _graph_radii(graph, grid)
-    return grid.integrate(graph.sf.volume_primitive(r))
+    return geo.grid.integrate(geo.graph.sf.volume_primitive(geo.r))
 
 
-def weighted_volume(graph, grid, geo=None):
+def weighted_volume(geo):
     """int_Omega phi'(r) dv = (n+1)^{-1} int phi^{n+1}(r(x)) dA."""
-    sf = graph.sf
-    r = geo.r if geo is not None else _graph_radii(graph, grid)
-    return grid.integrate(sf.phi(r) ** (sf.n + 1)) / (sf.n + 1)
+    sf = geo.graph.sf
+    return geo.grid.integrate(sf.phi(geo.r) ** (sf.n + 1)) / (sf.n + 1)
 
 
-def quermassintegrals(graph, grid, geo=None):
+def quermassintegrals(geo):
     """All quermassintegrals W_{-1}..W_n as a dict keyed by the index."""
-    if geo is None:
-        geo = gg.surface_geometry(graph, grid)
+    grid = geo.grid
     n = grid.n
     sig_ints = [grid.integrate(geo.sigma[:, k] * geo.area_factor)
                 for k in range(n + 1)]
-    return _quermass_recurrence(graph.sf.K, n, volume(graph, grid, geo=geo),
-                                sig_ints)
+    return _quermass_recurrence(geo.graph.sf.K, n, volume(geo), sig_ints)
 
 
 def _quermass_recurrence(K, n, vol, sig_ints):
@@ -314,7 +308,7 @@ def _shoot_radii(graph, grid, iso, radii):
     return r1
 
 
-def barycenter(graph, grid, radii=None):
+def barycenter(geo):
     """Karcher mean of the enclosed domain in ambient coordinates.
 
     Minimizes p -> int_Omega d(y, p)^2 / 2 dv by Newton steps taken at
@@ -325,11 +319,11 @@ def barycenter(graph, grid, radii=None):
     gradient at p meets the criterion 2 |G| < BARYCENTER_TOL max(1, mass)
     (_gradient_met) it takes the step computed there and returns the
     point it lands on; it raises RuntimeError after BARYCENTER_MAX_ITER
-    passes. At K = 0 the first step lands on the centroid. radii, if
-    given, are the graph's radii at the grid nodes.
+    passes. At K = 0 the first step lands on the centroid. The first
+    pass reads the radii geo.r of the graph's geometry.
     """
+    graph, grid, R = geo.graph, geo.grid, geo.r
     sf = graph.sf
-    R = _graph_radii(graph, grid) if radii is None else radii
     p = O = model.origin(sf)
     for _ in range(BARYCENTER_MAX_ITER):
         step, met = origin_newton_step(sf, grid, R)
@@ -430,18 +424,16 @@ def _ball_primitive_gradient(sf, q, a, b, ph, dph, x):
     return num * (ph ** sf.n / (b * dph - a * ph))
 
 
-def symmetric_difference_to_ball(graph, grid, center_vec, rho_bar,
-                                 primitive=None):
+def symmetric_difference_to_ball(geo, center_vec, rho_bar):
     """Vol(Omega symmetric-difference ball(center, rho_bar)).
 
     center_vec is a model vector at the origin; the ball boundary is
     re-expressed as a radial graph about the origin, so the volume between
-    the two profiles is an angular quadrature of |P_n(R) - P_n(R_ball)|.
-    primitive, if given, is P_n(R) of the graph at the grid nodes, which
-    does not depend on the ball. Returns +inf wherever the asymmetry
-    search sees +inf: when the center is not closer than CENTER_LIMIT
-    rho_bar to the origin, or the ball profile is not finite or, at
-    K = +1, reaches past the antipode (sin R <= 0 at some node).
+    the two profiles is an angular quadrature of |P_n(R) - P_n(R_ball)|,
+    with R = geo.r at the nodes of geo.grid. Returns +inf wherever the
+    asymmetry search sees +inf: when the center is not closer than
+    CENTER_LIMIT rho_bar to the origin, or the ball profile is not finite
+    or, at K = +1, reaches past the antipode (sin R <= 0 at some node).
 
     For K = +-1 the ball profile solves a phi'(R) + K b phi(R) = C with
     a = phi'(t), b = x . q, q = (phi(t)/t) c, t = |c| and
@@ -458,9 +450,9 @@ def symmetric_difference_to_ball(graph, grid, center_vec, rho_bar,
     atan2(sin R, cos R). For K = 0, |R x - c| = rho_bar gives
     R = b + sqrt(b^2 - |c|^2 + rho_bar^2).
     """
-    if primitive is None:
-        primitive = graph.sf.volume_primitive(_graph_radii(graph, grid))
-    return _alpha_at(graph.sf, grid, primitive, rho_bar, center_vec)[0]
+    sf = geo.graph.sf
+    return _alpha_at(sf, geo.grid, sf.volume_primitive(geo.r), rho_bar,
+                     center_vec)[0]
 
 
 def _lower_quantile(size):
@@ -540,12 +532,13 @@ def _center_search(sf, grid, primitive, rho_bar, center):
     return alpha, center
 
 
-def fraenkel_asymmetry(graph, grid, seed_center=None, geo=None):
-    """(alpha, center): minimal symmetric-difference volume to a ball.
+def fraenkel_asymmetry(geo, seed_center):
+    """(alpha, center): minimal symmetric-difference volume to a ball,
+    for the domain whose boundary has the geometry geo.
 
     The comparison ball has the same volume as Omega (radius rho_bar).
-    Its center ranges over model vectors c and is searched from
-    seed_center (default: the barycenter) in q = (phi(t)/t) c, t = |c|.
+    Its center ranges over model vectors c and is searched from the
+    model vector seed_center in q = (phi(t)/t) c, t = |c|.
     With r_i = P_n(R_i) - P_n(R_ball,i)(q) at the nodes,
     alpha = sum_i w_i |r_i| has the gradient -sum_i w_i sign(r_i) dB_i,
     where dB_i = dP_n(R_ball,i)/dq is in closed form
@@ -570,40 +563,10 @@ def fraenkel_asymmetry(graph, grid, seed_center=None, geo=None):
     computed exactly as symmetric_difference_to_ball computes it at the
     returned center, a real center, so it is never below the minimum over
     centers. An early stop can only raise a (C - eta) alpha^2 bound,
-    never turn a fail into a pass. geo, if given, is the graph's geometry
-    on grid and supplies its radii.
+    never turn a fail into a pass.
     """
-    sf = graph.sf
-    r = geo.r if geo is not None else _graph_radii(graph, grid)
-    primitive = sf.volume_primitive(r)
+    sf, grid = geo.graph.sf, geo.grid
+    primitive = sf.volume_primitive(geo.r)
     rho_bar = radius_for_volume(sf, grid.integrate(primitive))
-    if seed_center is None:
-        seed_center = model.model_vector(sf, barycenter(graph, grid))
     return _center_search(sf, grid, primitive, rho_bar,
                           np.asarray(seed_center, dtype=float))
-
-
-@dataclass(frozen=True)
-class DomainFunctionals:
-    """Bundle of bulk functionals with coarse quadrature-error estimates."""
-
-    vol: float
-    weighted_vol: float
-    quermass: dict
-    barycenter_point: np.ndarray = field(repr=False)
-    vol_err: float = 0.0
-    area_err: float = 0.0
-
-
-def domain_functionals(graph, grid, geo):
-    """Evaluate all domain functionals from geo, the graph's geometry on
-    grid; the error fields compare against a finer grid."""
-    W = quermassintegrals(graph, grid, geo=geo)
-    fine = sb.build_grid(grid.n, grid.d_exact + 6)
-    geo_f = gg.surface_geometry(graph, fine)
-    vol_err = abs(volume(graph, fine, geo=geo_f) - W[-1])
-    area_err = abs(fine.integrate(geo_f.area_factor) - W[0])
-    return DomainFunctionals(
-        vol=W[-1], weighted_vol=weighted_volume(graph, grid, geo=geo),
-        quermass=W, barycenter_point=barycenter(graph, grid, geo.r),
-        vol_err=vol_err, area_err=area_err)

@@ -98,7 +98,9 @@ class Jet(NamedTuple):
 
 @dataclass(frozen=True)
 class SurfaceGeometry:
-    """Batched per-node geometry of a radial graph on a grid.
+    """Batched per-node geometry of a radial graph on a grid: the one
+    input of every functional of the graph (weighted_curvature_integral,
+    the domains functionals, Constraint.of_geometry).
 
     surface_geometry computes eagerly what the integrals read: the 2-jet
     of u (u_vals, du, d2u), r, phi, dphi, Phi, D, area_factor, sigma and
@@ -268,22 +270,20 @@ def scaled_curvature_integrals(graph, grid, w, k, amplitudes, jet):
     return [grid.integrate(row) for row in out]
 
 
-def weighted_curvature_integral(graph, grid, w, k, positive_part=False,
-                                geo=None):
-    """Integral of g(Phi) sigma_k(kappa) over M, optionally with H^+.
+def weighted_curvature_integral(geo, w, k, positive_part=False):
+    """Integral of g(Phi) sigma_k(kappa) over M, optionally with H^+,
+    on the grid of M's geometry geo.
 
     positive_part replaces sigma_1 = H by max(H, 0); it is only meaningful
     at k = 1.
     """
-    n = grid.n
+    n = geo.grid.n
     if not 0 <= k <= n:
         raise ValueError(f"sigma order k={k} outside [0, {n}]")
     if positive_part and k != 1:
         raise ValueError("positive_part applies only to k = 1")
-    if geo is None:
-        geo = surface_geometry(graph, grid)
     core = geo.H_plus if positive_part else geo.sigma[:, k]
-    return grid.integrate(w(geo.Phi) * core * geo.area_factor)
+    return geo.grid.integrate(w(geo.Phi) * core * geo.area_factor)
 
 
 def sphere_curvature_integral(sf, rho, w, k):

@@ -504,20 +504,19 @@ def verify(case, graph_raw, grid, *, direction_id="", epsilon=None):
                                 f"[{s_lo:.3e}, {s_hi:.3e}]")
 
     positive_part = fam.target == "H"
-    lhs = gg.weighted_curvature_integral(graph, grid, w, k,
-                                         positive_part=positive_part,
-                                         geo=geo)
+    lhs = gg.weighted_curvature_integral(geo, w, k,
+                                         positive_part=positive_part)
     coarse = sb.build_grid(grid.n, max(8, grid.d_exact // 2))
     lhs_coarse = gg.weighted_curvature_integral(
-        graph, coarse, w, k, positive_part=positive_part)
+        gg.surface_geometry(graph, coarse), w, k,
+        positive_part=positive_part)
     err_quad = abs(lhs - lhs_coarse)
 
     # The barycenter is not the optimal ball center, but the optimum lies
     # close to the origin, so the center search is seeded there. Its alpha
     # is never below the true minimum, so an early stop can only raise
     # the bound.
-    alpha, _center = dm.fraenkel_asymmetry(
-        graph, grid, geo=geo, seed_center=np.zeros(sf.n + 1))
+    alpha, _center = dm.fraenkel_asymmetry(geo, np.zeros(sf.n + 1))
 
     if fam.kind == "validity":
         rhs = equality_function(sf, w, k, constraint,

@@ -17,8 +17,9 @@ surface. normalize is therefore a single pass.
 Because matching only re-labels the surface, normalize computes the
 fine-grid 2-jet and geometry once, after recentering, and carries them
 across matching (SurfaceGeometry.relabeled rescales the jet); the
-barycenter displacement it reports is the one recentering measured on
-that same surface.
+constraint value is read from that geometry (Constraint.of_geometry),
+the norms from its jet, and the barycenter displacement it reports is
+the one recentering measured on that same surface.
 """
 
 from __future__ import annotations
@@ -57,12 +58,13 @@ class Constraint:
             return "weighted_volume"
         return "volume" if self.j == -1 else f"W{self.j}"
 
-    def of_graph(self, graph, grid, geo=None):
+    def of_geometry(self, geo):
+        """The constraint functional of the graph with geometry geo."""
         if self.kind == "weighted_volume":
-            return dm.weighted_volume(graph, grid, geo=geo)
+            return dm.weighted_volume(geo)
         if self.j == -1:
-            return dm.volume(graph, grid, geo=geo)
-        return dm.quermassintegrals(graph, grid, geo=geo)[self.j]
+            return dm.volume(geo)
+        return dm.quermassintegrals(geo)[self.j]
 
     def of_ball(self, sf, rho):
         if self.kind == "weighted_volume":
@@ -109,16 +111,14 @@ def parse_constraint(text):
     raise ValueError(f"unrecognized constraint {text!r}")
 
 
-def match_radius(graph, grid, constraint, value=None):
+def match_radius(graph, constraint, value):
     """Re-label the surface as rho*(1+u*) with the constraint matched.
 
     Returns (rho_star, new_graph). The underlying surface is unchanged:
-    rho*(1+u*) = rho(1+u) pointwise, only the splitting moves. value, if
-    given, is the precomputed constraint value of the graph.
+    rho*(1+u*) = rho(1+u) pointwise, only the splitting moves. value is
+    the constraint value of the graph (Constraint.of_geometry).
     """
     sf = graph.sf
-    if value is None:
-        value = constraint.of_graph(graph, grid)
     rho_star = constraint.ball_radius(sf, value, start=graph.rho)
     ratio = graph.rho / rho_star
     coeffs = graph.u.coeffs * ratio
@@ -225,8 +225,8 @@ def normalize(graph, grid, constraint):
     """
     graph, bar_after, band = recenter(graph, grid)
     geo = gg.surface_geometry(graph, grid)
-    value = constraint.of_graph(graph, grid, geo=geo)
-    rho_star, graph = match_radius(graph, grid, constraint, value=value)
+    value = constraint.of_geometry(geo)
+    rho_star, graph = match_radius(graph, constraint, value)
     geo = geo.relabeled(graph)
     target = constraint.of_ball(graph.sf, rho_star)
     resid = abs(value - target) / max(abs(target), 1e-300)
@@ -236,6 +236,5 @@ def normalize(graph, grid, constraint):
         graph=graph, constraint=constraint, constraint_value=value,
         constraint_residual=resid, bar_displacement=bar_after,
         out_of_band=band,
-        norms=sb.sobolev_norms(graph.u, grid,
-                               jet=(geo.u_vals, geo.du, geo.d2u)),
+        norms=sb.sobolev_norms(grid, (geo.u_vals, geo.du, geo.d2u)),
         geometry=geo)

@@ -648,15 +648,15 @@ def _hessian_norm(hess):
     return float(np.max(np.abs(np.linalg.eigvalsh(hess[keep]))))
 
 
-def sobolev_norms(u, grid, jet=None):
-    """L^2, gradient L^2, C^1 and W^{2,inf} norms of u on a grid.
+def sobolev_norms(grid, jet):
+    """L^2, gradient L^2, C^1 and W^{2,inf} norms of u on a grid, from
+    its 2-jet (values, gradient, Hessian) = eval_jet_all(u, grid).
 
     Sup norms are maxima over grid nodes; the Hessian enters through its
     operator norm in the frame, solved only at the nodes that can attain
-    the maximum (_hessian_norm). jet, if given, is the precomputed
-    eval_jet_all(u, grid). A non-finite jet raises ValueError.
+    the maximum (_hessian_norm). A non-finite jet raises ValueError.
     """
-    vals, grad, hess = eval_jet_all(u, grid) if jet is None else jet
+    vals, grad, hess = jet
     if not all(np.isfinite(a).all() for a in (vals, grad, hess)):
         raise ValueError("non-finite 2-jet")
     l2 = np.sqrt(max(grid.integrate(vals**2), 0.0))

@@ -190,11 +190,11 @@ def scaled_curvature_integrals(graph, grid, w, k, amplitudes, jet):
     for e in amplitudes:
         g = gg.RadialGraph(sf=graph.sf, rho=graph.rho, u=graph.u.scaled(e))
         geo = geometry_from_jet(g, grid, scaled_jet(jet, e))
-        out.append(gg.weighted_curvature_integral(g, grid, w, k, geo=geo))
+        out.append(gg.weighted_curvature_integral(geo, w, k))
     return out
 
 
-def mean_curvature_two_ways(graph, grid, geo=None):
+def mean_curvature_two_ways(graph, grid):
     """Max discrepancy between the curvature-tensor H and the divergence form.
 
     The first route is sigma_1, the trace of the symmetrized Weingarten
@@ -203,8 +203,7 @@ def mean_curvature_two_ways(graph, grid, geo=None):
     through the jet of u (the gradient of D needs only second
     derivatives), and never builds the curvature tensors.
     """
-    if geo is None:
-        geo = gg.surface_geometry(graph, grid)
+    geo = gg.surface_geometry(graph, grid)
     rho, n = graph.rho, grid.n
     ph, dph, D = geo.phi, geo.dphi, geo.D
     lap_u = np.trace(geo.d2u, axis1=1, axis2=2)
@@ -227,7 +226,7 @@ def bulk_integral_bruteforce(graph, grid, integrand, radial_points=32):
     phi^n(r) dr dA.
     """
     sf = graph.sf
-    R = dm._graph_radii(graph, grid)
+    R = graph.radii(sb.values_on_grid(graph.u, grid))
     t, wt = np.polynomial.legendre.leggauss(radial_points)
     r = R[:, None] * (0.5 * (t + 1.0))
     vals = integrand(r) * sf.phi(r) ** sf.n

@@ -177,6 +177,14 @@ class TestEvalCommand:
                 want, rel=1e-10), k
         assert got["mean_convex"] == "true"
         assert float(got["vol_err"]) < 1e-8
+        # the finer-grid error fields, on the ball and on a perturbed
+        # surface
+        path = write_config(tmp_path, BASE + PERTURB_RANDOM)
+        assert cli.main(["eval", "--config", path]) == 0
+        perturbed = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        for row in (got, perturbed):
+            assert float(row["vol_err"]) < 1e-9 * float(row["volume"])
+            assert float(row["area_err"]) < 1e-9 * float(row["area"])
 
     def test_node_dump(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE)
@@ -282,8 +290,11 @@ class TestSpaceAndWeightSettings:
         ({"n = 3": "n = 5"}, "space.n"),
         ({"rho = 0.9": "rho = 0"}, "space.rho"),
         ({"K = -1": "K = 1", "rho = 0.9": "rho = 3.5"}, "space.rho"),
+        ({"kind = affine": "kind = power\nvalue = 2"}, "weight.value"),
+        ({"kind = affine": "kind = affine\nalpha = 3"}, "weight.alpha"),
     ], ids=["power-alpha", "shifted-power-alpha", "curvature-2",
-            "dimension-5", "rho-0", "rho-past-antipode"])
+            "dimension-5", "rho-0", "rho-past-antipode", "power-value",
+            "affine-alpha"])
     def test_rejected_value_names_the_key(self, tmp_path, capsys, edits,
                                           key):
         body = BASE

@@ -80,7 +80,7 @@ class TestGeodesicSphere:
         assert np.allclose(geo.area_factor, sf.phi(rho) ** n, rtol=1e-10)
         w = WeightFunction.affine()
         for k in range(n + 1):
-            got = gg.weighted_curvature_integral(g, grid, w, k, geo=geo)
+            got = gg.weighted_curvature_integral(geo, w, k)
             want = gg.sphere_curvature_integral(sf, rho, w, k)
             assert got == pytest.approx(want, rel=1e-10)
 
@@ -94,7 +94,7 @@ class TestGeodesicSphere:
     def test_area_example(self, grid3, basis3):
         sf = SpaceForm(K=-1, n=3)
         g = gg.RadialGraph(sf=sf, rho=1.3, u=sb.zero_function(basis3))
-        got = gg.weighted_curvature_integral(g, grid3,
+        got = gg.weighted_curvature_integral(gg.surface_geometry(g, grid3),
                                              WeightFunction.constant(1.0), 0)
         assert got == pytest.approx(sf.sphere_area * sf.phi(1.3) ** 3,
                                     rel=1e-12)
@@ -171,8 +171,8 @@ class TestPerturbedGeometry:
             got = gg.scaled_curvature_integrals(
                 gg.RadialGraph(sf=sf, rho=0.9, u=u0), grid3, w, k, amps,
                 jet0)
-            want = [gg.weighted_curvature_integral(
-                gg.RadialGraph(sf=sf, rho=0.9, u=u0.scaled(eps)), grid3, w,
+            want = [gg.weighted_curvature_integral(gg.surface_geometry(
+                gg.RadialGraph(sf=sf, rho=0.9, u=u0.scaled(eps)), grid3), w,
                 k) for eps in amps]
             assert got == pytest.approx(want, rel=1e-13, abs=1e-15), k
         for eps in amps:
@@ -318,31 +318,36 @@ class TestMeanCurvatureTwoWays:
 
 class TestWeightedIntegral:
     def test_bad_k(self, grid3, basis3):
-        g = perturbed_graph(0, grid3, basis3, 0.01)
+        geo = gg.surface_geometry(perturbed_graph(0, grid3, basis3, 0.01),
+                                  grid3)
         w = WeightFunction.constant(1.0)
         with pytest.raises(ValueError):
-            gg.weighted_curvature_integral(g, grid3, w, 4)
+            gg.weighted_curvature_integral(geo, w, 4)
         with pytest.raises(ValueError):
-            gg.weighted_curvature_integral(g, grid3, w, -1)
+            gg.weighted_curvature_integral(geo, w, -1)
 
     def test_positive_part_only_k1(self, grid3, basis3):
-        g = perturbed_graph(0, grid3, basis3, 0.01)
+        geo = gg.surface_geometry(perturbed_graph(0, grid3, basis3, 0.01),
+                                  grid3)
         w = WeightFunction.constant(1.0)
         with pytest.raises(ValueError):
-            gg.weighted_curvature_integral(g, grid3, w, 2, positive_part=True)
+            gg.weighted_curvature_integral(geo, w, 2, positive_part=True)
 
     def test_positive_part_matches_H_for_convex(self, grid3, basis3):
-        g = perturbed_graph(-1, grid3, basis3, 0.02, seed=8)
+        geo = gg.surface_geometry(
+            perturbed_graph(-1, grid3, basis3, 0.02, seed=8), grid3)
         w = WeightFunction.affine()
-        a = gg.weighted_curvature_integral(g, grid3, w, 1)
-        b = gg.weighted_curvature_integral(g, grid3, w, 1, positive_part=True)
+        a = gg.weighted_curvature_integral(geo, w, 1)
+        b = gg.weighted_curvature_integral(geo, w, 1, positive_part=True)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_grid_refinement(self, basis3):
         g = perturbed_graph(-1, sb.build_grid(3, 20), basis3, 0.02, seed=9)
         w = WeightFunction.shifted_power(2.0)
-        coarse = gg.weighted_curvature_integral(g, sb.build_grid(3, 24), w, 2)
-        fine = gg.weighted_curvature_integral(g, sb.build_grid(3, 48), w, 2)
+        coarse, fine = (
+            gg.weighted_curvature_integral(
+                gg.surface_geometry(g, sb.build_grid(3, res)), w, 2)
+            for res in (24, 48))
         assert abs(coarse - fine) < 1e-8 * max(1.0, abs(fine))
 
 

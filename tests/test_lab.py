@@ -331,9 +331,9 @@ class TestEqualityFunction:
             lab.equality_function(sf, WeightFunction.affine(), 1, con, -1.0)
         graph = gg.RadialGraph(sf=sf, rho=0.8, u=sb.zero_function(basis3))
         with pytest.raises(ValueError, match="above the attainable"):
-            nz.match_radius(graph, grid3, con, value=too_big)
+            nz.match_radius(graph, con, too_big)
         with pytest.raises(ValueError, match="below the attainable"):
-            nz.match_radius(graph, grid3, con, value=-1.0)
+            nz.match_radius(graph, con, -1.0)
 
     def test_closed_form_guards(self):
         sf0 = SpaceForm(K=0, n=3)
@@ -405,11 +405,9 @@ class TestDeficitPredictions:
         u0 = lab.sample_direction(basis3, 23, 0, degrees=(2, 3))
         g0 = gg.RadialGraph(sf=sf, rho=rho, u=u0.scaled(eps))
         ng = nz.normalize(g0, grid3, con)
-        geo = gg.surface_geometry(ng.graph, grid3)
-        lhs = gg.weighted_curvature_integral(ng.graph, grid3, w, 1,
-                                             positive_part=True, geo=geo)
-        rhs = lab.equality_function(sf, w, 1, con,
-                                    con.of_graph(ng.graph, grid3, geo=geo))
+        geo = ng.geometry
+        lhs = gg.weighted_curvature_integral(geo, w, 1, positive_part=True)
+        rhs = lab.equality_function(sf, w, 1, con, con.of_geometry(geo))
         vals, grad, _ = sb.eval_jet_all(ng.graph.u, grid3)
         i2 = grid3.integrate(vals ** 2)
         ig = grid3.integrate(np.sum(grad ** 2, axis=1))
@@ -425,10 +423,9 @@ class TestDeficitPredictions:
         u0 = lab.sample_direction(basis3, 29, 1, degrees=(2, 3, 4))
         g0 = gg.RadialGraph(sf=sf, rho=rho, u=u0.scaled(eps))
         ng = nz.normalize(g0, grid3, con)
-        geo = gg.surface_geometry(ng.graph, grid3)
-        lhs = gg.weighted_curvature_integral(ng.graph, grid3, w, k, geo=geo)
-        rhs = lab.equality_function(sf, w, k, con,
-                                    con.of_graph(ng.graph, grid3, geo=geo))
+        geo = ng.geometry
+        lhs = gg.weighted_curvature_integral(geo, w, k)
+        rhs = lab.equality_function(sf, w, k, con, con.of_geometry(geo))
         deficit = lhs - rhs
         vals, grad, _ = sb.eval_jet_all(ng.graph.u, grid3)
         i2 = grid3.integrate(vals ** 2)
@@ -451,9 +448,7 @@ class TestDeficitPredictions:
             u0 = lab.sample_direction(basis3, 31, 2, degrees=(2, 3, 4))
             g0 = gg.RadialGraph(sf=sf, rho=RHO[K], u=u0.scaled(eps))
             ng = nz.normalize(g0, grid3, con)
-            geo = gg.surface_geometry(ng.graph, grid3)
-            lhs = gg.weighted_curvature_integral(ng.graph, grid3, w, k,
-                                                 geo=geo)
+            lhs = gg.weighted_curvature_integral(ng.geometry, w, k)
             sphere = gg.sphere_curvature_integral(sf, ng.rho, w, k)
             vals, grad, _ = sb.eval_jet_all(ng.graph.u, grid3)
             i2 = grid3.integrate(vals ** 2)
@@ -480,11 +475,11 @@ class TestDeficitPredictions:
             for eps in (0.02, 0.01, 0.005):
                 g0 = gg.RadialGraph(sf=sf, rho=0.9, u=u2.scaled(eps))
                 ng = nz.normalize(g0, grid3, con)
-                geo = gg.surface_geometry(ng.graph, grid3)
-                lhs = gg.weighted_curvature_integral(
-                    ng.graph, grid3, w, 1, positive_part=True, geo=geo)
-                rhs = lab.equality_function(
-                    sf, w, 1, con, con.of_graph(ng.graph, grid3, geo=geo))
+                geo = ng.geometry
+                lhs = gg.weighted_curvature_integral(geo, w, 1,
+                                                     positive_part=True)
+                rhs = lab.equality_function(sf, w, 1, con,
+                                            con.of_geometry(geo))
                 ratio = (lhs - rhs) / (ng.rho ** 2 * ng.norms.grad_l2 ** 2)
                 gaps.append(abs(ratio - limit) / limit)
             assert gaps[-1] < 1e-3
@@ -514,13 +509,13 @@ class TestVerify:
                                               monkeypatch, tid, K, k, j):
         # normalize measures the constraint and verify reads that value
         calls = []
-        of_graph = nz.Constraint.of_graph
+        of_geometry = nz.Constraint.of_geometry
 
         def counting(self, *args, **kwargs):
             calls.append(self.label)
-            return of_graph(self, *args, **kwargs)
+            return of_geometry(self, *args, **kwargs)
 
-        monkeypatch.setattr(nz.Constraint, "of_graph", counting)
+        monkeypatch.setattr(nz.Constraint, "of_geometry", counting)
         sf = SpaceForm(K=K, n=3)
         case = lab.TheoremCase(tid, sf, WeightFunction.affine(), k=k, j=j,
                                rho=RHO[K])
@@ -594,9 +589,8 @@ class TestVerify:
         graph = gg.RadialGraph(sf=sf, rho=0.9, u=u0.scaled(0.01))
         geo = gg.surface_geometry(graph, grid3)
         assert np.all(geo.H > 0)
-        a = gg.weighted_curvature_integral(graph, grid3, w, 1,
-                                           positive_part=True, geo=geo)
-        b = gg.weighted_curvature_integral(graph, grid3, w, 1, geo=geo)
+        a = gg.weighted_curvature_integral(geo, w, 1, positive_part=True)
+        b = gg.weighted_curvature_integral(geo, w, 1)
         assert a == b
 
     def test_asymmetry_within_gradient_energy_bound(self, basis3, grid3):
@@ -624,12 +618,10 @@ class TestVerify:
         g0 = gg.RadialGraph(sf=sf, rho=0.9,
                             u=lab.sample_direction(basis3, 5, 0).scaled(eps))
         rep = lab.verify(case, g0, grid3)
-        graph = nz.normalize(g0, grid3, case.constraint()).graph
-        rho_bar = dm.radius_for_volume(sf, dm.volume(graph, grid3))
-        at_origin = dm.symmetric_difference_to_ball(graph, grid3,
-                                                    np.zeros(4), rho_bar)
-        alpha, center = dm.fraenkel_asymmetry(graph, grid3,
-                                              seed_center=np.zeros(4))
+        geo = nz.normalize(g0, grid3, case.constraint()).geometry
+        rho_bar = dm.radius_for_volume(sf, dm.volume(geo))
+        at_origin = dm.symmetric_difference_to_ball(geo, np.zeros(4), rho_bar)
+        alpha, center = dm.fraenkel_asymmetry(geo, np.zeros(4))
         assert rep.alpha <= at_origin
         assert alpha < at_origin
         assert 1e-3 * eps < np.linalg.norm(center) < 0.1 * eps
@@ -648,7 +640,7 @@ class TestVerify:
         with pytest.raises(ValueError, match="non-finite"):
             lab.verify(case, g0, grid3)
         with pytest.raises(ValueError, match="non-finite"):
-            dm.fraenkel_asymmetry(g0, grid3, seed_center=np.zeros(4))
+            gg.surface_geometry(g0, grid3)
         monkeypatch.setattr(lab, "sample_direction",
                             lambda basis, seed, i, degrees: u)
         sw = lab.sweep(case, grid3, basis3, directions=1,

@@ -123,3 +123,34 @@ def test_numpy_is_the_only_runtime_dependency():
     test_extra = {d.split(">")[0] for d in
                   project["optional-dependencies"]["test"]}
     assert {"scipy", "mpmath"} <= test_extra
+
+
+def _sfi_imports(tree, modules):
+    """The sfi modules that a module's source imports, at any depth."""
+    deps = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            deps |= {a.name.split(".")[1] for a in node.names
+                     if a.name.startswith("sfi.")}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] == "sfi":
+            parts = node.module.split(".")
+            deps |= {parts[1]} if len(parts) > 1 else \
+                {a.name for a in node.names if a.name in modules}
+    return deps
+
+
+def test_module_layering():
+    # domains reads geometry only through the SurfaceGeometry a caller
+    # hands it, and the imports among the modules form no cycle (the
+    # package's __init__, which only re-exports, is left out)
+    trees = _trees()
+    del trees["__init__"]
+    remaining = {m: _sfi_imports(tree, trees) for m, tree in trees.items()}
+    assert "graphgeom" not in remaining["domains"]
+    while remaining:
+        leaves = {m for m, deps in remaining.items()
+                  if not deps & remaining.keys()}
+        assert leaves, f"import cycle among {sorted(remaining)}"
+        for m in leaves:
+            del remaining[m]
