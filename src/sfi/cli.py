@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import pickle
 import signal
@@ -75,22 +76,29 @@ EVAL_QUAD_TOL = 1e-8
 
 
 def _convert(section, key, raw, typ):
+    """The typed value of raw. Floats must be finite: nan fails every
+    comparison, so a range check written as "reject if x < 0" would let
+    it through."""
     raw = raw.strip()
     try:
         if typ is int:
             return int(raw)
-        if typ is float:
-            return float(raw)
         if typ is str:
             return raw
         if typ == _LIST_INT:
             return tuple(int(t) for t in raw.split(",") if t.strip())
-        if typ == _LIST_FLOAT:
-            return tuple(float(t) for t in raw.split(",") if t.strip())
+        if typ is float:
+            values = (float(raw),)
+        elif typ == _LIST_FLOAT:
+            values = tuple(float(t) for t in raw.split(",") if t.strip())
+        else:
+            raise ConfigError(f"{section}.{key}: unsupported type in schema")
     except ValueError:
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as "
                           f"{getattr(typ, '__name__', typ)}") from None
-    raise ConfigError(f"{section}.{key}: unsupported type in schema")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{section}.{key}: {raw!r} is not finite")
+    return values[0] if typ is float else values
 
 
 def load_config(path):
@@ -641,8 +649,9 @@ def cmd_expand(ctx, args):
         case, did, u0 = task
         rep = lab.expansion_oracle(
             ctx.sf, ctx.w, case.k, case.constraint().label, u0, eps_list,
-            ctx.grid, rho=case.rho, use_H_blocks=case.family.target == "H")
-        cells = [rep.target_id, rep.weight_kind, rep.K, rep.n, rep.rho,
+            ctx.grid, rho=case.rho)
+        target = "H" if case.family.target == "H" else rep.target_id
+        cells = [target, rep.weight_kind, rep.K, rep.n, rep.rho,
                  rep.constraint, did, *rep.fitted, *rep.closed,
                  *rep.rel_errors, rep.residual_slope, rep.condition_number]
         return dict(zip(EXPAND_COLUMNS, cells))

@@ -70,13 +70,15 @@ def quermassintegrals(geo):
     n = grid.n
     sig_ints = [grid.integrate(geo.sigma[:, k] * geo.area_factor)
                 for k in range(n + 1)]
-    return _quermass_recurrence(geo.graph.sf.K, n, volume(geo), sig_ints)
+    return quermass_recurrence(geo.graph.sf.K, n, volume(geo), sig_ints)
 
 
-def _quermass_recurrence(K, n, vol, sig_ints):
+def quermass_recurrence(K, n, vol, sig_ints):
     """W_{-1}..W_n from the volume and the integrals of sigma_0..sigma_n:
     W_{-1} = vol, W_0 = int sigma_0, W_1 = int sigma_1 + K n W_{-1} and
-    W_k = int sigma_k + K (n-k+1)/(k-1) W_{k-2} for k >= 2."""
+    W_k = int sigma_k + K (n-k+1)/(k-1) W_{k-2} for k >= 2. The
+    recurrence is linear, so it maps arrays of expansion coefficients of
+    these integrals to those of W_j as well."""
     W = {-1: vol, 0: sig_ints[0], 1: sig_ints[1] + K * n * vol}
     for k in range(2, n + 1):
         W[k] = sig_ints[k] + K * (n - k + 1) / (k - 1) * W[k - 2]
@@ -97,7 +99,7 @@ def ball_quermassintegrals(sf, rho):
     ph, dph = sf.phi(rho), sf.dphi(rho)
     sig_ints = [comb(n, k) * sf.sphere_area * ph ** (n - k) * dph ** k
                 for k in range(n + 1)]
-    return _quermass_recurrence(sf.K, n, ball_volume(sf, rho), sig_ints)
+    return quermass_recurrence(sf.K, n, ball_volume(sf, rho), sig_ints)
 
 
 def ball_radius(ball_value, value, cap, start=1.0):

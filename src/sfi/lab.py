@@ -15,14 +15,22 @@ hypersurface against its value on the matching geodesic ball:
 * sweep drives verify over a deterministic family of random directions
   and amplitudes and emits report rows with a fixed CSV/JSON schema.
 
-The second-order coefficient blocks live here as plain functions so that
-tests can probe each piece of the analysis separately.
+Every second-order closed form comes from one source, the expansion
+about the geodesic sphere: sigma_expansion_blocks gives the blocks of
+int g(Phi) sigma_k dmu (at k = 1 those of the mean-curvature integral
+too), constraint_blocks those of the volume, the weighted volume or
+W_j (the quermassintegral recurrence applied to the constant-weight
+blocks), and deficit_coefficients composes the two into the quadratic
+form of the constrained deficit, for every theorem case. The gradient
+bounds below are the paper's lower bounds on that form. Independent
+derivations (the mean-curvature blocks, the forms expanded by hand)
+live in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from math import comb, inf
 
 import numpy as np
@@ -31,7 +39,7 @@ from sfi import domains as dm
 from sfi import graphgeom as gg
 from sfi import normalize as nz
 from sfi import spherebasis as sb
-from sfi.spaceform import check_weight
+from sfi.spaceform import WeightFunction, check_weight
 
 # Norm budgets inside which the comparisons are asserted; rows whose
 # normalized profile exceeds the relevant budget are flagged, not failed.
@@ -167,10 +175,11 @@ class TheoremCase:
 
 @dataclass(frozen=True)
 class ExpansionBlocks:
-    """Pointwise Taylor coefficients of int g(Phi) sigma_k dmu about the
-    round sphere r = rho, for graphs r = rho (1 + u).
+    """Pointwise Taylor coefficients of a functional of the graph, such
+    as int g(Phi) sigma_k dmu or a constraint functional, about the round
+    sphere r = rho, for graphs r = rho (1 + u).
 
-    The integral equals
+    The functional equals
         c0 |S^n|  +  cu rho int u  +  cuu rho^2 int u^2
                   +  cgrad rho^2 int |grad u|^2  +  O(||u||^3-type terms),
     with all integrals over the unit sphere.
@@ -224,100 +233,54 @@ def sigma_expansion_blocks(sf, w, k, rho):
     return ExpansionBlocks(c0=c0, cu=cu, cuu=cuu, cgrad=cgrad)
 
 
-def H_expansion_blocks(sf, w, rho):
-    """Second-order coefficient blocks of int g(Phi) H dmu.
-
-    Written in the mean-curvature form (independent of the sigma_k blocks
-    at k = 1; the two must agree, which the tests assert). The cubic
-    Hessian-gradient term of the expansion is not part of the quadratic
-    blocks and is excluded from fits.
-    """
+def constraint_blocks(sf, constraint, rho):
+    """Second-order coefficient blocks of a constraint functional, in
+    ExpansionBlocks' convention: the volume int P_n(r), the weighted
+    volume int phi^{n+1}(r) / (n+1), or W_j, which the quermassintegral
+    recurrence builds from the volume and the constant-weight sigma_k
+    blocks."""
     n, K = sf.n, sf.K
-    ph, dp, s = sf.warp(rho)
-    if dp <= 0:
-        raise ValueError("expansion blocks need phi'(rho) > 0")
-    G = float(w(s))
-    G1 = float(w.deriv(s, 1))
-    G2 = float(w.deriv(s, 2))
-    c0 = n * ph ** (n - 1) * dp * G
-    cu = n * (((n - 1) * ph ** (n - 2) * dp ** 2 - K * ph ** n) * G
-              + ph ** n * dp * G1)
-    cuu = n * (((n - 1) * (n - 2) / 2.0 * ph ** (n - 3) * dp ** 3
-                + K * (1.0 - 1.5 * n) * ph ** (n - 1) * dp) * G
-               + ph ** (n - 1) * dp * (0.5 * G2 * ph ** 2
-                                       + (n - 0.5) * G1 * dp)
-               - K * ph ** (n + 1) * G1)
-    cgrad = (n - 1) * ph ** (n - 3) * dp * G + ph ** (n - 1) * G1
-    return ExpansionBlocks(c0=c0, cu=cu, cuu=cuu, cgrad=cgrad)
+    ph, dp, _ = sf.warp(rho)
+    if constraint.kind == "weighted_volume":
+        return ExpansionBlocks(
+            c0=ph ** (n + 1) / (n + 1), cu=ph ** n * dp,
+            cuu=0.5 * (n * ph ** (n - 1) * dp ** 2 - K * ph ** (n + 1)),
+            cgrad=0.0)
+    vol = np.array([sf.volume_primitive(rho), ph ** n,
+                    0.5 * n * ph ** (n - 1) * dp, 0.0])
+    if constraint.j == -1:
+        return ExpansionBlocks(*map(float, vol))
+    one = WeightFunction.constant(1.0)
+    sig = [np.array(astuple(sigma_expansion_blocks(sf, one, k, rho)))
+           for k in range(n + 1)]
+    W = dm.quermass_recurrence(K, n, vol, sig)[constraint.j]
+    return ExpansionBlocks(*map(float, W))
 
 
 # ---------------------------------------------------------------------------
 # constrained deficit quadratic forms
 
-def h_volume_deficit_coefficients(sf, w, rho):
-    """(cu2, cgrad2) of the volume-constrained mean-curvature deficit.
+def deficit_coefficients(sf, w, k, constraint, rho):
+    """(cu2, cgrad2) of the constrained sigma_k deficit.
 
     To second order,
-        int g(Phi) H dmu - ball value
-            = cu2 rho^2 int u^2 + cgrad2 rho^2 int |grad u|^2 + h.o.
-    for normalized graphs (volume matched, barycenter at the origin).
+        int g(Phi) sigma_k dmu - ball value
+            = cu2 rho^2 int u^2 + cgrad2 rho^2 int |grad u|^2
+    for graphs rho (1 + u) on which the constraint takes its value on
+    the ball of radius rho. Holding the constraint's expansion at zero
+    fixes rho int u, which eliminates the linear term of the integral's
+    expansion: with F and C the blocks of the integral and of the
+    constraint and r = F.cu / C.cu, the form is
+    (F.cuu - r C.cuu, F.cgrad - r C.cgrad). The same holds for the
+    mean-curvature comparisons at k = 1.
     """
-    n = sf.n
-    ph, dp, s = sf.warp(rho)
-    G = float(w(s))
-    G1 = float(w.deriv(s, 1))
-    G2 = float(w.deriv(s, 2))
-    cu2 = -n * ((n - 1) * ph ** (n - 3) * dp * G
-                - 0.5 * ph ** (n + 1) * dp * G2
-                - (n + 1) / 2.0 * ph ** (n - 1) * dp ** 2 * G1
-                + ph ** (n - 1) * G1)
-    cgrad2 = (n - 1) * ph ** (n - 3) * dp * G + ph ** (n - 1) * G1
-    return cu2, cgrad2
-
-
-def sigma_weighted_volume_deficit_coefficients(sf, w, k, rho):
-    """(cu2, cgrad2) of the weighted-volume-constrained sigma_k deficit."""
-    n, K = sf.n, sf.K
-    ph, dp, s = sf.warp(rho)
-    G = float(w(s))
-    G1 = float(w.deriv(s, 1))
-    G2 = float(w.deriv(s, 2))
-    C = comb(n, k)
-    cu2 = C * ((-(n - k) * (k + 1) / 2.0 * ph ** (n - k - 2) * dp ** k
-                + K * k * (k - 2) / 2.0 * ph ** (n - k) * dp ** (k - 2)) * G
-               - (k - 0.5) * ph ** (n - k) * dp ** (k - 1) * G1
-               + n / 2.0 * ph ** (n - k) * dp ** k * (dp * G1 + K * G)
-               + 0.5 * ph ** (n - k + 2) * dp ** k * G2)
-    cgrad2 = C * (((n - k) * (k + 1) / (2.0 * n) * ph ** (n - k - 2)
-                   * dp ** k
-                   - K * k * (k - 1) / (2.0 * n) * ph ** (n - k)
-                   * dp ** (k - 2)) * G
-                  + k / float(n) * ph ** (n - k) * dp ** (k - 1) * G1)
-    return cu2, cgrad2
-
-
-def quermass_deficit_coefficients(sf, w, k, j, rho):
-    """(cu2, cgrad2) of the W_j-constrained sigma_k deficit (j = -1 is
-    the volume constraint); valid for every K."""
-    n, K = sf.n, sf.K
-    ph, dp, s = sf.warp(rho)
-    G = float(w(s))
-    G1 = float(w.deriv(s, 1))
-    G2 = float(w.deriv(s, 2))
-    C = comb(n, k)
-    cu2 = C * (((n - k) * (j - k) / 2.0 * ph ** (n - k - 2) * dp ** k
-                + K * k * (k - j - 2) / 2.0 * ph ** (n - k)
-                * dp ** (k - 2)) * G
-               + ((n + 1) / 2.0 * dp ** (k + 1)
-                  + ((j + 1) / 2.0 - k) * dp ** (k - 1)) * ph ** (n - k) * G1
-               + 0.5 * ph ** (n - k + 2) * dp ** k * G2)
-    cgrad2 = C * (((n - k) * (k - j) / (2.0 * n) * ph ** (n - k - 2)
-                   * dp ** k
-                   - K * k * (k - j - 2) / (2.0 * n) * ph ** (n - k)
-                   * dp ** (k - 2)) * G
-                  + (2 * k - j - 1) / (2.0 * n) * ph ** (n - k)
-                  * dp ** (k - 1) * G1)
-    return cu2, cgrad2
+    F = sigma_expansion_blocks(sf, w, k, rho)
+    C = constraint_blocks(sf, constraint, rho)
+    if C.cu == 0:
+        raise ValueError(f"constraint {constraint.label} has no first "
+                         f"variation at rho={rho}")
+    r = F.cu / C.cu
+    return F.cuu - r * C.cuu, F.cgrad - r * C.cgrad
 
 
 def poincare_saturation_limit(sf, w, rho):
@@ -327,7 +290,8 @@ def poincare_saturation_limit(sf, w, rho):
     Uses the exact quadratic form together with the degree-2 identity
     ||grad u||^2 = 2(n+1) ||u||^2.
     """
-    cu2, cgrad2 = h_volume_deficit_coefficients(sf, w, rho)
+    cu2, cgrad2 = deficit_coefficients(sf, w, 1, nz.volume_constraint(),
+                                       rho)
     return cgrad2 + cu2 / (2.0 * (sf.n + 1))
 
 
@@ -389,24 +353,6 @@ def equality_function(sf, w, k, constraint, value):
     the validity theorems."""
     rho = constraint.ball_radius(sf, value)
     return gg.sphere_curvature_integral(sf, rho, w, k)
-
-
-def weighted_volume_rhs_closed_form(sf, w, k, wvol):
-    """Closed-form equality value for the weighted-volume constraint in
-    the hyperbolic space form, expressed through the normalized weighted
-    volume V = (n+1) wvol / |S^n|; degenerate at k = 0 (use
-    equality_function there). Cross-checks the root-finding route."""
-    if sf.K != -1:
-        raise ValueError("closed form is specific to K = -1")
-    if k < 1:
-        raise ValueError("closed form degenerates at k = 0")
-    n = sf.n
-    omega = sf.sphere_area
-    V = (n + 1) * wvol / omega
-    s = np.sqrt(1.0 + V ** (2.0 / (n + 1))) - 1.0
-    bracket = V ** (2.0 * (n - k) / ((n + 1) * k)) \
-        + V ** (2.0 * n / ((n + 1) * k))
-    return comb(n, k) * omega * float(w(s)) * bracket ** (k / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +542,7 @@ def expansion_amplitudes(eps_list):
 
 
 def expansion_oracle(sf, w, k, constraint_tag, u0, eps_list, grid, *,
-                     rho=1.0, use_H_blocks=False):
+                     rho=1.0):
     """Fit the small-amplitude expansion of the weighted curvature
     integral along direction u0 and compare with the closed-form blocks.
 
@@ -606,12 +552,10 @@ def expansion_oracle(sf, w, k, constraint_tag, u0, eps_list, grid, *,
     plus the exact anchor F(0); the differences F(eps) - F(0) are fitted
     with powers eps..eps^5 so that the reported (c0, c1, c2) carry no
     contamination from the cubic and higher terms, which are treated as
-    the residual model. use_H_blocks selects the mean-curvature form of
-    the closed coefficients (k must be 1).
+    the residual model. At k = 1 the blocks are those of the
+    mean-curvature integral as well.
     """
     eps = expansion_amplitudes(eps_list)
-    if use_H_blocks and k != 1:
-        raise ValueError("the mean-curvature blocks require k = 1")
     # one jet of u0 and one pass over its Hessian invariants serve every
     # amplitude: one node-blocked pass scales them to F(0) and F(+-eps)
     jet = gg.Jet.of(u0, grid)
@@ -636,9 +580,8 @@ def expansion_oracle(sf, w, k, constraint_tag, u0, eps_list, grid, *,
     c1, c2 = float(coef[0]), float(coef[1])
     fitted = (F0, c1, c2)
 
-    blocks = H_expansion_blocks(sf, w, rho) if use_H_blocks \
-        else sigma_expansion_blocks(sf, w, k, rho)
-    closed = blocks.integrated(jet, grid, rho, sf.sphere_area)
+    closed = sigma_expansion_blocks(sf, w, k, rho).integrated(
+        jet, grid, rho, sf.sphere_area)
 
     mag = max(1.0, *(abs(c) for c in closed))
     rel = tuple(abs(f - c) / max(abs(c), 1e-9 * mag)
@@ -664,9 +607,8 @@ def expansion_oracle(sf, w, k, constraint_tag, u0, eps_list, grid, *,
                                            np.log(resid[keep]), 1)[0]))
     slope = min(slopes) if slopes else inf
 
-    target = "H" if use_H_blocks else f"sigma{k}"
     return ExpansionReport(
-        target_id=target, weight_kind=w.label, K=sf.K, n=sf.n, rho=rho,
+        target_id=f"sigma{k}", weight_kind=w.label, K=sf.K, n=sf.n, rho=rho,
         constraint=str(constraint_tag), eps=tuple(eps), fitted=fitted,
         closed=closed, rel_errors=rel, residual_slope=slope,
         condition_number=cond)
@@ -820,8 +762,3 @@ def report_text(reports, fmt):
 def csv_text(reports):
     """report_text in CSV."""
     return report_text(reports, "csv")
-
-
-def json_text(reports):
-    """report_text in JSON."""
-    return report_text(reports, "json")

@@ -7,7 +7,9 @@ barycenter is held to, translated-ball profiles, the Laplace-Beltrami
 operator, coefficient norms, the monomial Vandermonde matrix, the
 per-amplitude loop of full-grid geometries behind an expansion fit, the
 spherical-Hessian integral identities, the gradient-energy bound on the
-asymmetry and a report-file writer. No row, fit or CLI command runs
+asymmetry, the mean-curvature expansion blocks, the hand-expanded
+constrained deficit forms, the printed weighted-volume equality value
+and a report-file writer. No row, fit or CLI command runs
 them; tests import this module as ``import oracles``.
 """
 
@@ -412,6 +414,111 @@ def asymmetry_upper_bound(sf, rho, grad_l2_sq):
     energy: (1/n^2) |S^n| phi(rho)^{2n} rho^2 ||grad u||^2."""
     return sf.sphere_area * sf.phi(rho) ** (2 * sf.n) * rho ** 2 \
         * grad_l2_sq / sf.n ** 2
+
+
+def H_expansion_blocks(sf, w, rho):
+    """Second-order coefficient blocks of int g(Phi) H dmu, written in
+    the mean-curvature form (oracle for lab.sigma_expansion_blocks at
+    k = 1). The cubic Hessian-gradient term of the expansion is not part
+    of the quadratic blocks."""
+    n, K = sf.n, sf.K
+    ph, dp, s = sf.warp(rho)
+    if dp <= 0:
+        raise ValueError("expansion blocks need phi'(rho) > 0")
+    G = float(w(s))
+    G1 = float(w.deriv(s, 1))
+    G2 = float(w.deriv(s, 2))
+    c0 = n * ph ** (n - 1) * dp * G
+    cu = n * (((n - 1) * ph ** (n - 2) * dp ** 2 - K * ph ** n) * G
+              + ph ** n * dp * G1)
+    cuu = n * (((n - 1) * (n - 2) / 2.0 * ph ** (n - 3) * dp ** 3
+                + K * (1.0 - 1.5 * n) * ph ** (n - 1) * dp) * G
+               + ph ** (n - 1) * dp * (0.5 * G2 * ph ** 2
+                                       + (n - 0.5) * G1 * dp)
+               - K * ph ** (n + 1) * G1)
+    cgrad = (n - 1) * ph ** (n - 3) * dp * G + ph ** (n - 1) * G1
+    return lab.ExpansionBlocks(c0=c0, cu=cu, cuu=cuu, cgrad=cgrad)
+
+
+def h_volume_deficit_coefficients(sf, w, rho):
+    """(cu2, cgrad2) of the volume-constrained mean-curvature deficit,
+    expanded by hand (oracle for lab.deficit_coefficients)."""
+    n = sf.n
+    ph, dp, s = sf.warp(rho)
+    G = float(w(s))
+    G1 = float(w.deriv(s, 1))
+    G2 = float(w.deriv(s, 2))
+    cu2 = -n * ((n - 1) * ph ** (n - 3) * dp * G
+                - 0.5 * ph ** (n + 1) * dp * G2
+                - (n + 1) / 2.0 * ph ** (n - 1) * dp ** 2 * G1
+                + ph ** (n - 1) * G1)
+    cgrad2 = (n - 1) * ph ** (n - 3) * dp * G + ph ** (n - 1) * G1
+    return cu2, cgrad2
+
+
+def sigma_weighted_volume_deficit_coefficients(sf, w, k, rho):
+    """(cu2, cgrad2) of the weighted-volume-constrained sigma_k deficit,
+    expanded by hand (oracle for lab.deficit_coefficients)."""
+    n, K = sf.n, sf.K
+    ph, dp, s = sf.warp(rho)
+    G = float(w(s))
+    G1 = float(w.deriv(s, 1))
+    G2 = float(w.deriv(s, 2))
+    C = comb(n, k)
+    cu2 = C * ((-(n - k) * (k + 1) / 2.0 * ph ** (n - k - 2) * dp ** k
+                + K * k * (k - 2) / 2.0 * ph ** (n - k) * dp ** (k - 2)) * G
+               - (k - 0.5) * ph ** (n - k) * dp ** (k - 1) * G1
+               + n / 2.0 * ph ** (n - k) * dp ** k * (dp * G1 + K * G)
+               + 0.5 * ph ** (n - k + 2) * dp ** k * G2)
+    cgrad2 = C * (((n - k) * (k + 1) / (2.0 * n) * ph ** (n - k - 2)
+                   * dp ** k
+                   - K * k * (k - 1) / (2.0 * n) * ph ** (n - k)
+                   * dp ** (k - 2)) * G
+                  + k / float(n) * ph ** (n - k) * dp ** (k - 1) * G1)
+    return cu2, cgrad2
+
+
+def quermass_deficit_coefficients(sf, w, k, j, rho):
+    """(cu2, cgrad2) of the W_j-constrained sigma_k deficit (j = -1 is
+    the volume constraint), expanded by hand for every K (oracle for
+    lab.deficit_coefficients)."""
+    n, K = sf.n, sf.K
+    ph, dp, s = sf.warp(rho)
+    G = float(w(s))
+    G1 = float(w.deriv(s, 1))
+    G2 = float(w.deriv(s, 2))
+    C = comb(n, k)
+    cu2 = C * (((n - k) * (j - k) / 2.0 * ph ** (n - k - 2) * dp ** k
+                + K * k * (k - j - 2) / 2.0 * ph ** (n - k)
+                * dp ** (k - 2)) * G
+               + ((n + 1) / 2.0 * dp ** (k + 1)
+                  + ((j + 1) / 2.0 - k) * dp ** (k - 1)) * ph ** (n - k) * G1
+               + 0.5 * ph ** (n - k + 2) * dp ** k * G2)
+    cgrad2 = C * (((n - k) * (k - j) / (2.0 * n) * ph ** (n - k - 2)
+                   * dp ** k
+                   - K * k * (k - j - 2) / (2.0 * n) * ph ** (n - k)
+                   * dp ** (k - 2)) * G
+                  + (2 * k - j - 1) / (2.0 * n) * ph ** (n - k)
+                  * dp ** (k - 1) * G1)
+    return cu2, cgrad2
+
+
+def weighted_volume_rhs_closed_form(sf, w, k, wvol):
+    """Closed-form equality value for the weighted-volume constraint in
+    the hyperbolic space form, expressed through the normalized weighted
+    volume V = (n+1) wvol / |S^n|; degenerate at k = 0. Cross-checks the
+    root-finding route of lab.equality_function."""
+    if sf.K != -1:
+        raise ValueError("closed form is specific to K = -1")
+    if k < 1:
+        raise ValueError("closed form degenerates at k = 0")
+    n = sf.n
+    omega = sf.sphere_area
+    V = (n + 1) * wvol / omega
+    s = np.sqrt(1.0 + V ** (2.0 / (n + 1))) - 1.0
+    bracket = V ** (2.0 * (n - k) / ((n + 1) * k)) \
+        + V ** (2.0 * n / ((n + 1) * k))
+    return comb(n, k) * omega * float(w(s)) * bracket ** (k / 2.0)
 
 
 def write_report(reports, path, fmt="csv"):

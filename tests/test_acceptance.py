@@ -146,7 +146,7 @@ def test_criterion_4_expansion_coefficient_fits(announce, basis8, grid24):
         for K in (-1, 0, 1):
             sf = SpaceForm(K=K, n=3)
             for w in default_weight_set():
-                a = lab.H_expansion_blocks(sf, w, RHO[K])
+                a = oracles.H_expansion_blocks(sf, w, RHO[K])
                 b = lab.sigma_expansion_blocks(sf, w, 1, RHO[K])
                 for f in ("c0", "cu", "cuu", "cgrad"):
                     assert getattr(a, f) == pytest.approx(

@@ -279,6 +279,17 @@ class TestGridAndAmplitudeSettings:
         assert "config error: perturbation.epsilon" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "verify", "sweep"])
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0.004, nan"])
+    def test_non_finite_epsilon_names_the_key(self, tmp_path, capsys,
+                                              command, eps):
+        body = BASE + PERTURB_RANDOM.replace("epsilon = 0.004",
+                                             f"epsilon = {eps}") + CASE_STAB
+        path = write_config(tmp_path, body)
+        assert cli.main([command, "--config", path]) == 2
+        assert "config error: perturbation.epsilon" \
+            in capsys.readouterr().err
+
 
 class TestSpaceAndWeightSettings:
     # values the library rejects are config errors naming their key
@@ -292,9 +303,12 @@ class TestSpaceAndWeightSettings:
         ({"K = -1": "K = 1", "rho = 0.9": "rho = 3.5"}, "space.rho"),
         ({"kind = affine": "kind = power\nvalue = 2"}, "weight.value"),
         ({"kind = affine": "kind = affine\nalpha = 3"}, "weight.alpha"),
+        ({"kind = affine": "kind = affine\nscale = nan"}, "weight.scale"),
+        ({"kind = affine": "kind = constant\nvalue = nan"}, "weight.value"),
+        ({"kind = affine": "kind = affine\nscale = inf"}, "weight.scale"),
     ], ids=["power-alpha", "shifted-power-alpha", "curvature-2",
             "dimension-5", "rho-0", "rho-past-antipode", "power-value",
-            "affine-alpha"])
+            "affine-alpha", "scale-nan", "value-nan", "scale-inf"])
     def test_rejected_value_names_the_key(self, tmp_path, capsys, edits,
                                           key):
         body = BASE
@@ -477,6 +491,21 @@ k = 2
             assert float(row[col]) < 1e-4
         assert float(row["residual_slope"]) >= 2.9
 
+    @pytest.mark.parametrize("theorem", ["H-volume", "H-weighted-volume"])
+    def test_mean_curvature_table(self, tmp_path, capsys, theorem):
+        # an H family's row is labelled H; its closed coefficients are
+        # the k = 1 blocks
+        body = self.EXPAND_BODY.replace(
+            "theorem = sigmak-weighted-volume\nk = 2",
+            f"theorem = {theorem}")
+        path = write_config(tmp_path, body)
+        assert cli.main(["expand", "--config", path]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        row = dict(zip(cli.EXPAND_COLUMNS, lines[1].split(",")))
+        assert row["target"] == "H"
+        for col in ("rel_c0", "rel_c1", "rel_c2"):
+            assert float(row[col]) < 1e-4
+
     def test_short_epsilon_list_rejected(self, tmp_path, capsys):
         body = self.EXPAND_BODY.replace(
             "epsilon = 0.002, 0.0032, 0.005, 0.008, 0.0126, 0.02",
@@ -487,7 +516,8 @@ k = 2
 
     @pytest.mark.parametrize("eps, why", [
         ("0.01, 0.02, 0.04, 0.08, 0.16, 0.32", "[1e-4, 1e-1]"),
-        ("0.01, 0.01, 0.01, 0.01, 0.01, 0.01", "6 distinct")])
+        ("0.01, 0.01, 0.01, 0.01, 0.01, 0.01", "6 distinct"),
+        ("0.002, 0.0032, 0.005, 0.008, 0.0126, nan", "not finite")])
     def test_bad_epsilon_is_config_error(self, tmp_path, capsys, eps, why):
         body = self.EXPAND_BODY.replace(
             "epsilon = 0.002, 0.0032, 0.005, 0.008, 0.0126, 0.02",

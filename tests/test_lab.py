@@ -111,7 +111,7 @@ class TestExpansionBlocks:
         for K in ALL_K:
             sf = SpaceForm(K=K, n=3)
             for w in weight_set():
-                a = lab.H_expansion_blocks(sf, w, RHO[K])
+                a = oracles.H_expansion_blocks(sf, w, RHO[K])
                 b = lab.sigma_expansion_blocks(sf, w, 1, RHO[K])
                 for f in ("c0", "cu", "cuu", "cgrad"):
                     x, y = getattr(a, f), getattr(b, f)
@@ -146,14 +146,14 @@ class TestExpansionBlocks:
             assert rep.condition_number < 1e3
 
     def test_mean_curvature_fit(self, basis3, grid3):
+        # the k = 1 blocks are the mean-curvature blocks
         sf = SpaceForm(K=-1, n=3)
         u0 = lab.sample_direction(basis3, 9, 0, degrees=(0, 2, 3))
         eps = np.geomspace(2e-3, 2e-2, 6)
         rep = lab.expansion_oracle(sf, WeightFunction.shifted_power(2.0), 1,
-                                   "volume", u0, eps, grid3, rho=0.9,
-                                   use_H_blocks=True)
+                                   "volume", u0, eps, grid3, rho=0.9)
         assert rep.max_rel_error < 1e-4
-        assert rep.target_id == "H"
+        assert rep.target_id == "sigma1"
 
     def test_oracle_input_validation(self, basis3, grid3):
         sf = SpaceForm(K=0, n=3)
@@ -176,19 +176,16 @@ class TestExpansionBlocks:
                                  [np.nan, 2e-3, 3e-3, 5e-3, 8e-3, 1e-2],
                                  grid3)
 
-    @pytest.mark.parametrize("use_H", [False, True])
-    def test_fit_equals_per_amplitude_fit(self, use_H, basis3, grid3,
-                                          monkeypatch):
+    def test_fit_equals_per_amplitude_fit(self, basis3, grid3, monkeypatch):
         # the node-blocked kernel against one full-grid geometry per
         # amplitude: every field of the report to the last bit
         u0 = lab.sample_direction(basis3, 9, 0, degrees=(0, 2, 3))
         args = (SpaceForm(K=-1, n=3), WeightFunction.shifted_power(2.0), 1,
                 "volume", u0, np.geomspace(2e-3, 2e-2, 6), grid3)
-        got = lab.expansion_oracle(*args, rho=0.9, use_H_blocks=use_H)
+        got = lab.expansion_oracle(*args, rho=0.9)
         monkeypatch.setattr(gg, "scaled_curvature_integrals",
                             oracles.scaled_curvature_integrals)
-        assert got == lab.expansion_oracle(*args, rho=0.9,
-                                           use_H_blocks=use_H)
+        assert got == lab.expansion_oracle(*args, rho=0.9)
 
     def test_max_rel_error_propagates_nan(self):
         rep = lab.ExpansionReport(
@@ -289,7 +286,7 @@ class TestEqualityFunction:
             w = weight_set()[int(rng.integers(0, 4))]
             val = con.of_ball(sf, rho)
             a = lab.equality_function(sf, w, k, con, val)
-            b = lab.weighted_volume_rhs_closed_form(sf, w, k, val)
+            b = oracles.weighted_volume_rhs_closed_form(sf, w, k, val)
             assert a == pytest.approx(b, rel=1e-10), (rho, k, w.label)
 
     def test_euclidean_area_power_law(self):
@@ -338,12 +335,12 @@ class TestEqualityFunction:
     def test_closed_form_guards(self):
         sf0 = SpaceForm(K=0, n=3)
         with pytest.raises(ValueError, match="K = -1"):
-            lab.weighted_volume_rhs_closed_form(sf0, WeightFunction.affine(),
-                                                1, 1.0)
+            oracles.weighted_volume_rhs_closed_form(
+                sf0, WeightFunction.affine(), 1, 1.0)
         sfh = SpaceForm(K=-1, n=3)
         with pytest.raises(ValueError, match="k = 0"):
-            lab.weighted_volume_rhs_closed_form(sfh, WeightFunction.affine(),
-                                                0, 1.0)
+            oracles.weighted_volume_rhs_closed_form(
+                sfh, WeightFunction.affine(), 0, 1.0)
 
 
 class TestStabilityConstants:
@@ -393,6 +390,71 @@ class TestStabilityConstants:
             lab.stability_constant(case)
 
 
+class TestDeficitCoefficients:
+    WEIGHTS = [WeightFunction.constant(1.0), WeightFunction.constant(2.5),
+               WeightFunction.power(1.0), WeightFunction.power(2.0),
+               WeightFunction.affine(), WeightFunction.shifted_power(2.0),
+               WeightFunction.shifted_power(3.0)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("K", ALL_K)
+    def test_matches_hand_expanded_forms(self, n, K):
+        # the composition of the integral's and the constraint's blocks
+        # against the forms expanded by hand, for every constraint
+        sf = SpaceForm(K=K, n=n)
+        wvol = oracles.sigma_weighted_volume_deficit_coefficients
+        for rho in (0.3, RHO[K], 1.4):
+            assert sf.dphi(rho) > 0
+            for w in self.WEIGHTS:
+                for k in range(n + 1):
+                    refs = [(nz.weighted_volume_constraint(),
+                             wvol(sf, w, k, rho))]
+                    refs += [(nz.quermass_constraint(j),
+                              oracles.quermass_deficit_coefficients(
+                                  sf, w, k, j, rho)) for j in range(-1, k)]
+                    if k == 1:
+                        refs.append((nz.volume_constraint(),
+                                     oracles.h_volume_deficit_coefficients(
+                                         sf, w, rho)))
+                    F = lab.sigma_expansion_blocks(sf, w, k, rho)
+                    for con, ref in refs:
+                        C = lab.constraint_blocks(sf, con, rho)
+                        r = F.cu / C.cu
+                        scale = max(1.0, abs(F.cuu), abs(F.cgrad),
+                                    abs(r * C.cuu), abs(r * C.cgrad))
+                        got = lab.deficit_coefficients(sf, w, k, con, rho)
+                        for x, y in zip(got, ref):
+                            assert abs(x - y) <= 1e-12 * scale, \
+                                (rho, w.label, k, con.label)
+
+    def test_constraint_blocks_expand_the_ball_functionals(self):
+        # c0 |S^n| is the ball's value, and cu |S^n| its derivative in
+        # the radius (u constant)
+        for K in ALL_K:
+            sf = SpaceForm(K=K, n=3)
+            rho, h = RHO[K], 1e-6
+            for con in (nz.weighted_volume_constraint(),
+                        *(nz.quermass_constraint(j) for j in range(-1, 3))):
+                C = lab.constraint_blocks(sf, con, rho)
+                assert C.c0 * sf.sphere_area == pytest.approx(
+                    con.of_ball(sf, rho), rel=1e-12)
+                slope = (con.of_ball(sf, rho + h)
+                         - con.of_ball(sf, rho - h)) / (2 * h)
+                assert C.cu * sf.sphere_area == pytest.approx(slope,
+                                                              rel=1e-8)
+
+    def test_degenerate_inputs_raise(self):
+        w = WeightFunction.affine()
+        with pytest.raises(ValueError, match="phi'"):
+            lab.deficit_coefficients(SpaceForm(K=1, n=3), w, 1,
+                                     nz.volume_constraint(), 2.0)
+        # W_n takes one value on every Euclidean ball
+        with pytest.raises(ValueError, match="no first variation"):
+            lab.deficit_coefficients(SpaceForm(K=0, n=3),
+                                     WeightFunction.constant(1.0), 3,
+                                     nz.quermass_constraint(3), 1.0)
+
+
 class TestDeficitPredictions:
     def test_volume_constrained_deficit_matches_quadratic_form(self, basis3,
                                                                grid3):
@@ -411,7 +473,7 @@ class TestDeficitPredictions:
         vals, grad, _ = sb.eval_jet_all(ng.graph.u, grid3)
         i2 = grid3.integrate(vals ** 2)
         ig = grid3.integrate(np.sum(grad ** 2, axis=1))
-        cu2, cg2 = lab.h_volume_deficit_coefficients(sf, w, ng.rho)
+        cu2, cg2 = lab.deficit_coefficients(sf, w, 1, ng.constraint, ng.rho)
         predicted = ng.rho ** 2 * (cu2 * i2 + cg2 * ig)
         assert lhs - rhs == pytest.approx(predicted, rel=0.05)
 
@@ -430,8 +492,8 @@ class TestDeficitPredictions:
         vals, grad, _ = sb.eval_jet_all(ng.graph.u, grid3)
         i2 = grid3.integrate(vals ** 2)
         ig = grid3.integrate(np.sum(grad ** 2, axis=1))
-        cu2, cg2 = lab.sigma_weighted_volume_deficit_coefficients(
-            sf, w, k, ng.rho)
+        cu2, cg2 = lab.deficit_coefficients(sf, w, k, ng.constraint,
+                                            ng.rho)
         assert deficit == pytest.approx(ng.rho ** 2 * (cu2 * i2 + cg2 * ig),
                                         rel=0.05)
         bound = lab.sigma_weighted_volume_gradient_bound(sf, w, k, ng.rho)
@@ -453,7 +515,8 @@ class TestDeficitPredictions:
             vals, grad, _ = sb.eval_jet_all(ng.graph.u, grid3)
             i2 = grid3.integrate(vals ** 2)
             ig = grid3.integrate(np.sum(grad ** 2, axis=1))
-            cu2, cg2 = lab.quermass_deficit_coefficients(sf, w, k, j, ng.rho)
+            cu2, cg2 = lab.deficit_coefficients(sf, w, k, ng.constraint,
+                                                ng.rho)
             assert lhs - sphere == pytest.approx(
                 ng.rho ** 2 * (cu2 * i2 + cg2 * ig), rel=0.05), K
 
@@ -843,7 +906,7 @@ class TestSerialization:
 
     def test_json_mirror(self, tmp_path):
         reports = self._reports()
-        doc = json.loads(lab.json_text(reports))
+        doc = json.loads(lab.report_text(reports, "json"))
         assert doc["budget_c1"] == lab.C1_BUDGET
         assert doc["budget_w2inf"] == lab.W2INF_BUDGET
         assert len(doc["rows"]) == 2
