@@ -14,8 +14,6 @@ truncated result; no report is written).
 For verify and sweep, 3 means at least one row raised: each such row is
 listed on stderr as a numerical failure with its direction id, amplitude
 and error, and the report still holds every other row.
-Heavy numerical imports happen inside main() so that --help and config
-errors stay fast and thread settings can take effect first.
 """
 
 from __future__ import annotations
@@ -29,6 +27,15 @@ import signal
 import sys
 import traceback
 from dataclasses import dataclass
+
+import numpy as np
+
+from sfi import domains as dm
+from sfi import graphgeom as gg
+from sfi import lab
+from sfi import model
+from sfi import spherebasis as sb
+from sfi.spaceform import SpaceForm, WeightFunction
 
 
 class ConfigError(Exception):
@@ -143,11 +150,9 @@ def load_config(path):
 
 
 # ---------------------------------------------------------------------------
-# construction helpers (imports deferred to call time)
+# construction helpers
 
 def build_weight(wcfg):
-    from sfi.spaceform import WeightFunction
-
     kind = wcfg["kind"]
     if kind not in WEIGHT_KINDS:
         raise ConfigError(f"weight.kind: unknown kind {kind!r}; expected "
@@ -178,9 +183,6 @@ def build_weight(wcfg):
 def build_space(scfg):
     """The space form of [space]; n must be a dimension the basis
     supports and rho must lie in the radial domain (0, r_max)."""
-    from sfi import spherebasis as sb
-    from sfi.spaceform import SpaceForm
-
     K, n, rho = scfg["K"], scfg["n"], scfg["rho"]
     if K not in (-1, 0, 1):
         raise ConfigError(f"space.K: curvature must be -1, 0 or +1, got {K}")
@@ -194,8 +196,6 @@ def build_space(scfg):
 
 
 def build_basis_grid(gcfg, n, resolution_override=None):
-    from sfi import spherebasis as sb
-
     d_max = gcfg.get("basis_degree", 8)
     if d_max < 0:
         raise ConfigError(f"grid.basis_degree: {d_max} is negative")
@@ -212,8 +212,6 @@ def build_basis_grid(gcfg, n, resolution_override=None):
 
 
 def build_cases(cases_cfg, sf, w, rho):
-    from sfi import lab
-
     out = []
     for name, c in cases_cfg:
         kwargs = {"k": c.get("k", 1), "rho": rho,
@@ -230,8 +228,6 @@ def build_cases(cases_cfg, sf, w, rho):
 
 def parse_coefficient_triples(text, basis):
     """Parse "degree:offset:value, ..." into a coefficient vector."""
-    import numpy as np
-
     coeffs = np.zeros(basis.size)
     for item in text.split(","):
         item = item.strip()
@@ -257,11 +253,6 @@ def parse_coefficient_triples(text, basis):
 def build_directions(pcfg, basis, seed, *, unit=False):
     """Ordered (direction_id, SphericalFunction) list from the
     perturbation spec; unit forces L2 normalization."""
-    import numpy as np
-
-    from sfi import lab
-    from sfi import spherebasis as sb
-
     mode = pcfg.get("mode", "zero")
     if mode not in MODES:
         raise ConfigError(f"perturbation.mode: unknown mode {mode!r}; "
@@ -316,6 +307,21 @@ def resolve_out_path(out):
     return out
 
 
+def check_out_path(path, source):
+    """Raise ConfigError, naming source (the flag or key that gave the
+    path), unless path is None (stdout) or names a file in an existing
+    directory, so that an unwritable report path fails before any row
+    runs."""
+    if path is None:
+        return
+    if not os.path.basename(path) or os.path.isdir(path):
+        raise ConfigError(f"{source}: {path!r} is a directory, not a file")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"{source}: cannot write {path!r}: directory "
+                          f"{parent!r} does not exist")
+
+
 def emit(text, out_path):
     if out_path is None:
         sys.stdout.write(text)
@@ -331,7 +337,8 @@ def emit(text, out_path):
 class RunContext:
     """Set-up that every command shares, built once per invocation.
     The flags take precedence: --seed over perturbation.seed, --out and
-    --format over output.path and output.format."""
+    --format over output.path and output.format. The seed lies in
+    [0, 2**64) and the output paths (with --dump-nodes) are writable."""
 
     sections: dict
     sf: object
@@ -355,32 +362,35 @@ def build_run_context(sections, cases_cfg, args):
     if fmt not in FORMATS:
         raise ConfigError(f"output.format: unknown format {fmt!r}; "
                           f"expected one of {FORMATS}")
-    out = args.out if args.out is not None else ocfg.get("path")
+    out, out_key = args.out, "--out"
+    if out is None:
+        out, out_key = ocfg.get("path"), "output.path"
+    out = resolve_out_path(out)
+    check_out_path(out, out_key)
+    if getattr(args, "dump_nodes", None):
+        check_out_path(resolve_out_path(args.dump_nodes), "--dump-nodes")
+    seed, seed_key = args.seed, "--seed"
+    if seed is None:
+        seed = sections.get("perturbation", {}).get("seed", 2025)
+        seed_key = "perturbation.seed"
+    # the direction generator's Philox key is (seed << 64) | stream
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"{seed_key}: {seed} is outside [0, 2**64)")
     sf = build_space(sections["space"])
     w = build_weight(sections["weight"])
     rho = sections["space"]["rho"]
     basis, grid = build_basis_grid(sections.get("grid", {}), sf.n,
                                    args.resolution)
-    seed = args.seed if args.seed is not None \
-        else sections.get("perturbation", {}).get("seed", 2025)
     return RunContext(sections=sections, sf=sf, w=w, rho=rho, basis=basis,
                       grid=grid, seed=seed,
                       cases=build_cases(cases_cfg, sf, w, rho),
-                      out=resolve_out_path(out), format=fmt)
+                      out=out, format=fmt)
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_eval(ctx, args):
-    import numpy as np
-
-    from sfi import domains as dm
-    from sfi import graphgeom as gg
-    from sfi import lab
-    from sfi import model
-    from sfi import spherebasis as sb
-
     sf, w, rho, grid = ctx.sf, ctx.w, ctx.rho, ctx.grid
     pcfg = ctx.perturbation
     directions = build_directions(pcfg, ctx.basis, ctx.seed)
@@ -569,9 +579,6 @@ def _verify_rows(ctx, args, pcfg, eps_default, summary=False):
     empirical constant on stderr.
     Lists the rows that raised, writes the report of the others and
     returns the exit code: 3 if any row raised, else 1 if any failed."""
-    from sfi import graphgeom as gg
-    from sfi import lab
-
     if not ctx.cases:
         raise ConfigError("missing required config section [case:<name>]")
     directions = build_directions(pcfg, ctx.basis, ctx.seed)
@@ -634,8 +641,6 @@ EXPAND_COLUMNS = ("target", "weight_kind", "K", "n", "rho", "constraint",
 
 
 def cmd_expand(ctx, args):
-    from sfi import lab
-
     pcfg = ctx.perturbation
     try:
         eps_list = lab.expansion_amplitudes(pcfg.get("epsilon", ()))
@@ -711,8 +716,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, ValueError, FloatingPointError,
-            ZeroDivisionError) as exc:
+    except lab.NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except WorkerFailure as exc:

@@ -61,7 +61,7 @@ def volume(geo):
 def weighted_volume(geo):
     """int_Omega phi'(r) dv = (n+1)^{-1} int phi^{n+1}(r(x)) dA."""
     sf = geo.graph.sf
-    return geo.grid.integrate(sf.phi(geo.r) ** (sf.n + 1)) / (sf.n + 1)
+    return geo.grid.integrate(geo.phi ** (sf.n + 1)) / (sf.n + 1)
 
 
 def quermassintegrals(geo):
@@ -279,19 +279,21 @@ def origin_newton_step(sf, grid, R):
     return np.linalg.solve(L.T, np.linalg.solve(L, G)), met
 
 
-def _shoot_radii(graph, grid, iso, radii):
-    """Radii at the grid nodes of iso(surface), by per-node secant ray
-    shooting from the first guess radii.
+def _shoot_radii(graph, grid, center, radii):
+    """Radii at the grid nodes of the surface translated so that the
+    ambient point center moves to O, by per-node secant ray shooting
+    from the first guess radii.
 
     The radius r over node x solves s = R(y), where (s, y) are the polar
-    coordinates of iso^{-1}(embed(r, x)) and R is the graph's radius
-    function; the residual has unit slope in r to leading order.
+    coordinates of T(embed(r, x)), T = model.translation_from_origin of
+    center, and R is the graph's radius function; the residual has unit
+    slope in r to leading order.
     """
     sf = graph.sf
-    inv = iso.inverse()
+    back = model.translation_from_origin(sf, center)
 
     def shoot_residual(r):
-        s, y = model.polar(sf, inv(model.embed(sf, r, grid.nodes)))
+        s, y = model.polar(sf, back(model.embed(sf, r, grid.nodes)))
         return s - graph.radii(sb.evaluate(graph.u, y))
 
     r0 = radii
@@ -314,11 +316,12 @@ def barycenter(geo):
     """Karcher mean of the enclosed domain in ambient coordinates.
 
     Minimizes p -> int_Omega d(y, p)^2 / 2 dv by Newton steps taken at
-    the origin of the current iterate p: each pass moves p to O by
-    model.translation_to_origin, finds the moved domain's radii at the
-    grid nodes by secant ray shooting (_shoot_radii) and steps by
-    origin_newton_step, mapped back through the same isometry. Once the
-    gradient at p meets the criterion 2 |G| < BARYCENTER_TOL max(1, mass)
+    the origin of the current iterate p: each pass steps by
+    origin_newton_step on the radii of the domain translated so that p
+    moves to O, maps the step's point back by
+    model.translation_from_origin of p, and finds the radii about the
+    new iterate by secant ray shooting (_shoot_radii). Once the gradient
+    at p meets the criterion 2 |G| < BARYCENTER_TOL max(1, mass)
     (_gradient_met) it takes the step computed there and returns the
     point it lands on; it raises RuntimeError after BARYCENTER_MAX_ITER
     passes. At K = 0 the first step lands on the centroid. The first
@@ -326,16 +329,13 @@ def barycenter(geo):
     """
     graph, grid, R = geo.graph, geo.grid, geo.r
     sf = graph.sf
-    p = O = model.origin(sf)
+    p = model.origin(sf)
     for _ in range(BARYCENTER_MAX_ITER):
         step, met = origin_newton_step(sf, grid, R)
-        if sf.K != 0:
-            step = np.concatenate([[0.0], step])
-        back = model.translation_to_origin(sf, p).inverse()
-        p = back(model.exp_map(sf, O, step))
+        p = model.translation_from_origin(sf, p)(model.point(sf, step))
         if met:
             return p
-        R = _shoot_radii(graph, grid, model.translation_to_origin(sf, p), R)
+        R = _shoot_radii(graph, grid, p, R)
     raise RuntimeError("barycenter iteration did not converge")
 
 

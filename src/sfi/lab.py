@@ -13,7 +13,9 @@ hypersurface against its value on the matching geodesic ball:
   integral and compares the fitted coefficients against the closed-form
   coefficient blocks;
 * sweep drives verify over a deterministic family of random directions
-  and amplitudes and emits report rows with a fixed CSV/JSON schema.
+  and amplitudes and returns a SweepResult; it writes no CSV or JSON
+  (the sfi sweep command runs its rows through verify_row) and stays
+  for the benchmark, which calls it.
 
 Every second-order closed form comes from one source, the expansion
 about the geodesic sphere: sigma_expansion_blocks gives the blocks of

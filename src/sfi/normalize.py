@@ -127,8 +127,9 @@ def match_radius(graph, constraint, value):
     return rho_star, gg.RadialGraph(sf=sf, rho=rho_star, u=new_u)
 
 
-def reproject_after_isometry(graph, grid, iso, radii):
-    """Radial graph of iso(surface), by per-node secant ray shooting
+def reproject_after_isometry(graph, grid, center, radii):
+    """Radial graph of the surface translated so that the ambient point
+    center moves to O, by per-node secant ray shooting
     (domains._shoot_radii).
 
     radii are the graph's radii at the grid nodes. Returns
@@ -137,7 +138,7 @@ def reproject_after_isometry(graph, grid, iso, radii):
     represent, and values are the new u at the grid nodes.
     """
     sf = graph.sf
-    r = dm._shoot_radii(graph, grid, iso, radii)
+    r = dm._shoot_radii(graph, grid, center, radii)
     samples = r / graph.rho - 1.0
     u_new = sb.project(samples, grid, graph.u.basis)
     values = sb.values_on_grid(u_new, grid)
@@ -152,12 +153,12 @@ def recenter(graph, grid):
     energy's gradient -G and Hessian H at O in closed form and stops
     when G meets the barycenter's own criterion (displacement 0) or the
     step H^{-1} G is shorter than BAR_TOL (displacement |H^{-1} G|).
-    Otherwise it translates the domain by the isometry taking
-    exp_O(H^{-1} G) to O and re-derives the graph; the next pass's
-    closed forms confirm the result on the re-derived graph. When H is
-    not positive definite (K = +1 domains far past pi/2) the step is
-    origin_newton_step's damped one. At K = 0, H is the mass times the
-    identity and each step is the centroid.
+    Otherwise it translates the domain so that exp_O(H^{-1} G) moves to
+    O and re-derives the graph; the next pass's closed forms confirm the
+    result on the re-derived graph. When H is not positive definite
+    (K = +1 domains far past pi/2) the step is origin_newton_step's
+    damped one. At K = 0, H is the mass times the identity and each step
+    is the centroid.
 
     Returns (new_graph, displacement, out_of_band), the last being the
     worst per-pass out-of-band energy relative to the energy of the
@@ -174,11 +175,8 @@ def recenter(graph, grid):
         disp = 0.0 if met else float(np.linalg.norm(step))
         if disp < BAR_TOL:
             return graph, disp, worst_band
-        bar = model.exp_map(sf, model.origin(sf), step if sf.K == 0
-                            else np.concatenate([[0.0], step]))
-        iso = model.translation_to_origin(sf, bar)
         graph, out_energy, values = reproject_after_isometry(
-            graph, grid, iso, radii)
+            graph, grid, model.point(sf, step), radii)
         worst_band = max(worst_band, out_energy / ref)
         if worst_band > OUT_OF_BAND_LIMIT:
             raise RuntimeError(

@@ -87,21 +87,19 @@ class SpaceForm:
         dph = np.cos(r)
         return np.sin(r), dph, 1.0 - dph
 
-    def volume_primitive(self, r, n=None):
+    def volume_primitive(self, r):
         """Integral of phi^n from 0 to r, in closed form.
 
         The geodesic ball of radius r has volume sphere_area * primitive.
-        Reduction formulas handle every n >= 0 for K = +-1.
         """
         r = self._check_domain(r)
-        n = self.n if n is None else n
         if self.K == 0:
-            return r ** (n + 1) / (n + 1)
+            return r ** (self.n + 1) / (self.n + 1)
         if self.K == -1:
-            return self.primitive_from_warp(np.sinh(r), np.cosh(r), r, n)
-        return self.primitive_from_warp(np.sin(r), np.cos(r), r, n)
+            return self.primitive_from_warp(np.sinh(r), np.cosh(r), r)
+        return self.primitive_from_warp(np.sin(r), np.cos(r), r)
 
-    def primitive_from_warp(self, ph, dph, r=None, n=None):
+    def primitive_from_warp(self, ph, dph, r=None):
         """volume_primitive for K = +-1 from phi(r) and phi'(r).
 
         The reduction P_m = ((m-1) P_{m-2} - phi^{m-1} phi') / (K m),
@@ -110,13 +108,12 @@ class SpaceForm:
         itself is read only for even n and no transcendental function is
         evaluated here.
         """
-        n = self.n if n is None else n
-        if n % 2:
+        if self.n % 2:
             # K=-1: cosh r - 1; K=+1: 1 - cos r
             out, start = self.K * (1.0 - dph), 1
         else:
             out, start = r + 0.0, 0
-        for m in range(start + 2, n + 1, 2):
+        for m in range(start + 2, self.n + 1, 2):
             out = ((m - 1) * out - ph ** (m - 1) * dph) / (self.K * m)
         return out
 

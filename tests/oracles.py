@@ -3,9 +3,11 @@ sigma_k by eigenvalues and by principal minors, the single-matrix Newton
 tensor, the batched Newton recursion on the similarity of the Weingarten
 map, the Weingarten map, the divergence-form H, brute-force volumes and
 radial moments, the embedded mass points and gradient that the
-barycenter is held to, translated-ball profiles, the Laplace-Beltrami
-operator, coefficient norms, the monomial Vandermonde matrix, the
-per-amplitude loop of full-grid geometries behind an expansion fit, the
+barycenter is held to, the exponential and logarithm maps at any base
+point, the geodesic distance, the translation to the origin with its
+matrix inverse, translated-ball profiles, the Laplace-Beltrami operator,
+coefficient norms, the monomial Vandermonde matrix, the per-amplitude
+loop of full-grid geometries behind an expansion fit, the
 spherical-Hessian integral identities, the gradient-energy bound on the
 asymmetry, the mean-curvature expansion blocks, the hand-expanded
 constrained deficit forms, the printed weighted-volume equality value
@@ -272,7 +274,7 @@ def barycenter_gradient_criterion(graph, grid, p, tol=dm.BARYCENTER_TOL):
     """2 |sum m log_p(y)| / (tol max(1, sum m)) over 16 embedded points
     per ray: below 1 where the barycenter declares convergence."""
     pts, mass = embedded_mass_points(graph, grid, 16)
-    G = mass @ model.log_map(graph.sf, p, pts)
+    G = mass @ log_map(graph.sf, p, pts)
     return 2.0 * np.linalg.norm(G) / (tol * max(1.0, np.sum(mass)))
 
 
@@ -284,6 +286,111 @@ def origin_tangent(sf, c):
     out = np.zeros(c.shape[:-1] + (sf.n + 2,))
     out[..., 1:] = c
     return out
+
+
+def _lorentz_dot(a, b):
+    return -a[..., 0] * b[..., 0] + np.sum(a[..., 1:] * b[..., 1:], axis=-1)
+
+
+def distance(sf, y, p):
+    """Geodesic distance between ambient points (broadcasting)."""
+    y = np.asarray(y, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if sf.K == 0:
+        return np.linalg.norm(y - p, axis=-1)
+    if sf.K == -1:
+        # chord formula: <y-p, y-p>_L = 4 sinh^2(d/2), stable near d = 0
+        q = np.maximum(_lorentz_dot(y - p, y - p), 0.0)
+        return 2.0 * np.arcsinh(0.5 * np.sqrt(q))
+    chord = np.linalg.norm(y - p, axis=-1)
+    return 2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))
+
+
+def log_map(sf, p, y):
+    """Inverse exponential: tangent vector at p pointing to y.
+
+    Returned in ambient components, with |v| equal to the geodesic
+    distance. Stable as y -> p.
+    """
+    y = np.asarray(y, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if sf.K == 0:
+        return y - p
+    d = distance(sf, y, p)
+    if sf.K == -1:
+        rad = y - np.cosh(d)[..., None] * p
+        den = np.sinh(d)
+    else:
+        rad = y - np.cos(d)[..., None] * p
+        den = np.sin(d)
+    scale = np.where(d > 1e-12, d / np.where(den > 0, den, 1.0), 1.0)
+    return scale[..., None] * rad
+
+
+def exp_map(sf, p, v):
+    """Exponential map at p applied to tangent vector(s) v."""
+    p = np.asarray(p, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if sf.K == 0:
+        return p + v
+    if sf.K == -1:
+        t = np.sqrt(np.maximum(_lorentz_dot(v, v), 0.0))
+        co, si = np.cosh(t), np.sinh(t)
+    else:
+        t = np.linalg.norm(v, axis=-1)
+        co, si = np.cos(t), np.sin(t)
+    vhat = v / np.where(t[..., None] > 0, t[..., None], 1.0)
+    return co[..., None] * p + si[..., None] * vhat
+
+
+class Isometry:
+    """Ambient isometry: linear map for K = +-1, translation for K = 0."""
+
+    def __init__(self, matrix=None, offset=None):
+        self.matrix = matrix
+        self.offset = offset
+
+    def __call__(self, y):
+        y = np.asarray(y, dtype=float)
+        if self.matrix is not None:
+            return y @ self.matrix.T
+        return y + self.offset
+
+    def inverse(self):
+        if self.matrix is not None:
+            return Isometry(matrix=np.linalg.inv(self.matrix))
+        return Isometry(offset=-self.offset)
+
+
+def translation_to_origin(sf, p):
+    """Isometry taking the ambient point p to the origin O (reference
+    for model.translation_from_origin, its inverse in closed form).
+
+    For K = +-1 this is the boost/rotation in the plane spanned by e0 and
+    the spatial direction of p; directions orthogonal to that plane are
+    fixed.
+    """
+    p = np.asarray(p, dtype=float)
+    if sf.K == 0:
+        return Isometry(offset=-p)
+    m = sf.n + 2
+    d, x = model.polar(sf, p)
+    d = float(d)
+    if d < 1e-300:
+        return Isometry(matrix=np.eye(m))
+    v = np.zeros(m)
+    v[1:] = x
+    e0 = np.zeros(m)
+    e0[0] = 1.0
+    if sf.K == -1:
+        ch, sh = np.cosh(d), np.sinh(d)
+        mat = (np.eye(m) + (ch - 1.0) * (np.outer(e0, e0) + np.outer(v, v))
+               - sh * (np.outer(e0, v) + np.outer(v, e0)))
+    else:
+        co, si = np.cos(d), np.sin(d)
+        mat = (np.eye(m) + (co - 1.0) * (np.outer(e0, e0) + np.outer(v, v))
+               + si * (np.outer(e0, v) - np.outer(v, e0)))
+    return Isometry(matrix=mat)
 
 
 def ball_radial_profile(sf, c, rho_bar, x):

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from sfi import cli
+from sfi import graphgeom as gg
 from sfi import lab
 
 
@@ -337,6 +338,92 @@ class TestOutputSection:
         path = write_config(tmp_path, BASE + "\n[output]\nformat = xml\n")
         assert cli.main(["eval", "--config", path]) == 2
         assert "output.format" in capsys.readouterr().err
+
+
+def unwritable(tmp_path, kind):
+    """A report path in a missing directory, or an existing directory."""
+    return str(tmp_path / "missing" / "x.csv" if kind == "missing-dir"
+               else tmp_path)
+
+
+@pytest.fixture
+def no_rows(monkeypatch):
+    """Fail the test if a verify row or a surface geometry is computed."""
+    def boom(*args, **kwargs):
+        raise AssertionError("a row ran before the output path was checked")
+    monkeypatch.setattr(lab, "verify_row", boom)
+    monkeypatch.setattr(gg, "surface_geometry", boom)
+
+
+class TestUnwritableOutputPath:
+    # exit 1 means a failed inequality, so a report path that cannot be
+    # written is a config error naming its flag or key and the path,
+    # found before any row runs
+    @pytest.mark.parametrize("kind", ["missing-dir", "directory"])
+    def test_out_flag(self, tmp_path, capsys, no_rows, kind):
+        path = write_config(tmp_path, BASE + PERTURB_RANDOM + CASE_STAB)
+        out = unwritable(tmp_path, kind)
+        assert cli.main(["verify", "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config error: --out" in err and repr(out) in err
+
+    @pytest.mark.parametrize("kind", ["missing-dir", "directory"])
+    def test_output_path_key(self, tmp_path, capsys, no_rows, kind):
+        out = unwritable(tmp_path, kind)
+        path = write_config(tmp_path, BASE + PERTURB_RANDOM + CASE_STAB
+                            + f"\n[output]\npath = {out}\n")
+        assert cli.main(["sweep", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "config error: output.path" in err and repr(out) in err
+
+    def test_out_dir_env_is_applied_first(self, tmp_path, capsys, no_rows,
+                                          monkeypatch):
+        missing = tmp_path / "missing"
+        monkeypatch.setenv("SFI_OUT_DIR", str(missing))
+        path = write_config(tmp_path, BASE + PERTURB_RANDOM + CASE_STAB)
+        assert cli.main(["verify", "--config", path, "--out", "x.csv"]) == 2
+        assert repr(str(missing / "x.csv")) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["missing-dir", "directory"])
+    def test_dump_nodes_flag(self, tmp_path, capsys, no_rows, kind):
+        path = write_config(tmp_path, BASE)
+        dump = unwritable(tmp_path, kind)
+        assert cli.main(["eval", "--config", path, "--dump-nodes",
+                         dump]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: --dump-nodes" in captured.err
+        assert repr(dump) in captured.err
+
+
+class TestSeedRange:
+    # the direction generator's Philox key is (seed << 64) | stream, so
+    # a seed outside [0, 2**64) is a config error naming its source
+    @pytest.mark.parametrize("command", ["verify", "sweep", "expand"])
+    @pytest.mark.parametrize("source", ["--seed", "perturbation.seed"])
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_out_of_range_seed_names_its_source(self, tmp_path, capsys,
+                                                no_rows, command, source,
+                                                seed):
+        body = (TestExpandCommand.EXPAND_BODY if command == "expand"
+                else BASE + PERTURB_RANDOM + CASE_STAB)
+        argv = [command, "--config", None]
+        if source == "--seed":
+            argv += ["--seed", str(seed)]
+        else:
+            body = body.replace("seed = 4" if command == "expand"
+                                else "seed = 11", f"seed = {seed}")
+        argv[2] = write_config(tmp_path, body)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {source}: {seed} is outside [0, 2**64)" \
+            in err
+
+    def test_largest_seed_is_accepted(self, tmp_path):
+        path = write_config(tmp_path, BASE + PERTURB_RANDOM + CASE_STAB)
+        assert cli.main(["verify", "--config", path, "--seed",
+                         str(2 ** 64 - 1), "--out",
+                         str(tmp_path / "r.csv")]) == 0
 
 
 class TestVerifyCommand:

@@ -46,20 +46,20 @@ def perturbed(K, basis, eps, seed=0, rho=1.0):
 
 
 def materialized_barycenter(graph, grid, radial_points=16, tol=1e-10):
-    """Newton-scaled Karcher iteration summing model.log_map over the
+    """Newton-scaled Karcher iteration summing oracles.log_map over the
     embedded points from the origin: the barycenter's reference
     computation. The step is G / h, with h = sum m (1 + n d cot_K d)/(n+1)
-    from per-point model.distance, bounded below by sum m / (n+1)."""
+    from per-point oracles.distance, bounded below by sum m / (n+1)."""
     sf = graph.sf
     pts, mass = oracles.embedded_mass_points(graph, grid, radial_points)
     total = np.sum(mass)
     p = model.origin(sf)
     for _ in range(100):
-        G = mass @ model.log_map(sf, p, pts)
+        G = mass @ oracles.log_map(sf, p, pts)
         if 2.0 * np.linalg.norm(G) < tol * max(1.0, total):
             return p
-        h = mass @ hessian_trace_density(sf, model.distance(sf, pts, p))
-        p = model.exp_map(sf, p, G / max(h, total / (sf.n + 1)))
+        h = mass @ hessian_trace_density(sf, oracles.distance(sf, pts, p))
+        p = oracles.exp_map(sf, p, G / max(h, total / (sf.n + 1)))
         if sf.K == 1:
             p = p / np.linalg.norm(p)
         elif sf.K == -1:
@@ -356,9 +356,9 @@ class TestBarycenter:
         P, M, H = dm._origin_moments(g.sf, R)
         O = model.origin(g.sf)
         pts, mass = oracles.embedded_mass_points(g, grid3, 16)
-        G_quad = mass @ model.log_map(g.sf, O, pts)
+        G_quad = mass @ oracles.log_map(g.sf, O, pts)
         h_quad = mass @ hessian_trace_density(g.sf,
-                                              model.distance(g.sf, pts, O))
+                                              oracles.distance(g.sf, pts, O))
         G = (grid3.weights * M) @ grid3.nodes
         assert np.allclose(G, G_quad[-4:], rtol=0, atol=1e-14)
         assert grid3.integrate(H) == pytest.approx(h_quad, rel=1e-14)
@@ -403,8 +403,8 @@ class TestBarycenter:
                 for j in range(n + 1):
                     e = np.zeros(len(O))
                     e[spatial + j] = h
-                    Gp, Gm = ((mass @ model.log_map(
-                        sf, model.exp_map(sf, O, s * e), pts))[spatial:]
+                    Gp, Gm = ((mass @ oracles.log_map(
+                        sf, oracles.exp_map(sf, O, s * e), pts))[spatial:]
                         for s in (1.0, -1.0))
                     assert np.allclose(0.5 * (Gp + Gm), G, rtol=0,
                                        atol=1e-10 * total)

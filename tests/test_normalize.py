@@ -151,22 +151,23 @@ class TestReproject:
         a *= 0.03 / np.linalg.norm(a)
         g = gg.RadialGraph(sf=SpaceForm(K=-1, n=3), rho=1.0,
                            u=sb.from_coeffs(basis3, a))
-        identity = model.translation_to_origin(g.sf, model.origin(g.sf))
         new, out_energy, _ = nz.reproject_after_isometry(
-            g, grid3, identity, g.radii(sb.values_on_grid(g.u, grid3)))
+            g, grid3, model.origin(g.sf),
+            g.radii(sb.values_on_grid(g.u, grid3)))
         assert np.max(np.abs(new.u.coeffs - g.u.coeffs)) < 1e-12
         assert out_energy < 1e-20
 
     @pytest.mark.parametrize("K", ALL_K)
     def test_translated_ball_profile(self, K, grid3, basis3):
         sf = SpaceForm(K=K, n=3)
+        # the centered ball translated so that exp_O(-c) moves to O is
+        # the ball about exp_O(c)
         c = np.array([0.05, 0.0, 0.0, 0.0])
-        p = model.exp_map(sf, model.origin(sf),
-                          oracles.origin_tangent(sf, c))
-        iso = model.translation_to_origin(sf, p).inverse()
+        center = oracles.exp_map(sf, model.origin(sf),
+                                 oracles.origin_tangent(sf, -c))
         g = ball_graph(K, 1.0, basis3)
         new, out_energy, _ = nz.reproject_after_isometry(
-            g, grid3, iso, g.radii(sb.values_on_grid(g.u, grid3)))
+            g, grid3, center, g.radii(sb.values_on_grid(g.u, grid3)))
         want = oracles.ball_radial_profile(sf, c, 1.0, grid3.nodes)
         got = new.radii(sb.values_on_grid(new.u, grid3))
         assert np.max(np.abs(got - want)) < 1e-9
@@ -176,13 +177,14 @@ class TestReproject:
         sf = SpaceForm(K=-1, n=3)
         a = mode(basis3, [(2, 0, 0.02), (3, 3, 0.01)])
         g = gg.RadialGraph(sf=sf, rho=1.0, u=sb.from_coeffs(basis3, a))
-        p = model.exp_map(sf, model.origin(sf),
-                          oracles.origin_tangent(sf, [0.01, 0.0, 0.0, 0.0]))
-        iso = model.translation_to_origin(sf, p)
+        # translating p to O, then the image of O to O, is the identity
+        p = oracles.exp_map(sf, model.origin(sf),
+                            oracles.origin_tangent(sf, [0.01, 0.0, 0.0, 0.0]))
         moved, _, _ = nz.reproject_after_isometry(
-            g, grid3, iso, g.radii(sb.values_on_grid(g.u, grid3)))
+            g, grid3, p, g.radii(sb.values_on_grid(g.u, grid3)))
         back, _, _ = nz.reproject_after_isometry(
-            moved, grid3, iso.inverse(),
+            moved, grid3, oracles.translation_to_origin(sf, p)(
+                model.origin(sf)),
             moved.radii(sb.values_on_grid(moved.u, grid3)))
         # fidelity is limited by band truncation at the intermediate step
         assert np.max(np.abs(back.u.coeffs - g.u.coeffs)) < 1e-7

@@ -113,6 +113,19 @@ def test_source_imports_no_scipy():
     assert "numpy" in imported
 
 
+def test_no_import_inside_a_function():
+    # importing sfi.cli runs sfi/__init__.py, which loads numpy and every
+    # sfi module, so an import in a function body defers nothing
+    local = sorted(f"{module}.{func.name}: {ast.unparse(node)}"
+                   for module, tree in _trees().items()
+                   for func in ast.walk(tree)
+                   if isinstance(func, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef))
+                   for node in ast.walk(func)
+                   if isinstance(node, (ast.Import, ast.ImportFrom)))
+    assert local == []
+
+
 def test_numpy_is_the_only_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads(

@@ -102,22 +102,19 @@ class TestPhi:
 
 class TestVolumePrimitive:
     @pytest.mark.parametrize("K", ALL_K)
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_against_quadrature(self, K, n):
-        sf = SpaceForm(K=K, n=max(n, 2))
+        sf = SpaceForm(K=K, n=n)
         for r in [0.15, 0.8, 1.9]:
             val, _ = quad(lambda t: sf.phi(t) ** n, 0.0, r)
-            assert sf.volume_primitive(r, n=n) == pytest.approx(val, rel=1e-12, abs=1e-14)
+            assert sf.volume_primitive(r) == pytest.approx(
+                val, rel=1e-12, abs=1e-14)
 
     def test_flat_ball_volume(self):
         sf = SpaceForm(K=0, n=2)
         rho = 1.3
         vol = unit_sphere_area(2) * sf.volume_primitive(rho)
         assert vol == pytest.approx(4 * math.pi * rho**3 / 3)
-
-    def test_default_power(self):
-        sf = make(-1, n=4)
-        assert sf.volume_primitive(1.1) == sf.volume_primitive(1.1, n=4)
 
     @given(r=st.floats(0.05, 2.8), K=st.sampled_from(ALL_K))
     @settings(max_examples=25, deadline=None)
