@@ -3,7 +3,9 @@
 Four commands share one flat INI configuration:
 
 * eval: domain functionals and curvature summary of a single graph;
-* verify: one deficit-report row per (case, direction, amplitude);
+* verify: one deficit-report row per (case, direction, amplitude),
+  computed one sampled graph (direction, amplitude) at a time, with
+  every case's row on it;
 * expand: fitted-versus-closed-form expansion coefficient table;
 * sweep: verify over random directions, with a summary line per case.
 
@@ -573,32 +575,37 @@ def _worker_output(k, data, status, count):
 
 def _verify_rows(ctx, args, pcfg, eps_default, summary=False):
     """Verify every (case, direction, amplitude) row of the perturbation
-    spec pcfg, one task per row on up to --threads worker processes (see
-    _run_tasks); the zero direction is one row with no amplitude. With
-    summary, one line per case gives its row and failure counts and its
-    empirical constant on stderr.
-    Lists the rows that raised, writes the report of the others and
-    returns the exit code: 3 if any row raised, else 1 if any failed."""
+    spec pcfg; the zero direction is one row with no amplitude. Every
+    case runs on the same sampled graphs (one space form and rho), so
+    there is one task per (direction, amplitude), which verifies every
+    case's row on that graph through lab.verify_rows; the tasks run on
+    up to --threads worker processes (see _run_tasks). With summary, one
+    line per case gives its row and failure counts and its empirical
+    constant on stderr.
+    Lists the rows that raised, case by case, writes the report of the
+    others and returns the exit code: 3 if any row raised, else 1 if
+    any failed."""
     if not ctx.cases:
         raise ConfigError("missing required config section [case:<name>]")
     directions = build_directions(pcfg, ctx.basis, ctx.seed)
     eps_list = epsilon_schedule(pcfg, default=eps_default)
 
     tasks = []
-    for name, case in ctx.cases:
-        for did, u0 in directions:
-            for eps in [None] if did == "zero" else eps_list:
-                u = u0 if eps is None else u0.scaled(eps)
-                graph = gg.RadialGraph(sf=ctx.sf, rho=case.rho, u=u)
-                tasks.append((name, case, graph, did, eps))
+    for did, u0 in directions:
+        for eps in [None] if did == "zero" else eps_list:
+            u = u0 if eps is None else u0.scaled(eps)
+            tasks.append((gg.RadialGraph(sf=ctx.sf, rho=ctx.rho, u=u), did,
+                          eps))
+    cases = [case for _, case in ctx.cases]
 
     def run(task):
-        _name, case, graph, did, eps = task
-        return lab.verify_row(case, graph, ctx.grid, did, eps)
+        graph, did, eps = task
+        return lab.verify_rows(cases, graph, ctx.grid, did, eps)
 
     by_case = {name: [] for name, _ in ctx.cases}
-    for task, row in zip(tasks, _run_tasks(tasks, run, args.threads)):
-        by_case[task[0]].append(row)
+    for rows in _run_tasks(tasks, run, args.threads):
+        for name, row in zip(by_case, rows, strict=True):
+            by_case[name].append(row)
     reports, failures = [], []
     for name, rows in by_case.items():
         done = [r for r in rows if isinstance(r, lab.DeficitReport)]

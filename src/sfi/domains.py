@@ -563,9 +563,14 @@ def fraenkel_asymmetry(geo, seed_center):
 
     The error of a search that stops early is one-sided: alpha is
     computed exactly as symmetric_difference_to_ball computes it at the
-    returned center, a real center, so it is never below the minimum over
-    centers. An early stop can only raise a (C - eta) alpha^2 bound,
-    never turn a fail into a pass.
+    returned center, a real center, so it is never below the minimum
+    over centers of that discrete alpha. An early stop can only raise a
+    (C - eta) alpha^2 bound above its value at that minimum. This holds
+    for the discrete alpha on grid only: its quadrature error against
+    the true asymmetry is two-sided, percent-sized and not estimated
+    (ROADMAP item 1). So an early stop never turns a fail into a pass
+    against the discrete minimum, but nothing bounds the verdict against
+    the true asymmetry, which that error can move either way.
     """
     sf, grid = geo.graph.sf, geo.grid
     primitive = sf.volume_primitive(geo.r)

@@ -8,14 +8,17 @@ hypersurface against its value on the matching geodesic ball:
 * stability_constant gives the closed-form coefficient of the
   quantitative (asymmetry-squared) lower bounds;
 * verify runs the full pipeline on one graph: normalize, integrate,
-  compare, and flag;
+  compare, and flag; it is called once per row, and verify_rows runs it
+  for several cases on one sampled graph, which share the graph's
+  recentering, geometry and asymmetry (nz.RecenteredGraph);
 * expansion_oracle fits the small-amplitude Taylor expansion of the
   integral and compares the fitted coefficients against the closed-form
   coefficient blocks;
-* sweep drives verify over a deterministic family of random directions
-  and amplitudes and returns a SweepResult; it writes no CSV or JSON
-  (the sfi sweep command runs its rows through verify_row) and stays
-  for the benchmark, which calls it.
+* sweep drives verify_rows with its one case over a deterministic
+  family of random directions and amplitudes and returns a SweepResult;
+  it writes no CSV or JSON (the sfi sweep command calls verify_rows
+  itself, with every case of its configuration) and stays for the
+  benchmark, which calls it.
 
 Every second-order closed form comes from one source, the expansion
 about the geodesic sphere: sigma_expansion_blocks gives the blocks of
@@ -420,6 +423,10 @@ def verify(case, graph_raw, grid, *, direction_id="", epsilon=None):
     """Normalize graph_raw under the case's constraint and compare the
     weighted curvature integral against the theorem's right-hand side.
 
+    graph_raw is a RadialGraph or its nz.RecenteredGraph on grid;
+    verify_rows passes the latter, so that the cases verified on one
+    sampled graph share its recentering, geometry and asymmetry.
+
     The deficit column is always LHS minus the matched-ball value; for
     stability cases the rhs column additionally carries the
     (C - eta) alpha^2 term, so pass means deficit >= bound in both
@@ -430,7 +437,8 @@ def verify(case, graph_raw, grid, *, direction_id="", epsilon=None):
     fam = case.family
     sf, w, k = case.sf, case.w, case.k
     constraint = case.constraint()
-    normalized = nz.normalize(graph_raw, grid, constraint)
+    shared = nz.recentered(graph_raw, grid)
+    normalized = nz.normalize(shared, grid, constraint)
     graph = normalized.graph
     rho_star = graph.rho
     norms = normalized.norms
@@ -460,11 +468,13 @@ def verify(case, graph_raw, grid, *, direction_id="", epsilon=None):
         positive_part=positive_part)
     err_quad = abs(lhs - lhs_coarse)
 
-    # The barycenter is not the optimal ball center, but the optimum lies
-    # close to the origin, so the center search is seeded there. Its alpha
-    # is never below the true minimum, so an early stop can only raise
-    # the bound.
-    alpha, _center = dm.fraenkel_asymmetry(geo, np.zeros(sf.n + 1))
+    # An early stop of the center search can only raise alpha above the
+    # minimum over centers of the discrete alpha on this grid, and so
+    # raise the bound. That holds for the discrete alpha only: its
+    # quadrature error against the true asymmetry is two-sided,
+    # percent-sized and not estimated (ROADMAP item 1), and can move the
+    # bound either way.
+    alpha, _center = shared.asymmetry
 
     if fam.kind == "validity":
         rhs = equality_function(sf, w, k, constraint,
@@ -667,6 +677,20 @@ def verify_row(case, graph, grid, direction_id, epsilon):
         return direction_id, epsilon, str(exc)
 
 
+def verify_rows(cases, graph, grid, direction_id, epsilon):
+    """verify_row of each case on the sampled graph, in case order.
+
+    The cases share one nz.RecenteredGraph, so the graph is recentered,
+    its geometry built and its asymmetry searched once for all of them.
+    A row fails only where its own verify raises: a shared step that
+    raises is retried by the next case that reaches it, so it fails that
+    case's row with the same message too.
+    """
+    shared = nz.RecenteredGraph(graph, grid)
+    return [verify_row(case, shared, grid, direction_id, epsilon)
+            for case in cases]
+
+
 def empirical_constant(reports):
     """The minimum of deficit / alpha^2 over rows whose hypotheses are met
     and whose asymmetry is resolvable; None when no row qualifies."""
@@ -677,15 +701,16 @@ def empirical_constant(reports):
 
 def sweep(case, grid, basis, *, directions=30, eps_schedule=(0.003, 0.01),
           seed=2025, degrees=(2, 3, 4)):
-    """verify_row over a deterministic grid of sampled directions and
-    amplitudes; row failures are recorded and the sweep continues."""
+    """verify_rows of the one case over a deterministic grid of sampled
+    directions and amplitudes; row failures are recorded and the sweep
+    continues."""
     rows = []
     for i in range(directions):
         u0 = sample_direction(basis, seed, i, degrees=degrees)
         for eps in eps_schedule:
             graph = gg.RadialGraph(sf=case.sf, rho=case.rho,
                                    u=u0.scaled(eps))
-            rows.append(verify_row(case, graph, grid, f"d{i:03d}", eps))
+            rows += verify_rows([case], graph, grid, f"d{i:03d}", eps)
     reports = tuple(r for r in rows if isinstance(r, DeficitReport))
     return SweepResult(case=case, reports=reports,
                        failures=tuple(r for r in rows

@@ -20,11 +20,17 @@ across matching (SurfaceGeometry.relabeled rescales the jet); the
 constraint value is read from that geometry (Constraint.of_geometry),
 the norms from its jet, and the barycenter displacement it reports is
 the one recentering measured on that same surface.
+
+Nothing before matching depends on the constraint, so a RecenteredGraph
+holds that stage, the recentered graph and its geometry, together with
+the Fraenkel asymmetry of the recentered domain, for every constraint
+normalized from the same sampled graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -185,6 +191,51 @@ def recenter(graph, grid):
     raise RuntimeError("recentering did not converge")
 
 
+@dataclass(frozen=True, eq=False)
+class RecenteredGraph:
+    """The constraint-independent stage of normalizing a sampled graph on
+    grid: recenter's result, the recentered graph's geometry on grid and
+    the Fraenkel asymmetry of its domain.
+
+    Each is computed on first use and then kept, so every constraint
+    normalized from this object shares them. A use that raises keeps
+    nothing: the next use computes it again and raises the same error,
+    as a separate normalization of the sampled graph would.
+    """
+
+    sampled: gg.RadialGraph
+    grid: object
+
+    @cached_property
+    def recentering(self):
+        """recenter(sampled, grid): (graph, displacement, out_of_band)."""
+        return recenter(self.sampled, self.grid)
+
+    @cached_property
+    def geometry(self):
+        return gg.surface_geometry(self.recentering[0], self.grid)
+
+    @cached_property
+    def asymmetry(self):
+        """(alpha, center) of domains.fraenkel_asymmetry. It reads only
+        the radii, which matching keeps, so it is also the asymmetry of
+        every matched graph. The barycenter is not the optimal ball
+        center, but the optimum lies close to the origin, so the center
+        search is seeded there."""
+        return dm.fraenkel_asymmetry(self.geometry,
+                                     np.zeros(self.sampled.sf.n + 1))
+
+
+def recentered(graph, grid):
+    """graph's RecenteredGraph on grid: graph itself when it is one,
+    which must have been built on grid."""
+    if not isinstance(graph, RecenteredGraph):
+        return RecenteredGraph(graph, grid)
+    if graph.grid is not grid:
+        raise ValueError("the recentered graph was built on another grid")
+    return graph
+
+
 @dataclass(frozen=True)
 class NormalizedGraph:
     """A graph satisfying bar = O and one matched constraint, with the
@@ -213,6 +264,8 @@ class NormalizedGraph:
 def normalize(graph, grid, constraint):
     """Recenter and match the constraint; returns a NormalizedGraph.
 
+    graph is a RadialGraph or its RecenteredGraph on grid, whose
+    recentering and geometry are then reused rather than recomputed.
     One pass suffices: recenter returns only once the barycenter
     displacement is below BAR_TOL, and matching only relabels that
     surface, so neither the barycenter nor the matched value can move
@@ -221,8 +274,9 @@ def normalize(graph, grid, constraint):
     Relabeling keeps every field the constraint reads (radii, sigma and
     area factor), so the value is also that of the returned graph.
     """
-    graph, bar_after, band = recenter(graph, grid)
-    geo = gg.surface_geometry(graph, grid)
+    shared = recentered(graph, grid)
+    graph, bar_after, band = shared.recentering
+    geo = shared.geometry
     value = constraint.of_geometry(geo)
     rho_star, graph = match_radius(graph, constraint, value)
     geo = geo.relabeled(graph)

@@ -11,8 +11,11 @@ import time
 import pytest
 
 from sfi import cli
+from sfi import domains as dm
 from sfi import graphgeom as gg
 from sfi import lab
+from sfi import normalize as nz
+from sfi import spherebasis as sb
 
 
 AVAILABLE_CPUS = cli._available_cpus
@@ -916,3 +919,212 @@ epsilon = 1.0
         path = write_config(tmp_path, body)
         assert cli.main(["verify", "--config", path]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+# one volume-, one weighted-volume- and one W0-constrained case, two
+# validity theorems and one stability theorem, all at K = -1
+MULTI_CASES = {
+    "wv": "theorem = sigmak-weighted-volume\nk = 2\n",
+    "vol": "theorem = H-volume\n",
+    "stab": "theorem = sigmak-quermass-hyperbolic\nk = 1\nj = 0\n",
+}
+
+
+def multi_case_config(tmp_path, names, eps="0.004, 0.008", name="run.ini"):
+    """BASE with 2 directions at the amplitudes eps and the named cases of
+    MULTI_CASES, in that order."""
+    body = BASE + PERTURB_RANDOM.replace("epsilon = 0.004",
+                                         f"epsilon = {eps}")
+    body += "".join(f"\n[case:{n}]\n{MULTI_CASES[n]}" for n in names)
+    return write_config(tmp_path, body, name)
+
+
+def run_command(capsys, argv):
+    """(exit code, report text or None, stderr) of one cli.main call."""
+    out = argv[argv.index("--out") + 1]
+    if os.path.exists(out):
+        os.remove(out)
+    code = cli.main(argv)
+    report = open(out).read() if os.path.exists(out) else None
+    return code, report, capsys.readouterr().err
+
+
+def per_case_runs(tmp_path, capsys, names, command, eps="0.004, 0.008"):
+    """(exit codes, report, stderr) of one run per named case, each with
+    its one [case:*] section: the report is the runs' rows after one
+    header, the stderr their lines, in case order."""
+    codes, header, rows, err = [], None, [], ""
+    for n in names:
+        path = multi_case_config(tmp_path, [n], eps, name=f"{n}.ini")
+        code, report, e = run_command(
+            capsys, [command, "--config", path, "--out",
+                     str(tmp_path / f"{n}.csv")])
+        codes.append(code)
+        header, *lines = report.splitlines(keepends=True)
+        rows += lines
+        err += e
+    return codes, header + "".join(rows), err
+
+
+def failure_lines(err, failures=True):
+    """The numerical failure lines of err, or with failures False its
+    other lines."""
+    return [line for line in err.splitlines()
+            if line.startswith("numerical failure:") == failures]
+
+
+class TestOneTaskPerSampledGraph:
+    NAMES = ["wv", "vol", "stab"]
+
+    def test_shared_stage_runs_once_per_graph(self, tmp_path, monkeypatch,
+                                              capsys, cpus):
+        calls = {"recenter": 0, "asymmetry": 0, "geometry": []}
+        recenter, geometry = nz.recenter, gg.surface_geometry
+        asymmetry = dm.fraenkel_asymmetry
+
+        def counting_recenter(*args):
+            calls["recenter"] += 1
+            return recenter(*args)
+
+        def counting_geometry(graph, grid):
+            calls["geometry"].append(grid.d_exact)
+            return geometry(graph, grid)
+
+        def counting_asymmetry(*args):
+            calls["asymmetry"] += 1
+            return asymmetry(*args)
+
+        monkeypatch.setattr(nz, "recenter", counting_recenter)
+        monkeypatch.setattr(gg, "surface_geometry", counting_geometry)
+        monkeypatch.setattr(dm, "fraenkel_asymmetry", counting_asymmetry)
+        pools = []
+        run_tasks = cli._run_tasks
+
+        def spy(tasks, runner, threads):
+            pools.append((len(tasks), threads))
+            return run_tasks(tasks, runner, threads)
+
+        monkeypatch.setattr(cli, "_run_tasks", spy)
+        cpus(3)
+        path = multi_case_config(tmp_path, self.NAMES)
+        out = str(tmp_path / "v.csv")
+        reports = []
+        for threads in ("1", "2", "3"):
+            code, report, err = run_command(
+                capsys, ["verify", "--config", path, "--out", out,
+                         "--threads", threads])
+            assert code == 0 and err == ""
+            reports.append(report)
+            if threads == "1":
+                # 2 directions x 2 amplitudes, whatever the 3 cases
+                row_grid = sb.default_resolution(5)
+                assert calls["recenter"] == 4
+                assert calls["asymmetry"] == 4
+                assert calls["geometry"].count(row_grid) == 4
+                # the coarse geometry of err_quad stays one per row
+                assert len(calls["geometry"]) == 4 + 12
+        # one task per sampled graph, at every --threads
+        assert pools == [(4, 1), (4, 2), (4, 3)]
+        codes, expected, err = per_case_runs(tmp_path, capsys, self.NAMES,
+                                             "verify")
+        assert codes == [0, 0, 0] and err == ""
+        assert len(expected.splitlines()) == 1 + 12
+        assert reports == [expected] * 3
+
+    def test_sweep_writes_the_per_case_rows(self, tmp_path, capsys):
+        path = multi_case_config(tmp_path, self.NAMES)
+        out = str(tmp_path / "s.csv")
+        codes, expected, summaries = per_case_runs(tmp_path, capsys,
+                                                   self.NAMES, "sweep")
+        assert codes == [0, 0, 0]
+        assert [line.split(":")[1] for line in summaries.splitlines()] \
+            == self.NAMES
+        for threads in ("1", "2"):
+            code, report, err = run_command(
+                capsys, ["sweep", "--config", path, "--out", out,
+                         "--threads", threads])
+            assert code == 0
+            assert report == expected
+            assert err == summaries
+
+    def test_case_raise_fails_only_that_case(self, tmp_path, monkeypatch,
+                                             capsys):
+        # the weighted-volume case fails in matching; the other cases'
+        # rows are their per-case rows
+        match_radius = nz.match_radius
+
+        def breaks_weighted_volume(graph, constraint, value):
+            if constraint.kind == "weighted_volume":
+                raise ValueError("forced match failure")
+            return match_radius(graph, constraint, value)
+
+        monkeypatch.setattr(nz, "match_radius", breaks_weighted_volume)
+        path = multi_case_config(tmp_path, self.NAMES)
+        _, expected, _ = per_case_runs(tmp_path, capsys, ["vol", "stab"],
+                                       "verify")
+        for threads in ("1", "2"):
+            code, report, err = run_command(
+                capsys, ["verify", "--config", path, "--out",
+                         str(tmp_path / "v.csv"), "--threads", threads])
+            assert code == 3
+            assert report == expected
+            assert err.splitlines() == [
+                f"numerical failure: case:wv: d00{d} eps={e} error: "
+                f"forced match failure"
+                for d in (0, 1) for e in (0.004, 0.008)]
+
+    def test_case_raise_comes_before_the_asymmetry(self, tmp_path,
+                                                   monkeypatch, capsys):
+        # the asymmetry is searched on first use, after the first case
+        # has matched its constraint, so the weighted-volume case (first)
+        # still reports its own error; a raising search is retried by
+        # every case that reaches it, as a row on its own would run it
+        match_radius = nz.match_radius
+        searches = []
+
+        def breaks_weighted_volume(graph, constraint, value):
+            if constraint.kind == "weighted_volume":
+                raise ValueError("forced match failure")
+            return match_radius(graph, constraint, value)
+
+        def breaks_search(*args):
+            searches.append(1)
+            raise RuntimeError("forced search failure")
+
+        monkeypatch.setattr(nz, "match_radius", breaks_weighted_volume)
+        monkeypatch.setattr(dm, "fraenkel_asymmetry", breaks_search)
+        path = multi_case_config(tmp_path, self.NAMES, eps="0.004")
+        code, report, err = run_command(
+            capsys, ["verify", "--config", path, "--out",
+                     str(tmp_path / "v.csv")])
+        assert code == 3
+        assert report == ",".join(lab.CSV_COLUMNS) + "\n"
+        assert err.splitlines() == [
+            f"numerical failure: case:{n}: d00{d} eps=0.004 error: "
+            f"forced {'match' if n == 'wv' else 'search'} failure"
+            for n in self.NAMES for d in (0, 1)]
+        assert len(searches) == 2 * 2
+
+    def test_shared_raise_fails_every_case(self, tmp_path, capsys):
+        # amplitude 1 is too rough for the basis: recentering raises on
+        # both directions, for every case, with the per-case run's message,
+        # and the failure lines stay in case order
+        path = multi_case_config(tmp_path, self.NAMES, eps="0.004, 1.0")
+        for command in ("verify", "sweep"):
+            codes, expected, per_case_err = per_case_runs(
+                tmp_path, capsys, self.NAMES, command, eps="0.004, 1.0")
+            assert codes == [3, 3, 3]
+            failures = failure_lines(per_case_err)
+            assert [f.split(":")[2] for f in failures] \
+                == [n for n in self.NAMES for _ in (0, 1)]
+            assert all("eps=1 error: out-of-band energy ratio" in f
+                       for f in failures)
+            summaries = failure_lines(per_case_err, False)
+            for threads in ("1", "2", "3"):
+                code, report, err = run_command(
+                    capsys, [command, "--config", path, "--out",
+                             str(tmp_path / "v.csv"), "--threads", threads])
+                assert code == 3
+                assert report == expected
+                assert failure_lines(err) == failures
+                assert failure_lines(err, False) == summaries

@@ -738,6 +738,43 @@ class TestVerify:
                 lab.verify(case, g0, grid)
 
 
+class TestVerifyRows:
+    CASES = [("sigmak-weighted-volume", 2, None), ("H-volume", 1, None),
+             ("sigmak-quermass-hyperbolic", 1, 0),
+             ("sigmak-quermass-hyperbolic-validity", 2, 1)]
+
+    def test_rows_are_the_per_case_rows(self, basis3, grid3):
+        sf = SpaceForm(K=-1, n=3)
+        cases = [lab.TheoremCase(tid, sf, WeightFunction.affine(), k=k, j=j,
+                                 rho=0.9) for tid, k, j in self.CASES]
+        u0 = lab.sample_direction(basis3, 46, 0, degrees=(2, 3, 4))
+        g0 = gg.RadialGraph(sf=sf, rho=0.9, u=u0.scaled(0.006))
+        rows = lab.verify_rows(cases, g0, grid3, "d046", 0.006)
+        assert rows == [lab.verify(case, g0, grid3, direction_id="d046",
+                                   epsilon=0.006) for case in cases]
+        assert [r.status for r in rows] == ["pass"] * len(cases)
+
+    def test_sweep_runs_one_case_per_graph(self, basis3, grid3,
+                                           monkeypatch):
+        sf = SpaceForm(K=-1, n=3)
+        case = lab.TheoremCase("sigmak-quermass-hyperbolic", sf,
+                               WeightFunction.affine(), k=1, j=0, rho=0.9)
+        calls = []
+        verify_rows = lab.verify_rows
+
+        def spy(cases, graph, grid, did, eps):
+            calls.append((cases, did, eps))
+            return verify_rows(cases, graph, grid, did, eps)
+
+        monkeypatch.setattr(lab, "verify_rows", spy)
+        sw = lab.sweep(case, grid3, basis3, directions=2,
+                       eps_schedule=(0.003, 0.01), seed=11)
+        assert calls == [([case], f"d00{i}", e) for i in (0, 1)
+                         for e in (0.003, 0.01)]
+        assert [(r.direction_id, r.epsilon) for r in sw.reports] \
+            == [(did, e) for _, did, e in calls]
+
+
 class TestNoBatchedEigensolves:
     # sigma_k comes from Newton's identities, so the only batch of
     # eigensolves left on the hot path is the Hessian norm's

@@ -429,3 +429,83 @@ class TestNormalize:
         res = nz.normalize(g, grid3, nz.volume_constraint())
         assert res.rho == pytest.approx(0.8, rel=1e-12)
         assert res.norms.l2 < 1e-10
+
+
+class TestRecenteredGraph:
+    CONSTRAINTS = [nz.volume_constraint(), nz.weighted_volume_constraint(),
+                   nz.quermass_constraint(0)]
+
+    @staticmethod
+    def sampled(basis, K=-1):
+        a = random_mid_band(basis, np.random.default_rng(31), 0.03)
+        return gg.RadialGraph(sf=SpaceForm(K=K, n=3), rho=0.9,
+                              u=sb.from_coeffs(basis, a))
+
+    @staticmethod
+    def counting(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("K", ALL_K)
+    def test_constraints_share_one_recentering(self, K, grid3, basis3,
+                                               monkeypatch):
+        g = self.sampled(basis3, K)
+        alone = [nz.normalize(g, grid3, con) for con in self.CONSTRAINTS]
+        recentered = self.counting(monkeypatch, nz, "recenter")
+        geometries = self.counting(monkeypatch, gg, "surface_geometry")
+        shared = nz.RecenteredGraph(g, grid3)
+        for con, ref in zip(self.CONSTRAINTS, alone):
+            res = nz.normalize(shared, grid3, con)
+            for field in ("rho", "constraint_value", "constraint_residual",
+                          "bar_displacement", "out_of_band", "norms"):
+                assert getattr(res, field) == getattr(ref, field)
+            assert np.array_equal(res.graph.u.coeffs, ref.graph.u.coeffs)
+            assert res.geometry.r is shared.geometry.r
+        assert len(recentered) == len(geometries) == 1
+
+    def test_asymmetry_is_searched_once(self, grid3, basis3, monkeypatch):
+        g = self.sampled(basis3)
+        ref = dm.fraenkel_asymmetry(
+            nz.normalize(g, grid3, nz.volume_constraint()).geometry,
+            np.zeros(4))
+        searches = self.counting(monkeypatch, dm, "fraenkel_asymmetry")
+        shared = nz.RecenteredGraph(g, grid3)
+        assert searches == []
+        alpha, center = shared.asymmetry
+        assert shared.asymmetry[0] == alpha == ref[0]
+        assert np.array_equal(center, ref[1])
+        assert len(searches) == 1
+
+    def test_raising_stage_is_recomputed(self, grid3, basis3, monkeypatch):
+        # nothing is kept from a use that raised, so the next use runs
+        # recenter again, as a separate normalization would
+        calls = []
+        recenter = nz.recenter
+
+        def fails_first(*args):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("forced recentering failure")
+            return recenter(*args)
+
+        monkeypatch.setattr(nz, "recenter", fails_first)
+        shared = nz.RecenteredGraph(self.sampled(basis3), grid3)
+        with pytest.raises(RuntimeError, match="forced recentering"):
+            nz.normalize(shared, grid3, nz.volume_constraint())
+        nz.normalize(shared, grid3, nz.volume_constraint())
+        nz.normalize(shared, grid3, nz.weighted_volume_constraint())
+        assert len(calls) == 2
+
+    def test_other_grid_is_refused(self, grid3, basis3):
+        shared = nz.RecenteredGraph(self.sampled(basis3), grid3)
+        assert nz.recentered(shared, grid3) is shared
+        with pytest.raises(ValueError, match="another grid"):
+            nz.normalize(shared, sb.build_grid(3, 16),
+                         nz.volume_constraint())
