@@ -10,7 +10,7 @@ hypersurface against its value on the matching geodesic ball:
 * verify runs the full pipeline on one graph: normalize, integrate,
   compare, and flag; it is called once per row, and verify_rows runs it
   for several cases on one sampled graph, which share the graph's
-  recentering, geometry and asymmetry (nz.RecenteredGraph);
+  recentering, geometries and asymmetry (nz.RecenteredGraph);
 * expansion_oracle fits the small-amplitude Taylor expansion of the
   integral and compares the fitted coefficients against the closed-form
   coefficient blocks;
@@ -425,7 +425,7 @@ def verify(case, graph_raw, grid, *, direction_id="", epsilon=None):
 
     graph_raw is a RadialGraph or its nz.RecenteredGraph on grid;
     verify_rows passes the latter, so that the cases verified on one
-    sampled graph share its recentering, geometry and asymmetry.
+    sampled graph share its recentering, geometries and asymmetry.
 
     The deficit column is always LHS minus the matched-ball value; for
     stability cases the rhs column additionally carries the
@@ -439,8 +439,7 @@ def verify(case, graph_raw, grid, *, direction_id="", epsilon=None):
     constraint = case.constraint()
     shared = nz.recentered(graph_raw, grid)
     normalized = nz.normalize(shared, grid, constraint)
-    graph = normalized.graph
-    rho_star = graph.rho
+    rho_star = normalized.rho
     norms = normalized.norms
 
     weight_notes, budget_notes = [], []
@@ -462,11 +461,8 @@ def verify(case, graph_raw, grid, *, direction_id="", epsilon=None):
     positive_part = fam.target == "H"
     lhs = gg.weighted_curvature_integral(geo, w, k,
                                          positive_part=positive_part)
-    coarse = sb.build_grid(grid.n, max(8, grid.d_exact // 2))
-    lhs_coarse = gg.weighted_curvature_integral(
-        gg.surface_geometry(graph, coarse), w, k,
-        positive_part=positive_part)
-    err_quad = abs(lhs - lhs_coarse)
+    err_quad = abs(lhs - gg.weighted_curvature_integral(
+        shared.coarse_geometry, w, k, positive_part=positive_part))
 
     # An early stop of the center search can only raise alpha above the
     # minimum over centers of the discrete alpha on this grid, and so
@@ -681,10 +677,9 @@ def verify_rows(cases, graph, grid, direction_id, epsilon):
     """verify_row of each case on the sampled graph, in case order.
 
     The cases share one nz.RecenteredGraph, so the graph is recentered,
-    its geometry built and its asymmetry searched once for all of them.
+    its geometries built and its asymmetry searched once for all of them.
     A row fails only where its own verify raises: a shared step that
-    raises is retried by the next case that reaches it, so it fails that
-    case's row with the same message too.
+    raises runs once and fails each later case's row with its message.
     """
     shared = nz.RecenteredGraph(graph, grid)
     return [verify_row(case, shared, grid, direction_id, epsilon)

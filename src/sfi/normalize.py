@@ -22,15 +22,14 @@ the norms from its jet, and the barycenter displacement it reports is
 the one recentering measured on that same surface.
 
 Nothing before matching depends on the constraint, so a RecenteredGraph
-holds that stage, the recentered graph and its geometry, together with
-the Fraenkel asymmetry of the recentered domain, for every constraint
-normalized from the same sampled graph.
+holds that stage (the recentered graph, its geometries and the Fraenkel
+asymmetry of the recentered domain, or the error of a stage that
+raised) for every constraint normalized from the same sampled graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -191,31 +190,51 @@ def recenter(graph, grid):
     raise RuntimeError("recentering did not converge")
 
 
+def _kept(compute):
+    """A property whose first outcome, a value or an exception, is kept."""
+    def get(self):
+        kept = self.__dict__.setdefault(compute.__name__, [])
+        if not kept:
+            try:
+                kept.append(compute(self))
+            except Exception as exc:
+                kept.append(exc)
+        if isinstance(kept[0], Exception):
+            raise kept[0]
+        return kept[0]
+    return property(get, doc=compute.__doc__)
+
+
 @dataclass(frozen=True, eq=False)
 class RecenteredGraph:
     """The constraint-independent stage of normalizing a sampled graph on
     grid: recenter's result, the recentered graph's geometry on grid and
-    the Fraenkel asymmetry of its domain.
+    on err_quad's coarse grid, and the Fraenkel asymmetry of its domain.
 
     Each is computed on first use and then kept, so every constraint
-    normalized from this object shares them. A use that raises keeps
-    nothing: the next use computes it again and raises the same error,
-    as a separate normalization of the sampled graph would.
+    normalized from this object shares them. A use that raises keeps its
+    exception and every later use raises it again, with the message a
+    separate normalization of the sampled graph would give.
     """
 
     sampled: gg.RadialGraph
     grid: object
 
-    @cached_property
+    @_kept
     def recentering(self):
         """recenter(sampled, grid): (graph, displacement, out_of_band)."""
         return recenter(self.sampled, self.grid)
 
-    @cached_property
+    @_kept
     def geometry(self):
         return gg.surface_geometry(self.recentering[0], self.grid)
 
-    @cached_property
+    @_kept
+    def coarse_geometry(self):
+        coarse = sb.build_grid(self.grid.n, max(8, self.grid.d_exact // 2))
+        return gg.surface_geometry(self.recentering[0], coarse)
+
+    @_kept
     def asymmetry(self):
         """(alpha, center) of domains.fraenkel_asymmetry. It reads only
         the radii, which matching keeps, so it is also the asymmetry of

@@ -52,8 +52,13 @@ class SpaceForm:
         return unit_sphere_area(self.n)
 
     def _check_domain(self, r):
-        r = np.asarray(r, dtype=float)
-        if np.any(r < 0) or np.any(r >= self.r_max):
+        if isinstance(r, float):  # np.float64 too: no ndarray round trip
+            bad = r < 0 or r >= self.r_max
+            r = np.float64(r)
+        else:
+            r = np.asarray(r, dtype=float)
+            bad = np.any(r < 0) or np.any(r >= self.r_max)
+        if bad:
             raise ValueError(f"radius out of range [0, {self.r_max})")
         return r
 
@@ -94,7 +99,8 @@ class SpaceForm:
         """
         r = self._check_domain(r)
         if self.K == 0:
-            return r ** (self.n + 1) / (self.n + 1)
+            # a scalar's ** calls libm's pow; np.power rounds as on arrays
+            return np.power(r, self.n + 1) / (self.n + 1)
         if self.K == -1:
             return self.primitive_from_warp(np.sinh(r), np.cosh(r), r)
         return self.primitive_from_warp(np.sin(r), np.cos(r), r)

@@ -1021,8 +1021,8 @@ class TestOneTaskPerSampledGraph:
                 assert calls["recenter"] == 4
                 assert calls["asymmetry"] == 4
                 assert calls["geometry"].count(row_grid) == 4
-                # the coarse geometry of err_quad stays one per row
-                assert len(calls["geometry"]) == 4 + 12
+                # the coarse geometry of err_quad is one per graph too
+                assert len(calls["geometry"]) == 4 + 4
         # one task per sampled graph, at every --threads
         assert pools == [(4, 1), (4, 2), (4, 3)]
         codes, expected, err = per_case_runs(tmp_path, capsys, self.NAMES,
@@ -1077,8 +1077,8 @@ class TestOneTaskPerSampledGraph:
                                                    monkeypatch, capsys):
         # the asymmetry is searched on first use, after the first case
         # has matched its constraint, so the weighted-volume case (first)
-        # still reports its own error; a raising search is retried by
-        # every case that reaches it, as a row on its own would run it
+        # still reports its own error; a raising search runs once per
+        # graph, and every later case that reaches it gets its error
         match_radius = nz.match_radius
         searches = []
 
@@ -1103,12 +1103,22 @@ class TestOneTaskPerSampledGraph:
             f"numerical failure: case:{n}: d00{d} eps=0.004 error: "
             f"forced {'match' if n == 'wv' else 'search'} failure"
             for n in self.NAMES for d in (0, 1)]
-        assert len(searches) == 2 * 2
+        assert len(searches) == 2
 
-    def test_shared_raise_fails_every_case(self, tmp_path, capsys):
+    def test_shared_raise_fails_every_case(self, tmp_path, monkeypatch,
+                                           capsys):
         # amplitude 1 is too rough for the basis: recentering raises on
         # both directions, for every case, with the per-case run's message,
-        # and the failure lines stay in case order
+        # and the failure lines stay in case order; each of the 4 graphs
+        # is recentered once, raising or not
+        recentered = []
+        recenter = nz.recenter
+
+        def counting_recenter(*args):
+            recentered.append(1)
+            return recenter(*args)
+
+        monkeypatch.setattr(nz, "recenter", counting_recenter)
         path = multi_case_config(tmp_path, self.NAMES, eps="0.004, 1.0")
         for command in ("verify", "sweep"):
             codes, expected, per_case_err = per_case_runs(
@@ -1121,9 +1131,12 @@ class TestOneTaskPerSampledGraph:
                        for f in failures)
             summaries = failure_lines(per_case_err, False)
             for threads in ("1", "2", "3"):
+                recentered.clear()
                 code, report, err = run_command(
                     capsys, [command, "--config", path, "--out",
                              str(tmp_path / "v.csv"), "--threads", threads])
+                if threads == "1":
+                    assert len(recentered) == 4
                 assert code == 3
                 assert report == expected
                 assert failure_lines(err) == failures

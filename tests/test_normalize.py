@@ -483,25 +483,51 @@ class TestRecenteredGraph:
         assert np.array_equal(center, ref[1])
         assert len(searches) == 1
 
-    def test_raising_stage_is_recomputed(self, grid3, basis3, monkeypatch):
-        # nothing is kept from a use that raised, so the next use runs
-        # recenter again, as a separate normalization would
+    def test_raising_stage_is_kept(self, grid3, basis3, monkeypatch):
+        # a use that raised keeps its exception: every later use raises
+        # it again, with the message a separate normalization would give,
+        # and recenter runs once
         calls = []
-        recenter = nz.recenter
 
-        def fails_first(*args):
+        def fails(*args):
             calls.append(1)
-            if len(calls) == 1:
-                raise RuntimeError("forced recentering failure")
-            return recenter(*args)
+            raise RuntimeError("forced recentering failure")
 
-        monkeypatch.setattr(nz, "recenter", fails_first)
+        monkeypatch.setattr(nz, "recenter", fails)
         shared = nz.RecenteredGraph(self.sampled(basis3), grid3)
-        with pytest.raises(RuntimeError, match="forced recentering"):
-            nz.normalize(shared, grid3, nz.volume_constraint())
-        nz.normalize(shared, grid3, nz.volume_constraint())
-        nz.normalize(shared, grid3, nz.weighted_volume_constraint())
-        assert len(calls) == 2
+        for con in self.CONSTRAINTS:
+            with pytest.raises(RuntimeError, match="forced recentering"):
+                nz.normalize(shared, grid3, con)
+        for stage in ("geometry", "coarse_geometry", "asymmetry"):
+            with pytest.raises(RuntimeError, match="forced recentering"):
+                getattr(shared, stage)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("K", ALL_K)
+    def test_coarse_geometry_serves_every_matched_graph(self, K, grid3,
+                                                        basis3, monkeypatch):
+        # matching relabels the surface, so the recentered graph's coarse
+        # geometry, built once, gives each matched graph's own coarse
+        # integrals to rounding: within 32 ulps (at most 2 measured)
+        shared = nz.RecenteredGraph(self.sampled(basis3, K), grid3)
+        coarse = shared.coarse_geometry.grid
+        assert coarse is sb.build_grid(3, 10)
+        geometries = self.counting(monkeypatch, gg, "surface_geometry")
+        assert shared.coarse_geometry is shared.coarse_geometry
+        w = WeightFunction.affine()
+        for con in self.CONSTRAINTS:
+            own = gg.surface_geometry(
+                nz.normalize(shared, grid3, con).graph, coarse)
+            for k, positive_part in ((0, False), (1, False), (1, True),
+                                     (2, False), (3, False)):
+                lhs_shared, lhs_own = (
+                    gg.weighted_curvature_integral(
+                        geo, w, k, positive_part=positive_part)
+                    for geo in (shared.coarse_geometry, own))
+                assert abs(lhs_shared - lhs_own) \
+                    <= 32 * np.finfo(float).eps * abs(lhs_own)
+        # the row-grid geometry once, and each matched graph's own
+        assert len(geometries) == 1 + len(self.CONSTRAINTS)
 
     def test_other_grid_is_refused(self, grid3, basis3):
         shared = nz.RecenteredGraph(self.sampled(basis3), grid3)

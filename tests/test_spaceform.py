@@ -125,6 +125,56 @@ class TestVolumePrimitive:
         assert fd == pytest.approx(sf.phi(r) ** 5, rel=1e-7, abs=1e-9)
 
 
+class TestScalarRadii:
+    """A float and an np.float64 take a plain-comparison domain check and
+    stay scalars, with the values an array gets; the ball-radius solves
+    evaluate phi, dphi, warp and volume_primitive at float radii."""
+
+    RADII = [0.0, 1e-300, 1e-7, 0.37, 0.9, 1.9, 3.1, np.nan] \
+        + list(np.random.default_rng(7).uniform(0.0, 3.1, 200))
+
+    @staticmethod
+    def functions(sf):
+        return (sf.phi, sf.dphi, sf.warp, sf.volume_primitive)
+
+    @staticmethod
+    def bits(out):
+        return np.asarray(out, dtype=float).ravel().tobytes()
+
+    @pytest.mark.parametrize("K", ALL_K)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_input_type_gives_the_same_bits(self, K, n):
+        sf = SpaceForm(K=K, n=n)
+        for fn in self.functions(sf):
+            for r in self.RADII:
+                # a 0-d array is how every float was checked before
+                outs = {self.bits(fn(x))
+                        for x in (float(r), np.float64(r), np.asarray(r))}
+                assert len(outs) == 1, (fn.__name__, r)
+                one = fn(np.array([r]))
+                if fn != sf.volume_primitive or K == 0 or n == 2:
+                    assert self.bits(one) in outs, (fn.__name__, r)
+                else:
+                    # the reduction raises a scalar phi to powers >= 2
+                    # with the C library's pow, an array with numpy's
+                    # power loop, which round differently
+                    np.testing.assert_allclose(one[0], fn(r), rtol=1e-10)
+        assert isinstance(sf.phi(0.5), np.float64)
+        assert isinstance(sf.volume_primitive(0.5), np.float64)
+
+    @pytest.mark.parametrize("K", ALL_K)
+    def test_every_input_type_meets_the_same_domain(self, K):
+        sf = make(K)
+        for fn in self.functions(sf):
+            for r in (-0.1, -1e-300, sf.r_max):
+                for x in (float(r), np.float64(r), np.array([r])):
+                    with pytest.raises(ValueError,
+                                       match="radius out of range"):
+                        fn(x)
+            for x in (float("nan"), np.float64(np.nan), np.array([np.nan])):
+                fn(x)
+
+
 class TestWeightFunction:
     def fd_check(self, w, s_vals):
         h = 1e-5
