@@ -76,7 +76,7 @@ class SpaceForm:
         if self.K == -1:
             return np.cosh(r)
         if self.K == 0:
-            return np.ones_like(r)
+            return r ** 0  # 1 at every r, NaN too; a scalar stays a scalar
         return np.cos(r)
 
     def warp(self, r):
@@ -88,7 +88,7 @@ class SpaceForm:
             dph = np.cosh(r)
             return np.sinh(r), dph, dph - 1.0
         if self.K == 0:
-            return r + 0.0, np.ones_like(r), 0.5 * r * r
+            return r + 0.0, r ** 0, 0.5 * r * r
         dph = np.cos(r)
         return np.sin(r), dph, 1.0 - dph
 
@@ -120,7 +120,9 @@ class SpaceForm:
         else:
             out, start = r + 0.0, 0
         for m in range(start + 2, self.n + 1, 2):
-            out = ((m - 1) * out - ph ** (m - 1) * dph) / (self.K * m)
+            # np.power rounds a scalar as an array; a scalar's ** would
+            # call libm's pow
+            out = ((m - 1) * out - np.power(ph, m - 1) * dph) / (self.K * m)
         return out
 
 

@@ -16,29 +16,37 @@ stated polynomial exactness degree holds by construction.
 Set-up uses numpy alone and has no loop over monomials or nodes: the
 derivatives of monomials are index maps (IndexMap), each degree's
 harmonics come from numpy's SVD, Cholesky factor and a forward
-substitution, and the polar rules from Golub-Welsch (_gauss_jacobi).
+substitution, the polar rules from Golub-Welsch (_gauss_jacobi), and the
+index maps that group monomials level by level from numpy's unique.
 Set-up is cheap, so nothing is cached on disk. A process builds each
 basis once per (n, d_max) and each grid once per (n, resolution); the
-basis owns its monomial table and the grid the basis values Y at its
-nodes. Grid values are u.coeffs @ Y, projection is Y @ (w f), and the
-2-jet's derivative columns are synthesized from Y too
-(HarmonicBasis.dual), laid out node-minor through symfunc.
+basis owns its monomial table, and a grid holds only its own rule.
+
+Grid values are synthesized by sum factorization over the grid's 1-D
+rules (_synthesize): a monomial at a node is a product of one power pair
+per level, so the monomial coefficients are contracted with one level's
+power table at a time, and no (basis size x nodes) array is formed. The
+2-jet synthesizes the polynomial's monomial derivatives the same way,
+laid out node-minor through symfunc. Projection runs the adjoint
+(_moments): the monomial moments of weights * samples, then the basis
+coefficients times those moments.
 
 Every synthesis kernel (evaluate, values_on_grid, eval_jet_all,
 SphericalFunction.polynomial_coeffs) runs through u's own degree, the
 degree of its last coefficient that is not exactly 0 (_top_degree; NaN
 and inf count as nonzero). The basis and the monomial table are graded,
 so the elements and monomials through that degree are a prefix: a
-degree-4 profile in a degree-8 basis contracts 35 of the 285 rows of Y
-and 70 of the 495 monomials. A function with degree-d_max content runs
-the same code through d_max.
+degree-4 profile in a degree-8 basis sums 35 of the 285 elements into 70
+of the 495 monomials. The 2-jet's gradient and Hessian columns run
+through one and two degrees less. A function with degree-d_max content
+runs the same code through d_max.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gamma
+from math import gamma, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -48,7 +56,7 @@ from sfi.spaceform import unit_sphere_area
 
 SUPPORTED_DIMENSIONS = (2, 3, 4)
 MIN_RESOLUTION = 4
-# Points per block of the basis values (_synthesize) and of evaluate.
+# Points per block of evaluate (and of graphgeom's scaled integrands).
 # evaluate runs through the polynomial's own degree, so its temporaries
 # depend on that degree. At n = 3 and degree 4, the power table is
 # 4 x 5 x 512 doubles (80 KB) and each half-table monomial block
@@ -145,6 +153,34 @@ class MonomialTable:
                                    self.exponents[:mono.stop, self._split:])]
             self._halves.append((*(rows for rows, _ in halves),
                                  tuple(inv.ravel() for _, inv in halves)))
+        # on a product grid (_synthesize), x^e is the product over levels
+        # L < nvars - 2 of c_L^e_L s_L^|e_{L+1:}|, times
+        # c^e_{nvars-2} s^e_{nvars-1} on the last. Level L lists the
+        # distinct suffixes e_{L:} graded (level 0 is the table), so those
+        # through any degree lead it; each row points to its suffix
+        # e_{L+1:} in level L + 1 (parent) and keeps its head e_L.
+        # _levels[top] holds, per level, (parent, head, degree of each
+        # next-level row) through degree top, and the last level's
+        # exponent pairs
+        base = max_degree + 1
+        reps, degs, maps = np.arange(self.size), [self.degrees], []
+        for L in range(nvars - 2):
+            tail = self.exponents[:, L + 1:]
+            key = tail.sum(axis=1) * base ** tail.shape[1] \
+                + tail @ base ** np.arange(tail.shape[1])
+            _, first, inv = np.unique(key, return_index=True,
+                                      return_inverse=True)
+            maps.append((inv[reps], self.exponents[reps, L]))
+            reps = first
+            degs.append(tail[first].sum(axis=1))
+        pairs = self.exponents[reps, -2:]
+        self._levels = []
+        for top in range(max_degree + 1):
+            end = [int(np.searchsorted(d, top, side="right")) for d in degs]
+            self._levels.append((
+                [(parent[:end[L]], head[:end[L]], degs[L + 1][:end[L + 1]])
+                 for L, (parent, head) in enumerate(maps)],
+                pairs[:end[-1]]))
 
     def jet_coefficients(self, c):
         """Coefficient columns of the 2-jet of the polynomial c, shape
@@ -245,60 +281,63 @@ def _sphere_moments(exponents, top):
 
 @dataclass(frozen=True)
 class SphereGrid:
-    """Tensor-product quadrature rule on S^n with per-node tangent frames.
+    """Tensor-product quadrature rule on S^n, exact through degree
+    d_exact, with per-node tangent frames.
 
-    frames, shape (nodes, n, n+1), is a view of a node-minor array from
-    build_grid (any layout works). A copy with moved nodes
-    (dataclasses.replace) starts without the original's basis values, so
-    it is never served another grid's."""
+    A grid is its rule: nodes, weights, frames and levels are built from
+    (n, d_exact) alone, so dataclasses.replace refuses them, and grids
+    compare by (n, d_exact). levels holds the 1-D rules' coordinates
+    (c, s), outermost first: (t, sqrt(1 - t^2)) of each polar level's
+    Gauss-Jacobi nodes, then (cos, sin) of the azimuths. The node
+    (i_0, ..., i_{n-1}), last index fastest, has the product coordinates
+    x_L = s_0[i_0] ... s_{L-1}[i_{L-1}] c_L[i_L] for L < n and
+    x_n = s_0[i_0] ... s_{n-1}[i_{n-1}]. The synthesis kernels evaluate
+    there; nodes holds these coordinates renormalized to unit length, so
+    the two agree only to rounding. frames, shape (nodes, n, n+1), is a
+    view of a node-minor array."""
 
     n: int
     d_exact: int
-    nodes: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-    frames: np.ndarray = field(repr=False)
-    _basis_values: dict = field(default_factory=dict, init=False,
-                                compare=False, repr=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    frames: np.ndarray = field(init=False, repr=False, compare=False)
+    levels: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.n not in SUPPORTED_DIMENSIONS:
+            raise ValueError(f"unsupported dimension n={self.n}; expected "
+                             f"one of {SUPPORTED_DIMENSIONS}")
+        if self.d_exact < MIN_RESOLUTION:
+            raise ValueError(f"resolution must be at least {MIN_RESOLUTION}")
+        nt, m = (self.d_exact + 2) // 2, self.d_exact + 1
+        ang = 2.0 * np.pi * (np.arange(m) + 0.5) / m
+        levels = [(np.cos(ang), np.sin(ang))]
+        nodes = np.column_stack(levels[0])
+        weights = np.full(m, 2.0 * np.pi / m)
+        # polar levels from the innermost (weight exponent 0) outwards
+        for k in range(2, self.n + 1):
+            t, wt = _gauss_jacobi(nt, (k - 2) / 2.0)
+            s = np.sqrt(1.0 - t * t)
+            nodes = np.column_stack([np.repeat(t, len(nodes)), (
+                s[:, None, None] * nodes).reshape(-1, nodes.shape[1])])
+            weights = (wt[:, None] * weights).ravel()
+            levels.insert(0, (t, s))
+        nodes = nodes / np.linalg.norm(nodes, axis=1, keepdims=True)
+        frames = np.ascontiguousarray(
+            _build_frames(nodes).transpose(1, 2, 0)).transpose(2, 0, 1)
+        for arr in (nodes, weights, frames, *(x for lv in levels for x in lv)):
+            arr.flags.writeable = False
+        for name, value in (("nodes", nodes), ("weights", weights),
+                            ("frames", frames), ("levels", tuple(levels))):
+            object.__setattr__(self, name, value)
 
     @property
     def node_count(self):
         return len(self.weights)
 
-    def basis_values(self, basis):
-        """Values Y of the basis at the nodes, shape (basis.size, nodes),
-        read only; built once per (basis.n, basis.d_max)."""
-        key = (basis.n, basis.d_max)
-        Y = self._basis_values.get(key)
-        if Y is None:
-            Y = _synthesize(basis, self.nodes)
-            Y.flags.writeable = False
-            Y = self._basis_values.setdefault(key, Y)
-        return Y
-
     def integrate(self, values):
         """Quadrature sum with fixed (pairwise) summation order."""
         return float(np.sum(self.weights * np.asarray(values)))
-
-
-def _circle_rule(degree):
-    m = degree + 1
-    ang = 2.0 * np.pi * (np.arange(m) + 0.5) / m
-    pts = np.column_stack([np.cos(ang), np.sin(ang)])
-    return pts, np.full(m, 2.0 * np.pi / m)
-
-
-def _sphere_rule(n, degree):
-    if n == 1:
-        return _circle_rule(degree)
-    sub_pts, sub_w = _sphere_rule(n - 1, degree)
-    nt = (degree + 2) // 2
-    t, wt = _gauss_jacobi(nt, (n - 2) / 2.0)
-    s = np.sqrt(1.0 - t * t)
-    pts = np.concatenate([
-        np.column_stack([np.full(len(sub_pts), ti),
-                         si * sub_pts]) for ti, si in zip(t, s)])
-    w = np.concatenate([wi * sub_w for wi in wt])
-    return pts, w
 
 
 def _gauss_jacobi(m, a):
@@ -363,27 +402,12 @@ def _build_frames(nodes):
 def build_grid(n, resolution):
     """Quadrature grid on S^n exact for polynomials of degree <= resolution;
     calls with the same (n, resolution) share one read-only grid."""
-    if n not in SUPPORTED_DIMENSIONS:
-        raise ValueError(f"unsupported dimension n={n}; expected one of "
-                         f"{SUPPORTED_DIMENSIONS}")
-    if resolution < MIN_RESOLUTION:
-        raise ValueError(f"resolution must be at least {MIN_RESOLUTION}")
     return _shared_grid(n, resolution)
 
 
 # A sweep row reads two grids, the working grid and its coarse
-# error-estimate grid; at resolution 24 and basis degree 8 a grid's basis
-# values take 9.6 MB (285 x 4225 doubles).
-@lru_cache(maxsize=4)
-def _shared_grid(n, resolution):
-    nodes, weights = _sphere_rule(n, resolution)
-    nodes = nodes / np.linalg.norm(nodes, axis=1, keepdims=True)
-    frames = np.ascontiguousarray(
-        _build_frames(nodes).transpose(1, 2, 0)).transpose(2, 0, 1)
-    nodes.flags.writeable = weights.flags.writeable = False
-    frames.flags.writeable = False
-    return SphereGrid(n=n, d_exact=resolution, nodes=nodes, weights=weights,
-                      frames=frames)
+# error-estimate grid.
+_shared_grid = lru_cache(maxsize=4)(SphereGrid)
 
 
 # ---------------------------------------------------------------------------
@@ -396,18 +420,12 @@ class HarmonicBasis:
     coeffs rows are coefficient vectors over the basis's own graded
     monomial table of (n+1, d_max); degrees holds the homogeneity degree
     of each element, ascending.
-
-    dual is block-diagonal, C_d M_d per degree d (C_d the coeffs block,
-    M_d the sphere Gram matrix of degree-d monomials): dual @ p lists the
-    products <Y_k, p>, the exact basis coefficients of a harmonic p. A
-    derivative of a harmonic polynomial is harmonic, one degree lower.
     """
 
     n: int
     d_max: int
     coeffs: np.ndarray = field(repr=False)
     degrees: np.ndarray = field(repr=False)
-    dual: np.ndarray = field(repr=False)
     table: MonomialTable = field(repr=False, compare=False)
 
     @property
@@ -462,9 +480,8 @@ def build_basis(n, d_max):
 def _shared_basis(n, d_max):
     table = MonomialTable(n + 1, d_max)
     omega = unit_sphere_area(n)
-    coeffs, dual = [], []
+    coeffs = []
     for d in range(d_max + 1):
-        mono_ints = _pair_integrals(table, d)
         if d == 0:
             col = np.array([[omega ** -0.5]])
         elif d == 1:
@@ -475,19 +492,17 @@ def _shared_basis(n, d_max):
             # span its null space, the harmonics of degree d
             lap = _laplacian_matrix(table, d)
             null = np.linalg.svd(lap)[2][len(lap):].T
-            gram = null.T @ mono_ints @ null
+            gram = null.T @ _pair_integrals(table, d) @ null
             chol = np.linalg.cholesky(gram)
             col = _fix_signs(_solve_lower(chol, null.T).T)
-        for blocks, block in ((coeffs, col.T), (dual, col.T @ mono_ints)):
-            rows = np.zeros((col.shape[1], table.size))
-            rows[:, table.degree_slices[d]] = block
-            blocks.append(rows)
+        rows = np.zeros((col.shape[1], table.size))
+        rows[:, table.degree_slices[d]] = col.T
+        coeffs.append(rows)
     degrees = np.repeat(np.arange(d_max + 1), [len(b) for b in coeffs])
-    coeffs, dual = np.vstack(coeffs), np.vstack(dual)
+    coeffs = np.vstack(coeffs)
     coeffs.flags.writeable = degrees.flags.writeable = False
-    dual.flags.writeable = False
     return HarmonicBasis(n=n, d_max=d_max, coeffs=coeffs, degrees=degrees,
-                         dual=dual, table=table)
+                         table=table)
 
 
 def _pair_integrals(table, d):
@@ -547,10 +562,10 @@ def evaluate(u, points):
 
 
 def values_on_grid(u, grid):
-    """Values of u at the grid nodes from the leading rows of Y, through
-    u's degree."""
-    s = u.basis.size_through(u.degree)
-    return u.coeffs[:s] @ grid.basis_values(u.basis)[:s]
+    """Values of u at the grid nodes (_synthesize), through u's degree."""
+    top = u.degree
+    return _synthesize(_level_powers(grid, top), u.basis.table,
+                       u.polynomial_coeffs()[:, None], top)[0]
 
 
 def eval_jet_all(u, grid):
@@ -559,30 +574,20 @@ def eval_jet_all(u, grid):
     Returns (values (N,), gradient (N, n) in frame components,
     Hessian (N, n, n) in frame components), views of node-minor arrays.
 
-    Runs through u's degree d = u.degree: the value row contracts the
-    elements of degree <= d with the leading rows of Y. DU and D^2 U are
-    harmonic of degree <= d - 1 and d - 2: dual maps them into the basis
-    and the leading rows of Y synthesize them, so each GEMM is as deep as
-    the derivative's own degree. The frame projection runs entry by entry
-    on node vectors.
+    The value, DU and D^2 U columns are synthesized (_synthesize) through
+    their own degrees d = u.degree, d - 1 and d - 2. The frame projection
+    runs entry by entry on node vectors.
     """
-    basis, table = u.basis, u.basis.table
-    m, N = table.nvars, grid.node_count
-    Y = grid.basis_values(basis)
-    degree = u.degree
+    table = u.basis.table
+    m, N, degree = table.nvars, grid.node_count, u.degree
     cols = table.jet_coefficients(u.polynomial_coeffs())
-    amb = np.empty((cols.shape[1] - 1, N))
-    for rows, top in ((slice(0, m), degree - 1),
-                      (slice(m, None), degree - 2)):
-        # the elements and monomials of degree <= top lead their tables
-        s = basis.size_through(top)
-        t = table.degree_slices[top].stop if top >= 0 else 0
-        harmonic = basis.dual[:s, :t] @ cols[:t, 1:][:, rows]
-        np.matmul(harmonic.T, Y[:s], out=amb[rows])
-    amb_grad = amb[:m]
-    amb_hess = {}
-    for row, (j, k) in enumerate(table.jet_pairs, start=m):
-        amb_hess[j, k] = amb_hess[k, j] = amb[row]
+    powers = _level_powers(grid, degree)
+    vals, amb_grad, amb_hess = (
+        _synthesize(powers, table, cols[:, rows], degree - drop)
+        for rows, drop in ((slice(0, 1), 0), (slice(1, m + 1), 1),
+                           (slice(m + 1, None), 2)))
+    amb_hess = dict(zip(table.jet_pairs, amb_hess))
+    amb_hess.update({(k, j): row for (j, k), row in amb_hess.items()})
     # Ek[k] holds entry k of every frame vector, shape (n, N), and
     # half[k] holds E (D^2 U) e_k
     n, Ek = grid.n, grid.frames.transpose(2, 1, 0)
@@ -596,33 +601,73 @@ def eval_jet_all(u, grid):
     radial = sy.contract(grid.nodes.T, amb_grad, out=np.empty(N))
     for a in range(n):
         hess[a, a] -= radial
-    s = basis.size_through(degree)
-    return u.coeffs[:s] @ Y[:s], grad.T, hess.transpose(2, 0, 1)
+    return vals[0], grad.T, hess.transpose(2, 0, 1)
 
 
 def project(samples, grid, basis):
-    """Quadrature projection of node samples onto the basis."""
+    """Quadrature projection of node samples onto the basis: the basis
+    coefficients times the monomial moments of weights * samples
+    (_moments)."""
     if grid.d_exact < 2 * basis.d_max:
         raise ValueError("grid exactness must be at least twice the basis "
                          "degree for projection")
     weighted = grid.weights * np.asarray(samples, dtype=float)
-    return SphericalFunction(basis, grid.basis_values(basis) @ weighted)
+    top = basis.d_max
+    return SphericalFunction(basis, basis.coeffs @ _moments(
+        _level_powers(grid, top), basis.table, weighted, top))
 
 
-def _synthesize(basis, points):
-    """Values of every basis element at points, shape (basis.size, N),
-    per block of NODE_BLOCK points and per degree: the (N, table.size)
-    monomial Vandermonde matrix is never formed."""
-    table = basis.table
-    blocks = [(slice(basis.size_through(d - 1), basis.size_through(d)),
-               table.exponents[mono], mono)
-              for d, mono in enumerate(table.degree_slices)]
-    out = np.empty((basis.size, len(points)))
-    for nodes, powers in table._power_blocks(points, table.max_degree):
-        for rows, exps, mono in blocks:
-            out[rows, nodes] = (basis.coeffs[rows, mono]
-                                @ _monomial_rows(powers, exps))
-    return out
+def _level_powers(grid, top):
+    """(c^p, s^p) for p = 0..top at each level of grid (SphereGrid.levels),
+    each of shape (top + 1, len(c)): views of one table in which each
+    power is one multiplication by the coordinate from the power below,
+    so a prefix of the rows does not depend on top."""
+    coords = [x for level in grid.levels for x in level]
+    powers = np.vander(np.concatenate(coords), top + 1, increasing=True).T
+    views = np.split(powers, np.cumsum([len(x) for x in coords[:-1]]), 1)
+    return list(zip(views[::2], views[1::2]))
+
+
+def _synthesize(powers, table, coeffs, top):
+    """Values at the grid's product coordinates (SphereGrid) of the
+    polynomials whose coefficients over table are the columns of coeffs,
+    all 0 above degree top; shape (columns, nodes), C-ordered. powers is
+    _level_powers of the grid through degree top or higher.
+
+    Sum factorization, outermost level first: the coefficients of the
+    monomials through top, scattered by (next-level suffix, head e_L),
+    are contracted with the level's powers c_L^e_L and scaled by
+    s_L^|suffix|; the last level contracts each exponent pair (a, b) with
+    cos^a sin^b. Temporaries stay within a few times the output's size.
+    """
+    if top < 0:
+        return np.zeros((coeffs.shape[1],
+                         prod(c.shape[1] for c, _ in powers)))
+    maps, pairs = table._levels[top]
+    x = coeffs[:table.degree_slices[top].stop, :, None]
+    for (c, s), (parent, head, degree) in zip(powers, maps):
+        d = np.zeros((len(degree), *x.shape[1:], top + 1))
+        d[parent, ..., head] = x
+        x = (d.reshape(-1, top + 1) @ c[:top + 1]).reshape(
+            len(degree), -1, c.shape[1])
+        x *= s[degree][:, None]
+    c, s = powers[-1]
+    out = x.reshape(len(pairs), -1).T @ (c[pairs[:, 0]] * s[pairs[:, 1]])
+    return out.reshape(coeffs.shape[1], -1)
+
+
+def _moments(powers, table, f, top):
+    """Quadrature sums of f times each monomial of table through degree
+    top, for f given at the nodes and powers as in _synthesize: the
+    adjoint of _synthesize, innermost level first."""
+    maps, pairs = table._levels[top]
+    c, s = powers[-1]
+    x = (c[pairs[:, 0]] * s[pairs[:, 1]]) @ f.reshape(-1, c.shape[1]).T
+    for (c, s), (parent, head, degree) in zip(powers[-2::-1], maps[::-1]):
+        x = x.reshape(len(degree), -1, c.shape[1]) * s[degree][:, None]
+        x = (x.reshape(-1, c.shape[1]) @ c[:top + 1].T).reshape(
+            len(degree), -1, top + 1)[parent, :, head]
+    return x[:, 0]
 
 
 class SobolevNorms(NamedTuple):

@@ -151,16 +151,11 @@ class TestScalarRadii:
                 outs = {self.bits(fn(x))
                         for x in (float(r), np.float64(r), np.asarray(r))}
                 assert len(outs) == 1, (fn.__name__, r)
-                one = fn(np.array([r]))
-                if fn != sf.volume_primitive or K == 0 or n == 2:
-                    assert self.bits(one) in outs, (fn.__name__, r)
-                else:
-                    # the reduction raises a scalar phi to powers >= 2
-                    # with the C library's pow, an array with numpy's
-                    # power loop, which round differently
-                    np.testing.assert_allclose(one[0], fn(r), rtol=1e-10)
-        assert isinstance(sf.phi(0.5), np.float64)
-        assert isinstance(sf.volume_primitive(0.5), np.float64)
+                assert self.bits(fn(np.array([r]))) in outs, (fn.__name__, r)
+        for x in (0.5, np.float64(0.5)):
+            for out in (sf.phi(x), sf.dphi(x), *sf.warp(x),
+                        sf.volume_primitive(x)):
+                assert type(out) is np.float64
 
     @pytest.mark.parametrize("K", ALL_K)
     def test_every_input_type_meets_the_same_domain(self, K):

@@ -1,8 +1,11 @@
 """Tests for sphere quadrature grids and the harmonic basis."""
 
+import copy
 import dataclasses
 import functools
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -333,60 +336,63 @@ class TestGrid:
         with pytest.raises(ValueError):
             sb.build_grid(3, 3)
 
-    def test_basis_values_cache(self):
+    def test_shared_read_only_grid(self):
         grid = sb.build_grid(3, 20)
-        basis = sb.build_basis(3, 5)
-        Y = grid.basis_values(basis)
-        assert grid.basis_values(basis) is Y
-        assert Y.shape == (basis.size, grid.node_count)
-        want = basis.coeffs @ oracles.vandermonde(basis.table, grid.nodes).T
-        assert np.allclose(Y, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
-        # the same (n, resolution) is the same grid, with its values
+        # the same (n, resolution) is the same grid, and its fields are
+        # its rule: it holds nothing built for a basis
         assert sb.build_grid(3, 20) is grid
-        assert sb.build_grid(3, 20).basis_values(basis) is Y
+        assert [f.name for f in dataclasses.fields(grid)] == [
+            "n", "d_exact", "nodes", "weights", "frames", "levels"]
         # shared arrays cannot be written through
-        for arr in (grid.nodes, grid.weights, grid.frames, Y):
+        for arr in (grid.nodes, grid.weights, grid.frames,
+                    *(x for level in grid.levels for x in level)):
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             grid.nodes[0, 0] = 0.0
-        # a rotated copy builds its own values
-        rng = np.random.default_rng(8)
-        q, _r = np.linalg.qr(rng.standard_normal((4, 4)))
-        rotated = dataclasses.replace(grid, nodes=grid.nodes @ q.T,
-                                      frames=grid.frames @ q.T)
-        assert rotated.basis_values(basis) is not Y
-        assert np.array_equal(rotated.basis_values(basis),
-                              sb._synthesize(basis, rotated.nodes))
         # the process keeps at most four grids, the most recently used
         for res in range(8, 14):
             assert sb.build_grid(2, res) is sb.build_grid(2, res)
             assert sb._shared_grid.cache_info().currsize <= 4
         rebuilt = sb.build_grid(3, 20)
-        assert rebuilt is not grid
-        assert np.array_equal(rebuilt.nodes, grid.nodes)
+        assert rebuilt is not grid and rebuilt == grid
+        for name in ("nodes", "weights", "frames"):
+            assert np.array_equal(getattr(rebuilt, name), getattr(grid, name))
 
-    @given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_rotated_grid_is_not_served_stale_matrices(self, n, seed):
-        grid = sb.build_grid(n, 8)
-        basis = sb.build_basis(n, 4)
-        rng = np.random.default_rng(seed)
-        q, r = np.linalg.qr(rng.standard_normal((n + 1, n + 1)))
-        q *= np.sign(np.diag(r))
-        rotated = dataclasses.replace(grid, nodes=grid.nodes @ q.T,
-                                      frames=grid.frames @ q.T)
-        u = sb.from_coeffs(basis, rng.standard_normal(basis.size))
-        # fill the unrotated grid's basis values first
-        sb.values_on_grid(u, grid)
-        sb.project(np.zeros(grid.node_count), grid, basis)
-        sb.eval_jet_all(u, grid)
-        vals = sb.values_on_grid(u, rotated)
-        assert np.allclose(vals, sb.evaluate(u, rotated.nodes), atol=1e-12)
-        back = sb.project(sb.evaluate(u, rotated.nodes), rotated, basis)
-        assert np.allclose(back.coeffs, u.coeffs, atol=1e-10)
-        for got, want in zip(sb.eval_jet_all(u, rotated),
-                             jet_oracle(u, rotated)):
-            assert np.allclose(got, want, rtol=0, atol=1e-11)
+    def test_rotated_grid_is_not_served_stale_matrices(self):
+        # a grid is its rule: a copy with foreign nodes, weights, frames
+        # or levels is refused, so no kernel reads a rule that its nodes
+        # do not follow
+        grid = sb.build_grid(3, 8)
+        q, _r = np.linalg.qr(np.random.default_rng(8).standard_normal((4, 4)))
+        for name, value in (("nodes", grid.nodes @ q.T),
+                            ("frames", grid.frames @ q.T),
+                            ("weights", np.flip(grid.weights)),
+                            ("levels", grid.levels[::-1])):
+            with pytest.raises(ValueError, match="init=False"):
+                dataclasses.replace(grid, **{name: value})
+        # a copy with another resolution is that resolution's grid
+        other = dataclasses.replace(grid, d_exact=10)
+        assert other == sb.build_grid(3, 10) and other != grid
+        assert np.array_equal(other.nodes, sb.build_grid(3, 10).nodes)
+        with pytest.raises(ValueError):
+            dataclasses.replace(grid, d_exact=3)
+        with pytest.raises(ValueError):
+            dataclasses.replace(grid, n=5)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_levels_give_the_nodes(self, n):
+        # the product coordinates of the 1-D rules, last level fastest,
+        # are the renormalized nodes to rounding
+        grid = sb.build_grid(n, 11)
+        idx = np.indices([len(c) for c, _ in grid.levels]).reshape(n, -1)
+        coords, scale = [], np.ones(grid.node_count)
+        for (c, s), i in zip(grid.levels, idx):
+            coords.append(scale * c[i])
+            scale = scale * s[i]
+        coords = np.column_stack([*coords, scale])
+        assert np.allclose(coords, grid.nodes, rtol=0, atol=4e-16)
+        assert np.array_equal(grid.levels[0][0],
+                              sb._gauss_jacobi(6, (n - 2) / 2)[0])
 
 
 class TestBasis:
@@ -403,7 +409,7 @@ class TestBasis:
             sb.build_basis(5, 5)
 
     def test_orthonormal(self, grid3, basis3):
-        Y = grid3.basis_values(basis3)
+        Y = basis3.coeffs @ oracles.vandermonde(basis3.table, grid3.nodes).T
         gram = Y @ (grid3.weights[:, None] * Y.T)
         assert np.allclose(gram, np.eye(basis3.size), atol=1e-9)
 
@@ -514,11 +520,10 @@ class TestJets:
         rng = np.random.default_rng(3)
         u = sb.from_coeffs(basis3, rng.standard_normal(basis3.size))
         vals, grad, hess = sb.eval_jet_all(u, grid3)
-        node = dataclasses.replace(grid3, nodes=grid3.nodes[17:18],
-                                   weights=grid3.weights[17:18],
-                                   frames=grid3.frames[17:18])
-        v, g, h = (a[0] for a in sb.eval_jet_all(u, node))
-        # one GEMM row against the full GEMM: equal up to summation order
+        node = SimpleNamespace(n=grid3.n, nodes=grid3.nodes[17:18],
+                               frames=grid3.frames[17:18])
+        v, g, h = (a[0] for a in jet_oracle(u, node))
+        # the oracle at one node against the batch: equal up to rounding
         tol = 1e-13 * np.max(np.abs(vals))
         assert v == pytest.approx(vals[17], rel=0, abs=tol)
         assert np.allclose(g, grad[17], rtol=0, atol=tol)
@@ -532,9 +537,9 @@ class TestJets:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_synthesis_matches_monomial_oracle(self, n, monkeypatch):
-        # values, frame gradient and frame Hessian from the basis values,
+        # values, frame gradient and frame Hessian from the synthesis,
         # through each top degree and for the zero function, including
-        # tops <= 1 where the Hessian columns have no basis rows, and
+        # tops <= 1 where the Hessian columns have no monomials, and
         # degree by degree; with degree-d_max content, bit for bit the
         # untrimmed kernels
         rng = np.random.default_rng(40 + n)
@@ -566,35 +571,14 @@ class TestJets:
                                        grid))):
                         assert np.array_equal(got, ref)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_dual_carries_derivatives_into_the_basis(self, n):
-        # d/dx_j Y_k and d^2/dx_j dx_l Y_k are harmonic, so dual gives
-        # their exact basis coefficients: re-synthesized, they are the
-        # monomial derivatives
-        basis = sb.build_basis(n, 6)
-        table = basis.table
-        assert np.allclose(basis.dual @ basis.coeffs.T, np.eye(basis.size),
-                           rtol=0, atol=1e-13)
-        derivatives = [diff_matrix_oracle(table, j) for j in range(n + 1)]
-        derivatives += [second_diff_oracle(table, j, k)
-                        for j, k in table.jet_pairs]
-        for D in derivatives:
-            want = (D @ basis.coeffs.T).T
-            got = (want @ basis.dual.T) @ basis.coeffs
-            assert np.allclose(got, want, rtol=0,
-                               atol=1e-12 * np.max(np.abs(want)))
-
     def test_layout_invariance(self, grid3, basis3):
-        # build_grid stores frames node-minor; a replaced copy holds a
-        # C-ordered array, and the jet is bit-identical on both
+        # build_grid stores frames node-minor; a copy that holds the same
+        # frames C-ordered gives a bit-identical jet
         assert grid3.frames.transpose(1, 2, 0).flags.c_contiguous
-        c_ordered = dataclasses.replace(
-            grid3, frames=np.ascontiguousarray(grid3.frames))
-        q, _r = np.linalg.qr(np.random.default_rng(2).standard_normal((4, 4)))
-        rotated = dataclasses.replace(grid3, nodes=grid3.nodes @ q.T,
-                                      frames=grid3.frames @ q.T)
+        c_ordered = copy.copy(grid3)
+        object.__setattr__(c_ordered, "frames",
+                           np.ascontiguousarray(grid3.frames))
         assert c_ordered.frames.flags.c_contiguous
-        assert rotated.frames.flags.c_contiguous
         u = sb.from_coeffs(basis3, np.random.default_rng(4).standard_normal(
             basis3.size))
         vals, grad, hess = sb.eval_jet_all(u, grid3)
@@ -617,6 +601,81 @@ class TestProjection:
     def test_zero(self, grid3, basis3):
         out = sb.project(np.zeros(grid3.node_count), grid3, basis3)
         assert np.allclose(out.coeffs, 0.0)
+
+
+class TestSumFactorization:
+    """The grid synthesis and its adjoint against the monomial
+    Vandermonde matrix at the nodes."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_synthesis_matches_vandermonde(self, n):
+        # every term c_e x^e rounds through at most top + nvars products
+        # and the sums run over at most top + 1 terms per level, so the
+        # error is within 16 (top + nvars) eps of the sum of the terms'
+        # magnitudes, the renormalized nodes' own rounding included
+        grid, table = sb.build_grid(n, 10), sb.MonomialTable(n + 1, 8)
+        V = oracles.vandermonde(table, grid.nodes)
+        rng = np.random.default_rng(60 + n)
+        for top in range(table.max_degree + 1):
+            c = rng.standard_normal((table.size, 3))
+            c[table.degrees > top] = 0.0
+            got = sb._synthesize(sb._level_powers(grid, top), table, c, top)
+            assert got.shape == (3, grid.node_count)
+            assert got.flags.c_contiguous
+            bound = 16 * (top + n + 1) * np.finfo(float).eps \
+                * (np.abs(V) @ np.abs(c)).T
+            assert np.all(np.abs(got - (V @ c).T) <= bound), top
+        empty = sb._synthesize(sb._level_powers(grid, 0), table, c, -1)
+        assert empty.shape == got.shape and not empty.any()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_adjoint_identity(self, n):
+        # <synth(c), w f> = <c, moments(w f)> to rounding, and the moments
+        # are the Vandermonde matrix's transpose times w f
+        grid, table = sb.build_grid(n, 12), sb.MonomialTable(n + 1, 6)
+        V = oracles.vandermonde(table, grid.nodes)
+        rng = np.random.default_rng(70 + n)
+        wf = grid.weights * rng.standard_normal(grid.node_count)
+        for top in range(table.max_degree + 1):
+            k = table.degree_slices[top].stop
+            c = rng.standard_normal((k, 1))
+            powers = sb._level_powers(grid, top)
+            moments = sb._moments(powers, table, wf, top)
+            assert moments.shape == (k,)
+            scale = np.abs(V[:, :k]).T @ np.abs(wf)
+            assert np.allclose(moments, V[:, :k].T @ wf, rtol=0,
+                               atol=1e-14 * np.max(scale))
+            lhs = sb._synthesize(powers, table, c, top)[0] @ wf
+            assert lhs == pytest.approx(c[:, 0] @ moments, rel=0,
+                                        abs=1e-14 * np.abs(c[:, 0]) @ scale)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_projection_inverts_grid_values(self, n):
+        basis = sb.build_basis(n, 6)
+        grid = sb.build_grid(n, sb.default_resolution(6))
+        rng = np.random.default_rng(80 + n)
+        for u in through_each_degree(basis, rng):
+            back = sb.project(sb.values_on_grid(u, grid), grid, basis)
+            assert np.allclose(back.coeffs, u.coeffs, rtol=0, atol=1e-12)
+
+    def test_kernels_peak_memory(self):
+        # n = 3, basis degree 8, resolution 24: building the grid, a
+        # degree-8 2-jet and a projection stay below 4 MB; the basis
+        # values at the nodes alone would take 9.6 MB
+        basis = sb.build_basis(3, 8)
+        rng = np.random.default_rng(90)
+        u = sb.from_coeffs(basis, rng.standard_normal(basis.size))
+        assert u.degree == 8
+        sb._shared_grid.cache_clear()
+        tracemalloc.start()
+        try:
+            grid = sb.build_grid(3, 24)
+            sb.eval_jet_all(u, grid)
+            sb.project(np.ones(grid.node_count), grid, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_two_mode_combination(self, grid3, basis3):
         a = np.zeros(basis3.size)
