@@ -456,7 +456,8 @@ def sphere_integrals(table):
 
 def vandermonde(table, points):
     """Monomial values at points, shape (N, table.size), C-ordered: the
-    matrix that sb.SphereGrid.basis_values and sb.evaluate avoid forming.
+    matrix that sb.evaluate and the grid kernels (sb._synthesize) avoid
+    forming.
 
     Each block of points is formed monomial-major (sb._monomial_rows), one
     contiguous row gather of the power table per variable, and written

@@ -602,6 +602,25 @@ class TestProjection:
         out = sb.project(np.zeros(grid3.node_count), grid3, basis3)
         assert np.allclose(out.coeffs, 0.0)
 
+    def test_two_mode_combination(self, grid3, basis3):
+        a = np.zeros(basis3.size)
+        a[2] = 3.0
+        a[7] = 0.5
+        u = sb.from_coeffs(basis3, a)
+        out = sb.project(sb.values_on_grid(u, grid3), grid3, basis3)
+        assert np.allclose(out.coeffs, a, atol=1e-9)
+
+    def test_exactness_precondition(self, basis3):
+        small = sb.build_grid(3, 8)
+        with pytest.raises(ValueError):
+            sb.project(np.zeros(small.node_count), small, basis3)
+
+    def test_parseval(self, grid3, basis3):
+        rng = np.random.default_rng(9)
+        u = sb.from_coeffs(basis3, rng.standard_normal(basis3.size))
+        norms = sb.sobolev_norms(grid3, sb.eval_jet_all(u, grid3))
+        assert norms.l2 == pytest.approx(oracles.coeff_norm(u), rel=1e-9)
+
 
 class TestSumFactorization:
     """The grid synthesis and its adjoint against the monomial
@@ -609,10 +628,11 @@ class TestSumFactorization:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_synthesis_matches_vandermonde(self, n):
-        # every term c_e x^e rounds through at most top + nvars products
-        # and the sums run over at most top + 1 terms per level, so the
-        # error is within 16 (top + nvars) eps of the sum of the terms'
-        # magnitudes, the renormalized nodes' own rounding included
+        # a term c_e x^e takes at most 2 top + nvars roundings, and each
+        # level sums at most top + 1 terms; the bound allows 16 (top +
+        # nvars) eps of the sum of the terms' magnitudes, which also
+        # covers the renormalized nodes' own rounding (at most 0.61 of
+        # the bound measured)
         grid, table = sb.build_grid(n, 10), sb.MonomialTable(n + 1, 8)
         V = oracles.vandermonde(table, grid.nodes)
         rng = np.random.default_rng(60 + n)
@@ -676,25 +696,6 @@ class TestSumFactorization:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
-
-    def test_two_mode_combination(self, grid3, basis3):
-        a = np.zeros(basis3.size)
-        a[2] = 3.0
-        a[7] = 0.5
-        u = sb.from_coeffs(basis3, a)
-        out = sb.project(sb.values_on_grid(u, grid3), grid3, basis3)
-        assert np.allclose(out.coeffs, a, atol=1e-9)
-
-    def test_exactness_precondition(self, basis3):
-        small = sb.build_grid(3, 8)
-        with pytest.raises(ValueError):
-            sb.project(np.zeros(small.node_count), small, basis3)
-
-    def test_parseval(self, grid3, basis3):
-        rng = np.random.default_rng(9)
-        u = sb.from_coeffs(basis3, rng.standard_normal(basis3.size))
-        norms = sb.sobolev_norms(grid3, sb.eval_jet_all(u, grid3))
-        assert norms.l2 == pytest.approx(oracles.coeff_norm(u), rel=1e-9)
 
 
 class TestNormsAndSpectra:
