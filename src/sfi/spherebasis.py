@@ -540,11 +540,14 @@ class SphericalFunction:
 
     def polynomial_coeffs(self):
         """Coefficients over the basis's monomial table. Those above the
-        function's degree are 0 and are not summed."""
+        function's degree are 0 and are not summed. A non-finite
+        coefficient gives non-finite ones, without a warning for the
+        inf * 0 products it meets."""
         basis, top = self.basis, self.degree
         s, t = basis.size_through(top), basis.table.degree_slices[top].stop
         out = np.zeros(basis.table.size)
-        out[:t] = self.coeffs[:s] @ basis.coeffs[:s, :t]
+        with np.errstate(invalid="ignore"):
+            out[:t] = self.coeffs[:s] @ basis.coeffs[:s, :t]
         return out
 
 
