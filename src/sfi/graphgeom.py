@@ -28,16 +28,29 @@ q_{-1} = 0, q_0 = |w|^2 and q_n = 0 (Cayley-Hamilton),
 M shares its eigenvectors with B, so T_m(M) is diagonal with T_j(B) and
 
     sigma_k(M) = sum_j C(n-j, k-j) alpha^{k-j} beta^j sigma_j(B),
-    q_m        = sum_j C(n-1-j, m-j) alpha^{m-j} beta^j Q_j.
+    q_m        = sum_j C(n-1-j, m-j) alpha^{m-j} beta^j Q_j(B, w).
 
-Under u -> e u, sigma_j(B) scales by e^j and Q_j by e^{j+2}, so a Jet
-carries the invariants of Hess u and grad u once, scaled to every
-amplitude of a fit by scaled_curvature_integrals; relabeling the splitting
-(SurfaceGeometry.relabeled) leaves w and B, and so every invariant,
-unchanged. The principal curvatures kappa are derived on demand, by
-eigvalsh of the symmetric similarity g^{-1/2} h g^{-1/2}, which has the
-characteristic polynomial of S because S is self-adjoint with respect
-to g; only a few readers need them.
+For the graph rho (1 + e u), B = rho e Hess u and w = rho e grad u, so
+with sigma_j = sigma_j(Hess u) and Q_j = grad u^T T_j(Hess u) grad u,
+the invariants of u itself, and y = beta rho e = -rho phi e,
+
+    phi^2 sigma_k(M) + 2 alpha q_{k-1} + q_k
+        = phi^2 P_k(y) + (rho e)^2 R_k(y),
+    P_k(y) = sum_{j<=k} C(n-j, k-j) sigma_j alpha^{k-j} y^j,
+    R_k(y) = sum_{j<=min(k,n-1)} [2 C(n-1-j, k-1-j) + C(n-1-j, k-j)]
+             Q_j alpha^{k-j} y^j.
+
+The node coefficients of P_k and R_k do not depend on the amplitude.
+_shape_sigma evaluates both by Horner in y, sharing the powers of alpha,
+and divides by neither alpha nor phi', which vanish at r = pi/2 when
+K = +1. A Jet carries the invariants of u once; surface_geometry reads
+them at e = 1 and scaled_curvature_integrals at every amplitude of a
+fit. Relabeling the splitting (SurfaceGeometry.relabeled) leaves w and
+B, and so every invariant of the shape operator, unchanged. The
+principal curvatures kappa are derived on demand, by eigvalsh of the
+symmetric similarity g^{-1/2} h g^{-1/2}, which has the characteristic
+polynomial of S because S is self-adjoint with respect to g; only a few
+readers need them.
 """
 
 from __future__ import annotations
@@ -184,40 +197,38 @@ def _similarity(w, ph, D, second):
     return 0.5 * (sym + np.swapaxes(sym, 1, 2))
 
 
-def _shape_sigma(n, orders, sig, quad, rho, ph, dph, D):
-    """sigma_k of the shape operator for k in orders, a range from 1 up,
-    by the closed form in the module docstring, forming only the terms
-    those orders read; sig and quad yield sigma_j(Hess u) and Q_j from
-    j = 0, node-minor like ph, dph and D, with any leading axis."""
-    top = orders[-1]
-    ph2 = ph * ph
-    alpha, beta = ph2 * dph, -rho * ph
-    apow, bpow = [1.0], [1.0]
-    for _ in range(top):
-        apow.append(apow[-1] * alpha)
-        bpow.append(bpow[-1] * beta)
-    # beta^j sigma_j(B) and beta^j Q_j with B = rho Hess u, w = rho grad u
-    bsig = [b * s for b, s in zip(bpow, sig)]
-    bquad = [(rho * rho) * b * q for b, q in zip(bpow, quad)]
-    # q[m] = q_m, with q_n = 0 (Cayley-Hamilton)
-    q = {m: sum(comb(n - 1 - j, m - j) * apow[m - j] * bquad[j]
-                for j in range(m + 1)) if m < n else 0.0
-         for m in range(orders[0] - 1, top + 1)}
-    out, den = [], D * D
-    for k in range(1, top + 1):
-        den = den * (ph2 * D)
-        if k in orders:
-            sig_M = sum(comb(n - j, k - j) * apow[k - j] * bsig[j]
-                        for j in range(k + 1))
-            out.append((ph2 * sig_M + 2.0 * alpha * q[k - 1] + q[k]) / den)
-    return out
+def _shape_sigma(n, k, sig, quad, rho, e, ph, dph, D):
+    """sigma_k of the shape operator of rho (1 + e u), 1 <= k <= n, by
+    the closed form in the module docstring: sig[j] = sigma_j(Hess u)
+    and quad[j] = Q_j of u, node-minor like ph, dph and D, which may
+    carry a leading amplitude axis that e broadcasts against."""
+    ph2, re = ph * ph, rho * e
+    alpha, y = ph2 * dph, -re * ph
+    # Horner in y; the coefficient of y^j carries alpha^(k - j), and
+    # R has no y^n term (Q_n = 0)
+    P, R = sig[k], quad[k] if k < n else 0.0
+    apow = alpha
+    for j in range(k - 1, -1, -1):
+        P = P * y + (comb(n - j, k - j) * sig[j]) * apow
+        R = R * y + ((2 * comb(n - 1 - j, k - 1 - j)
+                      + comb(n - 1 - j, k - j)) * quad[j]) * apow
+        if j:
+            apow = apow * alpha
+    den, ph2D = D * D, ph2 * D
+    for _ in range(k):
+        den = den * ph2D
+    return (ph2 * P + (re * re) * R) / den
 
 
-def _radial_fields(graph, vals, quad0, du, d2u):
-    """(r, phi, phi', Phi, D) from node values of u and Q_0 = |grad u|^2
-    of any shape, after the finite 2-jet, band and degeneracy checks."""
+def _check_jet(du, d2u):
+    """Raise ValueError on a non-finite first or second derivative."""
     if not (np.isfinite(du).all() and np.isfinite(d2u).all()):
         raise ValueError("non-finite 2-jet")
+
+
+def _radial_fields(graph, vals, quad0):
+    """(r, phi, phi', Phi, D) from node values of u and Q_0 = |grad u|^2
+    of any shape, after the band and degeneracy checks."""
     sf = graph.sf
     r = graph.radii(vals)
     if np.any(r <= 0.0) or np.any(r >= sf.r_max):
@@ -233,10 +244,12 @@ def surface_geometry(graph, grid):
     """Evaluate the pointwise geometry of the graph at every node."""
     n = grid.n
     jet = Jet.of(graph.u, grid)
-    r, ph, dph, Ph, D = _radial_fields(graph, jet.vals, jet.quad[:, 0],
-                                       jet.du, jet.d2u)
-    sigma = np.column_stack([np.ones_like(ph), *_shape_sigma(
-        n, range(1, n + 1), jet.sigma.T, jet.quad.T, graph.rho, ph, dph, D)])
+    _check_jet(jet.du, jet.d2u)
+    r, ph, dph, Ph, D = _radial_fields(graph, jet.vals, jet.quad[:, 0])
+    sig, quad = jet.sigma.T, jet.quad.T
+    sigma = np.column_stack([np.ones_like(ph), *(
+        _shape_sigma(n, k, sig, quad, graph.rho, 1.0, ph, dph, D)
+        for k in range(1, n + 1))])
     return SurfaceGeometry(
         graph=graph, grid=grid, u_vals=jet.vals, du=jet.du, d2u=jet.d2u,
         r=r, phi=ph, dphi=dph, Phi=Ph, D=D, area_factor=ph ** (n - 1) * D,
@@ -247,25 +260,25 @@ def scaled_curvature_integrals(graph, grid, w, k, amplitudes, jet):
     """weighted_curvature_integral on rho (1 + e u) for each amplitude e,
     where graph = rho (1 + u) and jet = Jet.of(graph.u, grid), in one
     pass over blocks of NODE_BLOCK nodes with (amplitudes, block)
-    temporaries that scales sigma_j by e^j and Q_j by e^(j+2) and forms
-    only sigma_k. grid.integrate sums each row of the integrands, so each
-    value is bit for bit that of a full-grid geometry of the scaled jet."""
+    temporaries. The invariants of u enter amplitude-free (_shape_sigma),
+    only sigma_k is formed, and the jet's finiteness is checked once.
+    Each node's integrand is the same arithmetic whatever its block and
+    whichever amplitudes share the call, and grid.integrate sums each
+    row, so no value depends on NODE_BLOCK or on the other amplitudes,
+    and at e = 1.0 each is bit for bit weighted_curvature_integral of
+    surface_geometry(graph, grid)."""
     n = grid.n
     if not 0 <= k <= n:
         raise ValueError(f"sigma order k={k} outside [0, {n}]")
+    _check_jet(jet.du, jet.d2u)
     e = np.asarray(amplitudes, dtype=float)[:, None]
-    p = np.array([float(x) ** np.arange(n + 1) for x in e[:, 0]])
-    pq = e * e * p[:, :-1]
     out = np.empty((len(e), grid.node_count))
     for start in range(0, grid.node_count, sb.NODE_BLOCK):
         b = slice(start, start + sb.NODE_BLOCK)
-        sig = (jet.sigma[b, j] * p[:, j:j + 1] for j in range(n + 1))
-        quad = (jet.quad[b, j] * pq[:, j:j + 1] for j in range(n))
-        _, ph, dph, Ph, D = _radial_fields(
-            graph, e * jet.vals[b], jet.quad[b, 0] * pq[:, :1], jet.du[b],
-            jet.d2u[b])
+        _, ph, dph, Ph, D = _radial_fields(graph, e * jet.vals[b],
+                                           (e * e) * jet.quad[b, 0])
         core = 1.0 if k == 0 else _shape_sigma(
-            n, range(k, k + 1), sig, quad, graph.rho, ph, dph, D)[0]
+            n, k, jet.sigma[b].T, jet.quad[b].T, graph.rho, e, ph, dph, D)
         out[:, b] = w(Ph) * core * (ph ** (n - 1) * D)
     return [grid.integrate(row) for row in out]
 

@@ -579,7 +579,9 @@ def eval_jet_all(u, grid):
 
     The value, DU and D^2 U columns are synthesized (_synthesize) through
     their own degrees d = u.degree, d - 1 and d - 2. The frame projection
-    runs entry by entry on node vectors.
+    runs entry by entry on node vectors: E (D^2 U) once, then the upper
+    n(n+1)/2 entries of E (D^2 U) E^T, mirrored, so the Hessian is
+    exactly symmetric.
     """
     table = u.basis.table
     m, N, degree = table.nvars, grid.node_count, u.degree
@@ -599,11 +601,13 @@ def eval_jet_all(u, grid):
     half = np.empty((m, n, N))
     for k in range(m):
         sy.contract(Ek, [amb_hess[j, k] for j in range(m)], out=half[k])
-    hess = sy.contract(half[:, :, None], Ek[:, None],
-                       out=out[n:].reshape(n, n, N))
+    hess = out[n:].reshape(n, n, N)
     radial = sy.contract(grid.nodes.T, amb_grad, out=np.empty(N))
     for a in range(n):
+        for b in range(a, n):
+            sy.contract(half[:, a], Ek[:, b], out=hess[a, b])
         hess[a, a] -= radial
+        hess[a + 1:, a] = hess[a, a + 1:]
     return vals[0], grad.T, hess.transpose(2, 0, 1)
 
 

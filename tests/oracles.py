@@ -10,9 +10,10 @@ coefficient norms, the monomial Vandermonde matrix, the per-amplitude
 loop of full-grid geometries behind an expansion fit, the
 spherical-Hessian integral identities, the gradient-energy bound on the
 asymmetry, the mean-curvature expansion blocks, the hand-expanded
-constrained deficit forms, the printed weighted-volume equality value
-and a report-file writer. No row, fit or CLI command runs
-them; tests import this module as ``import oracles``.
+constrained deficit forms, the paper's gradient-energy lower bounds on
+the second-order deficits and the degree-2 Poincare limit, the printed
+weighted-volume equality value and a report-file writer. No row, fit or
+CLI command runs them; tests import this module as ``import oracles``.
 """
 
 from itertools import combinations
@@ -25,6 +26,7 @@ from sfi import domains as dm
 from sfi import graphgeom as gg
 from sfi import lab
 from sfi import model
+from sfi import normalize as nz
 from sfi import spherebasis as sb
 
 
@@ -627,6 +629,67 @@ def weighted_volume_rhs_closed_form(sf, w, k, wvol):
     bracket = V ** (2.0 * (n - k) / ((n + 1) * k)) \
         + V ** (2.0 * n / ((n + 1) * k))
     return comb(n, k) * omega * float(w(s)) * bracket ** (k / 2.0)
+
+
+def poincare_saturation_limit(sf, w, rho):
+    """Limit of deficit / (rho^2 ||grad u||^2) for pure degree-2
+    directions under the volume constraint, as the amplitude tends to 0.
+
+    Uses the exact quadratic form together with the degree-2 identity
+    ||grad u||^2 = 2(n+1) ||u||^2.
+    """
+    cu2, cgrad2 = lab.deficit_coefficients(sf, w, 1,
+                                           nz.volume_constraint(), rho)
+    return cgrad2 + cu2 / (2.0 * (sf.n + 1))
+
+
+def h_volume_gradient_bound(sf, w, rho):
+    """Lower-bound coefficient of deficit / (rho^2 ||grad u||^2) for the
+    volume-constrained mean-curvature comparison on pure degree-2
+    directions; coincides with poincare_saturation_limit for constant
+    weights and is otherwise a lower bound."""
+    n = sf.n
+    ph, dp, s = sf.warp(rho)
+    A = (n - 1) * ph ** (n - 3) * dp * float(w(s)) \
+        + ph ** (n - 1) * float(w.deriv(s, 1))
+    return (n + 2) / (2.0 * (n + 1)) * A
+
+
+def sigma_weighted_volume_gradient_bound(sf, w, k, rho):
+    """Proved lower-bound coefficient of deficit / (rho^2 ||grad u||^2)
+    for the weighted-volume-constrained sigma_k comparison (hyperbolic
+    space form)."""
+    if sf.K != -1:
+        raise ValueError("this bound is specific to K = -1")
+    n = sf.n
+    ph, dp, s = sf.warp(rho)
+    G = float(w(s))
+    G1 = float(w.deriv(s, 1))
+    C = comb(n, k)
+    return 0.5 * C * (((n - k) * (k + 1) / (2.0 * n) * ph ** (n - k - 2)
+                       * dp ** k
+                       + k * (k - 1) / (2.0 * n) * ph ** (n - k)
+                       * dp ** (k - 2)) * G
+                      + k / float(n) * ph ** (n - k) * dp ** (k - 1) * G1)
+
+
+def quermass_gradient_bound(sf, w, k, j, rho):
+    """Proved lower-bound coefficient of deficit / (rho^2 ||grad u||^2)
+    for the W_j-constrained sigma_k comparison (K = -1 and K = 0)."""
+    n = sf.n
+    ph, dp, s = sf.warp(rho)
+    G = float(w(s))
+    C = comb(n, k)
+    if sf.K == -1:
+        return C * (n - k) * (k - j) / (4.0 * n) * ph ** (n - k - 2) \
+            * dp ** k * G
+    if sf.K == 0:
+        G1 = float(w.deriv(s, 1))
+        return 0.5 * C * ((n - k) * (k - j) / (2.0 * n)
+                          * rho ** (n - k - 2) * G
+                          + (2 * k - j - 1) / (2.0 * n) * rho ** (n - k)
+                          * G1)
+    raise ValueError("bound available for K = -1 and K = 0 only")
 
 
 def write_report(reports, path, fmt="csv"):

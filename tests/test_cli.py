@@ -676,6 +676,35 @@ epsilon = 0.004, 0.008
         assert "case:main" in err
         assert "min_deficit_over_alpha_sq" in err
 
+    def test_vanishing_deficit_summary_is_not_negative(self, tmp_path,
+                                                       capsys):
+        # sigma_3 under W_2 at K = 0 with a constant weight: C = 0, and
+        # the deficit vanishes identically (the integral of sigma_n is
+        # the sphere's area), so each row's deficit is quadrature and
+        # rounding noise within its pass tolerance and counts as 0
+        body = BASE.replace("K = -1", "K = 0").replace(
+            "rho = 0.9", "rho = 1.0").replace("kind = affine",
+                                              "kind = constant") + """
+[perturbation]
+mode = random
+degrees = 2,3,4
+directions = 3
+seed = 7
+epsilon = 0.004, 0.01
+
+[case:main]
+theorem = sigmak-quermass-euclidean
+k = 3
+j = 2
+"""
+        path = write_config(tmp_path, body)
+        code = cli.main(["sweep", "--config", path,
+                         "--out", str(tmp_path / "s.csv")])
+        err = capsys.readouterr().err
+        assert code == 0
+        value = err.split("min_deficit_over_alpha_sq=")[1].split()[0]
+        assert float(value) >= 0.0, err
+
     def test_shared_basis_keeps_report_bytes(self, tmp_path):
         # a sweep on a freshly built basis and one on the basis an earlier
         # call left in the cache write the same bytes

@@ -232,9 +232,14 @@ class TestScaledCurvatureIntegrals:
 
     # 91 nodes, fewer than one node block; 2541 and 1125 nodes, not
     # multiples of NODE_BLOCK
-    @pytest.mark.parametrize("n, res", [(2, 12), (3, 20), (4, 8)])
+    GRIDS = [(2, 12), (3, 20), (4, 8)]
+
+    @pytest.mark.parametrize("n, res", GRIDS)
     @pytest.mark.parametrize("K", ALL_K)
     def test_equals_per_amplitude_oracle(self, K, n, res):
+        # oracles.scaled_curvature_integrals evaluates the expanded form
+        # of the sigma_k numerator; the Horner form rounds differently,
+        # by at most 3.4e-16 relative over these cases
         grid = sb.build_grid(n, res)
         assert grid.node_count < sb.NODE_BLOCK \
             or grid.node_count % sb.NODE_BLOCK
@@ -246,18 +251,58 @@ class TestScaledCurvatureIntegrals:
             for k in range(n + 1):
                 got = gg.scaled_curvature_integrals(g, grid, w, k, self.AMPS,
                                                     jet)
-                assert got == oracles.scaled_curvature_integrals(
-                    g, grid, w, k, self.AMPS, jet), (w.label, k)
+                assert got == pytest.approx(oracles.scaled_curvature_integrals(
+                    g, grid, w, k, self.AMPS, jet), rel=1.36e-15, abs=0.0), \
+                    (w.label, k)
+
+    @pytest.mark.parametrize("n, res", GRIDS)
+    @pytest.mark.parametrize("K", ALL_K)
+    def test_bits_do_not_depend_on_blocks_or_amplitudes(self, K, n, res,
+                                                        monkeypatch):
+        grid = sb.build_grid(n, res)
+        g = perturbed_graph(K, grid, sb.build_basis(n, 4), 1.0,
+                            seed=7 * n + K, rho=0.9)
+        jet = gg.Jet.of(g.u, grid)
+        w = WeightFunction.shifted_power(2.0)
+        got = [gg.scaled_curvature_integrals(g, grid, w, k, self.AMPS, jet)
+               for k in range(n + 1)]
+        for k in range(n + 1):
+            assert got[k] == [gg.scaled_curvature_integrals(
+                g, grid, w, k, [e], jet)[0] for e in self.AMPS], k
+        monkeypatch.setattr(sb, "NODE_BLOCK", grid.node_count)
+        assert got == [gg.scaled_curvature_integrals(g, grid, w, k,
+                                                     self.AMPS, jet)
+                       for k in range(n + 1)]
+
+    @pytest.mark.parametrize("n, res", GRIDS)
+    @pytest.mark.parametrize("K", ALL_K)
+    def test_unit_amplitude_is_surface_geometry(self, K, n, res):
+        grid = sb.build_grid(n, res)
+        g = perturbed_graph(K, grid, sb.build_basis(n, 4), 0.03,
+                            seed=5 * n + K, rho=0.9)
+        geo = gg.surface_geometry(g, grid)
+        jet = gg.Jet.of(g.u, grid)
+        for w in (WeightFunction.affine(), WeightFunction.power(1.5)):
+            for k in range(n + 1):
+                assert gg.scaled_curvature_integrals(
+                    g, grid, w, k, [0.5, 1.0], jet)[1] \
+                    == gg.weighted_curvature_integral(geo, w, k), k
 
     @pytest.mark.parametrize("K", ALL_K)
     def test_reference_geometry_is_surface_geometry(self, K, grid3, basis3):
+        # the oracle's expanded sigma_k numerator rounds differently from
+        # the Horner form, by at most 6.1e-16 of max(1, |sigma_k|) here
         g = perturbed_graph(K, grid3, basis3, 0.03, seed=K + 30)
         geo = gg.surface_geometry(g, grid3)
         ref = oracles.geometry_from_jet(g, grid3, gg.Jet.of(g.u, grid3))
         for name in ("u_vals", "du", "d2u", "r", "phi", "dphi", "Phi", "D",
-                     "area_factor", "sigma", "H"):
+                     "area_factor"):
             assert np.array_equal(getattr(geo, name), getattr(ref, name)), \
                 name
+        for name in ("sigma", "H"):
+            want = getattr(ref, name)
+            assert np.all(np.abs(getattr(geo, name) - want)
+                          <= 2.4e-15 * np.maximum(1.0, np.abs(want))), name
 
     @pytest.mark.parametrize("case", ["band", "degenerate", "vals", "du",
                                       "d2u"])

@@ -13,7 +13,7 @@ from sfi import lab
 from sfi import normalize as nz
 from sfi import spherebasis as sb
 from sfi import symfunc as sy
-from sfi.spaceform import SpaceForm, WeightFunction
+from sfi.spaceform import SpaceForm, WeightFunction, check_weight
 
 ALL_K = [-1, 0, 1]
 RHO = {-1: 0.9, 0: 1.0, 1: 0.8}
@@ -177,15 +177,29 @@ class TestExpansionBlocks:
                                  grid3)
 
     def test_fit_equals_per_amplitude_fit(self, basis3, grid3, monkeypatch):
-        # the node-blocked kernel against one full-grid geometry per
-        # amplitude: every field of the report to the last bit
+        # the node-blocked kernel against one whole-grid pass per
+        # amplitude: every field of the report to the last bit; and
+        # against one full-grid oracle geometry per amplitude, whose
+        # expanded sigma_k numerator rounds differently: the fit within
+        # 4x the 6.1e-14 relative measured here
         u0 = lab.sample_direction(basis3, 9, 0, degrees=(0, 2, 3))
         args = (SpaceForm(K=-1, n=3), WeightFunction.shifted_power(2.0), 1,
                 "volume", u0, np.geomspace(2e-3, 2e-2, 6), grid3)
         got = lab.expansion_oracle(*args, rho=0.9)
+        kernel = gg.scaled_curvature_integrals
+
+        def per_amplitude(graph, grid, w, k, amplitudes, jet):
+            return [kernel(graph, grid, w, k, [e], jet)[0]
+                    for e in amplitudes]
+
+        monkeypatch.setattr(sb, "NODE_BLOCK", grid3.node_count)
+        monkeypatch.setattr(gg, "scaled_curvature_integrals", per_amplitude)
+        assert got == lab.expansion_oracle(*args, rho=0.9)
         monkeypatch.setattr(gg, "scaled_curvature_integrals",
                             oracles.scaled_curvature_integrals)
-        assert got == lab.expansion_oracle(*args, rho=0.9)
+        ref = lab.expansion_oracle(*args, rho=0.9)
+        assert got.closed == ref.closed
+        assert got.fitted == pytest.approx(ref.fitted, rel=2.4e-13, abs=0.0)
 
     def test_max_rel_error_propagates_nan(self):
         rep = lab.ExpansionReport(
@@ -367,11 +381,54 @@ class TestStabilityConstants:
                         case = lab.TheoremCase(tid, sf, w, k=k, j=j,
                                                rho=RHO[K])
                         C = lab.stability_constant(case)
-                        b = lab.quermass_gradient_bound(sf, w, k, j, RHO[K])
+                        b = oracles.quermass_gradient_bound(sf, w, k, j, RHO[K])
                         ratio = oracles.asymmetry_upper_bound(
                             sf, RHO[K], 1.0) / RHO[K] ** 2
                         assert C == pytest.approx(b / ratio, rel=1e-12), \
                             (K, w.label, k, j)
+
+    @pytest.mark.parametrize("rho", [0.3, 0.9, 1.4])
+    @pytest.mark.parametrize("K", [-1, 0])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_gradient_bounds_at_most_exact(self, n, K, rho):
+        # on degree-l harmonics deficit / (rho^2 ||grad u||^2) tends to
+        # cgrad2 + cu2 / (l (l + n - 1)); each proved bound lies below
+        # its infimum over l >= 2, for every admissible default weight
+        sf = SpaceForm(K=K, n=n)
+        quermass = {-1: "sigmak-quermass-hyperbolic",
+                    0: "sigmak-quermass-euclidean"}[K]
+        specs = [("H-volume", 1, None),
+                 *(("sigmak-weighted-volume", k, None)
+                   for k in range(n + 1)),
+                 *((quermass, k, j) for k in range(n + 1)
+                   for j in range(-1, k))]
+
+        def bound(theorem, w, k, j):
+            if theorem == "H-volume":
+                return oracles.h_volume_gradient_bound(sf, w, rho)
+            if theorem == "sigmak-weighted-volume":
+                return oracles.sigma_weighted_volume_gradient_bound(
+                    sf, w, k, rho)
+            return oracles.quermass_gradient_bound(sf, w, k, j, rho)
+
+        checked = 0
+        for w in weight_set():
+            flags = check_weight(w, [sf.warp(rho)[2]])
+            for theorem, k, j in specs:
+                try:
+                    case = lab.TheoremCase(theorem, sf, w, k=k, j=j, rho=rho)
+                except ValueError:
+                    continue  # the theorem does not cover (n, K, k, j)
+                if not all(getattr(flags, f) for f in case.required_flags()):
+                    continue
+                cu2, cg2 = lab.deficit_coefficients(sf, w, k,
+                                                    case.constraint(), rho)
+                exact = min(cg2, cg2 + cu2 / (2 * (n + 1)))
+                assert bound(theorem, w, k, j) \
+                    <= exact + 1e-12 * max(abs(cu2), abs(cg2)), \
+                    (theorem, w.label, k, j)
+                checked += 1
+        assert checked
 
     def test_positive_for_admissible_weights(self):
         sf = SpaceForm(K=-1, n=3)
@@ -496,7 +553,7 @@ class TestDeficitPredictions:
                                             ng.rho)
         assert deficit == pytest.approx(ng.rho ** 2 * (cu2 * i2 + cg2 * ig),
                                         rel=0.05)
-        bound = lab.sigma_weighted_volume_gradient_bound(sf, w, k, ng.rho)
+        bound = oracles.sigma_weighted_volume_gradient_bound(sf, w, k, ng.rho)
         assert deficit >= bound * ng.rho ** 2 * ig * (1 - 0.05)
         assert deficit > 0
 
@@ -528,8 +585,8 @@ class TestDeficitPredictions:
         con = nz.volume_constraint()
         u2 = pure_degree_direction(basis3, 2, 3)
         for w in (WeightFunction.constant(1.0), WeightFunction.affine()):
-            limit = lab.poincare_saturation_limit(sf, w, 0.9)
-            bound = lab.h_volume_gradient_bound(sf, w, 0.9)
+            limit = oracles.poincare_saturation_limit(sf, w, 0.9)
+            bound = oracles.h_volume_gradient_bound(sf, w, 0.9)
             if w.label == "1":
                 assert limit == pytest.approx(bound, rel=1e-12)
             else:

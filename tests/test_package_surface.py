@@ -17,15 +17,12 @@ import sfi
 
 SRC = Path(sfi.__file__).parent
 
-CLOSED_FORM = ("a closed form of the paper on the second-order deficit, "
-               "for the per-row model and the sharp-ratio search of "
-               "ROADMAP items 2 and 3")
 BENCHMARK = "the benchmark calls it"
 ALLOWED = {
-    "poincare_saturation_limit": CLOSED_FORM,
-    "h_volume_gradient_bound": CLOSED_FORM,
-    "sigma_weighted_volume_gradient_bound": CLOSED_FORM,
-    "quermass_gradient_bound": CLOSED_FORM,
+    "deficit_coefficients": "the constrained deficit's second-order form, "
+                            "from which ROADMAP items 2 and 3 build the "
+                            "weight margins and the per-row model; tests "
+                            "hold the paper's gradient bounds to it",
     "symmetric_difference_to_ball": "the definition of alpha that the "
                                     "asymmetry search is held to exactly",
     "parse_constraint": BENCHMARK,

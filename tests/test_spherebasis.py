@@ -541,7 +541,7 @@ class TestJets:
         # through each top degree and for the zero function, including
         # tops <= 1 where the Hessian columns have no monomials, and
         # degree by degree; with degree-d_max content, bit for bit the
-        # untrimmed kernels
+        # untrimmed kernels; the Hessian exactly symmetric
         rng = np.random.default_rng(40 + n)
         for d_max in (0, 1, 2, 5):
             basis = sb.build_basis(n, d_max)
@@ -556,6 +556,8 @@ class TestJets:
                 scale = max(1.0, np.max(np.abs(want[0])))
                 jet = sb.eval_jet_all(u, grid)
                 vals = sb.values_on_grid(u, grid)
+                # the frame Hessian is formed once per entry pair
+                assert np.array_equal(jet[2], jet[2].swapaxes(1, 2))
                 for got, ref in zip(jet, want):
                     assert got.shape == ref.shape
                     assert np.allclose(got, ref, rtol=0,
