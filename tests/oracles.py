@@ -143,8 +143,9 @@ def scaled_jet(jet, e):
 
 def shape_sigma_all(jet, rho, ph, dph, D):
     """sigma_0..sigma_n of the shape operator per node from a jet's
-    Hessian invariants, every order over the whole grid (the closed form
-    in the graphgeom module docstring)."""
+    Hessian invariants, every order over the whole grid, by the sums for
+    sigma_k(M) and q_m in the graphgeom module docstring, expanded term
+    by term (graphgeom evaluates them as P_k and R_k by Horner's rule)."""
     n = jet.d2u.shape[-1]
     ph2 = ph * ph
     alpha, beta = ph2 * dph, -rho * ph
