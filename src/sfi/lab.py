@@ -20,31 +20,28 @@ hypersurface against its value on the matching geodesic ball:
   itself, with every case of its configuration) and stays for the
   benchmark, which calls it.
 
-Every second-order closed form comes from one source, the expansion
-about the geodesic sphere: sigma_expansion_blocks gives the blocks of
-int g(Phi) sigma_k dmu (at k = 1 those of the mean-curvature integral
-too), constraint_blocks those of the volume, the weighted volume or
-W_j (the quermassintegral recurrence applied to the constant-weight
-blocks), and deficit_coefficients composes the two into the quadratic
-form of the constrained deficit, for every theorem case. Independent
-derivations (the mean-curvature blocks, the forms expanded by hand) and
-the paper's gradient-energy lower bounds on that form live in
-tests/oracles.py.
+The fit's closed form comes from the expansion about the geodesic
+sphere: sigma_expansion_blocks gives the blocks of int g(Phi) sigma_k
+dmu (at k = 1 those of the mean-curvature integral too). The blocks of
+the constraint functionals, the constrained deficit's quadratic form
+composed from both, independent derivations (the mean-curvature
+blocks, the forms expanded by hand) and the paper's gradient-energy
+lower bounds on that form live in tests/oracles.py, since no row reads
+them yet.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from math import comb, inf
 
 import numpy as np
 
-from sfi import domains as dm
 from sfi import graphgeom as gg
 from sfi import normalize as nz
 from sfi import spherebasis as sb
-from sfi.spaceform import WeightFunction, check_weight
+from sfi.spaceform import check_weight
 
 # Norm budgets inside which the comparisons are asserted; rows whose
 # normalized profile exceeds the relevant budget are flagged, not failed.
@@ -236,56 +233,6 @@ def sigma_expansion_blocks(sf, w, k, rho):
                   * dp ** (k - 2)) * G
                  + k / float(n) * ph ** (n - k) * dp ** (k - 1) * G1)
     return ExpansionBlocks(c0=c0, cu=cu, cuu=cuu, cgrad=cgrad)
-
-
-def constraint_blocks(sf, constraint, rho):
-    """Second-order coefficient blocks of a constraint functional, in
-    ExpansionBlocks' convention: the volume int P_n(r), the weighted
-    volume int phi^{n+1}(r) / (n+1), or W_j, which the quermassintegral
-    recurrence builds from the volume and the constant-weight sigma_k
-    blocks."""
-    n, K = sf.n, sf.K
-    ph, dp, _ = sf.warp(rho)
-    if constraint.kind == "weighted_volume":
-        return ExpansionBlocks(
-            c0=ph ** (n + 1) / (n + 1), cu=ph ** n * dp,
-            cuu=0.5 * (n * ph ** (n - 1) * dp ** 2 - K * ph ** (n + 1)),
-            cgrad=0.0)
-    vol = np.array([sf.volume_primitive(rho), ph ** n,
-                    0.5 * n * ph ** (n - 1) * dp, 0.0])
-    if constraint.j == -1:
-        return ExpansionBlocks(*map(float, vol))
-    one = WeightFunction.constant(1.0)
-    sig = [np.array(astuple(sigma_expansion_blocks(sf, one, k, rho)))
-           for k in range(n + 1)]
-    W = dm.quermass_recurrence(K, n, vol, sig)[constraint.j]
-    return ExpansionBlocks(*map(float, W))
-
-
-# ---------------------------------------------------------------------------
-# constrained deficit quadratic forms
-
-def deficit_coefficients(sf, w, k, constraint, rho):
-    """(cu2, cgrad2) of the constrained sigma_k deficit.
-
-    To second order,
-        int g(Phi) sigma_k dmu - ball value
-            = cu2 rho^2 int u^2 + cgrad2 rho^2 int |grad u|^2
-    for graphs rho (1 + u) on which the constraint takes its value on
-    the ball of radius rho. Holding the constraint's expansion at zero
-    fixes rho int u, which eliminates the linear term of the integral's
-    expansion: with F and C the blocks of the integral and of the
-    constraint and r = F.cu / C.cu, the form is
-    (F.cuu - r C.cuu, F.cgrad - r C.cgrad). The same holds for the
-    mean-curvature comparisons at k = 1.
-    """
-    F = sigma_expansion_blocks(sf, w, k, rho)
-    C = constraint_blocks(sf, constraint, rho)
-    if C.cu == 0:
-        raise ValueError(f"constraint {constraint.label} has no first "
-                         f"variation at rho={rho}")
-    r = F.cu / C.cu
-    return F.cuu - r * C.cuu, F.cgrad - r * C.cgrad
 
 
 # ---------------------------------------------------------------------------

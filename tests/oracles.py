@@ -9,13 +9,16 @@ matrix inverse, translated-ball profiles, the Laplace-Beltrami operator,
 coefficient norms, the monomial Vandermonde matrix, the per-amplitude
 loop of full-grid geometries behind an expansion fit, the
 spherical-Hessian integral identities, the gradient-energy bound on the
-asymmetry, the mean-curvature expansion blocks, the hand-expanded
-constrained deficit forms, the paper's gradient-energy lower bounds on
+asymmetry, the mean-curvature expansion blocks, the constraint
+functionals' expansion blocks and the constrained deficit form that
+they compose with lab.sigma_expansion_blocks (with the hand-expanded
+forms it is held to), the paper's gradient-energy lower bounds on
 the second-order deficits and the degree-2 Poincare limit, the printed
 weighted-volume equality value and a report-file writer. No row, fit or
 CLI command runs them; tests import this module as ``import oracles``.
 """
 
+from dataclasses import astuple
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -28,6 +31,7 @@ from sfi import lab
 from sfi import model
 from sfi import normalize as nz
 from sfi import spherebasis as sb
+from sfi.spaceform import WeightFunction
 
 
 def elementary_from_eigenvalues(lams):
@@ -188,6 +192,13 @@ def geometry_from_jet(graph, grid, jet):
         graph=graph, grid=grid, u_vals=jet.vals, du=jet.du, d2u=jet.d2u,
         r=r, phi=ph, dphi=dph, Phi=Ph, D=D, area_factor=ph ** (n - 1) * D,
         sigma=sigma, H=sigma[:, 1])
+
+
+# How far gg.scaled_curvature_integrals may round from
+# scaled_curvature_integrals below, relative to each integral: 4x the
+# 3.4e-16 measured over test_graphgeom's perturbed graphs, n = 2, 3, 4
+# and every K (the Horner and the expanded sigma_k numerator).
+SCALED_INTEGRAL_REL = 1.36e-15
 
 
 def scaled_curvature_integrals(graph, grid, w, k, amplitudes, jet):
@@ -551,9 +562,56 @@ def H_expansion_blocks(sf, w, rho):
     return lab.ExpansionBlocks(c0=c0, cu=cu, cuu=cuu, cgrad=cgrad)
 
 
+def constraint_blocks(sf, constraint, rho):
+    """Second-order coefficient blocks of a constraint functional, in
+    lab.ExpansionBlocks' convention: the volume int P_n(r), the weighted
+    volume int phi^{n+1}(r) / (n+1), or W_j, which the quermassintegral
+    recurrence builds from the volume and the constant-weight sigma_k
+    blocks."""
+    n, K = sf.n, sf.K
+    ph, dp, _ = sf.warp(rho)
+    if constraint.kind == "weighted_volume":
+        return lab.ExpansionBlocks(
+            c0=ph ** (n + 1) / (n + 1), cu=ph ** n * dp,
+            cuu=0.5 * (n * ph ** (n - 1) * dp ** 2 - K * ph ** (n + 1)),
+            cgrad=0.0)
+    vol = np.array([sf.volume_primitive(rho), ph ** n,
+                    0.5 * n * ph ** (n - 1) * dp, 0.0])
+    if constraint.j == -1:
+        return lab.ExpansionBlocks(*map(float, vol))
+    one = WeightFunction.constant(1.0)
+    sig = [np.array(astuple(lab.sigma_expansion_blocks(sf, one, k, rho)))
+           for k in range(n + 1)]
+    W = dm.quermass_recurrence(K, n, vol, sig)[constraint.j]
+    return lab.ExpansionBlocks(*map(float, W))
+
+
+def deficit_coefficients(sf, w, k, constraint, rho):
+    """(cu2, cgrad2) of the constrained sigma_k deficit.
+
+    To second order,
+        int g(Phi) sigma_k dmu - ball value
+            = cu2 rho^2 int u^2 + cgrad2 rho^2 int |grad u|^2
+    for graphs rho (1 + u) on which the constraint takes its value on
+    the ball of radius rho. Holding the constraint's expansion at zero
+    fixes rho int u, which eliminates the linear term of the integral's
+    expansion: with F and C the blocks of the integral and of the
+    constraint and r = F.cu / C.cu, the form is
+    (F.cuu - r C.cuu, F.cgrad - r C.cgrad). The same holds for the
+    mean-curvature comparisons at k = 1.
+    """
+    F = lab.sigma_expansion_blocks(sf, w, k, rho)
+    C = constraint_blocks(sf, constraint, rho)
+    if C.cu == 0:
+        raise ValueError(f"constraint {constraint.label} has no first "
+                         f"variation at rho={rho}")
+    r = F.cu / C.cu
+    return F.cuu - r * C.cuu, F.cgrad - r * C.cgrad
+
+
 def h_volume_deficit_coefficients(sf, w, rho):
     """(cu2, cgrad2) of the volume-constrained mean-curvature deficit,
-    expanded by hand (oracle for lab.deficit_coefficients)."""
+    expanded by hand (oracle for deficit_coefficients)."""
     n = sf.n
     ph, dp, s = sf.warp(rho)
     G = float(w(s))
@@ -569,7 +627,7 @@ def h_volume_deficit_coefficients(sf, w, rho):
 
 def sigma_weighted_volume_deficit_coefficients(sf, w, k, rho):
     """(cu2, cgrad2) of the weighted-volume-constrained sigma_k deficit,
-    expanded by hand (oracle for lab.deficit_coefficients)."""
+    expanded by hand (oracle for deficit_coefficients)."""
     n, K = sf.n, sf.K
     ph, dp, s = sf.warp(rho)
     G = float(w(s))
@@ -592,7 +650,7 @@ def sigma_weighted_volume_deficit_coefficients(sf, w, k, rho):
 def quermass_deficit_coefficients(sf, w, k, j, rho):
     """(cu2, cgrad2) of the W_j-constrained sigma_k deficit (j = -1 is
     the volume constraint), expanded by hand for every K (oracle for
-    lab.deficit_coefficients)."""
+    deficit_coefficients)."""
     n, K = sf.n, sf.K
     ph, dp, s = sf.warp(rho)
     G = float(w(s))
@@ -639,8 +697,7 @@ def poincare_saturation_limit(sf, w, rho):
     Uses the exact quadratic form together with the degree-2 identity
     ||grad u||^2 = 2(n+1) ||u||^2.
     """
-    cu2, cgrad2 = lab.deficit_coefficients(sf, w, 1,
-                                           nz.volume_constraint(), rho)
+    cu2, cgrad2 = deficit_coefficients(sf, w, 1, nz.volume_constraint(), rho)
     return cgrad2 + cu2 / (2.0 * (sf.n + 1))
 
 

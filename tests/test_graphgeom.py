@@ -238,8 +238,7 @@ class TestScaledCurvatureIntegrals:
     @pytest.mark.parametrize("K", ALL_K)
     def test_equals_per_amplitude_oracle(self, K, n, res):
         # oracles.scaled_curvature_integrals evaluates the expanded form
-        # of the sigma_k numerator; the Horner form rounds differently,
-        # by at most 3.4e-16 relative over these cases
+        # of the sigma_k numerator; the Horner form rounds differently
         grid = sb.build_grid(n, res)
         assert grid.node_count < sb.NODE_BLOCK \
             or grid.node_count % sb.NODE_BLOCK
@@ -252,7 +251,8 @@ class TestScaledCurvatureIntegrals:
                 got = gg.scaled_curvature_integrals(g, grid, w, k, self.AMPS,
                                                     jet)
                 assert got == pytest.approx(oracles.scaled_curvature_integrals(
-                    g, grid, w, k, self.AMPS, jet), rel=1.36e-15, abs=0.0), \
+                    g, grid, w, k, self.AMPS, jet),
+                    rel=oracles.SCALED_INTEGRAL_REL, abs=0.0), \
                     (w.label, k)
 
     @pytest.mark.parametrize("n, res", GRIDS)

@@ -19,10 +19,6 @@ SRC = Path(sfi.__file__).parent
 
 BENCHMARK = "the benchmark calls it"
 ALLOWED = {
-    "deficit_coefficients": "the constrained deficit's second-order form, "
-                            "from which ROADMAP items 2 and 3 build the "
-                            "weight margins and the per-row model; tests "
-                            "hold the paper's gradient bounds to it",
     "symmetric_difference_to_ball": "the definition of alpha that the "
                                     "asymmetry search is held to exactly",
     "parse_constraint": BENCHMARK,
