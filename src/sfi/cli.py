@@ -164,18 +164,17 @@ def build_weight(wcfg):
                           f"value, not {kind}")
     if "alpha" in wcfg and kind in ("constant", "affine"):
         raise ConfigError(f"weight.alpha: {kind} weights take no alpha")
-    alpha = wcfg.get("alpha", 2.0 if kind == "shifted_power" else 1.0)
-    if kind in ("power", "shifted_power") and not alpha >= 1:
-        raise ConfigError(f"weight.alpha: {kind} weights need alpha >= 1, "
-                          f"got {alpha:g}")
-    if kind == "constant":
-        w = WeightFunction.constant(wcfg.get("value", 1.0))
-    elif kind == "power":
-        w = WeightFunction.power(alpha)
-    elif kind == "affine":
-        w = WeightFunction.affine()
-    else:
-        w = WeightFunction.shifted_power(alpha)
+    try:
+        if kind == "constant":
+            w = WeightFunction.constant(wcfg.get("value", 1.0))
+        elif kind == "power":
+            w = WeightFunction.power(wcfg.get("alpha", 1.0))
+        elif kind == "affine":
+            w = WeightFunction.affine()
+        else:
+            w = WeightFunction.shifted_power(wcfg.get("alpha", 2.0))
+    except ValueError as exc:  # the power constructors hold alpha >= 1
+        raise ConfigError(f"weight.alpha: {exc}") from None
     scale = wcfg.get("scale", 1.0)
     if scale != 1.0:
         w = w.scaled(scale)
@@ -254,7 +253,8 @@ def parse_coefficient_triples(text, basis):
 
 def build_directions(pcfg, basis, seed, *, unit=False):
     """Ordered (direction_id, SphericalFunction) list from the
-    perturbation spec; unit forces L2 normalization."""
+    perturbation spec (random mode: lab.sample_directions); unit forces
+    L2 normalization."""
     mode = pcfg.get("mode", "zero")
     if mode not in MODES:
         raise ConfigError(f"perturbation.mode: unknown mode {mode!r}; "
@@ -279,9 +279,7 @@ def build_directions(pcfg, basis, seed, *, unit=False):
     if count < 1:
         raise ConfigError("perturbation.directions: need at least 1")
     try:
-        return [(f"d{i:03d}", lab.sample_direction(basis, seed, i,
-                                                   degrees=degrees))
-                for i in range(count)]
+        return lab.sample_directions(basis, seed, count, degrees)
     except ValueError as exc:
         raise ConfigError(f"perturbation.degrees: {exc}") from None
 
@@ -579,9 +577,9 @@ def _verify_rows(ctx, args, pcfg, eps_default, summary=False):
     case runs on the same sampled graphs (one space form and rho), so
     there is one task per (direction, amplitude), which verifies every
     case's row on that graph through lab.verify_rows; the tasks run on
-    up to --threads worker processes (see _run_tasks). With summary, one
-    line per case gives its row and failure counts and its empirical
-    constant on stderr.
+    up to --threads worker processes (see _run_tasks). Each case's rows
+    make one lab.SweepResult; with summary, one line per case gives its
+    row and failure counts and its empirical constant on stderr.
     Lists the rows that raised, case by case, writes the report of the
     others and returns the exit code: 3 if any row raised, else 1 if
     any failed."""
@@ -602,21 +600,17 @@ def _verify_rows(ctx, args, pcfg, eps_default, summary=False):
         graph, did, eps = task
         return lab.verify_rows(cases, graph, ctx.grid, did, eps)
 
-    by_case = {name: [] for name, _ in ctx.cases}
-    for rows in _run_tasks(tasks, run, args.threads):
-        for name, row in zip(by_case, rows, strict=True):
-            by_case[name].append(row)
+    by_case = zip(*_run_tasks(tasks, run, args.threads))
     reports, failures = [], []
-    for name, rows in by_case.items():
-        done = [r for r in rows if isinstance(r, lab.DeficitReport)]
-        reports += done
-        failures += [(name, *r) for r in rows
-                     if not isinstance(r, lab.DeficitReport)]
+    for (name, case), rows in zip(ctx.cases, by_case, strict=True):
+        res = lab.SweepResult.of_rows(case, rows)
+        reports += res.reports
+        failures += [(name, *f) for f in res.failures]
         if summary:
-            emp = lab.empirical_constant(done)
+            emp = res.empirical_constant
             emp = "n/a" if emp is None else format(emp, ".6g")
-            print(f"{name}: rows={len(done)} "
-                  f"failures={len(rows) - len(done)} "
+            print(f"{name}: rows={len(res.reports)} "
+                  f"failures={len(res.failures)} "
                   f"min_deficit_over_alpha_sq={emp}", file=sys.stderr)
     for name, did, eps, msg in failures:
         eps_text = "n/a" if eps is None else format(eps, "g")
@@ -634,11 +628,11 @@ def cmd_verify(ctx, args):
 
 def cmd_sweep(ctx, args):
     """verify over random directions, whatever perturbation.mode says:
-    10 directions and the amplitudes 0.003, 0.01 unless configured, with
-    one summary line per case."""
-    pcfg = {**ctx.perturbation, "mode": "random",
-            "directions": ctx.perturbation.get("directions", 10)}
-    return _verify_rows(ctx, args, pcfg, (0.003, 0.01), summary=True)
+    lab.sweep's directions and amplitudes unless configured, with one
+    summary line per case."""
+    pcfg = {"directions": lab.SWEEP_DIRECTIONS, **ctx.perturbation,
+            "mode": "random"}
+    return _verify_rows(ctx, args, pcfg, lab.SWEEP_AMPLITUDES, summary=True)
 
 
 EXPAND_COLUMNS = ("target", "weight_kind", "K", "n", "rho", "constraint",

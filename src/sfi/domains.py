@@ -461,7 +461,10 @@ def _lower_quantile(size):
     """np.quantile(size, SEARCH_KERNEL_QUANTILE) of a finite 1-D array,
     bit for bit: numpy's linear rule between the order statistics at
     floor and ceil of (N - 1) q, with its two-sided interpolation, from
-    one np.partition instead of numpy's general machinery."""
+    one np.partition instead of numpy's general machinery.
+    np.quantile's first call imports numpy.ma: +1.9 MB of peak RSS in a
+    bare process, up to +4.1% on the benchmark's peak_rss_mb (bound 5%).
+    A call also costs 48 us against 12 us here (2-vCPU x86-64 host)."""
     pos = (len(size) - 1) * SEARCH_KERNEL_QUANTILE
     lo = math.floor(pos)
     hi = min(lo + 1, len(size) - 1)

@@ -14,11 +14,10 @@ hypersurface against its value on the matching geodesic ball:
 * expansion_oracle fits the small-amplitude Taylor expansion of the
   integral and compares the fitted coefficients against the closed-form
   coefficient blocks;
-* sweep drives verify_rows with its one case over a deterministic
-  family of random directions and amplitudes and returns a SweepResult;
-  it writes no CSV or JSON (the sfi sweep command calls verify_rows
-  itself, with every case of its configuration) and stays for the
-  benchmark, which calls it.
+* sweep, which the benchmark calls, drives verify_rows with one case
+  over sample_directions and amplitudes into a SweepResult; the sfi
+  sweep command shares its sampler, defaults and SweepResult, but runs
+  verify_rows with every case of its config and writes the report.
 
 The fit's closed form comes from the expansion about the geodesic
 sphere: sigma_expansion_blocks gives the blocks of int g(Phi) sigma_k
@@ -533,14 +532,33 @@ def sample_direction(basis, seed, stream, degrees=(2, 3, 4)):
     return sb.from_coeffs(basis, coeffs / norm)
 
 
+def sample_directions(basis, seed, count, degrees=(2, 3, 4)):
+    """[(direction id, direction)] for i < count: the id d000, d001, ...
+    and sample_direction(basis, seed, i, degrees)."""
+    return [(f"d{i:03d}", sample_direction(basis, seed, i, degrees=degrees))
+            for i in range(count)]
+
+
+# sweep's directions and amplitudes, unless configured
+SWEEP_DIRECTIONS = 10
+SWEEP_AMPLITUDES = (0.003, 0.01)
+
+
 @dataclass(frozen=True)
 class SweepResult:
-    """All rows of one (direction, amplitude) product sweep."""
+    """One case's rows: reports and (direction_id, epsilon, message)."""
 
     case: TheoremCase
     reports: tuple
     failures: tuple
     empirical_constant: object
+
+    @classmethod
+    def of_rows(cls, case, rows):
+        """The result of the case's rows, as verify_rows gives them."""
+        reports = tuple(r for r in rows if isinstance(r, DeficitReport))
+        failures = tuple(r for r in rows if not isinstance(r, DeficitReport))
+        return cls(case, reports, failures, empirical_constant(reports))
 
 
 # Errors that mark a single row as a numerical failure in a sweep or a
@@ -549,18 +567,10 @@ NUMERICAL_ERRORS = (RuntimeError, ValueError, FloatingPointError,
                     ZeroDivisionError)
 
 
-def verify_row(case, graph, grid, direction_id, epsilon):
-    """verify's report of one row, or (direction_id, epsilon, message)
-    when the row fails numerically."""
-    try:
-        return verify(case, graph, grid, direction_id=direction_id,
-                      epsilon=epsilon)
-    except NUMERICAL_ERRORS as exc:
-        return direction_id, epsilon, str(exc)
-
-
 def verify_rows(cases, graph, grid, direction_id, epsilon):
-    """verify_row of each case on the sampled graph, in case order.
+    """verify's report of each case on the sampled graph, in case order,
+    or (direction_id, epsilon, message) for a row that fails
+    numerically.
 
     The cases share one nz.RecenteredGraph, so the graph is recentered,
     its geometries built and its asymmetry searched once for all of them.
@@ -568,8 +578,14 @@ def verify_rows(cases, graph, grid, direction_id, epsilon):
     raises runs once and fails each later case's row with its message.
     """
     shared = nz.RecenteredGraph(graph, grid)
-    return [verify_row(case, shared, grid, direction_id, epsilon)
-            for case in cases]
+    rows = []
+    for case in cases:
+        try:
+            rows.append(verify(case, shared, grid, direction_id=direction_id,
+                               epsilon=epsilon))
+        except NUMERICAL_ERRORS as exc:
+            rows.append((direction_id, epsilon, str(exc)))
+    return rows
 
 
 def pass_tolerance(lhs, rhs, err_quad):
@@ -590,23 +606,18 @@ def empirical_constant(reports):
     return min(ratios) if ratios else None
 
 
-def sweep(case, grid, basis, *, directions=30, eps_schedule=(0.003, 0.01),
-          seed=2025, degrees=(2, 3, 4)):
-    """verify_rows of the one case over a deterministic grid of sampled
-    directions and amplitudes; row failures are recorded and the sweep
-    continues."""
+def sweep(case, grid, basis, *, directions=SWEEP_DIRECTIONS,
+          eps_schedule=SWEEP_AMPLITUDES, seed=2025, degrees=(2, 3, 4)):
+    """verify_rows of the one case over the sample_directions and the
+    amplitudes, direction by direction; row failures are recorded and
+    the sweep continues."""
     rows = []
-    for i in range(directions):
-        u0 = sample_direction(basis, seed, i, degrees=degrees)
+    for did, u0 in sample_directions(basis, seed, directions, degrees):
         for eps in eps_schedule:
             graph = gg.RadialGraph(sf=case.sf, rho=case.rho,
                                    u=u0.scaled(eps))
-            rows += verify_rows([case], graph, grid, f"d{i:03d}", eps)
-    reports = tuple(r for r in rows if isinstance(r, DeficitReport))
-    return SweepResult(case=case, reports=reports,
-                       failures=tuple(r for r in rows
-                                      if not isinstance(r, DeficitReport)),
-                       empirical_constant=empirical_constant(reports))
+            rows += verify_rows([case], graph, grid, did, eps)
+    return SweepResult.of_rows(case, rows)
 
 
 # ---------------------------------------------------------------------------

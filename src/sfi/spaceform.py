@@ -8,12 +8,14 @@ modeled as warped products over the unit sphere with warping function
 together with its antiderivative Phi(r) = cosh r - 1, r^2/2, 1 - cos r.
 Everything downstream (graph geometry, domain functionals, inequality
 checks) consumes these scalars through the SpaceForm type defined here.
+The weights g(Phi) of the weighted integrals are numbers of one
+closed-form family, g = scale (shift + s)^alpha (WeightFunction).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -128,86 +130,74 @@ class SpaceForm:
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Weight g on [0, inf) with analytic derivatives up to second order.
+    """Weight g(s) = scale (shift + s)^alpha on [0, inf), held as numbers.
 
-    The evaluators are closures; numerical differentiation is never used
-    because second derivatives of g enter expansion coefficients at full
-    precision. kind tags the family for reporting.
+    The constant (alpha 0), 1 + s and the powers s^alpha and
+    (1 + s)^alpha are members, and so are their multiples. Derivatives
+    are closed-form, never numerical, since g'' enters expansion
+    coefficients at full precision. Equal weights compare and hash
+    equal, and a weight pickles. kind tags the family for reporting.
     """
 
     kind: str
-    fn: callable = field(repr=False)
-    d1: callable = field(repr=False)
-    d2: callable = field(repr=False)
-    label: str = ""
+    label: str
+    alpha: float
+    shift: float = 0.0
+    scale: float = 1.0
 
     def __call__(self, s):
-        return self.fn(np.asarray(s, dtype=float))
+        return self.deriv(s, 0)
 
     def deriv(self, s, order=1):
+        """scale alpha (alpha - 1)... (shift + s)^(alpha - order), order
+        0..2; scale applies last, and only when it is not 1 (one array
+        pass fewer for an unscaled weight)."""
+        if order not in (0, 1, 2):
+            raise ValueError(f"derivative order must be 0..2, got {order}")
         s = np.asarray(s, dtype=float)
-        if order == 0:
-            return self.fn(s)
-        if order == 1:
-            return self.d1(s)
-        if order == 2:
-            return self.d2(s)
-        raise ValueError(f"derivative order must be 0..2, got {order}")
+        coef = math.prod(self.alpha - i for i in range(order))
+        if coef == 0.0:
+            return s * 0.0
+        p = self.alpha - order
+        if p >= 0:
+            out = coef * (self.shift + s) ** p
+        else:
+            # negative exponent: finite only away from shift + s = 0
+            with np.errstate(divide="ignore"):
+                out = coef * (self.shift + s) ** p
+        return out if self.scale == 1.0 else self.scale * out
 
     @classmethod
     def constant(cls, value=1.0):
-        z = lambda s: np.zeros_like(s)
-        return cls("constant", lambda s: np.full_like(s, float(value)), z, z,
-                   label=f"{value:g}")
+        return cls("constant", f"{value:g}", 0.0, scale=float(value))
 
     @classmethod
     def affine(cls):
         """g(s) = 1 + s."""
-        z = lambda s: np.zeros_like(s)
-        return cls("affine", lambda s: 1.0 + s, lambda s: np.ones_like(s), z,
-                   label="1+s")
+        return cls("affine", "1+s", 1.0, shift=1.0)
 
     @classmethod
     def power(cls, alpha):
         """g(s) = s^alpha with alpha >= 1."""
-        if alpha < 1:
-            raise ValueError("power weights need alpha >= 1")
-        return cls("power", *_power_closures(float(alpha), shift=0.0),
-                   label=f"s^{alpha:g}")
+        return cls._power("power", f"s^{alpha:g}", alpha, 0.0)
 
     @classmethod
     def shifted_power(cls, alpha):
         """g(s) = (1+s)^alpha with alpha >= 1."""
-        if alpha < 1:
-            raise ValueError("shifted-power weights need alpha >= 1")
-        return cls("shifted-power", *_power_closures(float(alpha), shift=1.0),
-                   label=f"(1+s)^{alpha:g}")
+        return cls._power("shifted-power", f"(1+s)^{alpha:g}", alpha, 1.0)
+
+    @classmethod
+    def _power(cls, kind, label, alpha, shift):
+        if not alpha >= 1:  # named as the constructor and weight.kind
+            raise ValueError(f"{kind.replace('-', '_')} weights need "
+                             f"alpha >= 1, got {alpha:g}")
+        return cls(kind, label, float(alpha), shift=shift)
 
     def scaled(self, c):
         """Return c * g as a new weight (same admissibility for c > 0)."""
         c = float(c)
-        return WeightFunction(
-            self.kind, lambda s: c * self.fn(s), lambda s: c * self.d1(s),
-            lambda s: c * self.d2(s), label=f"{c:g}*({self.label})")
-
-
-def _power_closures(alpha, shift):
-    def dk(order):
-        coef = 1.0
-        for i in range(order):
-            coef *= alpha - i
-        def f(s, coef=coef, p=alpha - order):
-            if coef == 0.0:
-                return np.asarray(s, dtype=float) * 0.0
-            base = shift + s
-            if p >= 0:
-                return coef * base ** p
-            # negative exponent: finite only away from base = 0
-            with np.errstate(divide="ignore"):
-                out = coef * base ** p
-            return out
-        return f
-    return dk(0), dk(1), dk(2)
+        return replace(self, scale=c * self.scale,
+                       label=f"{c:g}*({self.label})")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ functionals' expansion blocks and the constrained deficit form that
 they compose with lab.sigma_expansion_blocks (with the hand-expanded
 forms it is held to), the paper's gradient-energy lower bounds on
 the second-order deficits and the degree-2 Poincare limit, the printed
-weighted-volume equality value and a report-file writer. No row, fit or
+weighted-volume equality value, hand-written closures for each weight
+of the closed-form family and a report-file writer. No row, fit or
 CLI command runs them; tests import this module as ``import oracles``.
 """
 
@@ -748,6 +749,36 @@ def quermass_gradient_bound(sf, w, k, j, rho):
                           + (2 * k - j - 1) / (2.0 * n) * rho ** (n - k)
                           * G1)
     raise ValueError("bound available for K = -1 and K = 0 only")
+
+
+def weight_closures(kind, param=1.0, scales=()):
+    """(g, g', g'') as hand-written closures: constant(param), affine(),
+    power(param) or shifted_power(param), each then multiplied by every
+    c of scales in turn, as WeightFunction.scaled does (oracle for the
+    closed-form family of spaceform.WeightFunction, bit for bit)."""
+    zero = lambda s: np.zeros_like(s)
+    if kind == "constant":
+        fs = (lambda s: np.full_like(s, float(param)), zero, zero)
+    elif kind == "affine":
+        fs = (lambda s: 1.0 + s, lambda s: np.ones_like(s), zero)
+    else:
+        alpha, shift = float(param), 0.0 if kind == "power" else 1.0
+
+        def dk(order):
+            coef = 1.0
+            for i in range(order):
+                coef *= alpha - i
+
+            def f(s, p=alpha - order):
+                if coef == 0.0:
+                    return np.asarray(s, dtype=float) * 0.0
+                with np.errstate(divide="ignore"):
+                    return coef * (shift + s) ** p
+            return f
+        fs = (dk(0), dk(1), dk(2))
+    for c in scales:
+        fs = tuple(lambda s, f=f, c=float(c): c * f(s) for f in fs)
+    return fs
 
 
 def write_report(reports, path, fmt="csv"):

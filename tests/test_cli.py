@@ -354,7 +354,7 @@ def no_rows(monkeypatch):
     """Fail the test if a verify row or a surface geometry is computed."""
     def boom(*args, **kwargs):
         raise AssertionError("a row ran before the output path was checked")
-    monkeypatch.setattr(lab, "verify_row", boom)
+    monkeypatch.setattr(lab, "verify", boom)
     monkeypatch.setattr(gg, "surface_geometry", boom)
 
 
@@ -821,6 +821,30 @@ j = 2
         assert [(r["direction_id"], float(r["epsilon"])) for r in rows] \
             == [(f"d{i:03d}", e) for i in range(10) for e in (0.003, 0.01)]
         assert "case:main: rows=20 failures=0" in capsys.readouterr().err
+
+    def test_sweep_command_is_lab_sweep(self, tmp_path, capsys, forks):
+        # one sampler, one set of defaults and one SweepResult: left to
+        # the defaults, sfi sweep writes lab.sweep's rows at any thread
+        # count and prints that result's counts and constant
+        path = write_config(tmp_path, BASE + "\n[perturbation]\n"
+                            "degrees = 2,3\nseed = 11\n" + CASE_STAB)
+        args = cli.parse_args(["sweep", "--config", path])
+        ctx = cli.build_run_context(*cli.load_config(path), args)
+        res = lab.sweep(ctx.cases[0][1], ctx.grid, ctx.basis, seed=11,
+                        degrees=(2, 3))
+        assert len(res.reports) == 20 and res.empirical_constant is not None
+        summary = (f"case:main: rows={len(res.reports)} "
+                   f"failures={len(res.failures)} "
+                   f"min_deficit_over_alpha_sq="
+                   f"{res.empirical_constant:.6g}\n")
+        for threads, workers in (("1", 0), ("2", 2)):
+            out = tmp_path / f"t{threads}.csv"
+            forks.clear()
+            assert cli.main(["sweep", "--config", path, "--threads",
+                             threads, "--out", str(out)]) == 0
+            assert len(forks) == workers
+            assert out.read_text() == lab.csv_text(res.reports)
+            assert capsys.readouterr().err == summary
 
 
 class TestWorkerProcesses:

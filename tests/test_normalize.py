@@ -272,7 +272,7 @@ class TestRecenter:
         total, G, _h, _H = dm._origin_derivatives(sf, grid, R)
         assert 2.0 * np.linalg.norm(G) < 1e-8 * max(1.0, total)
 
-    def test_indefinite_hessian_falls_back_to_the_barycenter(
+    def test_indefinite_hessian_takes_the_damped_step(
             self, grid3, basis3, monkeypatch):
         # with H at O forced indefinite, the step is the damped
         # G / max(h, mass / (n+1)) and recenter converges on it, with no

@@ -93,6 +93,47 @@ def test_importing_the_package_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+NO_MA_CONFIG = """\
+[space]
+K = -1
+n = 3
+rho = 0.9
+[grid]
+basis_degree = 4
+[weight]
+kind = affine
+[perturbation]
+mode = random
+degrees = 2
+directions = 1
+seed = 3
+epsilon = {eps}
+[case:main]
+theorem = sigmak-quermass-hyperbolic
+k = 1
+j = 0
+"""
+
+
+def test_commands_load_no_numpy_ma(tmp_path):
+    # np.quantile imports numpy.ma on its first call, which costs about
+    # 2 MB of peak RSS in a bare process; no command may load it
+    rows = tmp_path / "rows.ini"
+    rows.write_text(NO_MA_CONFIG.format(eps="0.01"))
+    fit = tmp_path / "fit.ini"
+    fit.write_text(NO_MA_CONFIG.format(
+        eps="0.002, 0.003, 0.005, 0.008, 0.013, 0.02"))
+    runs = [("eval", rows), ("verify", rows), ("sweep", rows),
+            ("expand", fit)]
+    code = ("import sys; from sfi import cli; "
+            f"codes = [cli.main([c, '--config', p, '--out', p + '.out']) "
+            f"for c, p in {[(c, str(p)) for c, p in runs]!r}]; "
+            "print(codes, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=SRC.parent)
+    assert out.stdout.strip() == "[0, 0, 0, 0] False"
+
+
 def test_source_imports_no_scipy():
     imported = set()
     for path in SRC.glob("*.py"):

@@ -1,12 +1,15 @@
 """Tests for the space-form primitives and weight functions."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+import oracles
+from sfi import cli
 from sfi.spaceform import (
     SpaceForm,
     WeightFunction,
@@ -210,10 +213,79 @@ class TestWeightFunction:
         assert w.deriv(2.0, 1) == pytest.approx(3.0)
 
     def test_custom_label(self):
-        w = WeightFunction("custom", lambda s: s + 1, lambda s: 1.0,
-                           lambda s: 0.0, label="lin")
+        w = WeightFunction("custom", "lin", 1.0, shift=1.0)
         assert w.label == "lin"
         assert w(1.0) == 2.0
+
+
+class TestWeightFamily:
+    # (constructor, oracles.weight_closures arguments)
+    WEIGHTS = [
+        (WeightFunction.constant(1.0), ("constant", 1.0)),
+        (WeightFunction.constant(2.5), ("constant", 2.5)),
+        (WeightFunction.affine(), ("affine",)),
+        *[(make_w(a), (kind, a))
+          for a in (1.0, 1.5, 2.0, 2.7, 3.0)
+          for kind, make_w in (("power", WeightFunction.power),
+                               ("shifted_power",
+                                WeightFunction.shifted_power))],
+        (WeightFunction.affine().scaled(0.3), ("affine", 1.0, (0.3,))),
+        (WeightFunction.shifted_power(2.7).scaled(4.0),
+         ("shifted_power", 2.7, (4.0,))),
+    ]
+    SAMPLES = [np.array([0.0]), np.geomspace(1e-12, 50.0, 2000), 0.0, 0.37,
+               np.float64(1.0), 12.5]
+
+    @staticmethod
+    def bits(x):
+        x = np.asarray(x)
+        return x.dtype, x.shape, x.tobytes()
+
+    @pytest.mark.parametrize("w,ref", WEIGHTS,
+                             ids=[f"{w.kind}:{w.label}" for w, _ in WEIGHTS])
+    def test_bit_identical_to_closures(self, w, ref):
+        fs = oracles.weight_closures(*ref)
+        for s in self.SAMPLES:
+            a = np.asarray(s, dtype=float)
+            assert self.bits(w(s)) == self.bits(fs[0](a))
+            for order in (0, 1, 2):
+                assert self.bits(w.deriv(s, order)) \
+                    == self.bits(fs[order](a)), (s, order)
+
+    @pytest.mark.parametrize("make_w", [
+        lambda: WeightFunction.constant(2.5), WeightFunction.affine,
+        lambda: WeightFunction.power(1.5),
+        lambda: WeightFunction.shifted_power(2.0).scaled(0.3)],
+        ids=["constant", "affine", "power", "scaled"])
+    def test_equal_constructions_are_equal(self, make_w):
+        a, b = make_w(), make_w()
+        assert a == b and hash(a) == hash(b)
+        assert pickle.loads(pickle.dumps(a)) == a
+        assert a != WeightFunction.power(3.0)
+
+    def test_cases_built_from_one_config_are_equal(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[space]\nK = -1\nn = 3\nrho = 0.9\n[weight]\n"
+                        "kind = shifted_power\nscale = 0.3\n"
+                        "[case:main]\ntheorem = sigmak-quermass-hyperbolic\n"
+                        "k = 1\nj = 0\n")
+
+        def cases():
+            sections, cases_cfg = cli.load_config(path)
+            sf = cli.build_space(sections["space"])
+            return cli.build_cases(cases_cfg, sf,
+                                   cli.build_weight(sections["weight"]),
+                                   sections["space"]["rho"])
+        a, b = cases(), cases()
+        assert a == b and hash(a[0][1]) == hash(b[0][1])
+
+    def test_alpha_below_one_names_the_constructor(self):
+        for make_w in (WeightFunction.power, WeightFunction.shifted_power):
+            for alpha in (0.5, float("nan")):
+                with pytest.raises(ValueError, match=f"^{make_w.__name__} "
+                                   f"weights need alpha >= 1, got "
+                                   f"{alpha:g}$"):
+                    make_w(alpha)
 
 
 class TestWeightFlags:
@@ -240,9 +312,7 @@ class TestWeightFlags:
         assert f.hyperbolic_admissible
 
     def test_decreasing_weight(self):
-        w = WeightFunction("custom", lambda s: 1.0 / (1.0 + s),
-                           lambda s: -1.0 / (1.0 + s) ** 2,
-                           lambda s: 2.0 / (1.0 + s) ** 3)
+        w = WeightFunction("custom", "1/(1+s)", -1.0, shift=1.0)
         f = check_weight(w, self.GRID)
         assert f.positive and not f.monotone
 
