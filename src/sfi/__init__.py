@@ -53,7 +53,6 @@ from sfi.spherebasis import (
     build_basis,
     build_grid,
     default_resolution,
-    sobolev_norms,
 )
 
 __all__ = [
@@ -86,7 +85,6 @@ __all__ = [
     "quermassintegrals",
     "radius_for_volume",
     "sample_direction",
-    "sobolev_norms",
     "sphere_curvature_integral",
     "stability_constant",
     "surface_geometry",

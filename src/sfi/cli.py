@@ -274,7 +274,7 @@ def build_directions(pcfg, basis, seed, *, unit=False):
         if unit:
             coeffs = coeffs / norm
         return [("explicit", sb.from_coeffs(basis, coeffs))]
-    degrees = pcfg.get("degrees", (2, 3, 4))
+    degrees = pcfg.get("degrees", lab.SWEEP_DEGREES)
     count = pcfg.get("directions", 1)
     if count < 1:
         raise ConfigError("perturbation.directions: need at least 1")
@@ -371,7 +371,7 @@ def build_run_context(sections, cases_cfg, args):
         check_out_path(resolve_out_path(args.dump_nodes), "--dump-nodes")
     seed, seed_key = args.seed, "--seed"
     if seed is None:
-        seed = sections.get("perturbation", {}).get("seed", 2025)
+        seed = sections.get("perturbation", {}).get("seed", lab.SWEEP_SEED)
         seed_key = "perturbation.seed"
     # the direction generator's Philox key is (seed << 64) | stream
     if not 0 <= seed < 2 ** 64:
@@ -417,7 +417,7 @@ def cmd_eval(ctx, args):
                       grid.integrate(geo.sigma[:, k] * geo.area_factor)))
     for k in range(sf.n + 1):
         pairs.append((f"weighted_sigma_int_{k}",
-                      gg.weighted_curvature_integral(geo, w, k)))
+                      gg.weighted_curvature_integral(geo, geo.Phi, w, k)))
     pairs += [("min_radius", float(np.min(geo.r))),
               ("max_radius", float(np.max(geo.r))),
               ("mean_convex", bool(np.all(geo.H > 0))),

@@ -6,8 +6,10 @@ quadratures. The brute-force radial Gauss-Legendre volumes that check
 them, and the reference ball profile, live in tests/oracles.py. The
 barycenter is the Karcher mean of the enclosed mass, found by Newton
 steps whose gradient and Hessian are such quadratures at the origin of
-each iterate; Fraenkel asymmetry minimizes the symmetric-difference
-volume against equal-volume geodesic balls over the center.
+each iterate; it is the package's one Karcher solver, and every row
+reads its comparison ball's center from it (normalize.SampledGraph).
+Fraenkel asymmetry minimizes the symmetric-difference volume against
+equal-volume geodesic balls over the center.
 
 Each functional of a graph takes its geometry on a grid
 (graphgeom.SurfaceGeometry) and reads the graph, grid and radii r from
@@ -31,8 +33,10 @@ CENTER_LIMIT = 0.995
 # kernel is as wide as this quantile of |P_n(R) - P_n(R_ball)| over the
 # nodes; a step is halved at most SEARCH_HALVINGS times; the Newton phase
 # ends when a step gains at most SEARCH_REL_GAIN of alpha and the polish
-# when one gains at most POLISH_REL_GAIN, both below alpha's own
-# quadrature error of 3.6e-5..1.3e-4 relative; SEARCH_STEPS caps the steps.
+# when one gains at most POLISH_REL_GAIN, both far below alpha's own
+# quadrature error, which is percent-sized and two-sided (+1.08% at
+# resolution 24, -2.02% at 32; ROADMAP item 1); SEARCH_STEPS caps the
+# steps.
 # The search stops once alpha is at most SEARCH_ALPHA_FLOOR of the ball
 # volume: on an exact ball alpha falls geometrically towards rounding, so
 # no relative-gain test would fire.
@@ -325,7 +329,9 @@ def barycenter(geo):
     (_gradient_met) it takes the step computed there and returns the
     point it lands on; it raises RuntimeError after BARYCENTER_MAX_ITER
     passes. At K = 0 the first step lands on the centroid. The first
-    pass reads the radii geo.r of the graph's geometry.
+    pass reads the radii geo.r of the graph's geometry. Rows read the
+    sampled surface about the returned point as it is (normalize), so
+    no other iteration moves the domain.
     """
     graph, grid, R = geo.graph, geo.grid, geo.r
     sf = graph.sf

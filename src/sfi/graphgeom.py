@@ -45,9 +45,10 @@ _shape_sigma evaluates both by Horner in y, sharing the powers of alpha,
 and divides by neither alpha nor phi', which vanish at r = pi/2 when
 K = +1. A Jet carries the invariants of u once; surface_geometry reads
 them at e = 1 and scaled_curvature_integrals at every amplitude of a
-fit. Relabeling the splitting (SurfaceGeometry.relabeled) leaves w and
-B, and so every invariant of the shape operator, unchanged. The
-principal curvatures kappa are derived on demand, by eigvalsh of the
+fit. Every field here is about the origin O except that the weight's
+argument is an input of weighted_curvature_integral, so the integral
+about any center p (normalize.weight_argument) reads the same geometry.
+The principal curvatures kappa are derived on demand, by eigvalsh of the
 symmetric similarity g^{-1/2} h g^{-1/2}, which has the characteristic
 polynomial of S because S is self-adjoint with respect to g; only a few
 readers need them.
@@ -55,7 +56,7 @@ readers need them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
 from typing import NamedTuple
@@ -162,20 +163,6 @@ class SurfaceGeometry:
     def H_plus(self):
         return np.maximum(self.H, 0.0)
 
-    def relabeled(self, graph):
-        """This surface's geometry as a graph over a new splitting.
-
-        graph must re-label self.graph's surface, rho*(1 + u*) =
-        rho(1 + u), as normalize.match_radius does. With lam = rho/rho*
-        the jet becomes u* = lam u + lam - 1, grad u* = lam grad u and
-        Hess u* = lam Hess u, while w = rho grad u and rho Hess u, and so
-        every geometric field, are unchanged.
-        """
-        lam = self.graph.rho / graph.rho
-        return replace(self, graph=graph,
-                       u_vals=lam * self.u_vals + (lam - 1.0),
-                       du=lam * self.du, d2u=lam * self.d2u)
-
     def convex_flags(self):
         """Per-node flag: all principal curvatures strictly positive."""
         return np.min(self.kappa, axis=1) > 0
@@ -266,7 +253,7 @@ def scaled_curvature_integrals(graph, grid, w, k, amplitudes, jet):
     whichever amplitudes share the call, and grid.integrate sums each
     row, so no value depends on NODE_BLOCK or on the other amplitudes,
     and at e = 1.0 each is bit for bit weighted_curvature_integral of
-    surface_geometry(graph, grid)."""
+    geo = surface_geometry(graph, grid) with Phi = geo.Phi."""
     n = grid.n
     if not 0 <= k <= n:
         raise ValueError(f"sigma order k={k} outside [0, {n}]")
@@ -283,9 +270,11 @@ def scaled_curvature_integrals(graph, grid, w, k, amplitudes, jet):
     return [grid.integrate(row) for row in out]
 
 
-def weighted_curvature_integral(geo, w, k, positive_part=False):
+def weighted_curvature_integral(geo, Phi, w, k, positive_part=False):
     """Integral of g(Phi) sigma_k(kappa) over M, optionally with H^+,
-    on the grid of M's geometry geo.
+    on the grid of M's geometry geo, where Phi is the weight's argument
+    at its nodes: geo.Phi about the origin, or Phi(d_p) about a center p
+    (normalize.weight_argument).
 
     positive_part replaces sigma_1 = H by max(H, 0); it is only meaningful
     at k = 1.
@@ -296,7 +285,7 @@ def weighted_curvature_integral(geo, w, k, positive_part=False):
     if positive_part and k != 1:
         raise ValueError("positive_part applies only to k = 1")
     core = geo.H_plus if positive_part else geo.sigma[:, k]
-    return geo.grid.integrate(w(geo.Phi) * core * geo.area_factor)
+    return geo.grid.integrate(w(Phi) * core * geo.area_factor)
 
 
 def sphere_curvature_integral(sf, rho, w, k):

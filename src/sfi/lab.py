@@ -10,7 +10,7 @@ hypersurface against its value on the matching geodesic ball:
 * verify runs the full pipeline on one graph: normalize, integrate,
   compare, and flag; it is called once per row, and verify_rows runs it
   for several cases on one sampled graph, which share the graph's
-  recentering, geometries and asymmetry (nz.RecenteredGraph);
+  geometries, barycenter and asymmetry (nz.SampledGraph);
 * expansion_oracle fits the small-amplitude Taylor expansion of the
   integral and compares the fitted coefficients against the closed-form
   coefficient blocks;
@@ -306,11 +306,14 @@ class DeficitReport:
 
 def verify(case, graph_raw, grid, *, direction_id="", epsilon=None):
     """Normalize graph_raw under the case's constraint and compare the
-    weighted curvature integral against the theorem's right-hand side.
+    weighted curvature integral about its barycenter against the
+    theorem's right-hand side.
 
-    graph_raw is a RadialGraph or its nz.RecenteredGraph on grid;
+    graph_raw is a RadialGraph or its nz.SampledGraph on grid;
     verify_rows passes the latter, so that the cases verified on one
-    sampled graph share its recentering, geometries and asymmetry.
+    sampled graph share its geometries, barycenter, fields about the
+    barycenter and asymmetry. The integrals run over the sampled surface
+    itself, with the weight's argument taken about the barycenter.
 
     The deficit column is always LHS minus the matched-ball value; for
     stability cases the rhs column additionally carries the
@@ -322,7 +325,7 @@ def verify(case, graph_raw, grid, *, direction_id="", epsilon=None):
     fam = case.family
     sf, w, k = case.sf, case.w, case.k
     constraint = case.constraint()
-    shared = nz.recentered(graph_raw, grid)
+    shared = nz.sampled_graph(graph_raw, grid)
     normalized = nz.normalize(shared, grid, constraint)
     rho_star = normalized.rho
     norms = normalized.norms
@@ -334,9 +337,9 @@ def verify(case, graph_raw, grid, *, direction_id="", epsilon=None):
         budget_notes.append(f"{name} norm {norm_val:.3e} exceeds budget "
                             f"{budget:g}")
 
-    geo = normalized.geometry
-    s_lo = float(np.min(geo.Phi))
-    s_hi = float(np.max(geo.Phi))
+    Phi = shared.fields.Phi
+    s_lo = float(np.min(Phi))
+    s_hi = float(np.max(Phi))
     flags = check_weight(w, np.linspace(s_lo, s_hi, 65))
     for flag in case.required_flags():
         if not getattr(flags, flag):
@@ -344,10 +347,11 @@ def verify(case, graph_raw, grid, *, direction_id="", epsilon=None):
                                 f"[{s_lo:.3e}, {s_hi:.3e}]")
 
     positive_part = fam.target == "H"
-    lhs = gg.weighted_curvature_integral(geo, w, k,
+    lhs = gg.weighted_curvature_integral(shared.geometry, Phi, w, k,
                                          positive_part=positive_part)
     err_quad = abs(lhs - gg.weighted_curvature_integral(
-        shared.coarse_geometry, w, k, positive_part=positive_part))
+        shared.coarse_geometry, shared.coarse_Phi, w, k,
+        positive_part=positive_part))
 
     # An early stop of the center search can only raise alpha above the
     # minimum over centers of the discrete alpha on this grid, and so
@@ -517,7 +521,15 @@ def philox_rng(seed, stream):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_direction(basis, seed, stream, degrees=(2, 3, 4)):
+# The directions' degrees and seed, and sweep's directions and
+# amplitudes, unless configured (sfi sweep shares them)
+SWEEP_DEGREES = (2, 3, 4)
+SWEEP_SEED = 2025
+SWEEP_DIRECTIONS = 10
+SWEEP_AMPLITUDES = (0.003, 0.01)
+
+
+def sample_direction(basis, seed, stream, degrees=SWEEP_DEGREES):
     """Random unit-L^2 direction supported on the given degrees."""
     rng = philox_rng(seed, stream)
     coeffs = np.zeros(basis.size)
@@ -532,16 +544,11 @@ def sample_direction(basis, seed, stream, degrees=(2, 3, 4)):
     return sb.from_coeffs(basis, coeffs / norm)
 
 
-def sample_directions(basis, seed, count, degrees=(2, 3, 4)):
+def sample_directions(basis, seed, count, degrees=SWEEP_DEGREES):
     """[(direction id, direction)] for i < count: the id d000, d001, ...
     and sample_direction(basis, seed, i, degrees)."""
     return [(f"d{i:03d}", sample_direction(basis, seed, i, degrees=degrees))
             for i in range(count)]
-
-
-# sweep's directions and amplitudes, unless configured
-SWEEP_DIRECTIONS = 10
-SWEEP_AMPLITUDES = (0.003, 0.01)
 
 
 @dataclass(frozen=True)
@@ -572,12 +579,13 @@ def verify_rows(cases, graph, grid, direction_id, epsilon):
     or (direction_id, epsilon, message) for a row that fails
     numerically.
 
-    The cases share one nz.RecenteredGraph, so the graph is recentered,
-    its geometries built and its asymmetry searched once for all of them.
+    The cases share one nz.SampledGraph, so the graph's geometries, its
+    barycenter, its fields about the barycenter and its asymmetry are
+    computed once for all of them.
     A row fails only where its own verify raises: a shared step that
     raises runs once and fails each later case's row with its message.
     """
-    shared = nz.RecenteredGraph(graph, grid)
+    shared = nz.SampledGraph(graph, grid)
     rows = []
     for case in cases:
         try:
@@ -607,7 +615,8 @@ def empirical_constant(reports):
 
 
 def sweep(case, grid, basis, *, directions=SWEEP_DIRECTIONS,
-          eps_schedule=SWEEP_AMPLITUDES, seed=2025, degrees=(2, 3, 4)):
+          eps_schedule=SWEEP_AMPLITUDES, seed=SWEEP_SEED,
+          degrees=SWEEP_DEGREES):
     """verify_rows of the one case over the sample_directions and the
     amplitudes, direction by direction; row failures are recorded and
     the sweep continues."""

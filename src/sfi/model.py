@@ -8,14 +8,15 @@ coordinates (r, x), x in S^n, embed as
     K = -1: (cosh r, sinh r * x)      K = +1: (cos r, sin r * x)
 
 so isometries fixing no point (translations) act linearly, which keeps
-recentering free of per-node transcendental solves beyond a single 1D
-root-find.
+the barycenter's ray shooting free of per-node transcendental solves
+beyond a single 1D root-find.
 
 Throughout, "model vector" c in R^{n+1} means the tangent vector at the
 origin whose exponential is the point in question; |c| is the geodesic
-distance from the origin. A row needs three operations to recenter a
-domain: point (exp_O of a model vector), model_vector (its inverse) and
-translation_from_origin (the translation taking O to a point). The
+distance from the origin. A row needs three operations: point (exp_O
+of a model vector) and translation_from_origin (the translation taking
+O to a point) for the barycenter's iterates, and model_vector (the
+inverse of point) for the asymmetry search's seed. The
 general exponential and logarithm at any base point, the geodesic
 distance and the translation to the origin with its inverse are test
 oracles; they live in tests/oracles.py.

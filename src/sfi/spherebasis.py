@@ -27,11 +27,9 @@ rules (_synthesize): a monomial at a node is a product of one power pair
 per level, so the monomial coefficients are contracted with one level's
 power table at a time, and no (basis size x nodes) array is formed. The
 2-jet synthesizes the polynomial's monomial derivatives the same way,
-laid out node-minor through symfunc. Projection runs the adjoint
-(_moments): the monomial moments of weights * samples, then the basis
-coefficients times those moments.
+laid out node-minor through symfunc.
 
-Every synthesis kernel (evaluate, values_on_grid, eval_jet_all,
+Every synthesis kernel (evaluate, eval_jet_all and
 SphericalFunction.polynomial_coeffs) runs through u's own degree, the
 degree of its last coefficient that is not exactly 0 (_top_degree; NaN
 and inf count as nonzero). The basis and the monomial table are graded,
@@ -65,8 +63,8 @@ MIN_RESOLUTION = 4
 # it: whether such a block is reused from the heap or mapped and faulted
 # in afresh on each call depends on the process's dynamic mmap threshold.
 NODE_BLOCK = 512
-# Relative slack of the Hessian-norm pruning test (_hessian_norm): a sum
-# of at most 16 squares rounds by under 16 ulps.
+# Relative slack of the Hessian-norm pruning test (hessian_norm): a sum
+# of at most 25 squares rounds by under 25 ulps.
 PRUNE_SLACK = 1e-12
 
 
@@ -564,13 +562,6 @@ def evaluate(u, points):
     return u.basis.table.evaluate(points, u.polynomial_coeffs())
 
 
-def values_on_grid(u, grid):
-    """Values of u at the grid nodes (_synthesize), through u's degree."""
-    top = u.degree
-    return _synthesize(_level_powers(grid, top), u.basis.table,
-                       u.polynomial_coeffs()[:, None], top)[0]
-
-
 def eval_jet_all(u, grid):
     """Covariant 2-jet of u at every grid node.
 
@@ -609,19 +600,6 @@ def eval_jet_all(u, grid):
         hess[a, a] -= radial
         hess[a + 1:, a] = hess[a, a + 1:]
     return vals[0], grad.T, hess.transpose(2, 0, 1)
-
-
-def project(samples, grid, basis):
-    """Quadrature projection of node samples onto the basis: the basis
-    coefficients times the monomial moments of weights * samples
-    (_moments)."""
-    if grid.d_exact < 2 * basis.d_max:
-        raise ValueError("grid exactness must be at least twice the basis "
-                         "degree for projection")
-    weighted = grid.weights * np.asarray(samples, dtype=float)
-    top = basis.d_max
-    return SphericalFunction(basis, basis.coeffs @ _moments(
-        _level_powers(grid, top), basis.table, weighted, top))
 
 
 def _level_powers(grid, top):
@@ -663,20 +641,6 @@ def _synthesize(powers, table, coeffs, top):
     return out.reshape(coeffs.shape[1], -1)
 
 
-def _moments(powers, table, f, top):
-    """Quadrature sums of f times each monomial of table through degree
-    top, for f given at the nodes and powers as in _synthesize: the
-    adjoint of _synthesize, innermost level first."""
-    maps, pairs = table._levels[top]
-    c, s = powers[-1]
-    x = (c[pairs[:, 0]] * s[pairs[:, 1]]) @ f.reshape(-1, c.shape[1]).T
-    for (c, s), (parent, head, degree) in zip(powers[-2::-1], maps[::-1]):
-        x = x.reshape(len(degree), -1, c.shape[1]) * s[degree][:, None]
-        x = (x.reshape(-1, c.shape[1]) @ c[:top + 1].T).reshape(
-            len(degree), -1, top + 1)[parent, :, head]
-    return x[:, 0]
-
-
 class SobolevNorms(NamedTuple):
     l2: float
     grad_l2: float
@@ -684,7 +648,7 @@ class SobolevNorms(NamedTuple):
     w2inf: float
 
 
-def _hessian_norm(hess):
+def hessian_norm(hess):
     """max over the nodes of the operator norm |B|_2 = max |eigvalsh(B)|.
 
     For symmetric B, B's largest row norm <= |B|_2 <= its Frobenius norm,
@@ -694,32 +658,10 @@ def _hessian_norm(hess):
     bit-identical to solving every node. Squared norms are compared, with
     a relative slack of PRUNE_SLACK that covers their rounding.
     """
-    rows = np.sum(hess * hess, axis=-1)
+    rows = np.einsum("nij,nij->ni", hess, hess)
     frob = np.sum(rows, axis=-1)
     keep = frob >= (1.0 - PRUNE_SLACK) * np.max(rows)
     return float(np.max(np.abs(np.linalg.eigvalsh(hess[keep]))))
-
-
-def sobolev_norms(grid, jet):
-    """L^2, gradient L^2, C^1 and W^{2,inf} norms of u on a grid, from
-    its 2-jet (values, gradient, Hessian) = eval_jet_all(u, grid).
-
-    Sup norms are maxima over grid nodes; the Hessian enters through its
-    operator norm in the frame, solved only at the nodes that can attain
-    the maximum (_hessian_norm). A non-finite jet raises ValueError.
-    """
-    vals, grad, hess = jet
-    if not all(np.isfinite(a).all() for a in (vals, grad, hess)):
-        raise ValueError("non-finite 2-jet")
-    l2 = np.sqrt(max(grid.integrate(vals**2), 0.0))
-    gn2 = np.sum(grad**2, axis=1)
-    grad_l2 = np.sqrt(max(grid.integrate(gn2), 0.0))
-    sup_u = float(np.max(np.abs(vals))) if len(vals) else 0.0
-    sup_grad = float(np.sqrt(np.max(gn2)))
-    c1 = max(sup_u, sup_grad)
-    hess_op = _hessian_norm(hess)
-    return SobolevNorms(l2=float(l2), grad_l2=float(grad_l2), c1=c1,
-                        w2inf=max(c1, hess_op))
 
 
 def default_resolution(d_max):

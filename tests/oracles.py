@@ -6,7 +6,10 @@ radial moments, the embedded mass points and gradient that the
 barycenter is held to, the exponential and logarithm maps at any base
 point, the geodesic distance, the translation to the origin with its
 matrix inverse, translated-ball profiles, the Laplace-Beltrami operator,
-coefficient norms, the monomial Vandermonde matrix, the per-amplitude
+coefficient norms, the monomial Vandermonde matrix, node values and the
+quadrature projection onto the basis, the Sobolev norms of a profile
+from its jet, the translated graph (ray shooting, then projection), the
+per-amplitude
 loop of full-grid geometries behind an expansion fit, the
 spherical-Hessian integral identities, the gradient-energy bound on the
 asymmetry, the mean-curvature expansion blocks, the constraint
@@ -209,7 +212,7 @@ def scaled_curvature_integrals(graph, grid, w, k, amplitudes, jet):
     for e in amplitudes:
         g = gg.RadialGraph(sf=graph.sf, rho=graph.rho, u=graph.u.scaled(e))
         geo = geometry_from_jet(g, grid, scaled_jet(jet, e))
-        out.append(gg.weighted_curvature_integral(geo, w, k))
+        out.append(gg.weighted_curvature_integral(geo, geo.Phi, w, k))
     return out
 
 
@@ -245,7 +248,7 @@ def bulk_integral_bruteforce(graph, grid, integrand, radial_points=32):
     phi^n(r) dr dA.
     """
     sf = graph.sf
-    R = graph.radii(sb.values_on_grid(graph.u, grid))
+    R = graph.radii(values_on_grid(graph.u, grid))
     t, wt = np.polynomial.legendre.leggauss(radial_points)
     r = R[:, None] * (0.5 * (t + 1.0))
     vals = integrand(r) * sf.phi(r) ** sf.n
@@ -276,7 +279,7 @@ def embedded_mass_points(graph, grid, radial_points):
     """Radial x angular quadrature points embedded in the model, with
     their masses, flattened (reference for the barycenter)."""
     sf = graph.sf
-    R = graph.radii(sb.values_on_grid(graph.u, grid))
+    R = graph.radii(values_on_grid(graph.u, grid))
     t, wt = np.polynomial.legendre.leggauss(radial_points)
     r = R[:, None] * (0.5 * (t + 1.0))
     mass = grid.weights[:, None] * R[:, None] * (0.5 * wt) * sf.phi(r) ** sf.n
@@ -485,6 +488,82 @@ def vandermonde(table, points):
     for rows, powers in table._power_blocks(pts, table.max_degree):
         out[rows] = sb._monomial_rows(powers, table.exponents).T
     return out
+
+
+def values_on_grid(u, grid):
+    """Values of u at the grid nodes, by the grid kernels' sum
+    factorization (sb._synthesize) through u's degree."""
+    top = u.degree
+    return sb._synthesize(sb._level_powers(grid, top), u.basis.table,
+                          u.polynomial_coeffs()[:, None], top)[0]
+
+
+def moments(powers, table, f, top):
+    """Quadrature sums of f times each monomial of table through degree
+    top, for f given at the nodes and powers = sb._level_powers of the
+    grid: the adjoint of sb._synthesize, innermost level first."""
+    maps, pairs = table._levels[top]
+    c, s = powers[-1]
+    x = (c[pairs[:, 0]] * s[pairs[:, 1]]) @ f.reshape(-1, c.shape[1]).T
+    for (c, s), (parent, head, degree) in zip(powers[-2::-1], maps[::-1]):
+        x = x.reshape(len(degree), -1, c.shape[1]) * s[degree][:, None]
+        x = (x.reshape(-1, c.shape[1]) @ c[:top + 1].T).reshape(
+            len(degree), -1, top + 1)[parent, :, head]
+    return x[:, 0]
+
+
+def project(samples, grid, basis):
+    """Quadrature projection of node samples onto the basis: the basis
+    coefficients times the monomial moments of weights * samples."""
+    if grid.d_exact < 2 * basis.d_max:
+        raise ValueError("grid exactness must be at least twice the basis "
+                         "degree for projection")
+    weighted = grid.weights * np.asarray(samples, dtype=float)
+    top = basis.d_max
+    return sb.SphericalFunction(basis, basis.coeffs @ moments(
+        sb._level_powers(grid, top), basis.table, weighted, top))
+
+
+def sobolev_norms(grid, jet):
+    """L^2, gradient L^2, C^1 and W^{2,inf} norms of u on a grid, from
+    its 2-jet (values, gradient, Hessian) = sb.eval_jet_all(u, grid): the
+    norms of a graph's own profile about O, which rows read about the
+    barycenter (normalize.CenterFields.norms).
+
+    Sup norms are maxima over grid nodes; the Hessian enters through its
+    operator norm in the frame (sb.hessian_norm). A non-finite jet raises
+    ValueError.
+    """
+    vals, grad, hess = jet
+    if not all(np.isfinite(a).all() for a in (vals, grad, hess)):
+        raise ValueError("non-finite 2-jet")
+    l2 = np.sqrt(max(grid.integrate(vals**2), 0.0))
+    gn2 = np.sum(grad**2, axis=1)
+    grad_l2 = np.sqrt(max(grid.integrate(gn2), 0.0))
+    sup_u = float(np.max(np.abs(vals))) if len(vals) else 0.0
+    c1 = max(sup_u, float(np.sqrt(np.max(gn2))))
+    return sb.SobolevNorms(l2=float(l2), grad_l2=float(grad_l2), c1=c1,
+                           w2inf=max(c1, sb.hessian_norm(hess)))
+
+
+def translated_graph(graph, grid, center):
+    """(moved, out_energy): the radial graph, in graph's basis, of
+    graph's surface translated so that the ambient point center moves to
+    O, and the L2 energy of the translated profile that the basis cannot
+    represent.
+
+    The radii at the grid nodes come from per-node secant ray shooting
+    (domains._shoot_radii, seeded with graph's own radii) and are
+    projected onto the basis (project). Rows read the sampled surface
+    about its barycenter; tests hold them to the rows of the graph
+    translated so that the barycenter sits at O.
+    """
+    r = dm._shoot_radii(graph, grid, center,
+                        graph.radii(values_on_grid(graph.u, grid)))
+    samples = r / graph.rho - 1.0
+    u = project(samples, grid, graph.u.basis)
+    out_energy = grid.integrate((samples - values_on_grid(u, grid)) ** 2)
+    return gg.RadialGraph(sf=graph.sf, rho=graph.rho, u=u), out_energy
 
 
 def hessian_identity(which, u, grid, m=None):

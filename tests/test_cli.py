@@ -960,18 +960,18 @@ class TestWorkerProcesses:
 
 class TestNumericalFailureExit:
     def test_surface_breakdown_is_exit_three(self, tmp_path, capsys):
-        # amplitude 1.0 pushes radii far outside the admissible band
+        # amplitude 5 pushes radii far outside the admissible band
         body = BASE + """
 [perturbation]
 mode = random
 degrees = 2,3
 directions = 1
 seed = 11
-epsilon = 1.0
+epsilon = 5.0
 """ + CASE_STAB
         path = write_config(tmp_path, body)
         assert cli.main(["verify", "--config", path]) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        assert "admissible band" in capsys.readouterr().err
 
 
 # one volume-, one weighted-volume- and one W0-constrained case, two
@@ -1026,18 +1026,27 @@ def failure_lines(err, failures=True):
             if line.startswith("numerical failure:") == failures]
 
 
+def breaks_weighted_volume(ball_radius):
+    """Constraint.ball_radius that raises for the weighted volume."""
+    def ball_radius_or_raise(self, sf, value, start=1.0):
+        if self.kind == "weighted_volume":
+            raise ValueError("forced match failure")
+        return ball_radius(self, sf, value, start=start)
+    return ball_radius_or_raise
+
+
 class TestOneTaskPerSampledGraph:
     NAMES = ["wv", "vol", "stab"]
 
     def test_shared_stage_runs_once_per_graph(self, tmp_path, monkeypatch,
                                               capsys, cpus):
-        calls = {"recenter": 0, "asymmetry": 0, "geometry": []}
-        recenter, geometry = nz.recenter, gg.surface_geometry
+        calls = {"barycenter": 0, "asymmetry": 0, "geometry": []}
+        barycenter, geometry = dm.barycenter, gg.surface_geometry
         asymmetry = dm.fraenkel_asymmetry
 
-        def counting_recenter(*args):
-            calls["recenter"] += 1
-            return recenter(*args)
+        def counting_barycenter(*args):
+            calls["barycenter"] += 1
+            return barycenter(*args)
 
         def counting_geometry(graph, grid):
             calls["geometry"].append(grid.d_exact)
@@ -1047,7 +1056,7 @@ class TestOneTaskPerSampledGraph:
             calls["asymmetry"] += 1
             return asymmetry(*args)
 
-        monkeypatch.setattr(nz, "recenter", counting_recenter)
+        monkeypatch.setattr(dm, "barycenter", counting_barycenter)
         monkeypatch.setattr(gg, "surface_geometry", counting_geometry)
         monkeypatch.setattr(dm, "fraenkel_asymmetry", counting_asymmetry)
         pools = []
@@ -1071,7 +1080,7 @@ class TestOneTaskPerSampledGraph:
             if threads == "1":
                 # 2 directions x 2 amplitudes, whatever the 3 cases
                 row_grid = sb.default_resolution(5)
-                assert calls["recenter"] == 4
+                assert calls["barycenter"] == 4
                 assert calls["asymmetry"] == 4
                 assert calls["geometry"].count(row_grid) == 4
                 # the coarse geometry of err_quad is one per graph too
@@ -1104,14 +1113,8 @@ class TestOneTaskPerSampledGraph:
                                              capsys):
         # the weighted-volume case fails in matching; the other cases'
         # rows are their per-case rows
-        match_radius = nz.match_radius
-
-        def breaks_weighted_volume(graph, constraint, value):
-            if constraint.kind == "weighted_volume":
-                raise ValueError("forced match failure")
-            return match_radius(graph, constraint, value)
-
-        monkeypatch.setattr(nz, "match_radius", breaks_weighted_volume)
+        monkeypatch.setattr(nz.Constraint, "ball_radius",
+                            breaks_weighted_volume(nz.Constraint.ball_radius))
         path = multi_case_config(tmp_path, self.NAMES)
         _, expected, _ = per_case_runs(tmp_path, capsys, ["vol", "stab"],
                                        "verify")
@@ -1132,19 +1135,14 @@ class TestOneTaskPerSampledGraph:
         # has matched its constraint, so the weighted-volume case (first)
         # still reports its own error; a raising search runs once per
         # graph, and every later case that reaches it gets its error
-        match_radius = nz.match_radius
         searches = []
-
-        def breaks_weighted_volume(graph, constraint, value):
-            if constraint.kind == "weighted_volume":
-                raise ValueError("forced match failure")
-            return match_radius(graph, constraint, value)
 
         def breaks_search(*args):
             searches.append(1)
             raise RuntimeError("forced search failure")
 
-        monkeypatch.setattr(nz, "match_radius", breaks_weighted_volume)
+        monkeypatch.setattr(nz.Constraint, "ball_radius",
+                            breaks_weighted_volume(nz.Constraint.ball_radius))
         monkeypatch.setattr(dm, "fraenkel_asymmetry", breaks_search)
         path = multi_case_config(tmp_path, self.NAMES, eps="0.004")
         code, report, err = run_command(
@@ -1160,36 +1158,37 @@ class TestOneTaskPerSampledGraph:
 
     def test_shared_raise_fails_every_case(self, tmp_path, monkeypatch,
                                            capsys):
-        # amplitude 1 is too rough for the basis: recentering raises on
-        # both directions, for every case, with the per-case run's message,
-        # and the failure lines stay in case order; each of the 4 graphs
-        # is recentered once, raising or not
-        recentered = []
-        recenter = nz.recenter
+        # at amplitude 5 the radii go negative: the sampled geometry
+        # raises on both directions, for every case, with the per-case
+        # run's message, and the failure lines stay in case order; each
+        # of the 4 graphs builds its row-grid geometry once, raising or
+        # not
+        built = []
+        geometry = gg.surface_geometry
 
-        def counting_recenter(*args):
-            recentered.append(1)
-            return recenter(*args)
+        def counting_geometry(graph, grid):
+            built.append(grid.d_exact)
+            return geometry(graph, grid)
 
-        monkeypatch.setattr(nz, "recenter", counting_recenter)
-        path = multi_case_config(tmp_path, self.NAMES, eps="0.004, 1.0")
+        monkeypatch.setattr(gg, "surface_geometry", counting_geometry)
+        path = multi_case_config(tmp_path, self.NAMES, eps="0.004, 5.0")
         for command in ("verify", "sweep"):
             codes, expected, per_case_err = per_case_runs(
-                tmp_path, capsys, self.NAMES, command, eps="0.004, 1.0")
+                tmp_path, capsys, self.NAMES, command, eps="0.004, 5.0")
             assert codes == [3, 3, 3]
             failures = failure_lines(per_case_err)
             assert [f.split(":")[2] for f in failures] \
                 == [n for n in self.NAMES for _ in (0, 1)]
-            assert all("eps=1 error: out-of-band energy ratio" in f
-                       for f in failures)
+            assert all("eps=5 error: graph radii leave the admissible band"
+                       in f for f in failures)
             summaries = failure_lines(per_case_err, False)
             for threads in ("1", "2", "3"):
-                recentered.clear()
+                built.clear()
                 code, report, err = run_command(
                     capsys, [command, "--config", path, "--out",
                              str(tmp_path / "v.csv"), "--threads", threads])
                 if threads == "1":
-                    assert len(recentered) == 4
+                    assert built.count(sb.default_resolution(5)) == 4
                 assert code == 3
                 assert report == expected
                 assert failure_lines(err) == failures

@@ -86,7 +86,7 @@ def symmetric_difference_oracle(graph, grid, c, rho_bar):
     Rb = oracles.ball_radial_profile(sf, c, rho_bar, grid.nodes)
     if not np.all(np.isfinite(Rb)):
         return np.inf
-    P = sf.volume_primitive(graph.radii(sb.values_on_grid(graph.u, grid)))
+    P = sf.volume_primitive(graph.radii(oracles.values_on_grid(graph.u, grid)))
     return grid.integrate(np.abs(P - sf.volume_primitive(Rb)))
 
 
@@ -320,7 +320,7 @@ class TestBarycenter:
         else:
             grid = sb.build_grid(3, 30)
             g = perturbed(K, sb.build_basis(3, 5), 0.05, seed=4, rho=rho)
-        R = g.radii(sb.values_on_grid(g.u, grid))
+        R = g.radii(oracles.values_on_grid(g.u, grid))
         assert (np.max(R) > math.pi / 2) == (rho > 1.0)
         _total, _G, _h, H = dm._origin_derivatives(g.sf, grid, R)
         assert np.linalg.eigvalsh(H)[0] > 0
@@ -351,7 +351,7 @@ class TestBarycenter:
         # the gradient and Hessian trace at O, from radial moments,
         # against per-point log maps and distances of the embedded points
         g = perturbed(K, basis3, 0.05, seed=K + 5)
-        R = g.radii(sb.values_on_grid(g.u, grid3))
+        R = g.radii(oracles.values_on_grid(g.u, grid3))
         P, M, H = dm._origin_moments(g.sf, R)
         O = model.origin(g.sf)
         pts, mass = oracles.embedded_mass_points(g, grid3, 16)
@@ -394,7 +394,7 @@ class TestBarycenter:
                 a = rng.standard_normal(basis.size)
                 g = gg.RadialGraph(sf=sf, rho=rho, u=sb.from_coeffs(
                     basis, eps * a / np.linalg.norm(a)))
-                R = g.radii(sb.values_on_grid(g.u, grid))
+                R = g.radii(oracles.values_on_grid(g.u, grid))
                 total, G, h_tr, H = dm._origin_derivatives(sf, grid, R)
                 pts, mass = oracles.embedded_mass_points(g, grid, 16)
                 O = model.origin(sf)
@@ -426,34 +426,27 @@ class TestBarycenter:
     @pytest.mark.parametrize("K", ALL_K)
     def test_recenter_needs_no_radial_quadrature(self, K, grid3, basis3,
                                                  monkeypatch):
-        # for eps <= 0.05 one closed-form Newton step at O recenters: no
-        # barycenter call and one reprojection, and the materialized
-        # gradient at O of the returned graph meets the barycenter's
-        # criterion
-        calls = {"barycenter": 0, "reproject": 0}
-        barycenter, reproject = dm.barycenter, nz.reproject_after_isometry
+        # for eps <= 0.05 the barycenter takes the closed-form Newton step
+        # at O and one more at the point it lands on, whose radii come
+        # from one ray shooting: no radial quadrature, and the
+        # materialized gradient at the returned point meets the criterion
+        calls = []
+        shoot = dm._shoot_radii
 
-        def counting(name, fun):
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return fun(*args, **kwargs)
-            return counted
+        def counted(*args):
+            calls.append(1)
+            return shoot(*args)
 
-        monkeypatch.setattr(dm, "barycenter",
-                            counting("barycenter", barycenter))
-        monkeypatch.setattr(nz, "reproject_after_isometry",
-                            counting("reproject", reproject))
+        monkeypatch.setattr(dm, "_shoot_radii", counted)
         sf = SpaceForm(K=K, n=3)
         for eps in (0.003, 0.01, 0.05):
             for seed in range(3):
-                calls.update(barycenter=0, reproject=0)
+                calls.clear()
                 u = lab.sample_direction(basis3, seed, 0).scaled(eps)
-                new, disp, _ = nz.recenter(
-                    gg.RadialGraph(sf=sf, rho=0.9, u=u), grid3)
-                assert calls == {"barycenter": 0, "reproject": 1}
-                assert disp < nz.BAR_TOL
-                assert oracles.barycenter_gradient_criterion(
-                    new, grid3, model.origin(sf)) < 1
+                g = gg.RadialGraph(sf=sf, rho=0.9, u=u)
+                p = dm.barycenter(gg.surface_geometry(g, grid3))
+                assert len(calls) == 1
+                assert oracles.barycenter_gradient_criterion(g, grid3, p) < 1
 
     def test_even_perturbation(self, grid3, basis3):
         a = np.zeros(basis3.size)
@@ -506,7 +499,7 @@ class TestFraenkel:
         sf = SpaceForm(K=K, n=3)
         R = oracles.ball_radial_profile(sf, TRANSLATION, 1.0, grid.nodes)
         rho = grid.integrate(R) / sf.sphere_area
-        u = sb.project(R / rho - 1.0, grid, sb.build_basis(3, 8))
+        u = oracles.project(R / rho - 1.0, grid, sb.build_basis(3, 8))
         return gg.RadialGraph(sf=sf, rho=rho, u=u)
 
     @pytest.mark.parametrize("K", ALL_K)
@@ -587,22 +580,22 @@ class TestFraenkel:
     @pytest.mark.parametrize("K", ALL_K)
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_search_matches_nelder_mead_oracle(self, K, n):
-        # on normalized rows, as lab.verify sees them: never more than
-        # 2e-5 above Nelder-Mead, and alpha is the symmetric difference
-        # at the returned center, bit for bit
+        # on sampled rows, as lab.verify sees them (the sampled geometry,
+        # the search seeded at the barycenter): never more than 2e-5
+        # above Nelder-Mead, and alpha is the symmetric difference at the
+        # returned center, bit for bit
         degree, res = self.ORACLE_SETUP[n]
         basis, grid = sb.build_basis(n, degree), sb.build_grid(n, res)
         sf = SpaceForm(K=K, n=n)
         u0 = lab.sample_direction(basis, 31, 0)
         for eps in (0.003, 0.01, 0.03):
             g0 = gg.RadialGraph(sf=sf, rho=0.9, u=u0.scaled(eps))
-            ng = nz.normalize(g0, grid, nz.volume_constraint())
-            alpha, center = dm.fraenkel_asymmetry(ng.geometry,
-                                                  np.zeros(n + 1))
-            want, rho_bar = nelder_mead_asymmetry(ng.geometry)
+            shared = nz.SampledGraph(g0, grid)
+            alpha, center = shared.asymmetry
+            want, rho_bar = nelder_mead_asymmetry(shared.geometry)
             assert alpha <= want * (1 + 2e-5)
             assert alpha == dm.symmetric_difference_to_ball(
-                ng.geometry, center, rho_bar)
+                shared.geometry, center, rho_bar)
 
     def test_kernel_width_is_numpys_quantile(self):
         # bit for bit np.quantile(size, 0.1), on random arrays and on
@@ -666,7 +659,7 @@ class TestFraenkel:
         # u(Q^T x), projected exactly: the grid is exact through degree 8
         g_rot = gg.RadialGraph(
             sf=sf, rho=0.9,
-            u=sb.project(sb.evaluate(u, grid.nodes @ Q), grid, basis))
+            u=oracles.project(sb.evaluate(u, grid.nodes @ Q), grid, basis))
         alpha, center = dm.fraenkel_asymmetry(gg.surface_geometry(g, grid),
                                               np.zeros(n + 1))
         alpha_r, center_r = dm.fraenkel_asymmetry(
@@ -681,7 +674,7 @@ class TestFraenkel:
         u = sb.from_coeffs(basis3, a)
         geo = gg.surface_geometry(gg.RadialGraph(sf=sf, rho=1.0, u=u), grid3)
         alpha, _ = dm.fraenkel_asymmetry(geo, barycenter_seed(geo))
-        norms = sb.sobolev_norms(grid3, sb.eval_jet_all(u, grid3))
+        norms = oracles.sobolev_norms(grid3, sb.eval_jet_all(u, grid3))
         bound = math.sqrt(unit_sphere_area(3) / 9) * norms.grad_l2
         assert 0 < alpha <= 1.1 * bound
 

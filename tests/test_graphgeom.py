@@ -1,12 +1,13 @@
 """Tests for radial-graph geometry."""
 
-import math
-
 import numpy as np
 import pytest
 
 import oracles
 from sfi import graphgeom as gg
+from sfi import lab
+from sfi import model
+from sfi import normalize as nz
 from sfi import spherebasis as sb
 from sfi import symfunc as sy
 from sfi.spaceform import SpaceForm, WeightFunction
@@ -80,7 +81,7 @@ class TestGeodesicSphere:
         assert np.allclose(geo.area_factor, sf.phi(rho) ** n, rtol=1e-10)
         w = WeightFunction.affine()
         for k in range(n + 1):
-            got = gg.weighted_curvature_integral(geo, w, k)
+            got = gg.weighted_curvature_integral(geo, geo.Phi, w, k)
             want = gg.sphere_curvature_integral(sf, rho, w, k)
             assert got == pytest.approx(want, rel=1e-10)
 
@@ -94,7 +95,8 @@ class TestGeodesicSphere:
     def test_area_example(self, grid3, basis3):
         sf = SpaceForm(K=-1, n=3)
         g = gg.RadialGraph(sf=sf, rho=1.3, u=sb.zero_function(basis3))
-        got = gg.weighted_curvature_integral(gg.surface_geometry(g, grid3),
+        geo = gg.surface_geometry(g, grid3)
+        got = gg.weighted_curvature_integral(geo, geo.Phi,
                                              WeightFunction.constant(1.0), 0)
         assert got == pytest.approx(sf.sphere_area * sf.phi(1.3) ** 3,
                                     rel=1e-12)
@@ -135,26 +137,28 @@ class TestPerturbedGeometry:
         assert np.allclose(geo.H, direct, atol=1e-11)
 
     @pytest.mark.parametrize("K", ALL_K)
-    def test_relabeled_matches_fresh_geometry(self, K, grid3, basis3):
-        # rho(1 + u) = rho*(1 + u*) with u* = lam u + lam - 1, lam = rho/rho*
-        g = perturbed_graph(K, grid3, basis3, 0.03, seed=K + 12)
-        rho_star = 0.93
-        lam = g.rho / rho_star
-        coeffs = lam * g.u.coeffs
-        coeffs[0] += (lam - 1.0) * math.sqrt(g.sf.sphere_area)
-        new = gg.RadialGraph(sf=g.sf, rho=rho_star,
-                             u=sb.from_coeffs(basis3, coeffs))
+    def test_integral_about_a_center(self, K, grid3, basis3):
+        # the weight's argument is an input of the integral: about O it
+        # is geo.Phi bit for bit; about a center p it is Phi(d_p), and the
+        # integral is that of the same surface translated so that p
+        # moves to O, to that graph's truncation to the basis
+        u = lab.sample_direction(basis3, K + 12, 0, degrees=(1, 2, 3))
+        g = gg.RadialGraph(sf=SpaceForm(K=K, n=3), rho=1.0, u=u.scaled(0.03))
         geo = gg.surface_geometry(g, grid3)
-        moved = geo.relabeled(new)
-        fresh = gg.surface_geometry(new, grid3)
-        assert moved.graph is new
-        for name in ("u_vals", "du", "d2u", "r", "phi", "dphi", "Phi", "D",
-                     "area_factor", "second_form", "kappa", "sigma", "H",
-                     "H_plus"):
-            assert np.allclose(getattr(moved, name), getattr(fresh, name),
-                               rtol=1e-12, atol=1e-14), name
-        assert np.allclose(oracles.weingarten(moved),
-                           oracles.weingarten(fresh), rtol=1e-12, atol=1e-14)
+        assert np.array_equal(nz.weight_argument(geo, model.origin(g.sf)),
+                              geo.Phi)
+        p = model.point(g.sf, np.array([0.002, -0.001, 0.0005, 0.0015]))
+        Phi = nz.weight_argument(geo, p)
+        d = oracles.distance(g.sf, model.embed(g.sf, geo.r, grid3.nodes), p)
+        assert np.allclose(Phi, g.sf.warp(d)[2], rtol=1e-12, atol=0)
+        moved, band = oracles.translated_graph(g, grid3, p)
+        assert band < 1e-12
+        fresh = gg.surface_geometry(moved, grid3)
+        w = WeightFunction.affine()
+        for k in range(4):
+            assert gg.weighted_curvature_integral(geo, Phi, w, k) \
+                == pytest.approx(gg.weighted_curvature_integral(
+                    fresh, fresh.Phi, w, k), rel=1e-9), k
 
     @pytest.mark.parametrize("K", ALL_K)
     def test_scaled_jet_matches_fresh_geometry(self, K, grid3, basis3):
@@ -171,9 +175,10 @@ class TestPerturbedGeometry:
             got = gg.scaled_curvature_integrals(
                 gg.RadialGraph(sf=sf, rho=0.9, u=u0), grid3, w, k, amps,
                 jet0)
-            want = [gg.weighted_curvature_integral(gg.surface_geometry(
-                gg.RadialGraph(sf=sf, rho=0.9, u=u0.scaled(eps)), grid3), w,
-                k) for eps in amps]
+            want = [gg.weighted_curvature_integral(geo, geo.Phi, w, k)
+                    for geo in (gg.surface_geometry(gg.RadialGraph(
+                        sf=sf, rho=0.9, u=u0.scaled(eps)), grid3)
+                        for eps in amps)]
             assert got == pytest.approx(want, rel=1e-13, abs=1e-15), k
         for eps in amps:
             g = gg.RadialGraph(sf=sf, rho=0.9, u=u0.scaled(eps))
@@ -286,7 +291,7 @@ class TestScaledCurvatureIntegrals:
             for k in range(n + 1):
                 assert gg.scaled_curvature_integrals(
                     g, grid, w, k, [0.5, 1.0], jet)[1] \
-                    == gg.weighted_curvature_integral(geo, w, k), k
+                    == gg.weighted_curvature_integral(geo, geo.Phi, w, k), k
 
     @pytest.mark.parametrize("K", ALL_K)
     def test_reference_geometry_is_surface_geometry(self, K, grid3, basis3):
@@ -367,32 +372,34 @@ class TestWeightedIntegral:
                                   grid3)
         w = WeightFunction.constant(1.0)
         with pytest.raises(ValueError):
-            gg.weighted_curvature_integral(geo, w, 4)
+            gg.weighted_curvature_integral(geo, geo.Phi, w, 4)
         with pytest.raises(ValueError):
-            gg.weighted_curvature_integral(geo, w, -1)
+            gg.weighted_curvature_integral(geo, geo.Phi, w, -1)
 
     def test_positive_part_only_k1(self, grid3, basis3):
         geo = gg.surface_geometry(perturbed_graph(0, grid3, basis3, 0.01),
                                   grid3)
         w = WeightFunction.constant(1.0)
         with pytest.raises(ValueError):
-            gg.weighted_curvature_integral(geo, w, 2, positive_part=True)
+            gg.weighted_curvature_integral(geo, geo.Phi, w, 2,
+                                           positive_part=True)
 
     def test_positive_part_matches_H_for_convex(self, grid3, basis3):
         geo = gg.surface_geometry(
             perturbed_graph(-1, grid3, basis3, 0.02, seed=8), grid3)
         w = WeightFunction.affine()
-        a = gg.weighted_curvature_integral(geo, w, 1)
-        b = gg.weighted_curvature_integral(geo, w, 1, positive_part=True)
+        a = gg.weighted_curvature_integral(geo, geo.Phi, w, 1)
+        b = gg.weighted_curvature_integral(geo, geo.Phi, w, 1,
+                                           positive_part=True)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_grid_refinement(self, basis3):
         g = perturbed_graph(-1, sb.build_grid(3, 20), basis3, 0.02, seed=9)
         w = WeightFunction.shifted_power(2.0)
         coarse, fine = (
-            gg.weighted_curvature_integral(
-                gg.surface_geometry(g, sb.build_grid(3, res)), w, 2)
-            for res in (24, 48))
+            gg.weighted_curvature_integral(geo, geo.Phi, w, 2)
+            for geo in (gg.surface_geometry(g, sb.build_grid(3, res))
+                        for res in (24, 48)))
         assert abs(coarse - fine) < 1e-8 * max(1.0, abs(fine))
 
 

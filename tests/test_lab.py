@@ -11,6 +11,7 @@ import oracles
 from sfi import domains as dm
 from sfi import graphgeom as gg
 from sfi import lab
+from sfi import model
 from sfi import normalize as nz
 from sfi import spherebasis as sb
 from sfi import symfunc as sy
@@ -401,11 +402,11 @@ class TestEqualityFunction:
                                   too_big)
         with pytest.raises(ValueError, match="below the attainable"):
             lab.equality_function(sf, WeightFunction.affine(), 1, con, -1.0)
-        graph = gg.RadialGraph(sf=sf, rho=0.8, u=sb.zero_function(basis3))
+        # the radius matching of normalize
         with pytest.raises(ValueError, match="above the attainable"):
-            nz.match_radius(graph, con, too_big)
+            con.ball_radius(sf, too_big, start=0.8)
         with pytest.raises(ValueError, match="below the attainable"):
-            nz.match_radius(graph, con, -1.0)
+            con.ball_radius(sf, -1.0, start=0.8)
 
     def test_closed_form_guards(self):
         sf0 = SpaceForm(K=0, n=3)
@@ -574,6 +575,14 @@ class TestDeficitCoefficients:
                                          nz.quermass_constraint(3), 1.0)
 
 
+def about_barycenter(ng, w, k, positive_part=False):
+    """The weighted curvature integral of a NormalizedGraph's sampled
+    surface, the weight's argument taken about its barycenter."""
+    shared = ng.sampled
+    return gg.weighted_curvature_integral(
+        shared.geometry, shared.fields.Phi, w, k, positive_part=positive_part)
+
+
 class TestDeficitPredictions:
     def test_volume_constrained_deficit_matches_quadratic_form(self, basis3,
                                                                grid3):
@@ -586,12 +595,9 @@ class TestDeficitPredictions:
         u0 = lab.sample_direction(basis3, 23, 0, degrees=(2, 3))
         g0 = gg.RadialGraph(sf=sf, rho=rho, u=u0.scaled(eps))
         ng = nz.normalize(g0, grid3, con)
-        geo = ng.geometry
-        lhs = gg.weighted_curvature_integral(geo, w, 1, positive_part=True)
-        rhs = lab.equality_function(sf, w, 1, con, con.of_geometry(geo))
-        vals, grad, _ = sb.eval_jet_all(ng.graph.u, grid3)
-        i2 = grid3.integrate(vals ** 2)
-        ig = grid3.integrate(np.sum(grad ** 2, axis=1))
+        lhs = about_barycenter(ng, w, 1, positive_part=True)
+        rhs = lab.equality_function(sf, w, 1, con, ng.constraint_value)
+        i2, ig = ng.norms.l2 ** 2, ng.norms.grad_l2 ** 2
         cu2, cg2 = oracles.deficit_coefficients(sf, w, 1, ng.constraint,
                                                 ng.rho)
         predicted = ng.rho ** 2 * (cu2 * i2 + cg2 * ig)
@@ -605,13 +611,10 @@ class TestDeficitPredictions:
         u0 = lab.sample_direction(basis3, 29, 1, degrees=(2, 3, 4))
         g0 = gg.RadialGraph(sf=sf, rho=rho, u=u0.scaled(eps))
         ng = nz.normalize(g0, grid3, con)
-        geo = ng.geometry
-        lhs = gg.weighted_curvature_integral(geo, w, k)
-        rhs = lab.equality_function(sf, w, k, con, con.of_geometry(geo))
+        lhs = about_barycenter(ng, w, k)
+        rhs = lab.equality_function(sf, w, k, con, ng.constraint_value)
         deficit = lhs - rhs
-        vals, grad, _ = sb.eval_jet_all(ng.graph.u, grid3)
-        i2 = grid3.integrate(vals ** 2)
-        ig = grid3.integrate(np.sum(grad ** 2, axis=1))
+        i2, ig = ng.norms.l2 ** 2, ng.norms.grad_l2 ** 2
         cu2, cg2 = oracles.deficit_coefficients(sf, w, k, ng.constraint,
                                                 ng.rho)
         assert deficit == pytest.approx(ng.rho ** 2 * (cu2 * i2 + cg2 * ig),
@@ -630,11 +633,9 @@ class TestDeficitPredictions:
             u0 = lab.sample_direction(basis3, 31, 2, degrees=(2, 3, 4))
             g0 = gg.RadialGraph(sf=sf, rho=RHO[K], u=u0.scaled(eps))
             ng = nz.normalize(g0, grid3, con)
-            lhs = gg.weighted_curvature_integral(ng.geometry, w, k)
+            lhs = about_barycenter(ng, w, k)
             sphere = gg.sphere_curvature_integral(sf, ng.rho, w, k)
-            vals, grad, _ = sb.eval_jet_all(ng.graph.u, grid3)
-            i2 = grid3.integrate(vals ** 2)
-            ig = grid3.integrate(np.sum(grad ** 2, axis=1))
+            i2, ig = ng.norms.l2 ** 2, ng.norms.grad_l2 ** 2
             cu2, cg2 = oracles.deficit_coefficients(sf, w, k, ng.constraint,
                                                     ng.rho)
             assert lhs - sphere == pytest.approx(
@@ -658,11 +659,9 @@ class TestDeficitPredictions:
             for eps in (0.02, 0.01, 0.005):
                 g0 = gg.RadialGraph(sf=sf, rho=0.9, u=u2.scaled(eps))
                 ng = nz.normalize(g0, grid3, con)
-                geo = ng.geometry
-                lhs = gg.weighted_curvature_integral(geo, w, 1,
-                                                     positive_part=True)
+                lhs = about_barycenter(ng, w, 1, positive_part=True)
                 rhs = lab.equality_function(sf, w, 1, con,
-                                            con.of_geometry(geo))
+                                            ng.constraint_value)
                 ratio = (lhs - rhs) / (ng.rho ** 2 * ng.norms.grad_l2 ** 2)
                 gaps.append(abs(ratio - limit) / limit)
             assert gaps[-1] < 1e-3
@@ -690,15 +689,23 @@ class TestVerify:
         ("sigmak-quermass-hyperbolic", -1, 1, 0)])
     def test_constraint_measured_once_per_row(self, basis3, grid3,
                                               monkeypatch, tid, K, k, j):
-        # normalize measures the constraint and verify reads that value
+        # normalize measures the constraint and verify reads that value:
+        # a quermassintegral on the sampled geometry, the weighted volume
+        # with the fields about the barycenter
         calls = []
         of_geometry = nz.Constraint.of_geometry
+        center_fields = nz.center_fields
 
         def counting(self, *args, **kwargs):
             calls.append(self.label)
             return of_geometry(self, *args, **kwargs)
 
+        def counting_fields(*args):
+            calls.append("fields")
+            return center_fields(*args)
+
         monkeypatch.setattr(nz.Constraint, "of_geometry", counting)
+        monkeypatch.setattr(nz, "center_fields", counting_fields)
         sf = SpaceForm(K=K, n=3)
         case = lab.TheoremCase(tid, sf, WeightFunction.affine(), k=k, j=j,
                                rho=RHO[K])
@@ -706,7 +713,9 @@ class TestVerify:
         rep = lab.verify(case, gg.RadialGraph(sf=sf, rho=RHO[K],
                                               u=u0.scaled(0.004)), grid3)
         assert rep.status == "pass"
-        assert calls == [case.constraint().label]
+        con = case.constraint()
+        assert calls == (["fields"] if con.kind == "weighted_volume"
+                         else [con.label, "fields"])
 
     def test_validity_row_strictly_positive(self, basis3, grid3):
         sf = SpaceForm(K=-1, n=3)
@@ -772,8 +781,9 @@ class TestVerify:
         graph = gg.RadialGraph(sf=sf, rho=0.9, u=u0.scaled(0.01))
         geo = gg.surface_geometry(graph, grid3)
         assert np.all(geo.H > 0)
-        a = gg.weighted_curvature_integral(geo, w, 1, positive_part=True)
-        b = gg.weighted_curvature_integral(geo, w, 1)
+        a = gg.weighted_curvature_integral(geo, geo.Phi, w, 1,
+                                           positive_part=True)
+        b = gg.weighted_curvature_integral(geo, geo.Phi, w, 1)
         assert a == b
 
     def test_asymmetry_within_gradient_energy_bound(self, basis3, grid3):
@@ -791,9 +801,9 @@ class TestVerify:
             assert rep.alpha ** 2 <= cap * 1.1
 
     def test_asymmetry_center_improves_on_origin(self, basis3, grid3):
-        # recentering moves the barycenter, not the optimal ball center,
-        # to the origin: the center search must find a strictly better
-        # ball a small but nonzero distance away
+        # the search starts at the barycenter, which is not the optimal
+        # ball center: it must find a strictly better ball a small but
+        # nonzero distance away
         sf = SpaceForm(K=-1, n=3)
         case = lab.TheoremCase("sigmak-quermass-hyperbolic", sf,
                                WeightFunction.affine(), k=1, j=0, rho=0.9)
@@ -801,13 +811,13 @@ class TestVerify:
         g0 = gg.RadialGraph(sf=sf, rho=0.9,
                             u=lab.sample_direction(basis3, 5, 0).scaled(eps))
         rep = lab.verify(case, g0, grid3)
-        geo = nz.normalize(g0, grid3, case.constraint()).geometry
+        geo = gg.surface_geometry(g0, grid3)
+        seed = model.model_vector(sf, dm.barycenter(geo))
         rho_bar = dm.radius_for_volume(sf, dm.volume(geo))
-        at_origin = dm.symmetric_difference_to_ball(geo, np.zeros(4), rho_bar)
-        alpha, center = dm.fraenkel_asymmetry(geo, np.zeros(4))
-        assert rep.alpha <= at_origin
-        assert alpha < at_origin
-        assert 1e-3 * eps < np.linalg.norm(center) < 0.1 * eps
+        at_seed = dm.symmetric_difference_to_ball(geo, seed, rho_bar)
+        alpha, center = dm.fraenkel_asymmetry(geo, seed)
+        assert rep.alpha == alpha < at_seed
+        assert 1e-3 * eps < np.linalg.norm(center - seed) < 0.1 * eps
 
     def test_nan_coefficient_is_a_numerical_failure(self, basis3, grid3,
                                                     monkeypatch):
@@ -849,12 +859,12 @@ class TestVerify:
             assert u.degree == basis.d_max
             with np.errstate(invalid="ignore"):
                 kernels = (sb.evaluate(u, grid.nodes),
-                           sb.values_on_grid(u, grid),
+                           oracles.values_on_grid(u, grid),
                            *sb.eval_jet_all(u, grid))
             for vals in kernels:
                 assert not np.isfinite(vals).any()
             g0 = gg.RadialGraph(sf=sf, rho=0.9, u=u.scaled(0.01))
-            with pytest.raises(ValueError, match="non-finite values of u"):
+            with pytest.raises(ValueError, match="non-finite 2-jet"):
                 lab.verify(case, g0, grid)
 
 
@@ -893,6 +903,33 @@ class TestVerifyRows:
                          for e in (0.003, 0.01)]
         assert [(r.direction_id, r.epsilon) for r in sw.reports] \
             == [(did, e) for _, did, e in calls]
+
+
+class TestReach:
+    REACH_CASES = {
+        -1: [("sigmak-quermass-hyperbolic", 2, 1, 0.9),
+             ("H-weighted-volume", 1, None, 0.9)],
+        0: [("sigmak-quermass-euclidean", 2, 1, 1.0),
+            ("H-volume", 1, None, 1.0)],
+        1: [("H-volume", 1, None, 0.8)],
+    }
+
+    @pytest.mark.parametrize("K", [-1, 0, 1])
+    def test_default_directions_reach_eps_0_3(self, K, basis3, grid3):
+        # at eps = 0.3 (sup |u| about 0.2) every default direction gives
+        # a row in every space form: the row reads the sampled surface,
+        # so no truncation to the basis can end it
+        sf = SpaceForm(K=K, n=3)
+        cases = [lab.TheoremCase(tid, sf, WeightFunction.affine(), k=k, j=j,
+                                 rho=rho)
+                 for tid, k, j, rho in self.REACH_CASES[K]]
+        for did, u0 in lab.sample_directions(basis3, lab.SWEEP_SEED,
+                                             lab.SWEEP_DIRECTIONS):
+            graph = gg.RadialGraph(sf=sf, rho=cases[0].rho, u=u0.scaled(0.3))
+            rows = lab.verify_rows(cases, graph, grid3, did, 0.3)
+            assert all(isinstance(r, lab.DeficitReport) for r in rows), rows
+            assert all(np.isfinite([r.lhs, r.rhs, r.alpha, r.norm_w2inf])
+                       .all() for r in rows)
 
 
 class TestNoBatchedEigensolves:
@@ -974,16 +1011,18 @@ class TestSweep:
         assert sw.empirical_constant is None
 
     def test_row_failures_recorded_and_sweep_continues(self, basis3, grid3):
-        # degree-1 content at large amplitude exceeds the out-of-band
-        # budget during recentering; the sweep records it and moves on
+        # at amplitude 5 the radii of a unit direction go negative; the
+        # sweep records the rows that raise and moves on
         sf = SpaceForm(K=-1, n=3)
         case = lab.TheoremCase("sigmak-quermass-hyperbolic", sf,
                                WeightFunction.affine(), k=1, j=0, rho=0.9)
         sw = lab.sweep(case, grid3, basis3, directions=2,
-                       eps_schedule=(0.05,), seed=3, degrees=(1, 8))
-        assert sw.failures
-        assert all("out-of-band" in msg for _, _, msg in sw.failures)
-        assert len(sw.reports) + len(sw.failures) == 2
+                       eps_schedule=(0.01, 5.0), seed=3, degrees=(1, 8))
+        assert [(d, e) for d, e, _ in sw.failures] == [("d000", 5.0),
+                                                      ("d001", 5.0)]
+        assert all("admissible band" in msg for _, _, msg in sw.failures)
+        assert [(r.direction_id, r.epsilon) for r in sw.reports] \
+            == [("d000", 0.01), ("d001", 0.01)]
 
     def test_deterministic_serialization(self, basis3, grid3):
         sf = SpaceForm(K=0, n=3)

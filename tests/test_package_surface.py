@@ -185,16 +185,6 @@ def _sfi_imports(tree, modules):
     return deps
 
 
-# (reader, module, name) of each private name that one module reads
-# from another, with its reason
-PRIVATE_READS = {
-    ("normalize", "domains", "_shoot_radii"):
-        "the benchmark counts model.polar calls only under "
-        "normalize.reproject_after_isometry; a public shooter would be "
-        "wrapped by its recorder and zero model.polar.calls_per_row",
-}
-
-
 def _private(name):
     return name.startswith("_") and not name.endswith("__")
 
@@ -225,14 +215,14 @@ def _private_reads(reader, tree, modules):
 
 def test_module_layering():
     # domains reads geometry only through the SurfaceGeometry a caller
-    # hands it, no module reads another's private names except those
-    # listed, and the imports among the modules form no cycle (the
-    # package's __init__, which only re-exports, is left out)
+    # hands it, no module reads another's private names, and the imports
+    # among the modules form no cycle (the package's __init__, which
+    # only re-exports, is left out)
     trees = _trees()
     del trees["__init__"]
     reads = set().union(*(_private_reads(m, tree, trees)
                           for m, tree in trees.items()))
-    assert sorted(reads) == sorted(PRIVATE_READS)
+    assert sorted(reads) == []
     remaining = {m: _sfi_imports(tree, trees) for m, tree in trees.items()}
     assert "graphgeom" not in remaining["domains"]
     while remaining:
